@@ -5,15 +5,14 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DataError, EmptyInputError, EntroportError,
                      HorizonError, InsufficientClustersError, NoTangencyError,
                      TickParseError)
-from .series import (HorizonSpec, SampledSeries, TickRecord, align_lengths,
+from .series import (TICK_DTYPE, HorizonSpec, SampledSeries, align_lengths,
                      parse_ticks, resample, slice_horizon)
 from .returns_vol import (VolatilityWindow, linear_returns, log_returns,
-                          rolling_mean, rolling_volatility)
+                          rolling_volatility)
 from .dma_cluster import (ClusterDistribution, ClusterModelFit, EntropyCurve,
-                          EntropyIndex, MovingAverageGrid, aggregate_index,
-                          cluster_distribution, compute_entropy_index,
-                          entropy_curve, entropy_index, extract_clusters,
-                          fit_cluster_model, moving_average)
+                          EntropyIndex, aggregate_index, cluster_distribution,
+                          compute_entropy_index, entropy_curve, entropy_index,
+                          extract_clusters, fit_cluster_model, moving_average)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, portfolio_mean,

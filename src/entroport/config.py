@@ -20,6 +20,18 @@ DEFAULT_N_GRID_S = {"min": 25, "max": 200, "step": 25}
 DEFAULT_VOLATILITY_WINDOWS_S = [180, 360, 720]
 DEFAULT_HORIZONS = list(range(1, 13))
 
+# every key a config file may use; any other key is rejected
+_TOP_LEVEL_KEYS = {"assets", "delta_s", "year_start", "n_grid_s", "volatility_windows_s",
+                   "horizons", "entropy_estimator", "entropy_source", "threshold_m",
+                   "aggregation", "min_clusters", "horizon_mode", "return_kind",
+                   "output_dir"}
+_ASSET_KEYS = {"name", "ticks", "synth"}
+_N_GRID_KEYS = {"min", "max", "step"}
+_SYNTH_KEYS = {"kind", "length", "seed", "price_scale"}
+#: generator kind -> its float parameters, which a synth spec adds to _SYNTH_KEYS
+_GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",),
+                     "garch": ("omega", "alpha", "beta")}
+
 
 @dataclass(frozen=True)
 class AssetInput:
@@ -44,7 +56,6 @@ class PipelineConfig:
     n_grid_s: tuple[int, ...]
     volatility_windows_s: tuple[int, ...]
     horizons: tuple[int, ...]
-    risk_profile: str = "high"
     entropy_estimator: str = "surprisal"
     entropy_source: str = "volatility"
     threshold_m: str | int = "n"
@@ -89,9 +100,6 @@ class PipelineConfig:
             raise ConfigError("at least one horizon is required")
         if any(not 1 <= m <= 12 for m in self.horizons):
             raise ConfigError(f"horizons must lie in [1, 12], got {self.horizons}")
-        if self.risk_profile not in ("high", "low"):
-            raise ConfigError(f"risk_profile must be 'high' or 'low', got "
-                              f"{self.risk_profile!r}")
         if self.entropy_estimator not in ("surprisal", "shannon_term"):
             raise ConfigError(f"unknown entropy_estimator {self.entropy_estimator!r}")
         if self.entropy_source not in ("volatility", "return"):
@@ -113,6 +121,12 @@ class PipelineConfig:
         return n if self.threshold_m == "n" else int(self.threshold_m)
 
 
+def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _parse_generator(name: str, spec: dict) -> GeneratorSpec:
     try:
         kind = spec["kind"]
@@ -120,17 +134,12 @@ def _parse_generator(name: str, spec: dict) -> GeneratorSpec:
         seed = int(spec["seed"])
     except KeyError as exc:
         raise ConfigError(f"asset {name!r}: synth spec missing {exc}") from None
-    if kind == "fbm":
-        return GeneratorSpec(kind="fbm", length=length, seed=seed,
-                             hurst=float(spec["hurst"]))
-    if kind == "arfima":
-        return GeneratorSpec(kind="arfima", length=length, seed=seed,
-                             d=float(spec["d"]))
-    if kind == "garch":
-        return GeneratorSpec(kind="garch", length=length, seed=seed,
-                             omega=float(spec["omega"]), alpha=float(spec["alpha"]),
-                             beta=float(spec["beta"]))
-    raise ConfigError(f"asset {name!r}: unknown generator kind {kind!r}")
+    params = _GENERATOR_PARAMS.get(kind)
+    if params is None:
+        raise ConfigError(f"asset {name!r}: unknown generator kind {kind!r}")
+    _check_keys(spec, _SYNTH_KEYS.union(params), f"asset {name!r} synth")
+    return GeneratorSpec(kind=kind, length=length, seed=seed,
+                         **{p: float(spec[p]) for p in params})
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -148,22 +157,22 @@ def load_config(path: str | Path) -> PipelineConfig:
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(raw, _TOP_LEVEL_KEYS, "top level")
     base = base_dir or Path(".")
     try:
         assets = []
         for entry in raw["assets"]:
             name = entry["name"]
-            if "ticks" in entry:
-                assets.append(AssetInput(name=name,
-                                         ticks_path=base / entry["ticks"]))
-            elif "synth" in entry:
-                scale = float(entry["synth"].get("price_scale", 0.001))
-                assets.append(AssetInput(name=name,
-                                         generator=_parse_generator(name, entry["synth"]),
-                                         price_scale=scale))
-            else:
-                raise ConfigError(f"asset {name!r}: needs 'ticks' or 'synth'")
+            _check_keys(entry, _ASSET_KEYS, f"asset {name!r}")
+            ticks, synth = entry.get("ticks"), entry.get("synth")
+            # AssetInput rejects an entry with both or neither
+            assets.append(AssetInput(
+                name=name,
+                ticks_path=None if ticks is None else base / ticks,
+                generator=None if synth is None else _parse_generator(name, synth),
+                price_scale=float((synth or {}).get("price_scale", 0.001))))
         grid = raw.get("n_grid_s", DEFAULT_N_GRID_S)
+        _check_keys(grid, _N_GRID_KEYS, "n_grid_s")
         n_grid = tuple(range(int(grid["min"]), int(grid["max"]) + 1, int(grid["step"])))
         cfg = PipelineConfig(
             assets=tuple(assets),
@@ -173,7 +182,6 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> PipelineConfig:
             volatility_windows_s=tuple(int(t) for t in raw.get(
                 "volatility_windows_s", DEFAULT_VOLATILITY_WINDOWS_S)),
             horizons=tuple(int(m) for m in raw.get("horizons", DEFAULT_HORIZONS)),
-            risk_profile=raw.get("risk_profile", "high"),
             entropy_estimator=raw.get("entropy_estimator", "surprisal"),
             entropy_source=raw.get("entropy_source", "volatility"),
             threshold_m=raw.get("threshold_m", "n"),

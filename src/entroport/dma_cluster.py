@@ -24,54 +24,34 @@ MIN_CLUSTERS = 50
 
 
 @dataclass(frozen=True)
-class MovingAverageGrid:
-    """Strictly ascending moving-average window lengths, in samples (each >= 2)."""
-
-    n_values: tuple[int, ...]
-
-    def __post_init__(self):
-        vals = tuple(int(n) for n in self.n_values)
-        object.__setattr__(self, "n_values", vals)
-        if not vals:
-            raise DataError("grid must contain at least one window length")
-        if any(n < 2 for n in vals):
-            raise DataError("all window lengths must be >= 2")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise DataError("window lengths must be strictly ascending")
-
-    @classmethod
-    def from_range(cls, n_min: int, n_max: int, step: int) -> "MovingAverageGrid":
-        return cls(tuple(range(n_min, n_max + 1, step)))
-
-
-@dataclass(frozen=True)
 class ClusterDistribution:
     """Histogram of cluster durations for one window length n.
 
-    counts maps duration (samples) to its cluster count; probabilities is the
-    normalized version. Counts may be fractional when a model distribution is
-    supplied directly (diagnostics and tests).
+    taus are the observed durations (samples, strictly ascending), counts the
+    cluster count per duration and probabilities the normalized counts.
+    Counts may be fractional when a model distribution is supplied directly
+    (diagnostics and tests).
     """
 
     n: int
-    counts: dict[int, float]
-    total: float = field(init=False)
-    probabilities: dict[int, float] = field(init=False)
+    taus: np.ndarray
+    counts: np.ndarray
+    probabilities: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.counts:
+        taus = np.asarray(self.taus, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=float)
+        if taus.ndim != 1 or taus.shape != counts.shape:
+            raise DataError("taus and counts must be 1-D and of equal length")
+        if len(taus) == 0:
             raise EmptyInputError("distribution needs at least one duration bin")
-        if any(tau < 1 for tau in self.counts):
-            raise DataError("durations must be >= 1 sample")
-        total = float(sum(self.counts.values()))
-        if total <= 0:
-            raise DataError("total cluster count must be positive")
-        probs = {tau: c / total for tau, c in sorted(self.counts.items())}
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "probabilities", probs)
-
-    def taus(self) -> np.ndarray:
-        return np.array(sorted(self.counts), dtype=float)
+        if taus[0] < 1 or np.any(np.diff(taus) <= 0):
+            raise DataError("durations must be >= 1 sample and strictly ascending")
+        if np.any(counts <= 0):
+            raise DataError("cluster counts must be positive")
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "probabilities", counts / counts.sum())
 
 
 @dataclass(frozen=True)
@@ -79,10 +59,11 @@ class EntropyCurve:
     """Per-duration entropy values S(tau, n) in nats, observed bins only."""
 
     n: int
-    points: dict[int, float]
+    taus: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if any(s < -1e-12 for s in self.points.values()):
+        if np.any(self.values < -1e-12):
             raise DataError("entropy values must be non-negative")
 
 
@@ -160,8 +141,7 @@ def cluster_distribution(durations, n: int,
             f"{len(durations)} clusters at n={n}, need >= {min_clusters}"
         )
     taus, counts = np.unique(durations.astype(np.int64), return_counts=True)
-    return ClusterDistribution(n=n, counts={int(t): int(c)
-                                            for t, c in zip(taus, counts)})
+    return ClusterDistribution(n=n, taus=taus, counts=counts)
 
 
 def entropy_curve(dist: ClusterDistribution,
@@ -173,16 +153,14 @@ def entropy_curve(dist: ClusterDistribution,
     estimator='shannon_term': the per-bin summand -P ln P, kept switchable
     for sensitivity studies.
     """
-    if estimator not in ("surprisal", "shannon_term"):
+    p = dist.probabilities
+    if estimator == "surprisal":
+        values = -np.log(p)
+    elif estimator == "shannon_term":
+        values = -p * np.log(p)
+    else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    points = {}
-    for tau, p in dist.probabilities.items():
-        if estimator == "surprisal":
-            s = -np.log(p)
-        else:
-            s = -p * np.log(p)
-        points[tau] = max(float(s), 0.0)
-    return EntropyCurve(n=dist.n, points=points)
+    return EntropyCurve(n=dist.n, taus=dist.taus, values=values)
 
 
 def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
@@ -193,10 +171,12 @@ def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
     """
     if m < 1:
         raise DataError(f"threshold m must be >= 1, got {m}")
-    if not curve.points:
+    if len(curve.taus) == 0:
         raise EmptyInputError("entropy curve has no points")
-    power = sum(s for tau, s in curve.points.items() if tau <= m)
-    linear = sum(s for tau, s in curve.points.items() if tau > m)
+    below = curve.taus <= m
+    # sequential sums in tau order keep the index bit-for-bit reproducible
+    power = sum(curve.values[below].tolist())
+    linear = sum(curve.values[~below].tolist())
     return EntropyIndex(n=curve.n, threshold=m, value=power + linear,
                         power_law_part=power, linear_part=linear)
 
@@ -236,8 +216,7 @@ def fit_cluster_model(dist: ClusterDistribution,
     tau in (n, 5n] when at least 3 bins fall there (nan otherwise).
     """
     lo, hi = fit_range
-    taus = dist.taus()
-    probs = np.array([dist.probabilities[int(t)] for t in taus])
+    taus, probs = dist.taus, dist.probabilities
     in_range = (taus >= lo) & (taus <= hi)
     if in_range.sum() < 3:
         raise DataError(

@@ -24,7 +24,7 @@ from .config import AssetInput, PipelineConfig
 from .dma_cluster import (EntropyCurve, EntropyIndex, aggregate_index,
                           cluster_distribution, entropy_curve, entropy_index,
                           extract_clusters)
-from .errors import InsufficientClustersError, NoTangencyError
+from .errors import ConfigError, InsufficientClustersError, NoTangencyError
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
@@ -106,9 +106,19 @@ def _cell_entropy(asset_name: str, source: SampledSeries, horizon: int,
     return cell
 
 
+def _worker_count() -> int:
+    """Thread-pool size from ENTROPORT_WORKERS: default 1, values below 1 mean 1."""
+    raw = os.environ.get("ENTROPORT_WORKERS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"ENTROPORT_WORKERS must be an integer, got {raw!r}") from None
+
+
 def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> PipelineResult:
     """Run the full sweep and write all output files under cfg.output_dir."""
     t_start = time.monotonic()
+    workers = _worker_count()
     names = tuple(a.name for a in cfg.assets)
     prices = align_lengths([load_asset_prices(a, cfg) for a in cfg.assets])
     logger.info("loaded %d assets, %d samples each", len(prices), len(prices[0]))
@@ -140,7 +150,6 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
             source = rets
         return _cell_entropy(name, source, m, t_s, cfg)
 
-    workers = max(1, int(os.environ.get("ENTROPORT_WORKERS", "1")))
     if workers == 1:
         results = [run_task(t) for t in tasks]
     else:
@@ -198,8 +207,8 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
         for key in sorted(result.cells):
             cell = result.cells[key]
             for n in sorted(cell.curves):
-                for tau in sorted(cell.curves[n].points):
-                    s = cell.curves[n].points[tau]
+                curve = cell.curves[n]
+                for tau, s in zip(curve.taus.tolist(), curve.values.tolist()):
                     fh.write(f"{cell.asset},{cell.horizon},{cell.window_s},"
                              f"{n},{tau},{_fmt(s)}\n")
 
@@ -231,7 +240,6 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
     manifest = {
         "tool_version": __version__,
         "config_sha256": hashlib.sha256(config_bytes or b"").hexdigest(),
-        "risk_profile": cfg.risk_profile,
         "n_cells": len(result.cells),
         "warnings": result.warnings,
         "outputs": ["entropy_curves.csv", "indices_by_n.csv",

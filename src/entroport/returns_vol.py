@@ -67,18 +67,6 @@ def log_returns(prices: SampledSeries) -> SampledSeries:
                          delta=prices.delta, kind="return")
 
 
-def rolling_mean(returns: SampledSeries, window: VolatilityWindow | int) -> SampledSeries:
-    """Windowed mean over every fully contained window; len out = len in - w + 1."""
-    w = window.samples if isinstance(window, VolatilityWindow) else int(window)
-    r = returns.values
-    if w < 1:
-        raise DataError("window must span at least one sample")
-    if w > len(r):
-        raise DataError(f"window ({w}) longer than series ({len(r)})")
-    out = sliding_window_view(r, w).mean(axis=-1)
-    return returns.with_values(out, kind="return")
-
-
 def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> SampledSeries:
     """Windowed sample standard deviation (ddof=1) over fully contained windows."""
     w = window.samples

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -20,13 +21,8 @@ NS_PER_S = 1_000_000_000
 
 SERIES_KINDS = ("price", "return", "volatility")
 
-
-@dataclass(frozen=True)
-class TickRecord:
-    """One raw trade: timestamp in ns since epoch and a positive price."""
-
-    timestamp: int
-    price: float
+#: one raw trade per row: timestamp in ns since epoch and a positive price
+TICK_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -99,17 +95,18 @@ def _month_boundary_ns(year_start: date, months_ahead: int) -> int:
     return int(dt.timestamp()) * NS_PER_S
 
 
-def parse_ticks(source: BinaryIO | bytes) -> list[TickRecord]:
-    """Parse the tick CSV format (`timestamp_ns,price` header) into sorted records.
+def parse_ticks(source: BinaryIO | bytes) -> np.ndarray:
+    """Parse the tick CSV format (`timestamp_ns,price` header) into a TICK_DTYPE array.
 
-    A stable sort by timestamp is applied, so ticks sharing a timestamp keep
+    Rows are stably sorted by timestamp, so ticks sharing a timestamp keep
     file order (the last one wins downstream in resample).
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     text = io.TextIOWrapper(source, encoding="utf-8", newline="")
     reader = csv.reader(text)
-    records: list[TickRecord] = []
+    stamps: list[int] = []
+    prices: list[float] = []
     for line_no, row in enumerate(reader, start=1):
         if line_no == 1:
             if row != ["timestamp_ns", "price"]:
@@ -124,34 +121,39 @@ def parse_ticks(source: BinaryIO | bytes) -> list[TickRecord]:
             price = float(row[1])
         except ValueError as exc:
             raise TickParseError(line_no, str(exc)) from None
-        if not np.isfinite(price) or price <= 0:
+        if not -2**63 <= ts < 2**63:
+            raise TickParseError(line_no, f"timestamp {row[0]} outside the int64 range")
+        if not math.isfinite(price) or price <= 0:
             raise DataError(f"line {line_no}: non-positive or non-finite price {row[1]}")
-        records.append(TickRecord(ts, price))
-    if not records:
+        stamps.append(ts)
+        prices.append(price)
+    if not stamps:
         raise EmptyInputError("tick source contains no records")
-    records.sort(key=lambda r: r.timestamp)  # stable
-    return records
+    ticks = np.empty(len(stamps), dtype=TICK_DTYPE)
+    ticks["timestamp"] = stamps
+    ticks["price"] = prices
+    return ticks[np.argsort(ticks["timestamp"], kind="stable")]
 
 
-def resample(ticks: Sequence[TickRecord], delta: int) -> SampledSeries:
-    """Previous-tick resampling onto a grid starting at the first tick.
+def resample(ticks: np.ndarray, delta: int) -> SampledSeries:
+    """Previous-tick resampling of sorted TICK_DTYPE ticks onto a grid from the first tick.
 
     Grid point t takes the price of the latest tick with timestamp <= t; the
     grid ends at the last grid point not beyond the last tick.
     """
-    if not ticks:
+    if len(ticks) == 0:
         raise EmptyInputError("cannot resample an empty tick sequence")
     if delta <= 0:
         raise DataError("delta must be positive")
-    ts = np.array([t.timestamp for t in ticks], dtype=np.int64)
-    px = np.array([t.price for t in ticks], dtype=float)
+    ts = ticks["timestamp"]
     t0 = int(ts[0])
     n_grid = int((int(ts[-1]) - t0) // delta) + 1
     grid = t0 + delta * np.arange(n_grid, dtype=np.int64)
     # searchsorted 'right' - 1 picks the last tick at or before each grid time;
     # for equal timestamps the last one in (stable-sorted) file order wins.
     idx = np.searchsorted(ts, grid, side="right") - 1
-    return SampledSeries(values=px[idx], start_time=t0, delta=int(delta), kind="price")
+    return SampledSeries(values=ticks["price"][idx], start_time=t0, delta=int(delta),
+                         kind="price")
 
 
 def align_lengths(series: list[SampledSeries]) -> list[SampledSeries]:
@@ -199,29 +201,3 @@ def write_series_csv(series: SampledSeries, path) -> None:
         fh.write("t_ns,value\n")
         for t, v in zip(series.times(), series.values):
             fh.write(f"{t},{float(v)!r}\n")
-
-
-def read_series_csv(path) -> SampledSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise DataError(f"{path}: missing cache comment header")
-        meta = dict(item.split("=", 1) for item in header[2:].split())
-        kind = meta["kind"]
-        delta = int(meta["delta_ns"])
-        col_header = fh.readline().strip()
-        if col_header != "t_ns,value":
-            raise DataError(f"{path}: bad column header {col_header!r}")
-        times = []
-        values = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t_s, v_s = line.split(",")
-            times.append(int(t_s))
-            values.append(float(v_s))
-    if not values:
-        raise EmptyInputError(f"{path}: no samples")
-    return SampledSeries(values=np.array(values), start_time=times[0],
-                         delta=delta, kind=kind)

@@ -64,8 +64,7 @@ def test_criterion_3_entropy_curve_linear_slope(n):
                                           n).tolist())
     dist = ep.cluster_distribution(list(counts.elements()), n)
     curve = ep.entropy_curve(dist)
-    taus = np.array(sorted(curve.points))
-    svals = np.array([curve.points[int(t)] for t in taus])
+    taus, svals = curve.taus, curve.values
     mask = (taus > 2 * n) & (taus <= 5 * n)
     assert mask.sum() >= 3
     slope = float(np.polyfit(taus[mask], svals[mask], 1)[0])
@@ -161,7 +160,7 @@ def test_criterion_7_conservation_property():
             violations += 1
         dist = ep.cluster_distribution(tau, n)
         prob_err = max(prob_err,
-                       abs(sum(dist.probabilities.values()) - 1.0))
+                       abs(sum(dist.probabilities.tolist()) - 1.0))
     ok = violations == 0 and prob_err <= 1e-12
     assert _report(7, ok, f"{violations} conservation violations in 1000 "
                           f"walks; max |sum P - 1| = {prob_err:.2e}")

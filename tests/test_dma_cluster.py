@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from entroport import (ClusterDistribution, DataError, EmptyInputError,
-                       InsufficientClustersError, MovingAverageGrid,
-                       SampledSeries, aggregate_index, cluster_distribution,
+                       InsufficientClustersError, SampledSeries, aggregate_index, cluster_distribution,
                        entropy_curve, entropy_index, extract_clusters,
                        fit_cluster_model, moving_average)
 from entroport.dma_cluster import crossing_times
@@ -71,11 +70,13 @@ class TestExtractClusters:
 class TestClusterDistribution:
     def test_counting(self):
         dist = cluster_distribution([1, 1, 2], 4, min_clusters=1)
-        assert dist.probabilities == {1: 2 / 3, 2: 1 / 3}
+        assert dist.taus.tolist() == [1, 2]
+        assert dist.probabilities.tolist() == [2 / 3, 1 / 3]
 
     def test_single_value_single_bin(self):
         dist = cluster_distribution([3] * 60, 4)
-        assert dist.probabilities == {3: 1.0}
+        assert dist.taus.tolist() == [3]
+        assert dist.probabilities.tolist() == [1.0]
 
     def test_empty_durations(self):
         with pytest.raises(InsufficientClustersError):
@@ -89,18 +90,27 @@ class TestClusterDistribution:
         rng = np.random.default_rng(1)
         durations = rng.integers(1, 30, size=500)
         dist = cluster_distribution(durations, 8)
-        assert abs(sum(dist.probabilities.values()) - 1.0) < 1e-12
+        assert abs(dist.probabilities.sum() - 1.0) < 1e-12
+
+    def test_rejects_malformed_bins(self):
+        for taus, counts in (([2, 1], [1, 1]), ([1, 1], [1, 1]), ([0, 1], [1, 1]),
+                             ([1, 2], [1, 0]), ([1, 2], [1])):
+            with pytest.raises(DataError):
+                ClusterDistribution(n=4, taus=taus, counts=counts)
+        with pytest.raises(EmptyInputError):
+            ClusterDistribution(n=4, taus=[], counts=[])
 
 
 class TestEntropyCurve:
     def test_single_bin_is_zero(self):
         dist = cluster_distribution([4] * 60, 5)
-        assert entropy_curve(dist).points == {4: 0.0}
+        curve = entropy_curve(dist)
+        assert curve.taus.tolist() == [4] and curve.values.tolist() == [0.0]
 
     def test_uniform_bins_give_log_k(self):
-        dist = ClusterDistribution(n=5, counts={t: 10 for t in range(1, 7)})
+        dist = ClusterDistribution(n=5, taus=np.arange(1, 7), counts=np.full(6, 10))
         curve = entropy_curve(dist)
-        assert all(s == pytest.approx(np.log(6)) for s in curve.points.values())
+        assert all(s == pytest.approx(np.log(6)) for s in curve.values)
 
     def test_model_distribution_matches_surprisal_form(self):
         # P ~ tau^-1.5 exp(-tau/5) on 1..10: S must equal C + 1.5 ln tau + tau/5
@@ -108,21 +118,20 @@ class TestEntropyCurve:
         taus = np.arange(1, 11)
         weights = taus ** -1.5 * np.exp(-taus / 5.0)
         c = np.log(weights.sum())
-        dist = ClusterDistribution(n=5, counts={int(t): float(w)
-                                                for t, w in zip(taus, weights)})
+        dist = ClusterDistribution(n=5, taus=taus, counts=weights)
         curve = entropy_curve(dist)
-        for t in taus:
+        for t, s in zip(taus, curve.values):
             expected = c + 1.5 * np.log(t) + t / 5.0
-            assert curve.points[int(t)] == pytest.approx(expected, rel=1e-12)
+            assert s == pytest.approx(expected, rel=1e-12)
 
     def test_shannon_term_estimator(self):
-        dist = ClusterDistribution(n=5, counts={1: 3, 2: 1})
+        dist = ClusterDistribution(n=5, taus=[1, 2], counts=[3, 1])
         curve = entropy_curve(dist, estimator="shannon_term")
-        assert curve.points[1] == pytest.approx(-0.75 * np.log(0.75))
-        assert curve.points[2] == pytest.approx(-0.25 * np.log(0.25))
+        assert curve.values[0] == pytest.approx(-0.75 * np.log(0.75))
+        assert curve.values[1] == pytest.approx(-0.25 * np.log(0.25))
 
     def test_unknown_estimator(self):
-        dist = ClusterDistribution(n=5, counts={1: 3})
+        dist = ClusterDistribution(n=5, taus=[1], counts=[3])
         with pytest.raises(ValueError):
             entropy_curve(dist, estimator="bogus")
 
@@ -134,14 +143,14 @@ class TestEntropyIndex:
         assert ix.value == 0.0
 
     def test_two_uniform_bins_split(self):
-        dist = ClusterDistribution(n=4, counts={2: 5, 6: 5})
+        dist = ClusterDistribution(n=4, taus=[2, 6], counts=[5, 5])
         ix = entropy_index(entropy_curve(dist), 4)
         assert ix.power_law_part == pytest.approx(np.log(2))
         assert ix.linear_part == pytest.approx(np.log(2))
         assert ix.value == pytest.approx(2 * np.log(2))
 
     def test_threshold_bin_counted_once_in_power_part(self):
-        dist = ClusterDistribution(n=4, counts={3: 5, 4: 5, 5: 5})
+        dist = ClusterDistribution(n=4, taus=[3, 4, 5], counts=[5, 5, 5])
         ix = entropy_index(entropy_curve(dist), 4)
         assert ix.power_law_part == pytest.approx(2 * np.log(3))
         assert ix.linear_part == pytest.approx(np.log(3))
@@ -150,16 +159,15 @@ class TestEntropyIndex:
     def test_model_curve_matches_brute_force_sum(self):
         taus = np.arange(1, 11)
         weights = taus ** -1.5 * np.exp(-taus / 5.0)
-        dist = ClusterDistribution(n=5, counts={int(t): float(w)
-                                                for t, w in zip(taus, weights)})
+        dist = ClusterDistribution(n=5, taus=taus, counts=weights)
         curve = entropy_curve(dist)
         ix = entropy_index(curve, 5)
         # independent summation oracle over the curve points
-        brute = sum(curve.points.values())
+        brute = sum(curve.values.tolist())
         assert ix.value == pytest.approx(brute, rel=1e-14)
 
     def test_bad_threshold(self):
-        dist = ClusterDistribution(n=4, counts={1: 5})
+        dist = ClusterDistribution(n=4, taus=[1], counts=[5])
         with pytest.raises(DataError):
             entropy_index(entropy_curve(dist), 0)
 
@@ -183,23 +191,10 @@ class TestAggregateIndex:
             aggregate_index([])
 
 
-class TestMovingAverageGrid:
-    def test_from_range(self):
-        assert MovingAverageGrid.from_range(5, 40, 5).n_values == (5, 10, 15, 20,
-                                                                   25, 30, 35, 40)
-
-    def test_rejects_descending_or_small(self):
-        with pytest.raises(DataError):
-            MovingAverageGrid((10, 5))
-        with pytest.raises(DataError):
-            MovingAverageGrid((1, 5))
-
-
 class TestFitClusterModel:
     def test_exact_power_law(self):
         taus = np.arange(1, 51)
-        dist = ClusterDistribution(n=100, counts={int(t): float(t ** -1.5)
-                                                  for t in taus})
+        dist = ClusterDistribution(n=100, taus=taus, counts=taus ** -1.5)
         fit = fit_cluster_model(dist, (1, 50))
         assert fit.D == pytest.approx(1.5, abs=0.01)
 
@@ -207,12 +202,11 @@ class TestFitClusterModel:
         # P ~ exp(-tau/n) past the cutoff: surprisal slope is exactly 1/n
         n = 10
         taus = np.arange(1, 6 * n)
-        dist = ClusterDistribution(
-            n=n, counts={int(t): float(np.exp(-t / n)) for t in taus})
+        dist = ClusterDistribution(n=n, taus=taus, counts=np.exp(-taus / n))
         fit = fit_cluster_model(dist, (1, n))
         assert fit.linear_slope == pytest.approx(1.0 / n, rel=1e-6)
 
     def test_too_few_bins(self):
-        dist = ClusterDistribution(n=100, counts={1: 5, 2: 5})
+        dist = ClusterDistribution(n=100, taus=[1, 2], counts=[5, 5])
         with pytest.raises(DataError):
             fit_cluster_model(dist, (1, 50))

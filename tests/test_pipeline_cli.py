@@ -35,6 +35,14 @@ def _write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
+def _exits_2_naming(cfg_path, caplog, needle):
+    """analyze exits 2 and logs an error naming `needle`, without a traceback."""
+    assert main(["analyze", str(cfg_path)]) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert any(needle in r.getMessage() for r in errors), errors
+    assert all(r.exc_info is None for r in errors)
+
+
 def _read_rows(path):
     lines = Path(path).read_text().splitlines()
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
@@ -82,6 +90,11 @@ class TestAnalyze:
             "volatility_windows_s": [90]})  # not a multiple of 60s
         assert main(["analyze", str(cfg_path)]) == 2
 
+    def test_non_integer_workers_exits_2(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setenv("ENTROPORT_WORKERS", "x")
+        _exits_2_naming(_write_config(tmp_path), caplog, "ENTROPORT_WORKERS")
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_insufficient_clusters_exits_4(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"min_clusters": 10 ** 9})
         assert main(["analyze", str(cfg_path)]) == 4
@@ -127,6 +140,14 @@ class TestTickIngestion:
         assert main(["analyze", str(cfg_path)]) == 0
         _, rows = _read_rows(tmp_path / "out" / "weights.csv")
         assert {"TICK", "SYN2"} == {r[3] for r in rows}
+
+    def test_timestamp_outside_int64_exits_2(self, tmp_path, caplog):
+        (tmp_path / "ticks.csv").write_text(
+            "timestamp_ns,price\n1514764800000000000,100.0\n99999999999999999999,101.0\n")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "TICK", "ticks": "ticks.csv"},
+                       BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "line 3")
 
 
 class TestFigures:
@@ -190,6 +211,23 @@ class TestConfigValidation:
         cfg_path = _write_config(tmp_path, overrides={"assets": assets})
         with pytest.raises(ConfigError):
             load_config(cfg_path)
+
+    def test_unknown_top_level_key_exits_2(self, tmp_path, caplog):
+        cfg_path = _write_config(tmp_path, overrides={"horizon_mod": "monthly"})
+        _exits_2_naming(cfg_path, caplog, "'horizon_mod'")
+
+    def test_unknown_asset_key_exits_2(self, tmp_path, caplog):
+        asset = dict(BASE_CONFIG["assets"][0], tick="ticks.csv")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "'tick'")
+
+    def test_asset_with_ticks_and_synth_exits_2(self, tmp_path, caplog):
+        (tmp_path / "ticks.csv").write_text("timestamp_ns,price\n0,1.0\n")
+        asset = dict(BASE_CONFIG["assets"][0], ticks="ticks.csv")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "exactly one of 'ticks' or 'synth'")
 
     def test_threshold_m_accepts_integer(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"threshold_m": 7})

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from entroport import (DataError, SampledSeries, VolatilityWindow,
-                       linear_returns, log_returns, rolling_mean,
-                       rolling_volatility)
+                       linear_returns, log_returns, rolling_volatility)
 
 
 def _prices(values, delta=10):
@@ -49,21 +48,6 @@ class TestVolatilityWindow:
     def test_sub_two_samples_rejected(self):
         with pytest.raises(DataError):
             VolatilityWindow.from_physical(5, 5_000_000_000)
-
-
-class TestRollingMean:
-    def test_constant_returns(self):
-        out = rolling_mean(_returns([0.2] * 6), 3)
-        assert np.allclose(out.values, 0.2, rtol=1e-15)
-        assert len(out) == 4
-
-    def test_window_one_is_identity(self):
-        r = _returns([0.1, -0.2, 0.3])
-        assert np.array_equal(rolling_mean(r, 1).values, r.values)
-
-    def test_window_longer_than_series(self):
-        with pytest.raises(DataError):
-            rolling_mean(_returns([0.1, 0.2]), 3)
 
 
 class TestRollingVolatility:

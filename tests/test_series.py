@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from datetime import date
 
-from entroport import (EmptyInputError, DataError, HorizonError, HorizonSpec,
-                       SampledSeries, TickRecord, align_lengths, parse_ticks,
+from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError,
+                       HorizonSpec, SampledSeries, align_lengths, parse_ticks,
                        resample, slice_horizon)
 from entroport.errors import TickParseError
-from entroport.series import NS_PER_S, read_series_csv, write_series_csv
+from entroport.series import NS_PER_S, write_series_csv
 
 
 def _csv(rows):
@@ -16,11 +16,16 @@ def _csv(rows):
     return io.BytesIO(body.encode())
 
 
+def _ticks(rows):
+    return np.array(rows, dtype=TICK_DTYPE)
+
+
 class TestParseTicks:
     def test_well_formed_rows(self):
         recs = parse_ticks(_csv([(10, 1.5), (20, 1.6), (30, 1.7)]))
-        assert [r.timestamp for r in recs] == [10, 20, 30]
-        assert [r.price for r in recs] == [1.5, 1.6, 1.7]
+        assert recs.dtype == TICK_DTYPE
+        assert recs["timestamp"].tolist() == [10, 20, 30]
+        assert recs["price"].tolist() == [1.5, 1.6, 1.7]
 
     def test_empty_file_is_an_error(self):
         with pytest.raises(EmptyInputError):
@@ -28,12 +33,12 @@ class TestParseTicks:
 
     def test_out_of_order_rows_are_sorted(self):
         recs = parse_ticks(_csv([(30, 3.0), (10, 1.0), (20, 2.0)]))
-        assert [r.timestamp for r in recs] == [10, 20, 30]
-        assert [r.price for r in recs] == [1.0, 2.0, 3.0]
+        assert recs["timestamp"].tolist() == [10, 20, 30]
+        assert recs["price"].tolist() == [1.0, 2.0, 3.0]
 
     def test_sort_is_stable_for_equal_timestamps(self):
         recs = parse_ticks(_csv([(10, 1.0), (10, 2.0), (10, 3.0)]))
-        assert [r.price for r in recs] == [1.0, 2.0, 3.0]
+        assert recs["price"].tolist() == [1.0, 2.0, 3.0]
 
     def test_malformed_row_reports_line_number(self):
         with pytest.raises(TickParseError, match="line 3"):
@@ -47,46 +52,52 @@ class TestParseTicks:
         with pytest.raises(TickParseError, match="line 1"):
             parse_ticks(io.BytesIO(b"time,price\n10,1.0\n"))
 
+    def test_timestamp_outside_int64_reports_line_number(self):
+        with pytest.raises(TickParseError, match="line 3"):
+            parse_ticks(_csv([(10, 1.0), (2 ** 63, 2.0)]))
+        assert parse_ticks(_csv([(-2 ** 63, 1.0), (2 ** 63 - 1, 2.0)]))[
+            "timestamp"].tolist() == [-2 ** 63, 2 ** 63 - 1]
+
 
 class TestResample:
     def test_previous_tick_rule(self):
         # tick at 0s and 2.5s, 1s grid: grid ends at 2s, all values carry 10
-        ticks = [TickRecord(0, 10.0), TickRecord(int(2.5 * NS_PER_S), 11.0)]
+        ticks = _ticks([(0, 10.0), (int(2.5 * NS_PER_S), 11.0)])
         s = resample(ticks, NS_PER_S)
         assert s.values.tolist() == [10.0, 10.0, 10.0]
         assert s.start_time == 0 and s.delta == NS_PER_S and s.kind == "price"
 
     def test_single_tick(self):
-        s = resample([TickRecord(5, 2.0)], 10)
+        s = resample(_ticks([(5, 2.0)]), 10)
         assert s.values.tolist() == [2.0]
 
     def test_delta_larger_than_span(self):
-        s = resample([TickRecord(0, 1.0), TickRecord(5, 2.0)], 100)
+        s = resample(_ticks([(0, 1.0), (5, 2.0)]), 100)
         assert s.values.tolist() == [1.0]
 
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
-            resample([], 10)
+            resample(_ticks([]), 10)
 
     def test_last_tick_wins_on_shared_timestamp(self):
-        ticks = [TickRecord(0, 1.0), TickRecord(0, 9.0), TickRecord(10, 2.0)]
+        ticks = _ticks([(0, 1.0), (0, 9.0), (10, 2.0)])
         assert resample(ticks, 10).values[0] == 9.0
 
     def test_length_formula(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             ts = np.sort(rng.integers(0, 10_000, size=rng.integers(1, 40)))
-            ticks = [TickRecord(int(t), 1.0 + i) for i, t in enumerate(ts)]
+            ticks = _ticks([(int(t), 1.0 + i) for i, t in enumerate(ts)])
             delta = int(rng.integers(1, 500))
             s = resample(ticks, delta)
             assert len(s) == (ts[-1] - ts[0]) // delta + 1
 
     def test_idempotent_on_equally_spaced_input(self):
         values = [3.0, 4.0, 5.0, 6.0]
-        ticks = [TickRecord(100 * i, v) for i, v in enumerate(values)]
+        ticks = _ticks([(100 * i, v) for i, v in enumerate(values)])
         once = resample(ticks, 100)
-        again = resample([TickRecord(int(t), float(v))
-                          for t, v in zip(once.times(), once.values)], 100)
+        again = resample(_ticks(list(zip(once.times().tolist(), once.values.tolist()))),
+                         100)
         assert np.array_equal(once.values, again.values)
         assert once.start_time == again.start_time
 
@@ -162,6 +173,8 @@ def test_series_cache_roundtrip(tmp_path):
                       delta=500, kind="volatility")
     path = tmp_path / "cache.csv"
     write_series_csv(s, path)
-    back = read_series_csv(path)
-    assert np.array_equal(back.values, s.values)
-    assert (back.start_time, back.delta, back.kind) == (1000, 500, "volatility")
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# kind=volatility delta_ns=500", "t_ns,value"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(t) for t, _ in rows] == s.times().tolist()
+    assert np.array_equal([float(v) for _, v in rows], s.values)
