@@ -147,8 +147,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(raw, base_dir=path.parent)

@@ -9,15 +9,12 @@ window, split at a threshold between the power-law and linear regimes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, EmptyInputError, InsufficientClustersError
 from .series import SampledSeries
-
-logger = logging.getLogger(__name__)
 
 #: clusters required before a duration distribution counts as statistically valid
 MIN_CLUSTERS = 50
@@ -102,6 +99,41 @@ def moving_average(y: SampledSeries, n: int) -> SampledSeries:
     return y.with_values(out, start_time=y.start_time + (n - 1) * y.delta)
 
 
+@dataclass(frozen=True)
+class CrossingPass:
+    """Crossings of y - moving_average(y, n) over a whole series, cut into spans by index.
+
+    times: positions in y where the deviation's sign differs from its sign at
+    the previous nonzero deviation, which sits at previous[k].
+    """
+
+    n: int
+    times: np.ndarray
+    previous: np.ndarray
+
+    def crossings(self, start: int, stop: int) -> np.ndarray:
+        """crossing_times(y[start:stop], n), as positions in that span.
+
+        The trailing mean is causal, so the span's deviations are the whole
+        series'. A crossing counts only if its previous nonzero deviation is
+        inside the span too: the span's first one has no predecessor there.
+        """
+        lo = np.searchsorted(self.previous, start + self.n - 1)
+        hi = np.searchsorted(self.times, stop)
+        return self.times[lo:hi] - start
+
+
+def crossing_pass(y: SampledSeries, n: int) -> CrossingPass:
+    """Where y - moving_average flips sign, and the nonzero deviation before each flip."""
+    ma = moving_average(y, n).values
+    sign = np.sign(y.values[n - 1:] - ma)
+    nonzero = np.flatnonzero(sign)
+    sv = sign[nonzero]
+    flip = np.flatnonzero(sv[1:] != sv[:-1])
+    nonzero += n - 1  # positions in y
+    return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip])
+
+
 def crossing_times(y: SampledSeries, n: int) -> np.ndarray:
     """Sample indices where y - moving_average strictly changes sign.
 
@@ -109,15 +141,7 @@ def crossing_times(y: SampledSeries, n: int) -> np.ndarray:
     preceding cluster. Indices are absolute positions in y (the overlap
     region starts at n - 1).
     """
-    ma = moving_average(y, n).values
-    diff = y.values[n - 1:] - ma
-    sign = np.sign(diff)
-    nz = np.flatnonzero(sign)
-    if len(nz) < 2:
-        return np.empty(0, dtype=np.int64)
-    sv = sign[nz]
-    change = sv[1:] != sv[:-1]
-    return (nz[1:][change] + (n - 1)).astype(np.int64)
+    return crossing_pass(y, n).crossings(0, len(y))
 
 
 def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:
@@ -126,10 +150,7 @@ def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:
     Partial segments before the first and after the last crossing are
     discarded. Fewer than two crossings yields an empty result.
     """
-    t = crossing_times(y, n)
-    if len(t) < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.diff(t)
+    return np.diff(crossing_times(y, n))
 
 
 def cluster_distribution(durations, n: int,

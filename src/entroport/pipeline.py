@@ -1,9 +1,10 @@
 """Pipeline orchestration: (asset x horizon x window x n-grid) sweep and CSV emission.
 
-Cells are independent and run on a bounded thread pool (ENTROPORT_WORKERS);
-results are keyed and sorted before writing, so parallelism never changes
-output bytes. The manifest is written last and contains only fields fully
-determined by config + seeds, keeping reruns byte-identical.
+Each asset's returns, each (asset, window) volatility series and each
+(asset, window, n) crossing pass are computed once over the whole series;
+every horizon cuts its cell out of them by index. Results are keyed and
+sorted before writing. The manifest is written last and contains only
+fields fully determined by config + seeds, keeping reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,9 +21,9 @@ import numpy as np
 from . import __version__
 from .config import AssetInput, PipelineConfig
 from .dma_cluster import (EntropyCurve, EntropyIndex, aggregate_index,
-                          cluster_distribution, entropy_curve, entropy_index,
-                          extract_clusters)
-from .errors import ConfigError, InsufficientClustersError, NoTangencyError
+                          cluster_distribution, crossing_pass, entropy_curve,
+                          entropy_index)
+from .errors import DataError, InsufficientClustersError, NoTangencyError
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
@@ -74,95 +73,87 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
     return to_price_series(raw, scale=asset.price_scale)
 
 
-def _returns(prices: SampledSeries, cfg: PipelineConfig) -> SampledSeries:
-    fn = log_returns if cfg.return_kind == "log" else linear_returns
-    return fn(prices)
+def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeries,
+           n: int, cfg: PipelineConfig) -> None:
+    """Entropy curve and index at one n for each cell, or a warning why not.
 
-
-def _cell_entropy(asset_name: str, source: SampledSeries, horizon: int,
-                  window_s: int, cfg: PipelineConfig) -> CellResult:
-    """Cluster-entropy curves and indices over the n grid for one cell."""
-    cell = CellResult(asset=asset_name, horizon=horizon, window_s=window_s)
-    for n in cfg.n_grid_samples():
-        if n > len(source):
-            cell.warnings.append(
-                f"{asset_name} M={horizon} T={window_s}s n={n}: series too short")
+    One crossing pass over the whole source serves every cell's span; it dies
+    with this call, so one n's pass is alive at a time (two cost peak RSS).
+    """
+    cpass = crossing_pass(source, n) if n <= len(source) else None
+    for cell in cells:
+        span = spans[cell.horizon]
+        label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
+        if cpass is None or n > span.stop - span.start:
+            cell.warnings.append(f"{label}: series too short")
             continue
-        durations = extract_clusters(source, n)
+        durations = np.diff(cpass.crossings(span.start, span.stop))
         try:
             dist = cluster_distribution(durations, n, min_clusters=cfg.min_clusters)
         except InsufficientClustersError as exc:
-            cell.warnings.append(
-                f"{asset_name} M={horizon} T={window_s}s n={n}: dropped ({exc})")
+            cell.warnings.append(f"{label}: dropped ({exc})")
             continue
         curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
         cell.curves[n] = curve
         cell.indices.append(entropy_index(curve, cfg.threshold_for(n)))
-    if not cell.indices:
-        raise InsufficientClustersError(
-            f"asset {asset_name!r} has no valid n point at M={horizon}, "
-            f"T={window_s}s")
-    cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
-    return cell
 
 
-def _worker_count() -> int:
-    """Thread-pool size from ENTROPORT_WORKERS: default 1, values below 1 mean 1."""
-    raw = os.environ.get("ENTROPORT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"ENTROPORT_WORKERS must be an integer, got {raw!r}") from None
+def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
+                  t_s: int, cfg: PipelineConfig) -> list[CellResult]:
+    """One asset's cells at window t_s for every horizon.
+
+    Prices [lo, hi) have returns r[lo:hi-1] and volatility vol[lo:hi-w],
+    exactly those of the sliced prices, so the whole-series source is
+    computed once and each horizon takes its span by index.
+    """
+    window = VolatilityWindow.from_physical(t_s, cfg.delta_ns)
+    cut = 1 if cfg.entropy_source == "return" else window.samples
+    for rng in ranges.values():
+        if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
+            raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
+    source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, window)
+    spans = {m: slice(rng.start, rng.stop - cut) for m, rng in ranges.items()}
+    cells = [CellResult(asset=name, horizon=m, window_s=t_s) for m in spans]
+    for n in cfg.n_grid_samples():
+        _add_n(cells, spans, source, n, cfg)
+    for cell in cells:
+        if not cell.indices:
+            raise InsufficientClustersError(
+                f"asset {name!r} has no valid n point at M={cell.horizon}, T={t_s}s")
+        cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
+    return cells
 
 
 def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> PipelineResult:
     """Run the full sweep and write all output files under cfg.output_dir."""
     t_start = time.monotonic()
-    workers = _worker_count()
     names = tuple(a.name for a in cfg.assets)
     prices = align_lengths([load_asset_prices(a, cfg) for a in cfg.assets])
     logger.info("loaded %d assets, %d samples each", len(prices), len(prices[0]))
+
+    # one price index range per horizon: all assets share the grid of prices[0]
+    ranges = {m: slice_horizon(prices[0], HorizonSpec(cfg.year_start, m),
+                               mode=cfg.horizon_mode) for m in cfg.horizons}
+    if any(rng.stop - rng.start < 2 for rng in ranges.values()):
+        raise DataError("need at least 2 prices to compute returns")
+    end = max(rng.stop for rng in ranges.values())  # later samples feed no cell
+    to_returns = log_returns if cfg.return_kind == "log" else linear_returns
+    returns = [to_returns(p.with_values(p.values[:end])) for p in prices]
 
     warnings: list[str] = []
     cells: dict[tuple[str, int, int], CellResult] = {}
     weights_rows: list[tuple[str, int, int, str, float]] = []
     diag_rows: list[tuple[str, int, int, float, float]] = []
 
-    # per-horizon returns, shared by every window
-    horizon_returns: dict[int, list[SampledSeries]] = {}
-    for m in cfg.horizons:
-        spec = HorizonSpec(cfg.year_start, m)
-        sliced = [slice_horizon(p, spec, mode=cfg.horizon_mode) for p in prices]
-        horizon_returns[m] = [_returns(s, cfg) for s in sliced]
-
-    tasks = []
-    for m in cfg.horizons:
+    for name, rets in zip(names, returns):
         for t_s in cfg.volatility_windows_s:
-            window = VolatilityWindow.from_physical(t_s, cfg.delta_ns)
-            for name, rets in zip(names, horizon_returns[m]):
-                tasks.append((name, m, t_s, window, rets))
-
-    def run_task(task):
-        name, m, t_s, window, rets = task
-        if cfg.entropy_source == "volatility":
-            source = rolling_volatility(rets, window)
-        else:
-            source = rets
-        return _cell_entropy(name, source, m, t_s, cfg)
-
-    if workers == 1:
-        results = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, tasks))
-    for cell in results:
-        cells[(cell.asset, cell.horizon, cell.window_s)] = cell
-        warnings.extend(cell.warnings)
+            for cell in _window_cells(name, rets, ranges, t_s, cfg):
+                cells[(name, cell.horizon, t_s)] = cell
+                warnings.extend(cell.warnings)
 
     uniform = naive_weights(names)
-    for m in cfg.horizons:
-        rets = horizon_returns[m]
-        ret_matrix = np.vstack([r.values for r in rets])
+    for m, rng in ranges.items():
+        ret_matrix = np.vstack([r.values[rng.start:rng.stop - 1] for r in returns])
         moments = MomentEstimates(mu=ret_matrix.mean(axis=1),
                                   sigma=np.cov(ret_matrix, ddof=1))
         for t_s in cfg.volatility_windows_s:
@@ -197,45 +188,35 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_csv(path: Path, header: str, lines) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
 def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
                    config_bytes: bytes | None) -> None:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    # an old manifest beside half-rewritten CSVs would mark a mixed directory complete
+    (out / "manifest.json").unlink(missing_ok=True)
 
-    with open(out / "entropy_curves.csv", "w", newline="\n") as fh:
-        fh.write("asset,horizon,T_s,n,tau,S\n")
-        for key in sorted(result.cells):
-            cell = result.cells[key]
-            for n in sorted(cell.curves):
-                curve = cell.curves[n]
-                for tau, s in zip(curve.taus.tolist(), curve.values.tolist()):
-                    fh.write(f"{cell.asset},{cell.horizon},{cell.window_s},"
-                             f"{n},{tau},{_fmt(s)}\n")
-
-    with open(out / "indices_by_n.csv", "w", newline="\n") as fh:
-        fh.write("asset,horizon,T_s,n,I_n\n")
-        for key in sorted(result.cells):
-            cell = result.cells[key]
-            for ix in sorted(cell.indices, key=lambda i: i.n):
-                fh.write(f"{cell.asset},{cell.horizon},{cell.window_s},"
-                         f"{ix.n},{_fmt(ix.value)}\n")
-
-    with open(out / "indices_aggregated.csv", "w", newline="\n") as fh:
-        fh.write("asset,horizon,T_s,I\n")
-        for key in sorted(result.cells):
-            cell = result.cells[key]
-            fh.write(f"{cell.asset},{cell.horizon},{cell.window_s},"
-                     f"{_fmt(cell.aggregate)}\n")
-
-    with open(out / "weights.csv", "w", newline="\n") as fh:
-        fh.write("method,horizon,T_s,asset,weight\n")
-        for method, m, t_s, asset, w in sorted(result.weights):
-            fh.write(f"{method},{m},{t_s},{asset},{_fmt(w)}\n")
-
-    with open(out / "diagnostics.csv", "w", newline="\n") as fh:
-        fh.write("method,horizon,T_s,weight_entropy,kl_vs_uniform\n")
-        for method, m, t_s, went, kl in sorted(result.diagnostics):
-            fh.write(f"{method},{m},{t_s},{_fmt(went)},{_fmt(kl)}\n")
+    cells = [result.cells[key] for key in sorted(result.cells)]
+    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", (
+        f"{c.asset},{c.horizon},{c.window_s},{n},{tau},{_fmt(s)}\n"
+        for c in cells for n in sorted(c.curves)
+        for tau, s in zip(c.curves[n].taus.tolist(), c.curves[n].values.tolist())))
+    _write_csv(out / "indices_by_n.csv", "asset,horizon,T_s,n,I_n", (
+        f"{c.asset},{c.horizon},{c.window_s},{ix.n},{_fmt(ix.value)}\n"
+        for c in cells for ix in sorted(c.indices, key=lambda i: i.n)))
+    _write_csv(out / "indices_aggregated.csv", "asset,horizon,T_s,I", (
+        f"{c.asset},{c.horizon},{c.window_s},{_fmt(c.aggregate)}\n" for c in cells))
+    _write_csv(out / "weights.csv", "method,horizon,T_s,asset,weight", (
+        f"{method},{m},{t_s},{asset},{_fmt(w)}\n"
+        for method, m, t_s, asset, w in sorted(result.weights)))
+    _write_csv(out / "diagnostics.csv", "method,horizon,T_s,weight_entropy,kl_vs_uniform", (
+        f"{method},{m},{t_s},{_fmt(went)},{_fmt(kl)}\n"
+        for method, m, t_s, went, kl in sorted(result.diagnostics)))
 
     manifest = {
         "tool_version": __version__,
@@ -276,10 +257,8 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
         fig_dir.mkdir(parents=True, exist_ok=True)
         for (asset, m, t_s) in sorted(groups):
             path = fig_dir / f"fig_entropy_{asset}_M{m:02d}_T{t_s}.csv"
-            with open(path, "w", newline="\n") as fh:
-                fh.write("n,tau,S\n")
-                for n, tau, s in sorted(groups[(asset, m, t_s)]):
-                    fh.write(f"{n},{tau},{s}\n")
+            _write_csv(path, "n,tau,S", (f"{n},{tau},{s}\n" for n, tau, s
+                                         in sorted(groups[(asset, m, t_s)])))
             written.append(path)
     else:
         src = run_dir / "weights.csv"
@@ -288,17 +267,13 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
             raise ValueError(f"{src}: no weights to export")
         fig_dir.mkdir(parents=True, exist_ok=True)
         path = fig_dir / "fig_weights_vs_horizon.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write("method,T_s,M,asset,weight\n")
-            for method, m, t_s, asset, w in sorted(
-                    rows, key=lambda r: (r[0], int(r[2]), int(r[1]), r[3])):
-                fh.write(f"{method},{t_s},{m},{asset},{w}\n")
+        _write_csv(path, "method,T_s,M,asset,weight", (
+            f"{method},{t_s},{m},{asset},{w}\n" for method, m, t_s, asset, w
+            in sorted(rows, key=lambda r: (r[0], int(r[2]), int(r[1]), r[3]))))
         written.append(path)
     return written
 
 
 def _read_csv_rows(path: Path) -> list[list[str]]:
-    if not path.exists():
-        raise FileNotFoundError(path)
     lines = path.read_text().splitlines()
     return [line.split(",") for line in lines[1:] if line]

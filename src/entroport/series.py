@@ -157,19 +157,23 @@ def resample(ticks: np.ndarray, delta: int) -> SampledSeries:
 
 
 def align_lengths(series: list[SampledSeries]) -> list[SampledSeries]:
-    """Truncate every series from the end to the minimum length; order preserved."""
+    """Truncate series on one grid (same delta and start) to the shortest; order kept."""
     if not series:
         raise EmptyInputError("align_lengths requires a non-empty list")
     deltas = {s.delta for s in series}
     if len(deltas) != 1:
         raise DataError(f"all series must share delta, got {sorted(deltas)}")
+    starts = {s.start_time for s in series}
+    if len(starts) != 1:
+        raise DataError(f"all series must start at the same time, got start times "
+                        f"{sorted(starts)} ns")
     n_min = min(len(s) for s in series)
     return [s.with_values(s.values[:n_min]) for s in series]
 
 
 def slice_horizon(series: SampledSeries, spec: HorizonSpec,
-                  mode: str = "expanding") -> SampledSeries:
-    """Slice a series to the calendar horizon.
+                  mode: str = "expanding") -> slice:
+    """Index range of a series' samples that fall in the calendar horizon.
 
     mode='expanding' (default): prefix covering months 1..M from year_start.
     mode='monthly': the disjoint month M only.
@@ -182,14 +186,12 @@ def slice_horizon(series: SampledSeries, spec: HorizonSpec,
             f"series ends at {series.end_time} ns, before the {spec.months}-month "
             f"horizon boundary {end_ns} ns"
         )
-    times = series.times()
     lo_ns = _month_boundary_ns(spec.year_start, spec.months - 1) if mode == "monthly" \
         else series.start_time
-    mask = (times >= lo_ns) & (times < end_ns)
-    if not mask.any():
+    lo, hi = np.searchsorted(series.times(), [lo_ns, end_ns]).tolist()
+    if lo >= hi:
         raise HorizonError("no samples fall inside the requested horizon")
-    return series.with_values(series.values[mask],
-                              start_time=int(times[mask][0]))
+    return slice(lo, hi)
 
 
 # --- sampled-series cache CSV ------------------------------------------------

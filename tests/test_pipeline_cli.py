@@ -4,10 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entroport import pipeline
 from entroport.cli import main
 from entroport.config import load_config
+from entroport.dma_cluster import compute_entropy_index
 from entroport.errors import ConfigError
-from entroport.pipeline import emit_figure_data, run_pipeline
+from entroport.pipeline import emit_figure_data, load_asset_prices, run_pipeline
+from entroport.returns_vol import VolatilityWindow, linear_returns, rolling_volatility
+from entroport.series import HorizonSpec, slice_horizon
 
 BASE_CONFIG = {
     "assets": [
@@ -90,11 +94,6 @@ class TestAnalyze:
             "volatility_windows_s": [90]})  # not a multiple of 60s
         assert main(["analyze", str(cfg_path)]) == 2
 
-    def test_non_integer_workers_exits_2(self, tmp_path, caplog, monkeypatch):
-        monkeypatch.setenv("ENTROPORT_WORKERS", "x")
-        _exits_2_naming(_write_config(tmp_path), caplog, "ENTROPORT_WORKERS")
-        assert not (tmp_path / "out" / "manifest.json").exists()
-
     def test_insufficient_clusters_exits_4(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"min_clusters": 10 ** 9})
         assert main(["analyze", str(cfg_path)]) == 4
@@ -112,6 +111,26 @@ class TestAnalyze:
             a = (tmp_path / "a" / "out" / name).read_bytes()
             b = (tmp_path / "b" / "out" / name).read_bytes()
             assert a == b, name
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = load_config(_write_config(tmp_path))
+        run_pipeline(cfg, config_bytes=b"")
+        out = tmp_path / "out"
+        assert (out / "manifest.json").exists()
+        written = []
+
+        def fail_after_first_output(path, *args, **kwargs):
+            if Path(path).parent == out:
+                if written:
+                    raise OSError("simulated failure while writing outputs")
+                written.append(Path(path).name)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", fail_after_first_output, raising=False)
+        with pytest.raises(OSError, match="simulated"):
+            run_pipeline(cfg, config_bytes=b"")
+        assert written == ["entropy_curves.csv"]
+        assert not (out / "manifest.json").exists()
 
     def test_warning_recorded_for_dropped_n(self, tmp_path):
         # high min_clusters drops the largest n but not the smallest
@@ -148,6 +167,52 @@ class TestTickIngestion:
             "assets": [{"name": "TICK", "ticks": "ticks.csv"},
                        BASE_CONFIG["assets"][1]]})
         _exits_2_naming(cfg_path, caplog, "line 3")
+
+    @pytest.mark.parametrize("mode", ["expanding", "monthly"])
+    def test_tick_grids_with_different_starts_exit_2(self, tmp_path, caplog, mode):
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        shift = (3 * 3600 + 17) * 10 ** 9
+        for name, first in (("a.csv", t0), ("b.csv", t0 + shift)):
+            rows = "".join(f"{first + i * 60 * 10 ** 9},{100.0 + i}\n" for i in range(50))
+            (tmp_path / name).write_text("timestamp_ns,price\n" + rows)
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "A", "ticks": "a.csv"}, {"name": "B", "ticks": "b.csv"}],
+            "horizon_mode": mode})
+        _exits_2_naming(cfg_path, caplog, f"[{t0}, {t0 + shift}]")
+
+
+# 2^17 one-minute samples span January and February 2018
+TWO_MONTHS = [{"name": f"SYN{seed}", "synth": {"kind": "fbm", "hurst": 0.5,
+                                               "length": 2 ** 17, "seed": seed}}
+              for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("source", ["volatility", "return"])
+@pytest.mark.parametrize("mode", ["expanding", "monthly"])
+def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
+    """Cutting horizons out of one pass per series matches a pass over each slice."""
+    cfg = load_config(_write_config(tmp_path, overrides={
+        "assets": TWO_MONTHS, "horizons": [1, 2], "horizon_mode": mode,
+        "entropy_source": source}))
+    run_pipeline(cfg, config_bytes=b"")
+    _, rows = _read_rows(tmp_path / "out" / "indices_by_n.csv")
+    got = {(a, int(m), int(t_s), int(n)): value for a, m, t_s, n, value in rows}
+
+    expected = {}
+    for asset in cfg.assets:
+        prices = load_asset_prices(asset, cfg)
+        for m in cfg.horizons:
+            span = slice_horizon(prices, HorizonSpec(cfg.year_start, m), mode=mode)
+            rets = linear_returns(prices.with_values(prices.values[span]))
+            for t_s in cfg.volatility_windows_s:
+                window = VolatilityWindow.from_physical(t_s, cfg.delta_ns)
+                y = rets if source == "return" else rolling_volatility(rets, window)
+                for n in cfg.n_grid_samples():
+                    ix = compute_entropy_index(
+                        y, n, threshold_m=cfg.threshold_for(n),
+                        estimator=cfg.entropy_estimator, min_clusters=cfg.min_clusters)
+                    expected[(asset.name, m, t_s, n)] = repr(ix.value)
+    assert got == expected
 
 
 class TestFigures:

@@ -1,10 +1,13 @@
-"""Property tests for the histogram and tick invariants the pipeline relies on."""
+"""Property tests for the histogram, crossing and tick invariants the pipeline relies on."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroport import cluster_distribution, entropy_curve, entropy_index, parse_ticks, resample
+from entroport import (SampledSeries, cluster_distribution, entropy_curve, entropy_index,
+                       extract_clusters, parse_ticks, resample)
+from entroport.dma_cluster import crossing_pass
 
 durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=300)
 
@@ -64,3 +67,22 @@ def test_parse_then_resample_matches_previous_tick_oracle(rows, delta):
     t0, expected = _previous_tick_oracle(rows, delta)
     assert series.start_time == t0
     assert series.values.tolist() == expected
+
+
+# runs of small integers: flat stretches give exact-zero deviations from the mean
+runs = st.lists(st.tuples(st.integers(min_value=-2, max_value=2),
+                          st.integers(min_value=1, max_value=5)),
+                min_size=3, max_size=30)
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("expanding", [True, False])
+@given(runs=runs, data=st.data())
+def test_span_cut_of_one_pass_equals_pass_over_slice(expanding, runs, data):
+    values = np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+    y = SampledSeries(values, start_time=0, delta=1)
+    start = 0 if expanding else data.draw(st.integers(1, len(values) - 2))
+    n = data.draw(st.integers(2, len(values) - start))
+    stop = data.draw(st.integers(start + n, len(values)))
+    cut = np.diff(crossing_pass(y, n).crossings(start, stop))
+    assert cut.tolist() == extract_clusters(y.with_values(values[start:stop]), n).tolist()
