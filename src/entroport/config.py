@@ -93,6 +93,10 @@ class PipelineConfig:
         n_samples = self.n_grid_samples()
         if any(n < 2 for n in n_samples):
             raise ConfigError(f"n grid in samples must be >= 2, got {n_samples}")
+        for key in ("horizons", "volatility_windows_s"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key}: duplicate entries in {list(values)}")
         for t in self.volatility_windows_s:
             if self.window_samples(t) < 2:
                 raise ConfigError(f"volatility window {t}s spans < 2 samples")

@@ -156,6 +156,11 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
         ret_matrix = np.vstack([r.values[rng.start:rng.stop - 1] for r in returns])
         moments = MomentEstimates(mu=ret_matrix.mean(axis=1),
                                   sigma=np.cov(ret_matrix, ddof=1))
+        # the moments depend on the horizon only, so every window shares one solve
+        try:
+            sharpe, no_tangency = max_sharpe_weights(moments, names), None
+        except NoTangencyError as exc:
+            sharpe, no_tangency = None, exc
         for t_s in cfg.volatility_windows_s:
             aggs = [cells[(name, m, t_s)].aggregate for name in names]
             per_method: dict[str, WeightVector] = {
@@ -163,10 +168,10 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
                 METHOD_LOW: cluster_entropy_weights(aggs, names, RiskProfile.LOW_RISK),
                 METHOD_NAIVE: uniform,
             }
-            try:
-                per_method[METHOD_SHARPE] = max_sharpe_weights(moments, names)
-            except NoTangencyError as exc:
-                warnings.append(f"M={m} T={t_s}s: max_sharpe skipped ({exc})")
+            if sharpe is None:
+                warnings.append(f"M={m} T={t_s}s: max_sharpe skipped ({no_tangency})")
+            else:
+                per_method[METHOD_SHARPE] = sharpe
             for method in sorted(per_method):
                 wv = per_method[method]
                 for name, w in zip(names, wv.weights):

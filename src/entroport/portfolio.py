@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -134,11 +135,42 @@ def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     return w
 
 
-def simplex_grid(n_assets: int, divisions: int):
-    """All weight vectors with components k/divisions summing to 1."""
-    for comp in itertools.combinations_with_replacement(range(n_assets), divisions):
-        counts = np.bincount(comp, minlength=n_assets)
-        yield counts / divisions
+@functools.lru_cache(maxsize=16)
+def simplex_grid(n_assets: int, divisions: int) -> np.ndarray:
+    """All weight vectors with components k/divisions summing to 1, one per row.
+
+    Rows follow itertools.combinations_with_replacement order. The array is
+    cached per (n_assets, divisions) and read-only, since callers share it.
+    """
+    comps = np.array(list(itertools.combinations_with_replacement(range(n_assets),
+                                                                  divisions)))
+    counts = (comps[:, :, None] == np.arange(n_assets)).sum(axis=1)
+    grid = counts / divisions
+    grid.flags.writeable = False
+    return grid
+
+
+def _grid_start(mu: np.ndarray, sigma: np.ndarray, divisions: int) -> np.ndarray:
+    """The simplex_grid row with the highest _sharpe, the first one on ties.
+
+    All rows are scored at once; vectorised sums round differently from
+    _sharpe's, so every row whose score lies within a rounding bound of the
+    best is re-scored with _sharpe itself. The bound covers both roundings,
+    hence the exact best row is always among those re-scored.
+    """
+    grid = simplex_grid(len(mu), divisions)
+    var = ((grid @ sigma) * grid).sum(axis=1)
+    tol = 4 * (len(mu) + 2) * np.finfo(float).eps
+    var_err = tol * ((grid @ np.abs(sigma)) * grid).sum(axis=1)
+    if np.all(var > 2 * var_err):
+        sd = np.sqrt(var)
+        scores = (grid @ mu) / sd
+        err = tol * (grid @ np.abs(mu)) / sd + np.abs(scores) * var_err / var
+        near = np.flatnonzero(scores + err >= np.max(scores - err))
+    else:  # a variance within rounding of zero: score every row exactly
+        near = np.arange(len(grid))
+    exact = [_sharpe(grid[i], mu, sigma) for i in near]
+    return grid[near[int(np.argmax(exact))]]
 
 
 def max_sharpe_weights(moments: MomentEstimates,
@@ -180,9 +212,7 @@ def max_sharpe_weights(moments: MomentEstimates,
     except np.linalg.LinAlgError:
         pass
     if n <= 6:
-        grid = list(simplex_grid(n, grid_divisions))
-        scores = [_sharpe(g, mu, sigma) for g in grid]
-        starts.append(grid[int(np.argmax(scores))])
+        starts.append(_grid_start(mu, sigma, grid_divisions))
 
     best, best_f = None, -np.inf
     for w0 in starts:

@@ -75,10 +75,20 @@ def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> Samp
         raise DataError("volatility window must span >= 2 samples")
     if w > len(r):
         raise DataError(f"window ({w}) longer than series ({len(r)})")
-    windows = sliding_window_view(r, w)
-    out = windows.std(axis=-1, ddof=1)
+    out = sliding_window_view(r, w).std(axis=-1, ddof=1)
     # a constant window must give exactly 0, not mean-roundoff noise
-    constant = windows.max(axis=-1) == windows.min(axis=-1)
+    constant = _constant_windows(r, w)
     if constant.any():
         out = np.where(constant, 0.0, out)
     return returns.with_values(out, kind="volatility")
+
+
+def _constant_windows(r: np.ndarray, w: int) -> np.ndarray:
+    """Mask of the length-w windows of r whose max equals their min, in O(N).
+
+    A window is constant when no neighbouring pair inside it differs under
+    `!=`, which classifies +-0.0 (equal), inf (equal to itself) and NaN
+    (unequal to everything) exactly as max == min does.
+    """
+    changes = np.concatenate(([0], np.cumsum(r[1:] != r[:-1])))
+    return changes[w - 1:] == changes[:len(r) - w + 1]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DataError
 from .series import SampledSeries
@@ -114,9 +113,36 @@ def arfima_series(d: float, length: int, seed: int, *,
     rng = _rng("arfima", seed)
     psi = fractional_weights(d, truncation + 1)
     eps = rng.standard_normal(length + truncation)
-    x = fftconvolve(eps, psi, mode="valid")
+    x = _fft_convolve_valid(eps, psi)
     return SampledSeries(values=x[:length], start_time=start_time,
                          delta=delta, kind="return")
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: the real-FFT length scipy.fft.next_fast_len picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_convolve_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The 'valid' part of x * kernel (len(x) >= len(kernel)) by real FFT.
+
+    Same padding, transforms and slice as scipy.signal.fftconvolve(x, kernel,
+    mode="valid"); both run pocketfft, and the tests check that the results
+    agree to the bit wherever scipy is installed.
+    """
+    full = len(x) + len(kernel) - 1
+    size = _next_fast_len(full)
+    out = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(kernel, size), size)
+    return out[len(kernel) - 1:len(x)]
 
 
 def arfima_theoretical_acf(d: float, max_lag: int) -> np.ndarray:

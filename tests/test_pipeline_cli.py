@@ -8,7 +8,7 @@ from entroport import pipeline
 from entroport.cli import main
 from entroport.config import load_config
 from entroport.dma_cluster import compute_entropy_index
-from entroport.errors import ConfigError
+from entroport.errors import ConfigError, NoTangencyError
 from entroport.pipeline import emit_figure_data, load_asset_prices, run_pipeline
 from entroport.returns_vol import VolatilityWindow, linear_returns, rolling_volatility
 from entroport.series import HorizonSpec, slice_horizon
@@ -215,6 +215,48 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
     assert got == expected
 
 
+def _count_max_sharpe_calls(monkeypatch, solve):
+    calls = []
+
+    def counted(moments, labels):
+        calls.append(labels)
+        return solve(moments, labels)
+
+    monkeypatch.setattr(pipeline, "max_sharpe_weights", counted)
+    return calls
+
+
+def test_max_sharpe_solved_once_per_horizon(tmp_path, monkeypatch):
+    calls = _count_max_sharpe_calls(monkeypatch, pipeline.max_sharpe_weights)
+    cfg = load_config(_write_config(tmp_path, overrides={
+        "assets": TWO_MONTHS, "horizons": [1, 2], "volatility_windows_s": [360, 720]}))
+    run_pipeline(cfg, config_bytes=b"")
+    assert len(calls) == 2
+    _, rows = _read_rows(tmp_path / "out" / "weights.csv")
+    by_window: dict[tuple[str, str], dict[str, str]] = {}
+    for method, m, t_s, asset, w in rows:
+        if method == "max_sharpe":
+            by_window.setdefault((m, asset), {})[t_s] = w
+    assert len(by_window) == 4
+    assert all(len(ws) == 2 and len(set(ws.values())) == 1 for ws in by_window.values())
+
+
+def test_no_tangency_warns_once_per_window(tmp_path, monkeypatch):
+    def no_tangency(moments, labels):
+        raise NoTangencyError("all expected returns are non-positive")
+
+    calls = _count_max_sharpe_calls(monkeypatch, no_tangency)
+    cfg_path = _write_config(tmp_path, overrides={"volatility_windows_s": [360, 720]})
+    assert main(["analyze", str(cfg_path)]) == 0
+    assert len(calls) == 1
+    warnings = json.loads((tmp_path / "out" / "manifest.json").read_text())["warnings"]
+    assert [w for w in warnings if "max_sharpe" in w] == [
+        f"M=1 T={t_s}s: max_sharpe skipped (all expected returns are non-positive)"
+        for t_s in (360, 720)]
+    _, rows = _read_rows(tmp_path / "out" / "weights.csv")
+    assert not any(r[0] == "max_sharpe" for r in rows)
+
+
 class TestFigures:
     def test_figure_exports(self, tmp_path):
         cfg_path = _write_config(tmp_path)
@@ -293,6 +335,12 @@ class TestConfigValidation:
         cfg_path = _write_config(tmp_path, overrides={
             "assets": [asset, BASE_CONFIG["assets"][1]]})
         _exits_2_naming(cfg_path, caplog, "exactly one of 'ticks' or 'synth'")
+
+    @pytest.mark.parametrize("key, values", [("horizons", [1, 1]),
+                                             ("volatility_windows_s", [360, 360])])
+    def test_duplicate_entries_exit_2(self, tmp_path, caplog, key, values):
+        cfg_path = _write_config(tmp_path, overrides={key: values})
+        _exits_2_naming(cfg_path, caplog, f"{key}: duplicate entries")
 
     def test_threshold_m_accepts_integer(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"threshold_m": 7})

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entroport
 from entroport import (DataError, GeneratorSpec, arfima_series,
                        arfima_theoretical_acf, fbm_series, garch_series,
                        to_price_series)
-from entroport.synth import fractional_weights
+from entroport.synth import _fft_convolve_valid, _next_fast_len, fractional_weights
 
 
 def _acf(x, lag):
@@ -131,3 +136,32 @@ class TestToPriceSeries:
         p = to_price_series(g)
         assert np.all(p.values > 0)
         assert p.values[0] == pytest.approx(100.0 * (1 + g.values[0]))
+
+
+class TestFFTConvolution:
+    def test_fast_length_matches_scipy(self):
+        sp_fft = pytest.importorskip("scipy.fft")
+        sizes = list(range(1, 5000)) + [2 ** 20 + 10_000, 1_048_577, 3 ** 12 + 1, 10 ** 7 + 7]
+        assert [_next_fast_len(n) for n in sizes] == [
+            sp_fft.next_fast_len(n, real=True) for n in sizes]
+
+    @pytest.mark.parametrize("d", [0.1, 0.2, -0.3, 0.45])
+    def test_valid_part_equals_scipy_bit_for_bit(self, d):
+        signal = pytest.importorskip("scipy.signal")
+        psi = fractional_weights(d, 10_001)
+        for length, seed in [(1000, 0), (4096, 1), (100_003, 2)]:
+            eps = np.random.default_rng(seed).standard_normal(length + 10_000)
+            expected = signal.fftconvolve(eps, psi, mode="valid")
+            got = _fft_convolve_valid(eps, psi)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(entroport.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, entroport.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"
