@@ -77,11 +77,13 @@ class EntropyIndex:
 
 @dataclass(frozen=True)
 class ClusterModelFit:
-    """Power-law + exponential-cutoff fit diagnostics.
+    """Least-squares fit diagnostics of a duration distribution (no cutoff term).
 
-    D is the fitted fractal dimension (Hurst exponent = 2 - D); S0 the fitted
-    intercept of the surprisal curve; linear_slope the fitted slope of the
-    large-duration linear regime (nan when too few bins).
+    D is the exponent of a pure power law ln P = -D ln tau + const fitted
+    over tau_range (fractal dimension; Hurst exponent = 2 - D), and S0 the
+    fit's intercept on the surprisal curve -ln P. linear_slope is a separate
+    straight-line slope of the surprisal on tau in (n, 5n], the linear
+    regime (nan when fewer than 3 bins fall there).
     """
 
     D: float

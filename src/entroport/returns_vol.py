@@ -15,6 +15,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .series import NS_PER_S, SampledSeries
 
+#: window values per std call in rolling_volatility
+_VOL_BLOCK = 2 ** 16
+
 
 @dataclass(frozen=True)
 class VolatilityWindow:
@@ -75,11 +78,15 @@ def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> Samp
         raise DataError("volatility window must span >= 2 samples")
     if w > len(r):
         raise DataError(f"window ({w}) longer than series ({len(r)})")
-    out = sliding_window_view(r, w).std(axis=-1, ddof=1)
+    windows = sliding_window_view(r, w)
+    out = np.empty(len(windows))
+    # std reduces each row on its own, so blocks of rows give the same bytes
+    # as one call while its (rows x w) temporaries stay at _VOL_BLOCK values
+    rows = max(1, _VOL_BLOCK // w)
+    for lo in range(0, len(windows), rows):
+        out[lo:lo + rows] = windows[lo:lo + rows].std(axis=-1, ddof=1)
     # a constant window must give exactly 0, not mean-roundoff noise
-    constant = _constant_windows(r, w)
-    if constant.any():
-        out = np.where(constant, 0.0, out)
+    out[_constant_windows(r, w)] = 0.0
     return returns.with_values(out, kind="volatility")
 
 

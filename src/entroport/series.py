@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from typing import BinaryIO
@@ -23,6 +25,11 @@ SERIES_KINDS = ("price", "return", "volatility")
 
 #: one raw trade per row: timestamp in ns since epoch and a positive price
 TICK_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
+
+#: ASCII separators numpy's number parsers skip as whitespace; int()/float() reject them
+_NUMPY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: the lone surrogates that errors="surrogateescape" decodes undecodable bytes to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -98,41 +105,84 @@ def _month_boundary_ns(year_start: date, months_ahead: int) -> int:
 def parse_ticks(source: BinaryIO | bytes) -> np.ndarray:
     """Parse the tick CSV format (`timestamp_ns,price` header) into a TICK_DTYPE array.
 
-    Rows are stably sorted by timestamp, so ticks sharing a timestamp keep
-    file order (the last one wins downstream in resample).
+    The accepted syntax and every error are those of the csv line loop
+    (`_parse_ticks_lines`); a plain file takes one vectorised `np.loadtxt`
+    pass instead, with the same result. Rows are stably sorted by timestamp,
+    so ticks sharing a timestamp keep file order (the last one wins
+    downstream in resample).
     """
-    if isinstance(source, bytes):
-        source = io.BytesIO(source)
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader = csv.reader(text)
+    data = source if isinstance(source, bytes) else source.read()
+    ticks = _parse_ticks_fast(data)
+    if ticks is None:
+        ticks = _parse_ticks_lines(data)
+    return ticks[np.argsort(ticks["timestamp"], kind="stable")]
+
+
+def _parse_ticks_fast(data: bytes) -> np.ndarray | None:
+    """One np.loadtxt pass over a tick file, or None to leave it to the line loop.
+
+    loadtxt reads some text that int()/float() reject, so such files go to
+    the line loop: non-ASCII bytes, which encoding="ascii" refuses (its
+    integer parser takes any character as a digit), and the separators
+    \\x1c-\\x1f (its number parsers skip them as whitespace). comments=None
+    keeps a '#' tail an error, and warnings become errors because loadtxt only
+    warns on an empty body. Every other failure is a ValueError or a bad price.
+    """
+    if not data.startswith((b"timestamp_ns,price\n", b"timestamp_ns,price\r\n")) \
+            or any(sep in data for sep in _NUMPY_SPACES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ticks = np.loadtxt(io.BytesIO(data), delimiter=",", dtype=TICK_DTYPE,
+                               comments=None, skiprows=1, ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    prices = ticks["price"]
+    if not ((prices > 0) & (prices < np.inf)).all():  # also false for nan
+        return None
+    return ticks
+
+
+def _parse_ticks_lines(data: bytes) -> np.ndarray:
+    """Parse tick CSV bytes row by row; defines the accepted syntax and its errors."""
+    # surrogateescape maps each undecodable byte to one lone surrogate, so a
+    # non-UTF-8 row is reported by line rather than failing the whole decode
+    reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
     stamps: list[int] = []
     prices: list[float] = []
-    for line_no, row in enumerate(reader, start=1):
-        if line_no == 1:
-            if row != ["timestamp_ns", "price"]:
-                raise TickParseError(line_no, f"bad header {row!r}")
-            continue
-        if not row or row == [""]:
-            continue
-        if len(row) != 2:
-            raise TickParseError(line_no, f"expected 2 fields, got {len(row)}")
-        try:
-            ts = int(row[0])
-            price = float(row[1])
-        except ValueError as exc:
-            raise TickParseError(line_no, str(exc)) from None
-        if not -2**63 <= ts < 2**63:
-            raise TickParseError(line_no, f"timestamp {row[0]} outside the int64 range")
-        if not math.isfinite(price) or price <= 0:
-            raise DataError(f"line {line_no}: non-positive or non-finite price {row[1]}")
-        stamps.append(ts)
-        prices.append(price)
+    line_no = 0
+    try:
+        for line_no, row in enumerate(reader, start=1):
+            if any(map(_UNDECODABLE.search, row)):
+                raise TickParseError(line_no, "not valid UTF-8")
+            if line_no == 1:
+                if row != ["timestamp_ns", "price"]:
+                    raise TickParseError(line_no, f"bad header {row!r}")
+                continue
+            if not row or row == [""]:
+                continue
+            if len(row) != 2:
+                raise TickParseError(line_no, f"expected 2 fields, got {len(row)}")
+            try:
+                ts = int(row[0])
+                price = float(row[1])
+            except ValueError as exc:
+                raise TickParseError(line_no, str(exc)) from None
+            if not -2**63 <= ts < 2**63:
+                raise TickParseError(line_no, f"timestamp {row[0]} outside the int64 range")
+            if not math.isfinite(price) or price <= 0:
+                raise DataError(f"line {line_no}: non-positive or non-finite price {row[1]}")
+            stamps.append(ts)
+            prices.append(price)
+    except csv.Error as exc:  # e.g. a field over the csv field size limit
+        raise TickParseError(line_no + 1, str(exc)) from None
     if not stamps:
         raise EmptyInputError("tick source contains no records")
     ticks = np.empty(len(stamps), dtype=TICK_DTYPE)
     ticks["timestamp"] = stamps
     ticks["price"] = prices
-    return ticks[np.argsort(ticks["timestamp"], kind="stable")]
+    return ticks
 
 
 def resample(ticks: np.ndarray, delta: int) -> SampledSeries:

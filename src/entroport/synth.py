@@ -7,6 +7,7 @@ bit-identical series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,18 @@ def fbm_series(hurst: float, length: int, seed: int, *,
 
 
 def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    # each temporary is deleted once used: at n = 2^20 they are tens of MB each
     k = np.arange(n + 1, dtype=float)
     two_h = 2.0 * hurst
     cov = 0.5 * ((k + 1) ** two_h - 2.0 * k ** two_h + np.abs(k - 1) ** two_h)
+    del k
     row = np.concatenate([cov, cov[-2:0:-1]])          # length 2n
+    del cov
     lam = np.fft.fft(row).real
+    del row
     if lam.min() < -1e-8:
         raise DataError(f"circulant embedding not non-negative definite (min {lam.min()})")
-    lam = np.maximum(lam, 0.0)
+    np.maximum(lam, 0.0, out=lam)
 
     m = 2 * n
     a = rng.standard_normal(m)
@@ -86,10 +91,11 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndar
     w = np.zeros(m, dtype=complex)
     w[0] = np.sqrt(lam[0] / m) * a[0]
     w[n] = np.sqrt(lam[n] / m) * a[n]
-    idx = np.arange(1, n)
-    half = np.sqrt(lam[idx] / (2 * m))
-    w[idx] = half * (a[idx] + 1j * b[idx])
-    w[m - idx] = np.conj(w[idx])
+    half = np.sqrt(lam[1:n] / (2 * m))
+    del lam
+    w[1:n] = half * (a[1:n] + 1j * b[1:n])
+    del a, b, half
+    w[m - 1:n:-1] = np.conj(w[1:n])
     return np.fft.fft(w).real[:n]
 
 
@@ -165,14 +171,15 @@ def garch_series(omega: float, alpha: float, beta: float, length: int, seed: int
         raise DataError(f"stationarity requires alpha + beta < 1, got {alpha + beta}")
     if length < 1:
         raise DataError("length must be >= 1")
-    rng = _rng("garch", seed)
-    z = rng.standard_normal(length)
-    r = np.empty(length)
+    # Python floats round exactly as numpy float64 scalars, at a fraction of the
+    # cost; step t overwrites shock z_t with return r_t
+    r = _rng("garch", seed).standard_normal(length).tolist()
     var = omega / (1.0 - alpha - beta)
-    for t in range(length):
-        r[t] = np.sqrt(var) * z[t]
-        var = omega + alpha * r[t] * r[t] + beta * var
-    return SampledSeries(values=r, start_time=start_time, delta=delta, kind="return")
+    for t, z in enumerate(r):
+        rt = r[t] = math.sqrt(var) * z
+        var = omega + alpha * rt * rt + beta * var
+    return SampledSeries(values=np.array(r), start_time=start_time, delta=delta,
+                         kind="return")
 
 
 def to_price_series(series: SampledSeries, *, scale: float = 1.0,

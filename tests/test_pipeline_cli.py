@@ -168,6 +168,14 @@ class TestTickIngestion:
                        BASE_CONFIG["assets"][1]]})
         _exits_2_naming(cfg_path, caplog, "line 3")
 
+    def test_non_utf8_tick_file_exits_2(self, tmp_path, caplog):
+        (tmp_path / "ticks.csv").write_bytes(
+            b"timestamp_ns,price\n1514764800000000000,100.0\n1514764860000000000,1\xff01.0\n")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "TICK", "ticks": "ticks.csv"},
+                       BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "line 3: not valid UTF-8")
+
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
     def test_tick_grids_with_different_starts_exit_2(self, tmp_path, caplog, mode):
         t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC

@@ -13,8 +13,10 @@ from entroport import (SampledSeries, WeightVector, cluster_distribution, entrop
                        entropy_index, extract_clusters, parse_ticks, resample,
                        weight_entropy)
 from entroport.dma_cluster import crossing_pass
+from entroport.errors import EntroportError
 from entroport.portfolio import _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _constant_windows
+from entroport.series import _parse_ticks_lines
 
 durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=300)
 
@@ -74,6 +76,103 @@ def test_parse_then_resample_matches_previous_tick_oracle(rows, delta):
     t0, expected = _previous_tick_oracle(rows, delta)
     assert series.start_time == t0
     assert series.values.tolist() == expected
+
+
+# each changes one field of a plain row; int()/float() and loadtxt may read it apart
+FIELD_ODDITIES = {
+    "underscore": lambda f: f[:1] + "_" + f[1:],
+    "lead_underscore": lambda f: "_" + f,
+    "hash_tail": lambda f: f + "#x",
+    "nul_tail": lambda f: f + "\x00",
+    "quoted": lambda f: f'"{f}"',
+    "file_separator": lambda f: f + "\x1c",
+    "unit_separator": lambda f: "\x1f" + f,
+    "nbsp": lambda f: "\xa0" + f,
+    "em_space": lambda f: f + "\u2003",
+    "latin_letter": lambda f: f + "\u01fe",
+    "arabic_digit": lambda f: f + "\u0663",
+    "float_form": lambda f: f + ".0",
+    "exponent_form": lambda f: f + "e0",
+    "extra_field": lambda f: f + ",",
+    "empty": lambda f: "",
+}
+BAD_PRICES = ["nan", "inf", "-inf", "0", "-0.0", "-1.5", "1e400", "1e-400", "infinity", "0x1p3"]
+ODD_LINES = [" ", "\t", "5", "1,2,3", "\x1c", "#"]
+INT64_EDGES = [-2 ** 63, -2 ** 63 + 1, 2 ** 63 - 2, 2 ** 63 - 1]
+
+
+def _odd(draw, choices, odd_share):
+    """None, or one of `choices` with probability about `odd_share`."""
+    plain = round(len(choices) * (1 - odd_share) / odd_share)
+    return draw(st.sampled_from([None] * plain + list(choices)))
+
+
+def _rarely(draw, odd_share):
+    return _odd(draw, [True], odd_share) is not None
+
+
+@st.composite
+def tick_rows(draw):
+    """A tick row in the forms both parsers read alike (spaces, tabs, `+`, exponents),
+    now and then with one odd field, bad price or out-of-range timestamp."""
+    ts = draw(st.one_of(st.integers(-3, 3), st.sampled_from(INT64_EDGES),
+                        st.integers(-2 ** 63, 2 ** 63 - 1)))
+    ts = _odd(draw, [-2 ** 63 - 1, 2 ** 63], odd_share=0.05) or ts
+    price = draw(st.floats(min_value=1e-300, max_value=1e300))
+    fields = [str(ts), draw(st.sampled_from([repr(price), f"{price:e}", f"{price:.3E}"]))]
+    fields[1] = _odd(draw, BAD_PRICES, odd_share=0.05) or fields[1]
+    pad = st.sampled_from(["", "", "", " ", "\t", "  "])
+    fields = [draw(pad) + ("" if f.startswith("-") else draw(st.sampled_from(["", "", "+"])))
+              + f + draw(pad) for f in fields]
+    oddity = _odd(draw, list(FIELD_ODDITIES), odd_share=0.2)
+    if oddity is not None:
+        at = draw(st.integers(0, 1))
+        fields[at] = FIELD_ODDITIES[oddity](fields[at])
+    return ",".join(fields)
+
+
+@st.composite
+def tick_files(draw):
+    """Tick CSV bytes with blank lines, CRLF and duplicate timestamps, now and then an
+    odd line, header or line end, or a byte that is not UTF-8."""
+    header = _odd(draw, ['"timestamp_ns","price"', "timestamp_ns, price", "time,price"],
+                  odd_share=0.05) or "timestamp_ns,price"
+    rows = st.one_of(tick_rows(), tick_rows(), tick_rows(), st.just(""))
+    if _rarely(draw, 0.1):
+        rows = st.one_of(rows, st.sampled_from(ODD_LINES))
+    lines = draw(st.lists(rows, max_size=8))
+    ends = ["\n", "\r\n"] + (["\r"] if _rarely(draw, 0.1) else [])
+    data = "".join(line + draw(st.sampled_from(ends)) for line in [header] + lines).encode()
+    if _rarely(draw, 0.05):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _parse_outcome(parse, data):
+    """Sorted tick bytes, or the class and message (with its line) of the error raised."""
+    try:
+        ticks = parse(data)
+    except EntroportError as exc:
+        return type(exc), str(exc)
+    return ticks[np.argsort(ticks["timestamp"], kind="stable")].tobytes()
+
+
+@settings(deadline=None, max_examples=400)
+@given(tick_files())
+def test_parse_ticks_equals_line_loop(data):
+    assert _parse_outcome(parse_ticks, data) == _parse_outcome(_parse_ticks_lines, data)
+
+
+@pytest.mark.parametrize("line", [f"{ts},{price}".encode() for ts in ("7", " +7\t")
+                                  for price in ["2.5", "+1E-3 "] + BAD_PRICES]
+                         + [f"{odd('7')},2.5".encode() for odd in FIELD_ODDITIES.values()]
+                         + [f"7,{odd('2.5')}".encode() for odd in FIELD_ODDITIES.values()]
+                         + [line.encode() for line in ODD_LINES]
+                         + [b"7,2.5\xa0", b"7\xff,2.5"])
+def test_each_odd_line_parses_as_in_line_loop(line):
+    data = b"timestamp_ns,price\n3,1.5\n" + line + b"\n"
+    assert _parse_outcome(parse_ticks, data) == _parse_outcome(_parse_ticks_lines, data)
 
 
 # runs of small integers: flat stretches give exact-zero deviations from the mean

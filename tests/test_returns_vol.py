@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from entroport import (DataError, SampledSeries, VolatilityWindow,
                        linear_returns, log_returns, rolling_volatility)
+from entroport.returns_vol import _VOL_BLOCK
 
 
 def _prices(values, delta=10):
@@ -94,3 +96,17 @@ class TestRollingVolatility:
         out = rolling_volatility(_returns(vals), self._window(3)).values
         assert np.all(out >= 0)
         assert out[0] == 0.0 and np.all(out[1:] > 0)
+
+    @pytest.mark.parametrize("w", [2, 3, 12, 300, _VOL_BLOCK + 5])
+    def test_row_blocks_equal_one_std_call(self, w):
+        # window counts around one and two block edges; w = 300 spans more
+        # samples than a block has rows, w > _VOL_BLOCK gives one-row blocks
+        rows = max(1, _VOL_BLOCK // w)
+        rng = np.random.default_rng(w)
+        for n_windows in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
+            if n_windows < 1:
+                continue
+            r = rng.standard_normal(n_windows + w - 1)
+            expected = sliding_window_view(r, w).std(axis=-1, ddof=1)
+            out = rolling_volatility(_returns(r), self._window(w)).values
+            assert out.tobytes() == expected.tobytes()

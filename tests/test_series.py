@@ -8,7 +8,7 @@ from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError,
                        HorizonSpec, SampledSeries, align_lengths, parse_ticks,
                        resample, slice_horizon)
 from entroport.errors import TickParseError
-from entroport.series import NS_PER_S, write_series_csv
+from entroport.series import NS_PER_S, _parse_ticks_fast, write_series_csv
 
 
 def _csv(rows):
@@ -57,6 +57,33 @@ class TestParseTicks:
             parse_ticks(_csv([(10, 1.0), (2 ** 63, 2.0)]))
         assert parse_ticks(_csv([(-2 ** 63, 1.0), (2 ** 63 - 1, 2.0)]))[
             "timestamp"].tolist() == [-2 ** 63, 2 ** 63 - 1]
+
+    def test_comment_tail_is_a_parse_error(self):
+        with pytest.raises(TickParseError, match="line 2"):
+            parse_ticks(b"timestamp_ns,price\n100,2.5#x\n")
+
+    def test_header_only_file_is_empty(self):
+        with pytest.raises(EmptyInputError):
+            parse_ticks(b"timestamp_ns,price\n")
+
+    def test_nan_price_is_a_data_error_naming_its_line(self):
+        with pytest.raises(DataError, match="line 3"):
+            parse_ticks(b"timestamp_ns,price\n10,1.0\n20,nan\n")
+
+    def test_non_utf8_byte_reports_line_number(self):
+        with pytest.raises(TickParseError, match="line 3: not valid UTF-8"):
+            parse_ticks(b"timestamp_ns,price\n10,1.0\n20,2.\xff5\n30,1.0\n")
+
+    def test_oversized_field_reports_line_number(self):
+        with pytest.raises(TickParseError, match="line 3"):
+            parse_ticks(b"timestamp_ns,price\n10,1.0\n" + b"1" * 200_000 + b",2.0\n")
+
+    def test_plain_files_take_the_vectorised_path(self):
+        data = b"timestamp_ns,price\r\n20, +2.5e0\r\n\r\n\t10 ,1E-3\n20,3\n"
+        ticks = _parse_ticks_fast(data)
+        assert ticks is not None
+        assert ticks.tolist() == [(20, 2.5), (10, 0.001), (20, 3.0)]
+        assert parse_ticks(data).tolist() == [(10, 0.001), (20, 2.5), (20, 3.0)]
 
 
 class TestResample:

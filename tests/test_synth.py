@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -121,6 +122,27 @@ class TestReproducibility:
         a = arfima_series(0.0, 100, 5).values
         g = garch_series(1.0, 0.0, 0.0, 100, 5).values
         assert not np.allclose(a, g)
+
+    # sha256 of the values' bytes, recorded before the FBM temporaries were
+    # trimmed and the GARCH loop moved to Python floats (numpy 2.4, x86-64)
+    @pytest.mark.parametrize("args, digest", [
+        ((0.3, 1024, 0), "fcf4554b9f9d9a12c8b13498e73cf3334726ec6fbc54a4335f901cbef430b6d4"),
+        ((0.5, 2 ** 16, 1), "5713763ce2784c36516751db2de094cb08d5166ff6446bf829b7c0cffc5d9e32"),
+        ((0.7, 4096, 7), "13caa22be4a8b5cf80704c0a057f99687e5098502b2bec320a95ae66a5369c2c"),
+    ])
+    def test_fbm_output_is_pinned(self, args, digest):
+        assert hashlib.sha256(fbm_series(*args).values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        ((1e-6, 0.05, 0.9, 1000, 4),
+         "e2058ba44418e779c4d15e3d9f810d511546f0a66b7d9aa63c0c546c192c919f"),
+        ((1e-6, 0.05, 0.9, 2 ** 16, 4),
+         "e546a7e4cba12cad7f4f4f77127554886b7ac98d38a4b0c3d9836ac241ad8707"),
+        ((0.1, 0.2, 0.7, 4096, 0),
+         "527110726486685e6f44836c4a30cc2665b288df4dc407a7de71e3c2ab154772"),
+    ])
+    def test_garch_output_is_pinned(self, args, digest):
+        assert hashlib.sha256(garch_series(*args).values.tobytes()).hexdigest() == digest
 
 
 class TestToPriceSeries:
