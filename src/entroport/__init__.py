@@ -15,7 +15,6 @@ from .dma_cluster import (ClusterDistribution, ClusterModelFit, EntropyCurve,
                           extract_clusters, fit_cluster_model, moving_average)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
-                        max_sharpe_weights, naive_weights, portfolio_mean,
-                        portfolio_variance, sharpe_ratio, weight_entropy)
+                        max_sharpe_weights, naive_weights, weight_entropy)
 from .synth import (GeneratorSpec, arfima_series, arfima_theoretical_acf,
                     fbm_series, garch_series, to_price_series)

@@ -23,7 +23,8 @@ from .config import AssetInput, PipelineConfig
 from .dma_cluster import (EntropyCurve, EntropyIndex, aggregate_index,
                           cluster_distribution, crossing_pass, entropy_curve,
                           entropy_index)
-from .errors import DataError, InsufficientClustersError, NoTangencyError
+from .errors import (DataError, EntroportError, InsufficientClustersError,
+                     NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
@@ -65,9 +66,13 @@ class PipelineResult:
 def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
     """Materialize an asset's price series from ticks or a generator spec."""
     if asset.ticks_path is not None:
-        with open(asset.ticks_path, "rb") as fh:
-            ticks = parse_ticks(fh)
-        return resample(ticks, cfg.delta_ns)
+        try:
+            with open(asset.ticks_path, "rb") as fh:
+                ticks = parse_ticks(fh)
+            return resample(ticks, cfg.delta_ns)
+        except EntroportError as exc:  # same class, message names the file
+            exc.args = (f"asset {asset.name!r} ({asset.ticks_path}): {exc}",)
+            raise
     start_ns = HorizonSpec(cfg.year_start, 1).start_ns()
     raw = asset.generator.generate(delta=cfg.delta_ns, start_time=start_ns)
     return to_price_series(raw, scale=asset.price_scale)

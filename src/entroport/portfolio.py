@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,42 +63,22 @@ class MomentEstimates:
             raise DataError("covariance matrix must be symmetric")
 
 
-def portfolio_mean(w: WeightVector, mu: np.ndarray) -> float:
-    mu = np.asarray(mu, dtype=float)
-    if len(mu) != len(w):
-        raise DataError(f"{len(w)} weights vs {len(mu)} expected returns")
-    return float(w.weights @ mu)
-
-
-def portfolio_variance(w: WeightVector, sigma: np.ndarray) -> float:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (len(w), len(w)):
-        raise DataError(f"covariance shape {sigma.shape} does not match {len(w)} weights")
-    if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
-        raise DataError("covariance matrix must be symmetric")
-    var = float(w.weights @ sigma @ w.weights)
-    if var < -1e-12:
-        raise DataError(f"covariance is not positive semi-definite (w'Sw = {var})")
-    return max(var, 0.0)
-
-
-def sharpe_ratio(w: WeightVector, mu: np.ndarray, sigma: np.ndarray) -> float:
-    """Mean over standard deviation; no risk-free rate term."""
-    var = portfolio_variance(w, sigma)
-    if var <= 0:
-        raise DataError("portfolio variance is zero; Sharpe ratio undefined")
-    return portfolio_mean(w, mu) / np.sqrt(var)
-
-
 # --- max-Sharpe optimizer ----------------------------------------------------
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
+def _project_simplex(v: list[float]) -> np.ndarray:
+    """Euclidean projection onto the probability simplex.
+
+    Plain-float form of sort / cumsum / maximum(v - theta, 0): the same
+    operations in the same order, so the same bits, without numpy's per-call
+    cost on a vector of a few elements. Raises IndexError, as the numpy form
+    does, when no index passes the test (values near 2^53 and beyond).
+    """
+    u = sorted(v, reverse=True)
+    css = [c - 1.0 for c in itertools.accumulate(u)]
+    rho = [i for i, (x, c) in enumerate(zip(u, css)) if x * (i + 1) > c][-1]
     theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    # np.maximum(d, 0.0) gives +0.0 for d = -0.0 and keeps NaN
+    return np.array([0.0 if d <= 0.0 else d for d in (x - theta for x in v)])
 
 
 def _sharpe(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
@@ -109,28 +90,33 @@ def _sharpe(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
 
 def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
             max_iter: int = 500) -> np.ndarray:
-    """Projected-gradient ascent on the Sharpe ratio with backtracking."""
+    """Projected-gradient ascent on the Sharpe ratio with backtracking.
+
+    The step and the projection run on Python floats; each candidate's
+    variance and mean are kept for the next gradient.
+    """
     w = w0.copy()
-    f = _sharpe(w, mu, sigma)
+    var, mean = float(w @ sigma @ w), float(w @ mu)
+    f = mean / math.sqrt(var) if var > 0 else -math.inf
     step = 1.0
     for _ in range(max_iter):
-        var = float(w @ sigma @ w)
         if var <= 0:
             break
-        sp = np.sqrt(var)
-        grad = mu / sp - (float(w @ mu) / (sp * var)) * (sigma @ w)
-        improved = False
+        sp = math.sqrt(var)
+        grad = mu / sp - (mean / (sp * var)) * (sigma @ w)
+        wl, gl = w.tolist(), grad.tolist()
         t = step
         for _ in range(40):
-            cand = _project_simplex(w + t * grad)
-            fc = _sharpe(cand, mu, sigma)
+            cand = _project_simplex([x + t * g for x, g in zip(wl, gl)])
+            # numpy @ on purpose: its BLAS rounding, not a Python sum's, defines the output bytes
+            cvar, cmean = float(cand @ sigma @ cand), float(cand @ mu)
+            fc = cmean / math.sqrt(cvar) if cvar > 0 else -math.inf
             if fc > f + 1e-15:
-                w, f = cand, fc
+                w, f, var, mean = cand, fc, cvar, cmean
                 step = min(t * 2.0, 1e6)
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
     return w
 

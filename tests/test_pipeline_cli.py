@@ -176,6 +176,18 @@ class TestTickIngestion:
                        BASE_CONFIG["assets"][1]]})
         _exits_2_naming(cfg_path, caplog, "line 3: not valid UTF-8")
 
+    def test_bad_second_tick_file_is_named(self, tmp_path, caplog):
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        rows = "".join(f"{t0 + i * 60 * 10 ** 9},{100.0 + i}\n" for i in range(50))
+        (tmp_path / "good.csv").write_text("timestamp_ns,price\n" + rows)
+        (tmp_path / "bad.csv").write_bytes(
+            b"timestamp_ns,price\n1514764800000000000,100.0\n1514764860000000000,1\xff01.0\n")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "GOOD", "ticks": "good.csv"},
+                       {"name": "BAD", "ticks": "bad.csv"}]})
+        _exits_2_naming(cfg_path, caplog,
+                        f"asset 'BAD' ({tmp_path / 'bad.csv'}): line 3: not valid UTF-8")
+
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
     def test_tick_grids_with_different_starts_exit_2(self, tmp_path, caplog, mode):
         t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC

@@ -1,10 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from entroport import (DataError, MomentEstimates, NoTangencyError,
                        RiskProfile, WeightVector, cluster_entropy_weights,
                        kl_cross_entropy, max_sharpe_weights, naive_weights,
-                       portfolio_mean, portfolio_variance, sharpe_ratio,
                        weight_entropy)
 from entroport.portfolio import _sharpe, simplex_grid
 
@@ -17,39 +18,40 @@ def _wv(weights, labels=None):
 
 
 class TestPortfolioMoments:
-    def test_unit_vector_mean(self):
-        assert portfolio_mean(_wv([1, 0, 0]), [0.3, 0.1, 0.2]) == 0.3
-
-    def test_uniform_mean_of_constant(self):
-        assert portfolio_mean(_wv([0.25] * 4), [0.07] * 4) == pytest.approx(0.07)
-
     def test_mean_dimension_mismatch(self):
         with pytest.raises(DataError):
-            portfolio_mean(_wv([0.2] * 5), [0.1] * 4)
-
-    def test_identity_covariance_uniform(self):
-        var = portfolio_variance(_wv([0.2] * 5), np.eye(5))
-        assert var == pytest.approx(5 * 0.2 ** 2)
-
-    def test_vertex_variance(self):
-        sigma = np.diag([0.04, 0.09])
-        assert portfolio_variance(_wv([1, 0]), sigma) == pytest.approx(0.04)
+            MomentEstimates([0.1] * 4, np.eye(5))
 
     def test_asymmetric_sigma_rejected(self):
         sigma = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(DataError):
-            portfolio_variance(_wv([0.5, 0.5]), sigma)
+            MomentEstimates([0.1, 0.1], sigma)
 
     def test_sharpe_zero_mean(self):
-        assert sharpe_ratio(_wv([0.5, 0.5]), [0.0, 0.0], np.eye(2)) == 0.0
+        assert _sharpe(np.array([0.5, 0.5]), np.zeros(2), np.eye(2)) == 0.0
 
     def test_sharpe_hand_value(self):
         sigma = np.diag([0.04, 1.0])
-        assert sharpe_ratio(_wv([1, 0]), [0.1, 0.0], sigma) == pytest.approx(0.5)
+        assert _sharpe(np.array([1.0, 0.0]), np.array([0.1, 0.0]), sigma) == pytest.approx(0.5)
 
-    def test_sharpe_zero_variance_is_error(self):
-        with pytest.raises(DataError):
-            sharpe_ratio(_wv([1, 0]), [0.1, 0.0], np.diag([0.0, 1.0]))
+    def test_sharpe_zero_variance_is_minus_inf(self):
+        sigma = np.diag([0.0, 1.0])
+        assert _sharpe(np.array([1.0, 0.0]), np.array([0.1, 0.0]), sigma) == -np.inf
+
+
+def _solver_problems(n, count=40):
+    """Seeded max-Sharpe problems over six decades of scale. Every 8th from the
+    second has a rank-deficient covariance (the ridge path), every 10th only
+    non-positive expected returns (NoTangencyError)."""
+    rng = np.random.default_rng(1000 + n)
+    for k in range(count):
+        scale = 10.0 ** rng.uniform(-6, 0)
+        mu = rng.normal(0.02, 0.05, n) * np.sqrt(scale)
+        a = rng.normal(size=(n, n - 1 if k % 8 == 1 else n + k % 3))
+        if k % 10 == 0:
+            mu = -np.abs(mu)
+            mu[k % n] = 0.0
+        yield mu, a @ a.T * scale
 
 
 class TestMaxSharpe:
@@ -99,6 +101,24 @@ class TestMaxSharpe:
         sigma = np.array([[0.04, 0.04], [0.04, 0.04]])
         wv = max_sharpe_weights(MomentEstimates([0.1, 0.1], sigma))
         assert wv.weights.sum() == pytest.approx(1.0)
+
+    # sha256 over 40 problems' weight bytes (or exception names), recorded
+    # before the ascent moved to Python floats (numpy 2.4, x86-64)
+    @pytest.mark.parametrize("n, digest", [
+        (2, "5f2573455182862c2c55791bf95cfb72baac096296ddf125588b1d8547cb6db0"),
+        (3, "3ef97873c9cfa7978d5c7638680412cfb6f4709fdfe2e677fbacd409818b2104"),
+        (4, "ae45b665139fa6facafb467c7b06396db72fa244fbcf74862d5fafbf5e4c9922"),
+        (5, "ca1a30feee2f18f1d3f67928abf9daca1f116d05e528b5f0580a132a0146d7b0"),
+        (6, "a96450b7f9d38bc16e4fe8aa5725da8c230026cb228dbdf0869ba88ab428b900"),
+    ])
+    def test_weights_are_pinned(self, n, digest):
+        h = hashlib.sha256()
+        for mu, sigma in _solver_problems(n):
+            try:
+                h.update(max_sharpe_weights(MomentEstimates(mu, sigma)).weights.tobytes())
+            except NoTangencyError as exc:
+                h.update(type(exc).__name__.encode())
+        assert h.hexdigest() == digest
 
 
 class TestClusterEntropyWeights:

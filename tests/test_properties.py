@@ -220,12 +220,43 @@ vectors = st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=
 @settings(deadline=None)
 @given(vectors, st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_project_simplex_is_the_nearest_simplex_point(v, seed):
-    v = np.array(v)
     p = _project_simplex(v)
+    v = np.array(v)
     assert np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12
     assert np.allclose(_project_simplex(p), p, rtol=0, atol=1e-12)
     others = np.random.default_rng(seed).dirichlet(np.ones(len(v)), size=200)
     assert np.all(np.linalg.norm(others - v, axis=1) >= np.linalg.norm(p - v) - 1e-12)
+
+
+def _project_simplex_numpy(v):
+    """Reference: the projection as numpy sort / cumsum / maximum."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+projection_inputs = (
+    st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 1 / 3])),
+             min_size=1, max_size=8)
+    # exact ties: every element drawn from a few values
+    | st.lists(finite, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+
+
+@settings(deadline=None, max_examples=400)
+@given(projection_inputs)
+def test_project_simplex_equals_numpy_form_bit_for_bit(v):
+    try:
+        with np.errstate(all="ignore"):
+            expected = _project_simplex_numpy(np.array(v))
+    except IndexError:  # no index passes the test
+        with pytest.raises(IndexError):
+            _project_simplex(v)
+        return
+    assert _project_simplex(v).tobytes() == expected.tobytes()
 
 
 @settings(deadline=None)
