@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, InsufficientClustersError
+from .errors import (DataError, EmptyInputError, EntroportError,
+                     InsufficientClustersError)
 from .series import SampledSeries
 
 #: clusters required before a duration distribution counts as statistically valid
@@ -53,7 +54,10 @@ class ClusterDistribution:
 
 @dataclass(frozen=True)
 class EntropyCurve:
-    """Per-duration entropy values S(tau, n) in nats, observed bins only."""
+    """Per-duration entropy values S(tau, n) in nats, observed bins only.
+
+    taus are the distribution's, strictly ascending.
+    """
 
     n: int
     taus: np.ndarray
@@ -92,11 +96,15 @@ class ClusterModelFit:
     tau_range: tuple[float, float]
 
 
+def _window_error(n: int, length: int) -> DataError:
+    return DataError(f"window n={n} out of range for series of length {length}")
+
+
 def moving_average(y: SampledSeries, n: int) -> SampledSeries:
     """Trailing (causal) mean of the n most recent samples; len out = len - n + 1."""
     v = y.values
     if not 2 <= n <= len(v):
-        raise DataError(f"window n={n} out of range for series of length {len(v)}")
+        raise _window_error(n, len(v))
     out = np.convolve(v, np.full(n, 1.0 / n), mode="valid")
     return y.with_values(out, start_time=y.start_time + (n - 1) * y.delta)
 
@@ -123,6 +131,41 @@ class CrossingPass:
         lo = np.searchsorted(self.previous, start + self.n - 1)
         hi = np.searchsorted(self.times, stop)
         return self.times[lo:hi] - start
+
+    def distributions(self, spans: list[tuple[int, int]],
+                      min_clusters: int = MIN_CLUSTERS
+                      ) -> list[ClusterDistribution | EntroportError]:
+        """cluster_distribution(extract_clusters(y[start:stop], n)) for each span.
+
+        Where that call would raise, the entry is the exception: a DataError
+        when the span is shorter than n, an InsufficientClustersError below
+        min_clusters. A span's durations are diff(times)[lo:hi-1], with lo set
+        by its start and hi by its stop (see crossings), so spans are walked in
+        (start, stop) order and those sharing a start grow one running
+        bincount, each adding only the durations past the previous stop.
+        Dropped spans add theirs too; too-short spans add none.
+        """
+        durations = np.diff(self.times)
+        size = int(durations.max()) + 1 if len(durations) else 1
+        out: list[ClusterDistribution | EntroportError] = [None] * len(spans)
+        acc_start = None
+        for i in sorted(range(len(spans)), key=spans.__getitem__):
+            start, stop = spans[i]
+            if self.n > stop - start:
+                out[i] = _window_error(self.n, stop - start)
+                continue
+            if start != acc_start:  # acc counts durations[lo:end]
+                acc_start = start
+                lo = end = int(np.searchsorted(self.previous, start + self.n - 1))
+                acc = np.zeros(size, dtype=np.int64)
+            new_end = max(lo, int(np.searchsorted(self.times, stop)) - 1)
+            acc += np.bincount(durations[end:new_end], minlength=size)
+            end = new_end
+            try:
+                out[i] = _histogram(acc, end - lo, self.n, min_clusters)
+            except InsufficientClustersError as exc:
+                out[i] = exc
+        return out
 
 
 def crossing_pass(y: SampledSeries, n: int) -> CrossingPass:
@@ -155,16 +198,29 @@ def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:
     return np.diff(crossing_times(y, n))
 
 
+def _histogram(acc: np.ndarray, n_clusters: int, n: int, min_clusters: int,
+               first_tau: int = 0) -> ClusterDistribution:
+    """Distribution of n_clusters durations whose bincount, from first_tau up, is acc."""
+    if n_clusters < min_clusters:
+        raise InsufficientClustersError(
+            f"{n_clusters} clusters at n={n}, need >= {min_clusters}"
+        )
+    taus = np.flatnonzero(acc)
+    return ClusterDistribution(n=n, taus=taus + first_tau, counts=acc[taus])
+
+
 def cluster_distribution(durations, n: int,
                          min_clusters: int = MIN_CLUSTERS) -> ClusterDistribution:
-    """Histogram of integer durations; errors below min_clusters observations."""
-    durations = np.asarray(durations)
-    if len(durations) < min_clusters:
-        raise InsufficientClustersError(
-            f"{len(durations)} clusters at n={n}, need >= {min_clusters}"
-        )
-    taus, counts = np.unique(durations.astype(np.int64), return_counts=True)
-    return ClusterDistribution(n=n, taus=taus, counts=counts)
+    """Histogram of integer durations; errors below min_clusters observations.
+
+    Durations are sample counts, so the bincount spans at most the series
+    length; counting from the shortest lets a duration below 1 reach
+    ClusterDistribution's check.
+    """
+    durations = np.asarray(durations).astype(np.int64)
+    first = int(durations.min()) if len(durations) else 0
+    return _histogram(np.bincount(durations - first), len(durations), n,
+                      min_clusters, first)
 
 
 def entropy_curve(dist: ClusterDistribution,
@@ -196,10 +252,10 @@ def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
         raise DataError(f"threshold m must be >= 1, got {m}")
     if len(curve.taus) == 0:
         raise EmptyInputError("entropy curve has no points")
-    below = curve.taus <= m
+    k = int(np.searchsorted(curve.taus, m, "right"))
     # sequential sums in tau order keep the index bit-for-bit reproducible
-    power = sum(curve.values[below].tolist())
-    linear = sum(curve.values[~below].tolist())
+    power = sum(curve.values[:k].tolist())
+    linear = sum(curve.values[k:].tolist())
     return EntropyIndex(n=curve.n, threshold=m, value=power + linear,
                         power_law_part=power, linear_part=linear)
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import AssetInput, PipelineConfig
-from .dma_cluster import (EntropyCurve, EntropyIndex, aggregate_index,
-                          cluster_distribution, crossing_pass, entropy_curve,
+from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
+                          aggregate_index, crossing_pass, entropy_curve,
                           entropy_index)
 from .errors import (DataError, EntroportError, InsufficientClustersError,
                      NoTangencyError)
@@ -82,25 +82,33 @@ def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeri
            n: int, cfg: PipelineConfig) -> None:
     """Entropy curve and index at one n for each cell, or a warning why not.
 
-    One crossing pass over the whole source serves every cell's span; it dies
-    with this call, so one n's pass is alive at a time (two cost peak RSS).
+    One crossing pass over the whole source serves every cell's span and
+    histograms each of its durations once; it dies with this call, so one n's
+    pass is alive at a time (two cost peak RSS).
     """
-    cpass = crossing_pass(source, n) if n <= len(source) else None
-    for cell in cells:
-        span = spans[cell.horizon]
+    if n <= len(source):
+        cpass = crossing_pass(source, n)
+        dists = cpass.distributions([(spans[c.horizon].start, spans[c.horizon].stop)
+                                     for c in cells], cfg.min_clusters)
+    else:  # every span is too short
+        cpass, dists = None, [None] * len(cells)
+    for cell, dist in zip(cells, dists):
         label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
-        if cpass is None or n > span.stop - span.start:
+        if isinstance(dist, InsufficientClustersError):
+            cell.warnings.append(f"{label}: dropped ({dist})")
+        elif not isinstance(dist, ClusterDistribution):
             cell.warnings.append(f"{label}: series too short")
-            continue
-        durations = np.diff(cpass.crossings(span.start, span.stop))
-        try:
-            dist = cluster_distribution(durations, n, min_clusters=cfg.min_clusters)
-        except InsufficientClustersError as exc:
-            cell.warnings.append(f"{label}: dropped ({exc})")
-            continue
-        curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
-        cell.curves[n] = curve
-        cell.indices.append(entropy_index(curve, cfg.threshold_for(n)))
+        else:
+            curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
+            cell.curves[n] = curve
+            cell.indices.append(entropy_index(curve, cfg.threshold_for(n)))
+    if logger.isEnabledFor(logging.DEBUG):
+        dropped = sum(isinstance(d, InsufficientClustersError) for d in dists)
+        kept = sum(isinstance(d, ClusterDistribution) for d in dists)
+        logger.debug("%s T=%ds n=%d: %d crossings; cells %d kept, %d dropped, "
+                     "%d too short", cells[0].asset, cells[0].window_s, n,
+                     0 if cpass is None else len(cpass.times), kept, dropped,
+                     len(dists) - kept - dropped)
 
 
 def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
@@ -204,6 +212,16 @@ def _write_csv(path: Path, header: str, lines) -> None:
         fh.writelines(lines)
 
 
+def _curve_lines(cells: list[CellResult]):
+    """One block of "asset,horizon,T_s,n,tau,S" rows per curve; S as repr, like _fmt."""
+    for c in cells:
+        for n in sorted(c.curves):
+            prefix = f"{c.asset},{c.horizon},{c.window_s},{n},"
+            curve = c.curves[n]
+            yield prefix + ("\n" + prefix).join(
+                map("{},{!r}".format, curve.taus.tolist(), curve.values.tolist())) + "\n"
+
+
 def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
                    config_bytes: bytes | None) -> None:
     out = cfg.output_dir
@@ -212,10 +230,7 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
     (out / "manifest.json").unlink(missing_ok=True)
 
     cells = [result.cells[key] for key in sorted(result.cells)]
-    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", (
-        f"{c.asset},{c.horizon},{c.window_s},{n},{tau},{_fmt(s)}\n"
-        for c in cells for n in sorted(c.curves)
-        for tau, s in zip(c.curves[n].taus.tolist(), c.curves[n].values.tolist())))
+    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", _curve_lines(cells))
     _write_csv(out / "indices_by_n.csv", "asset,horizon,T_s,n,I_n", (
         f"{c.asset},{c.horizon},{c.window_s},{ix.n},{_fmt(ix.value)}\n"
         for c in cells for ix in sorted(c.indices, key=lambda i: i.n)))

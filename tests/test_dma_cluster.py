@@ -86,6 +86,9 @@ class TestClusterDistribution:
         with pytest.raises(InsufficientClustersError):
             cluster_distribution([1] * 49, 4, min_clusters=50)
 
+    def test_min_clusters_is_inclusive(self):
+        assert cluster_distribution([1] * 50, 4, min_clusters=50).counts.tolist() == [50.0]
+
     def test_normalization(self):
         rng = np.random.default_rng(1)
         durations = rng.integers(1, 30, size=500)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 from entroport import pipeline
 from entroport.cli import main
 from entroport.config import load_config
-from entroport.dma_cluster import compute_entropy_index
+from entroport.dma_cluster import EntropyCurve, compute_entropy_index
 from entroport.errors import ConfigError, NoTangencyError
-from entroport.pipeline import emit_figure_data, load_asset_prices, run_pipeline
+from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
+                                load_asset_prices, run_pipeline)
 from entroport.returns_vol import VolatilityWindow, linear_returns, rolling_volatility
 from entroport.series import HorizonSpec, slice_horizon
 
@@ -233,6 +236,60 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
                         estimator=cfg.entropy_estimator, min_clusters=cfg.min_clusters)
                     expected[(asset.name, m, t_s, n)] = repr(ix.value)
     assert got == expected
+
+
+# hourly grid: a month is ~740 volatility samples, so at min_clusters=250 the
+# first horizons drop or are too short at large n and the later ones keep them
+EDGE_CONFIG = {
+    "assets": [{"name": f"SYN{seed}", "synth": {"kind": "fbm", "hurst": 0.5,
+                                                "length": 4096, "seed": seed}}
+               for seed in (1, 2)],
+    "delta_s": 3600,
+    "n_grid_s": {"min": 7200, "max": 7200 + 4 * 720000, "step": 720000},
+    "volatility_windows_s": [10800],
+    "horizons": [1, 2, 3, 4],
+    "min_clusters": 250,
+}
+
+
+def test_running_histogram_across_dropped_and_short_horizons(tmp_path, caplog):
+    """Horizons sharing a start grow one histogram through dropped and too-short cells."""
+    caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
+    run_pipeline(load_config(_write_config(tmp_path, overrides=EDGE_CONFIG)),
+                 config_bytes=b"")
+    out = tmp_path / "out"
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert "SYN1 M=1 T=10800s n=802: series too short" in warnings
+    assert "SYN1 M=2 T=10800s n=802: dropped (183 clusters at n=802, need >= 250)" in warnings
+    # digests of the outputs of per-cell histograms, before the running bincount
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("manifest.json", "indices_by_n.csv", "entropy_curves.csv")}
+    assert digests == {
+        "manifest.json": "f08f4d5bf0fa021d352df6a9f7cc83ea553270b13fa2787a359e377f703b99f8",
+        "indices_by_n.csv": "f694448e56a45ce9ef9895a27dafb61d39a48d851dcbc6f3267f77e9c1efc469",
+        "entropy_curves.csv": "0c795a339c3403c878cc61836e81a5d19fd99f4ef88e3b9156a204670cf80c01",
+    }
+    passes = [r.getMessage() for r in caplog.records
+              if "crossings; cells" in r.getMessage()]
+    assert len(passes) == 2 * 5  # one per (asset, window, n)
+    assert any(m.startswith("SYN1 T=10800s n=802: ") and
+               m.endswith("cells 2 kept, 1 dropped, 1 too short") for m in passes)
+
+
+def test_curve_rows_equal_per_row_format(tmp_path):
+    curve = EntropyCurve(n=5, taus=np.array([1, 2, 7, 10 ** 6]),
+                         values=np.array([0.0, -0.0, 0.1 + 0.2, 1e-300]))
+    other = EntropyCurve(n=3, taus=np.array([4]), values=np.array([123456789.125]))
+    cells = {("B", 2, 360): CellResult("B", 2, 360, curves={5: curve, 3: other}),
+             ("A", 12, 60): CellResult("A", 12, 60, curves={3: other})}
+    result = PipelineResult(cells=cells, weights=[], diagnostics=[], warnings=[])
+    cfg = load_config(_write_config(tmp_path))
+    pipeline._write_outputs(result, cfg, b"")
+    per_row = "asset,horizon,T_s,n,tau,S\n" + "".join(
+        f"{c.asset},{c.horizon},{c.window_s},{n},{tau},{repr(float(s))}\n"
+        for c in (cells[k] for k in sorted(cells)) for n in sorted(c.curves)
+        for tau, s in zip(c.curves[n].taus.tolist(), c.curves[n].values.tolist()))
+    assert (tmp_path / "out" / "entropy_curves.csv").read_text() == per_row
 
 
 def _count_max_sharpe_calls(monkeypatch, solve):

@@ -29,6 +29,8 @@ def test_cluster_distribution_conserves_clusters_and_duration(taus_in):
     assert dist.counts.sum() == len(d)
     assert (dist.taus * dist.counts).sum() == d.sum()
     assert np.all(np.diff(dist.taus) > 0)
+    taus, counts = np.unique(d, return_counts=True)  # sort-based reference
+    assert (dist.taus.tolist(), dist.counts.tolist()) == (taus.tolist(), counts.tolist())
 
 
 @settings(deadline=None)
@@ -192,6 +194,46 @@ def test_span_cut_of_one_pass_equals_pass_over_slice(expanding, runs, data):
     stop = data.draw(st.integers(start + n, len(values)))
     cut = np.diff(crossing_pass(y, n).crossings(start, stop))
     assert cut.tolist() == extract_clusters(y.with_values(values[start:stop]), n).tolist()
+
+
+def _distribution_outcome(result):
+    """taus, counts and probabilities of a distribution, or an error's class and message."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return result.taus.tolist(), result.counts.tolist(), result.probabilities.tolist()
+
+
+# flat runs of integers give exact-zero deviations; floats give generic ones
+levels = st.one_of(st.integers(min_value=-2, max_value=2),
+                   st.floats(min_value=-1, max_value=1, allow_nan=False))
+level_runs = st.lists(st.tuples(levels, st.integers(min_value=1, max_value=6)),
+                      min_size=2, max_size=40)
+
+
+@settings(deadline=None, max_examples=300)
+@given(runs=level_runs, data=st.data())
+def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
+    values = np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+    y = SampledSeries(values, start_time=0, delta=1)
+    length = len(values)
+    n = data.draw(st.integers(2, length), label="n")
+    min_clusters = data.draw(st.integers(1, 8), label="min_clusters")
+    cuts = data.draw(st.lists(st.integers(1, length - 1), max_size=4, unique=True))
+    bounds = [0, *sorted(cuts), length]
+    months = list(zip(bounds[:-1], bounds[1:]))       # disjoint
+    expanding = [(0, stop) for stop in bounds[1:]]    # nested, stops shared with months
+    starts = data.draw(st.lists(st.integers(0, length - 1), max_size=4))
+    overlaps = [(s, data.draw(st.integers(s + 1, length))) for s in starts]
+    spans = data.draw(st.permutations(months + expanding + overlaps), label="spans")
+
+    got = crossing_pass(y, n).distributions(spans, min_clusters)
+    for (start, stop), result in zip(spans, got):
+        try:
+            expected = cluster_distribution(
+                extract_clusters(y.with_values(values[start:stop]), n), n, min_clusters)
+        except EntroportError as exc:
+            expected = exc
+        assert _distribution_outcome(result) == _distribution_outcome(expected)
 
 
 # runs of repeated values, signed zeros, infinities and NaN
