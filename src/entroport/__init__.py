@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DataError, EmptyInputError, EntroportError,
-                     HorizonError, InsufficientClustersError, NoTangencyError,
-                     TickParseError)
+                     HorizonError, InputFileError, InsufficientClustersError,
+                     NoTangencyError, TickParseError)
 from .series import (TICK_DTYPE, HorizonSpec, SampledSeries, align_lengths,
                      parse_ticks, resample, slice_horizon)
 from .returns_vol import (VolatilityWindow, linear_returns, log_returns,

@@ -1,6 +1,7 @@
 """Command line interface: analyze / synth / figures subcommands.
 
-Exit codes: 0 success, 2 invalid config, 3 missing input, 4 insufficient
+Exit codes: 0 success, 2 invalid config or data, or an output path that
+cannot be written, 3 a missing or unreadable input file, 4 insufficient
 cluster statistics for a whole asset.
 """
 
@@ -8,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, EntroportError, InsufficientClustersError
+from .errors import (ConfigError, DataError, EntroportError, InputFileError,
+                     InsufficientClustersError)
 from .pipeline import FIGURE_KEYS, emit_figure_data, run_pipeline
 from .series import NS_PER_S, write_series_csv
 from .synth import GeneratorSpec
@@ -61,27 +64,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     try:
+        config_bytes = args.config.read_bytes()
         cfg = load_config(args.config)
-    except FileNotFoundError:
-        logger.error("config file not found: %s", args.config)
+    except OSError as exc:
+        logger.error("cannot read config %s: %s", args.config, exc.strerror)
         return EXIT_MISSING_INPUT
     except ConfigError as exc:
         logger.error("invalid config: %s", exc)
         return EXIT_CONFIG
-    for asset in cfg.assets:
-        if asset.ticks_path is not None and not asset.ticks_path.exists():
-            logger.error("missing input for asset %r: %s", asset.name, asset.ticks_path)
-            return EXIT_MISSING_INPUT
     try:
-        result = run_pipeline(cfg, config_bytes=args.config.read_bytes())
+        result = run_pipeline(cfg, config_bytes=config_bytes)
     except InsufficientClustersError as exc:
         logger.error("%s", exc)
         return EXIT_INSUFFICIENT
-    except FileNotFoundError as exc:
-        logger.error("missing input: %s", exc)
+    except InputFileError as exc:
+        logger.error("cannot read input: %s", exc)
         return EXIT_MISSING_INPUT
     except EntroportError as exc:
         logger.error("%s", exc)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs are read as InputFileError, so this is a write
+        logger.error("cannot write outputs to %s: %s", cfg.output_dir, exc)
         return EXIT_CONFIG
     logger.info("wrote outputs to %s (%d warnings)", cfg.output_dir,
                 len(result.warnings))
@@ -109,13 +112,22 @@ def _cmd_synth(args) -> int:
         spec = GeneratorSpec(**kwargs)
         start_ns = int(datetime(args.start.year, args.start.month, args.start.day,
                                 tzinfo=timezone.utc).timestamp()) * NS_PER_S
-        series = spec.generate(delta=int(round(args.delta_s * NS_PER_S)),
-                               start_time=start_ns)
+        if not math.isfinite(args.delta_s * NS_PER_S):
+            raise DataError(f"--delta-s {args.delta_s} is not a finite number of nanoseconds")
+        delta = int(round(args.delta_s * NS_PER_S))
+        if not (-2**63 <= start_ns and start_ns + (args.length - 1) * delta < 2**63):
+            raise DataError(f"sample times from --start {args.start} at --delta-s "
+                            f"{args.delta_s} do not fit int64 nanoseconds")
+        series = spec.generate(delta=delta, start_time=start_ns)
     except EntroportError as exc:
         logger.error("%s", exc)
         return EXIT_CONFIG
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_series_csv(series, args.out)
+    try:
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        write_series_csv(series, args.out)
+    except OSError as exc:
+        logger.error("cannot write %s: %s", args.out, exc)
+        return EXIT_CONFIG
     logger.info("wrote %d samples to %s", len(series), args.out)
     return EXIT_OK
 
@@ -126,11 +138,14 @@ def _cmd_figures(args) -> int:
         for key in keys:
             for path in emit_figure_data(args.run_dir, key):
                 logger.info("wrote %s", path)
-    except FileNotFoundError as exc:
-        logger.error("missing input: %s", exc)
+    except InputFileError as exc:
+        logger.error("cannot read input: %s", exc)
         return EXIT_MISSING_INPUT
     except ValueError as exc:
         logger.error("%s", exc)
+        return EXIT_CONFIG
+    except OSError as exc:
+        logger.error("cannot write figure data: %s", exc)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -28,7 +28,10 @@ class ClusterDistribution:
     taus are the observed durations (samples, strictly ascending), counts the
     cluster count per duration and probabilities the normalized counts.
     Counts may be fractional when a model distribution is supplied directly
-    (diagnostics and tests).
+    (diagnostics and tests). This constructor, which cluster_distribution
+    uses, checks all of that; CrossingPass.distributions builds through the
+    unchecked _pass_histogram instead, whose bins meet the checks by
+    construction.
     """
 
     n: int
@@ -56,7 +59,9 @@ class ClusterDistribution:
 class EntropyCurve:
     """Per-duration entropy values S(tau, n) in nats, observed bins only.
 
-    taus are the distribution's, strictly ascending.
+    taus are the distribution's, strictly ascending. This constructor checks
+    the values; entropy_curve skips the check, since -ln p and -p ln p are
+    non-negative for every p in (0, 1].
     """
 
     n: int
@@ -96,8 +101,21 @@ class ClusterModelFit:
     tau_range: tuple[float, float]
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, without __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _window_error(n: int, length: int) -> DataError:
     return DataError(f"window n={n} out of range for series of length {length}")
+
+
+def _too_few_clusters(n_clusters: int, n: int,
+                      min_clusters: int) -> InsufficientClustersError:
+    return InsufficientClustersError(
+        f"{n_clusters} clusters at n={n}, need >= {min_clusters}")
 
 
 def moving_average(y: SampledSeries, n: int) -> SampledSeries:
@@ -161,17 +179,43 @@ class CrossingPass:
             new_end = max(lo, int(np.searchsorted(self.times, stop)) - 1)
             acc += np.bincount(durations[end:new_end], minlength=size)
             end = new_end
-            try:
-                out[i] = _histogram(acc, end - lo, self.n, min_clusters)
-            except InsufficientClustersError as exc:
-                out[i] = exc
+            if end - lo < min_clusters:
+                out[i] = _too_few_clusters(end - lo, self.n, min_clusters)
+            elif end == lo:  # only when min_clusters < 1
+                raise EmptyInputError("distribution needs at least one duration bin")
+            else:
+                out[i] = _pass_histogram(self.n, acc)
         return out
 
 
+def _pass_histogram(n: int, acc: np.ndarray) -> ClusterDistribution:
+    """ClusterDistribution of a nonzero bincount of pass durations, unchecked.
+
+    The durations are diffs of strictly increasing crossing times, so the
+    nonzero bins are strictly ascending taus >= 1 with positive counts:
+    ClusterDistribution's checks hold by construction. Counts and
+    probabilities are formed as its constructor forms them.
+    """
+    taus = np.flatnonzero(acc)
+    counts = acc[taus].astype(float)
+    return _unchecked(ClusterDistribution, n=n, taus=taus, counts=counts,
+                      probabilities=counts / counts.sum())
+
+
 def crossing_pass(y: SampledSeries, n: int) -> CrossingPass:
-    """Where y - moving_average flips sign, and the nonzero deviation before each flip."""
+    """Where y - moving_average flips sign, and the nonzero deviation before each flip.
+
+    When no deviation is zero (or NaN), the previous nonzero deviation is the
+    previous sample, so the flips are read from one boolean d > 0. Otherwise
+    each deviation's sign is compared with the last nonzero one's.
+    """
     ma = moving_average(y, n).values
-    sign = np.sign(y.values[n - 1:] - ma)
+    d = y.values[n - 1:] - ma
+    pos = d > 0
+    if np.count_nonzero(pos) + np.count_nonzero(d < 0) == len(d):
+        flip = np.flatnonzero(pos[1:] != pos[:-1])
+        return CrossingPass(n=n, times=flip + n, previous=flip + (n - 1))
+    sign = np.sign(d)
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
@@ -198,29 +242,21 @@ def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:
     return np.diff(crossing_times(y, n))
 
 
-def _histogram(acc: np.ndarray, n_clusters: int, n: int, min_clusters: int,
-               first_tau: int = 0) -> ClusterDistribution:
-    """Distribution of n_clusters durations whose bincount, from first_tau up, is acc."""
-    if n_clusters < min_clusters:
-        raise InsufficientClustersError(
-            f"{n_clusters} clusters at n={n}, need >= {min_clusters}"
-        )
-    taus = np.flatnonzero(acc)
-    return ClusterDistribution(n=n, taus=taus + first_tau, counts=acc[taus])
-
-
 def cluster_distribution(durations, n: int,
                          min_clusters: int = MIN_CLUSTERS) -> ClusterDistribution:
     """Histogram of integer durations; errors below min_clusters observations.
 
     Durations are sample counts, so the bincount spans at most the series
     length; counting from the shortest lets a duration below 1 reach
-    ClusterDistribution's check.
+    ClusterDistribution's check, which this checking path keeps.
     """
     durations = np.asarray(durations).astype(np.int64)
+    if len(durations) < min_clusters:
+        raise _too_few_clusters(len(durations), n, min_clusters)
     first = int(durations.min()) if len(durations) else 0
-    return _histogram(np.bincount(durations - first), len(durations), n,
-                      min_clusters, first)
+    acc = np.bincount(durations - first)
+    taus = np.flatnonzero(acc)
+    return ClusterDistribution(n=n, taus=taus + first, counts=acc[taus])
 
 
 def entropy_curve(dist: ClusterDistribution,
@@ -239,7 +275,7 @@ def entropy_curve(dist: ClusterDistribution,
         values = -p * np.log(p)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return EntropyCurve(n=dist.n, taus=dist.taus, values=values)
+    return _unchecked(EntropyCurve, n=dist.n, taus=dist.taus, values=values)
 
 
 def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:

@@ -13,6 +13,10 @@ class TickParseError(EntroportError):
         self.line_no = line_no
 
 
+class InputFileError(EntroportError):
+    """An input file is missing or cannot be read (a directory, no permission)."""
+
+
 class EmptyInputError(EntroportError):
     """Input contained no usable records."""
 

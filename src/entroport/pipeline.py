@@ -23,8 +23,8 @@ from .config import AssetInput, PipelineConfig
 from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
                           aggregate_index, crossing_pass, entropy_curve,
                           entropy_index)
-from .errors import (DataError, EntroportError, InsufficientClustersError,
-                     NoTangencyError)
+from .errors import (DataError, EntroportError, InputFileError,
+                     InsufficientClustersError, NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
@@ -66,13 +66,14 @@ class PipelineResult:
 def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
     """Materialize an asset's price series from ticks or a generator spec."""
     if asset.ticks_path is not None:
+        where = f"asset {asset.name!r} ({asset.ticks_path})"
         try:
-            with open(asset.ticks_path, "rb") as fh:
-                ticks = parse_ticks(fh)
-            return resample(ticks, cfg.delta_ns)
+            return resample(parse_ticks(asset.ticks_path.read_bytes()), cfg.delta_ns)
         except EntroportError as exc:  # same class, message names the file
-            exc.args = (f"asset {asset.name!r} ({asset.ticks_path}): {exc}",)
+            exc.args = (f"{where}: {exc}",)
             raise
+        except OSError as exc:
+            raise InputFileError(f"{where}: {exc.strerror}") from None
     start_ns = HorizonSpec(cfg.year_start, 1).start_ns()
     raw = asset.generator.generate(delta=cfg.delta_ns, start_time=start_ns)
     return to_price_series(raw, scale=asset.price_scale)
@@ -300,5 +301,8 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
 
 
 def _read_csv_rows(path: Path) -> list[list[str]]:
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror}") from None
     return [line.split(",") for line in lines[1:] if line]

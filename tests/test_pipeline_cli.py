@@ -42,12 +42,16 @@ def _write_config(tmp_path, overrides=None, name="config.json"):
     return path
 
 
-def _exits_2_naming(cfg_path, caplog, needle):
-    """analyze exits 2 and logs an error naming `needle`, without a traceback."""
-    assert main(["analyze", str(cfg_path)]) == 2
+def _exits_naming(argv, code, caplog, needle):
+    """main(argv) returns `code` and logs an error naming `needle`, without a traceback."""
+    assert main([str(a) for a in argv]) == code
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert any(needle in r.getMessage() for r in errors), errors
     assert all(r.exc_info is None for r in errors)
+
+
+def _exits_2_naming(cfg_path, caplog, needle):
+    _exits_naming(["analyze", cfg_path], 2, caplog, needle)
 
 
 def _read_rows(path):
@@ -87,6 +91,23 @@ class TestAnalyze:
 
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 3
+
+    def test_config_directory_exits_3(self, tmp_path, caplog):
+        _exits_naming(["analyze", tmp_path], 3, caplog, "Is a directory")
+
+    def test_tick_path_directory_exits_3(self, tmp_path, caplog):
+        (tmp_path / "ticks").mkdir()
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [BASE_CONFIG["assets"][0], {"name": "X", "ticks": "ticks"}]})
+        _exits_naming(["analyze", cfg_path], 3, caplog,
+                      f"asset 'X' ({tmp_path / 'ticks'}): Is a directory")
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, caplog):
+        (tmp_path / "out").write_text("not a directory\n")
+        _exits_naming(["analyze", _write_config(tmp_path)], 2, caplog,
+                      f"cannot write outputs to {tmp_path / 'out'}")
+        assert (tmp_path / "out").read_text() == "not a directory\n"
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"horizons": [0]})
@@ -276,6 +297,38 @@ def test_running_histogram_across_dropped_and_short_horizons(tmp_path, caplog):
                m.endswith("cells 2 kept, 1 dropped, 1 too short") for m in passes)
 
 
+def _sticky_tick_file(path, seed, n_ticks=50_000):
+    """One-minute ticks on a cent grid that mostly repeat the last price."""
+    rng = np.random.default_rng(seed)
+    moves = np.where(rng.random(n_ticks) < 0.8, 0, rng.choice([-1, 1], n_ticks))
+    cents = 10_000 + np.cumsum(moves)
+    t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+    path.write_text("timestamp_ns,price\n" + "".join(
+        f"{t0 + i * 60 * 10 ** 9},{c / 100:.2f}\n" for i, c in enumerate(cents.tolist())))
+
+
+def test_exact_zero_deviations_keep_their_bytes(tmp_path):
+    """Repeated tick prices give runs of zero volatility, so y - MA is exactly 0 there."""
+    for seed in (1, 2):
+        _sticky_tick_file(tmp_path / f"t{seed}.csv", seed)
+    cfg = load_config(_write_config(tmp_path, overrides={
+        "assets": [{"name": f"T{seed}", "ticks": f"t{seed}.csv"} for seed in (1, 2)]}))
+    prices = load_asset_prices(cfg.assets[0], cfg)
+    y = rolling_volatility(linear_returns(prices),
+                           VolatilityWindow.from_physical(360, cfg.delta_ns)).values
+    n = min(cfg.n_grid_samples())
+    assert np.any(y[n - 1:] == np.convolve(y, np.full(n, 1.0 / n), mode="valid"))
+    run_pipeline(cfg, config_bytes=b"")
+    out = tmp_path / "out"
+    # digests of the outputs before crossings were read from boolean flips
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("indices_by_n.csv", "entropy_curves.csv")}
+    assert digests == {
+        "indices_by_n.csv": "6418fbbb6959d09a0cb2ce92f6e2bd0ad1ba77de9da5fe261069114f138c2f58",
+        "entropy_curves.csv": "5bedc4c5f01dcd5b09c3a085f85771f9c86c3f68288d7c9da17702ad92c6f671",
+    }
+
+
 def test_curve_rows_equal_per_row_format(tmp_path):
     curve = EntropyCurve(n=5, taus=np.array([1, 2, 7, 10 ** 6]),
                          values=np.array([0.0, -0.0, 0.1 + 0.2, 1e-300]))
@@ -356,6 +409,11 @@ class TestFigures:
     def test_missing_run_dir_exits_3(self, tmp_path):
         assert main(["figures", str(tmp_path / "nope")]) == 3
 
+    def test_unreadable_curves_exit_3(self, tmp_path, caplog):
+        (tmp_path / "entropy_curves.csv").mkdir()
+        _exits_naming(["figures", tmp_path, "--figure", "entropy_curves"], 3, caplog,
+                      f"{tmp_path / 'entropy_curves.csv'}: Is a directory")
+
 
 class TestSynthCommand:
     def test_emits_cache_csv(self, tmp_path):
@@ -372,6 +430,19 @@ class TestSynthCommand:
         rc = main(["synth", "--kind", "fbm", "--length", "1024", "--seed",
                    "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("extra, needle", [
+        (["--delta-s", "nan"], "--delta-s nan is not a finite"),
+        (["--delta-s", "inf"], "--delta-s inf is not a finite"),
+        (["--delta-s", "1e300"], "--delta-s 1e+300 is not a finite"),
+        (["--delta-s", "1e10"], "do not fit int64 nanoseconds"),
+        (["--start", "2300-01-01"], "--start 2300-01-01 at --delta-s 1.0 do not fit"),
+        (["--start", "1600-01-01"], "--start 1600-01-01 at --delta-s 1.0 do not fit"),
+    ])
+    def test_unrepresentable_sample_times_exit_2(self, tmp_path, caplog, extra, needle):
+        _exits_naming(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "16",
+                       "--seed", "5", "--out", tmp_path / "x.csv", *extra], 2, caplog, needle)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_hurst_exits_2(self, tmp_path):
         rc = main(["synth", "--kind", "fbm", "--hurst", "1.5", "--length",

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (SampledSeries, WeightVector, cluster_distribution, entropy_curve,
-                       entropy_index, extract_clusters, parse_ticks, resample,
-                       weight_entropy)
+from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, WeightVector,
+                       cluster_distribution, entropy_curve, entropy_index,
+                       extract_clusters, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _grid_start, _project_simplex, _sharpe
@@ -234,6 +234,71 @@ def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
         except EntroportError as exc:
             expected = exc
         assert _distribution_outcome(result) == _distribution_outcome(expected)
+
+
+def _sign_rule_pass(values, n):
+    """times and previous of crossing_pass by the previous-nonzero sign rule alone."""
+    ma = np.convolve(values, np.full(n, 1.0 / n), mode="valid")
+    sign = np.sign(values[n - 1:] - ma)
+    nonzero = np.flatnonzero(sign)
+    sv = sign[nonzero]
+    flip = np.flatnonzero(sv[1:] != sv[:-1])
+    nonzero += n - 1
+    return nonzero[flip + 1], nonzero[flip]
+
+
+def _float_series(draw):
+    """Gaussian noise: no deviation from the mean is exactly zero."""
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    length = draw(st.integers(2, 300), label="length")
+    return np.random.default_rng(seed).standard_normal(length)
+
+
+def _flat_integer_runs(draw):
+    """Flat runs of small integers: exact-zero deviations wherever a run spans n."""
+    runs = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 8)), min_size=2,
+                         max_size=40), label="runs")
+    return np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+
+
+def _mixed_runs(draw):
+    runs = draw(level_runs, label="level runs")
+    return np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+
+
+@settings(deadline=None, max_examples=300)
+@given(make=st.sampled_from([_float_series, _flat_integer_runs, _mixed_runs]),
+       data=st.data())
+def test_crossing_pass_equals_sign_rule(make, data):
+    values = make(data.draw)
+    n = data.draw(st.integers(2, len(values)), label="n")
+    got = crossing_pass(SampledSeries(values, start_time=0, delta=1), n)
+    times, previous = _sign_rule_pass(values, n)
+    assert got.times.dtype == times.dtype and got.previous.dtype == previous.dtype
+    assert got.times.tobytes() == times.tobytes()
+    assert got.previous.tobytes() == previous.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(make=st.sampled_from([_float_series, _flat_integer_runs, _mixed_runs]),
+       data=st.data())
+def test_pass_histograms_equal_checking_constructor(make, data):
+    values = make(data.draw)
+    n = data.draw(st.integers(2, len(values)), label="n")
+    stops = data.draw(st.lists(st.integers(n, len(values)), min_size=1, max_size=4))
+    cpass = crossing_pass(SampledSeries(values, start_time=0, delta=1), n)
+    for dist in cpass.distributions([(0, stop) for stop in stops], 1):
+        if not isinstance(dist, ClusterDistribution):
+            continue
+        checked = ClusterDistribution(n, dist.taus, dist.counts.astype(np.int64))
+        assert dist.n == n
+        assert dist.taus.dtype == np.int64 and dist.counts.dtype == np.float64
+        for name in ("taus", "counts", "probabilities"):
+            got, want = getattr(dist, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        for estimator in ("surprisal", "shannon_term"):
+            curve = entropy_curve(dist, estimator)
+            EntropyCurve(curve.n, curve.taus, curve.values)  # passes the skipped check
 
 
 # runs of repeated values, signed zeros, infinities and NaN
