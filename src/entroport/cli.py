@@ -1,15 +1,17 @@
 """Command line interface: analyze / synth / figures subcommands.
 
-Exit codes: 0 success, 2 invalid config or data, or an output path that
-cannot be written, 3 a missing or unreadable input file, 4 insufficient
-cluster statistics for a whole asset.
+Each subcommand handler only raises; main maps what it raises to an exit
+code: 0 success, 2 invalid config or data (including a delta that is not a
+finite whole number of nanoseconds >= 1, sample times outside int64
+nanoseconds, or an empty sweep), or an output path that cannot be written,
+3 a missing or unreadable input file, 4 insufficient cluster statistics for
+a whole asset.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -18,8 +20,8 @@ from .config import load_config
 from .errors import (ConfigError, DataError, EntroportError, InputFileError,
                      InsufficientClustersError)
 from .pipeline import FIGURE_KEYS, emit_figure_data, run_pipeline
-from .series import NS_PER_S, write_series_csv
-from .synth import GeneratorSpec
+from .series import NS_PER_S, check_sample_times, seconds_to_ns, write_series_csv
+from .synth import GENERATOR_PARAMS, GeneratorSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,114 +42,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run the full pipeline from a JSON config")
     p_an.add_argument("config", type=Path, help="path to pipeline config JSON")
+    p_an.set_defaults(run=_cmd_analyze)
 
     p_sy = sub.add_parser("synth", help="emit one synthetic series as a cache CSV")
-    p_sy.add_argument("--kind", required=True, choices=["fbm", "arfima", "garch"])
+    p_sy.add_argument("--kind", required=True, choices=list(GENERATOR_PARAMS))
     p_sy.add_argument("--length", required=True, type=int)
     p_sy.add_argument("--seed", required=True, type=int)
-    p_sy.add_argument("--hurst", type=float, help="Hurst exponent (fbm)")
-    p_sy.add_argument("--d", type=float, help="fractional order (arfima)")
-    p_sy.add_argument("--omega", type=float, help="garch omega")
-    p_sy.add_argument("--alpha", type=float, help="garch alpha")
-    p_sy.add_argument("--beta", type=float, help="garch beta")
+    for kind, params in GENERATOR_PARAMS.items():
+        for param in params:
+            p_sy.add_argument(f"--{param}", type=float, help=f"{kind} {param}")
     p_sy.add_argument("--delta-s", type=float, default=1.0,
                       help="sampling interval in seconds (default 1)")
     p_sy.add_argument("--start", type=date.fromisoformat, default=date(2018, 1, 1),
                       help="UTC start date of the series (default 2018-01-01)")
     p_sy.add_argument("--out", required=True, type=Path, help="output CSV path")
+    p_sy.set_defaults(run=_cmd_synth)
 
     p_fig = sub.add_parser("figures", help="reshape a run directory into plot-ready CSVs")
     p_fig.add_argument("run_dir", type=Path)
     p_fig.add_argument("--figure", choices=list(FIGURE_KEYS) + ["all"], default="all")
+    p_fig.set_defaults(run=_cmd_figures)
     return parser
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        config_bytes = args.config.read_bytes()
-        cfg = load_config(args.config)
-    except OSError as exc:
-        logger.error("cannot read config %s: %s", args.config, exc.strerror)
-        return EXIT_MISSING_INPUT
-    except ConfigError as exc:
-        logger.error("invalid config: %s", exc)
-        return EXIT_CONFIG
-    try:
-        result = run_pipeline(cfg, config_bytes=config_bytes)
-    except InsufficientClustersError as exc:
-        logger.error("%s", exc)
-        return EXIT_INSUFFICIENT
-    except InputFileError as exc:
-        logger.error("cannot read input: %s", exc)
-        return EXIT_MISSING_INPUT
-    except EntroportError as exc:
-        logger.error("%s", exc)
-        return EXIT_CONFIG
-    except OSError as exc:  # inputs are read as InputFileError, so this is a write
-        logger.error("cannot write outputs to %s: %s", cfg.output_dir, exc)
-        return EXIT_CONFIG
+def _cmd_analyze(args) -> None:
+    cfg = load_config(args.config)
+    args.out = cfg.output_dir  # named by main if a write fails
+    result = run_pipeline(cfg, config_bytes=args.config.read_bytes())
     logger.info("wrote outputs to %s (%d warnings)", cfg.output_dir,
                 len(result.warnings))
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
-    kwargs = dict(kind=args.kind, length=args.length, seed=args.seed)
-    if args.kind == "fbm":
-        if args.hurst is None:
-            logger.error("--hurst is required for fbm")
-            return EXIT_CONFIG
-        kwargs["hurst"] = args.hurst
-    elif args.kind == "arfima":
-        if args.d is None:
-            logger.error("--d is required for arfima")
-            return EXIT_CONFIG
-        kwargs["d"] = args.d
-    else:
-        if None in (args.omega, args.alpha, args.beta):
-            logger.error("--omega/--alpha/--beta are required for garch")
-            return EXIT_CONFIG
-        kwargs.update(omega=args.omega, alpha=args.alpha, beta=args.beta)
-    try:
-        spec = GeneratorSpec(**kwargs)
-        start_ns = int(datetime(args.start.year, args.start.month, args.start.day,
-                                tzinfo=timezone.utc).timestamp()) * NS_PER_S
-        if not math.isfinite(args.delta_s * NS_PER_S):
-            raise DataError(f"--delta-s {args.delta_s} is not a finite number of nanoseconds")
-        delta = int(round(args.delta_s * NS_PER_S))
-        if not (-2**63 <= start_ns and start_ns + (args.length - 1) * delta < 2**63):
-            raise DataError(f"sample times from --start {args.start} at --delta-s "
-                            f"{args.delta_s} do not fit int64 nanoseconds")
-        series = spec.generate(delta=delta, start_time=start_ns)
-    except EntroportError as exc:
-        logger.error("%s", exc)
-        return EXIT_CONFIG
-    try:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        write_series_csv(series, args.out)
-    except OSError as exc:
-        logger.error("cannot write %s: %s", args.out, exc)
-        return EXIT_CONFIG
+def _cmd_synth(args) -> None:
+    params = {p: getattr(args, p) for p in GENERATOR_PARAMS[args.kind]}
+    if None in params.values():
+        raise DataError(f"{'/'.join('--' + p for p in params)} "
+                        f"{'is' if len(params) == 1 else 'are'} required for {args.kind}")
+    spec = GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed, **params)
+    start_ns = int(datetime(args.start.year, args.start.month, args.start.day,
+                            tzinfo=timezone.utc).timestamp()) * NS_PER_S
+    delta = seconds_to_ns(args.delta_s, "--delta-s")
+    check_sample_times(start_ns, delta, args.length,
+                       f"--start {args.start} at --delta-s {args.delta_s}")
+    series = spec.generate(delta=delta, start_time=start_ns)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_series_csv(series, args.out)
     logger.info("wrote %d samples to %s", len(series), args.out)
-    return EXIT_OK
 
 
-def _cmd_figures(args) -> int:
-    keys = FIGURE_KEYS if args.figure == "all" else (args.figure,)
-    try:
-        for key in keys:
-            for path in emit_figure_data(args.run_dir, key):
-                logger.info("wrote %s", path)
-    except InputFileError as exc:
-        logger.error("cannot read input: %s", exc)
-        return EXIT_MISSING_INPUT
-    except ValueError as exc:
-        logger.error("%s", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
-        logger.error("cannot write figure data: %s", exc)
-        return EXIT_CONFIG
-    return EXIT_OK
+def _cmd_figures(args) -> None:
+    args.out = args.run_dir / "figures"  # named by main if a write fails
+    for key in FIGURE_KEYS if args.figure == "all" else (args.figure,):
+        for path in emit_figure_data(args.run_dir, key):
+            logger.info("wrote %s", path)
 
 
 def main(argv=None) -> int:
@@ -156,11 +103,24 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "synth":
-        return _cmd_synth(args)
-    return _cmd_figures(args)
+    try:
+        args.run(args)
+    except InsufficientClustersError as exc:
+        logger.error("%s", exc)
+        return EXIT_INSUFFICIENT
+    except InputFileError as exc:
+        logger.error("cannot read input: %s", exc)
+        return EXIT_MISSING_INPUT
+    except ConfigError as exc:
+        logger.error("invalid config: %s", exc)
+        return EXIT_CONFIG
+    except (EntroportError, ValueError) as exc:  # figures: ValueError for a malformed run
+        logger.error("%s", exc)
+        return EXIT_CONFIG
+    except OSError as exc:  # inputs are read as InputFileError, so this is a write
+        logger.error("cannot write outputs to %s: %s", args.out, exc)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

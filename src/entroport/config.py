@@ -8,29 +8,20 @@ than rounded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
-from .errors import ConfigError
-from .series import NS_PER_S
-from .synth import GeneratorSpec
+from .dma_cluster import MIN_CLUSTERS
+from .errors import ConfigError, InputFileError
+from .returns_vol import VolatilityWindow
+from .series import NS_PER_S, HorizonSpec, check_sample_times, seconds_to_ns
+from .synth import GENERATOR_PARAMS, GeneratorSpec
 
-DEFAULT_N_GRID_S = {"min": 25, "max": 200, "step": 25}
-DEFAULT_VOLATILITY_WINDOWS_S = [180, 360, 720]
-DEFAULT_HORIZONS = list(range(1, 13))
-
-# every key a config file may use; any other key is rejected
-_TOP_LEVEL_KEYS = {"assets", "delta_s", "year_start", "n_grid_s", "volatility_windows_s",
-                   "horizons", "entropy_estimator", "entropy_source", "threshold_m",
-                   "aggregation", "min_clusters", "horizon_mode", "return_kind",
-                   "output_dir"}
 _ASSET_KEYS = {"name", "ticks", "synth"}
 _N_GRID_KEYS = {"min", "max", "step"}
+#: a synth spec may also give its kind's GENERATOR_PARAMS
 _SYNTH_KEYS = {"kind", "length", "seed", "price_scale"}
-#: generator kind -> its float parameters, which a synth spec adds to _SYNTH_KEYS
-_GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",),
-                     "garch": ("omega", "alpha", "beta")}
 
 
 @dataclass(frozen=True)
@@ -53,34 +44,29 @@ class PipelineConfig:
     assets: tuple[AssetInput, ...]
     delta_s: float
     year_start: date
-    n_grid_s: tuple[int, ...]
-    volatility_windows_s: tuple[int, ...]
-    horizons: tuple[int, ...]
+    n_grid_s: tuple[int, ...] = tuple(range(25, 201, 25))
+    volatility_windows_s: tuple[int, ...] = (180, 360, 720)
+    horizons: tuple[int, ...] = tuple(range(1, 13))
     entropy_estimator: str = "surprisal"
     entropy_source: str = "volatility"
     threshold_m: str | int = "n"
     aggregation: str = "sum"
-    min_clusters: int = 50
+    min_clusters: int = MIN_CLUSTERS
     horizon_mode: str = "expanding"
     return_kind: str = "simple"
     output_dir: Path = field(default_factory=lambda: Path("out"))
 
     @property
     def delta_ns(self) -> int:
-        return int(round(self.delta_s * NS_PER_S))
+        return seconds_to_ns(self.delta_s, "delta_s")
 
     def n_grid_samples(self) -> tuple[int, ...]:
-        return tuple(self._to_samples(n, "n grid value") for n in self.n_grid_s)
-
-    def window_samples(self, t_s: int) -> int:
-        return self._to_samples(t_s, "volatility window")
-
-    def _to_samples(self, seconds: float, what: str) -> int:
-        span = seconds * NS_PER_S
-        if span % self.delta_ns != 0:
-            raise ConfigError(f"{what} {seconds}s is not a multiple of delta "
-                              f"{self.delta_s}s")
-        return int(span // self.delta_ns)
+        delta_ns = self.delta_ns
+        for n in self.n_grid_s:
+            if n * NS_PER_S % delta_ns != 0:
+                raise ConfigError(f"n grid value {n}s is not a multiple of delta "
+                                  f"{self.delta_s}s")
+        return tuple(int(n * NS_PER_S // delta_ns) for n in self.n_grid_s)
 
     def validate(self) -> None:
         if len(self.assets) < 1:
@@ -88,22 +74,31 @@ class PipelineConfig:
         names = [a.name for a in self.assets]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate asset names in {names}")
-        if self.delta_s <= 0:
-            raise ConfigError("delta_s must be positive")
+        for key in ("n_grid_s", "volatility_windows_s", "horizons"):
+            values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"{key}: no values to sweep")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key}: duplicate entries in {list(values)}")
+        if any(not 1 <= m <= 12 for m in self.horizons):
+            raise ConfigError(f"horizons must lie in [1, 12], got {self.horizons}")
+        delta_ns = self.delta_ns
+        start_ns = HorizonSpec(self.year_start, 1).start_ns()
+        grid = f"year_start {self.year_start} at delta_s {self.delta_s}"
+        # the first step before the end boundary, which for a year_start past
+        # int64 may lie beyond datetime's year 9999
+        check_sample_times(start_ns, delta_ns, 2, grid)
+        end_ns = HorizonSpec(self.year_start, max(self.horizons)).end_ns()
+        check_sample_times(start_ns, end_ns - start_ns, 2, grid)
+        for a in self.assets:
+            if a.generator is not None:
+                check_sample_times(start_ns, delta_ns, a.generator.length,
+                                   f"{grid} for {a.generator.length} samples of {a.name!r}")
         n_samples = self.n_grid_samples()
         if any(n < 2 for n in n_samples):
             raise ConfigError(f"n grid in samples must be >= 2, got {n_samples}")
-        for key in ("horizons", "volatility_windows_s"):
-            values = getattr(self, key)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{key}: duplicate entries in {list(values)}")
         for t in self.volatility_windows_s:
-            if self.window_samples(t) < 2:
-                raise ConfigError(f"volatility window {t}s spans < 2 samples")
-        if not self.horizons:
-            raise ConfigError("at least one horizon is required")
-        if any(not 1 <= m <= 12 for m in self.horizons):
-            raise ConfigError(f"horizons must lie in [1, 12], got {self.horizons}")
+            VolatilityWindow.from_physical(t, delta_ns)
         if self.entropy_estimator not in ("surprisal", "shannon_term"):
             raise ConfigError(f"unknown entropy_estimator {self.entropy_estimator!r}")
         if self.entropy_source not in ("volatility", "return"):
@@ -115,7 +110,7 @@ class PipelineConfig:
         if self.return_kind not in ("simple", "log"):
             raise ConfigError(f"unknown return_kind {self.return_kind!r}")
         if not (self.threshold_m == "n"
-                or (isinstance(self.threshold_m, int) and self.threshold_m >= 1)):
+                or (type(self.threshold_m) is int and self.threshold_m >= 1)):
             raise ConfigError(f"threshold_m must be 'n' or a positive integer, "
                               f"got {self.threshold_m!r}")
         if self.min_clusters < 1:
@@ -131,19 +126,48 @@ def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _parse_generator(name: str, spec: dict) -> GeneratorSpec:
+def _synth_fields(name: str, spec: dict) -> dict:
+    """AssetInput fields of a synth spec: its generator, and price_scale if given."""
     try:
         kind = spec["kind"]
         length = int(spec["length"])
         seed = int(spec["seed"])
     except KeyError as exc:
         raise ConfigError(f"asset {name!r}: synth spec missing {exc}") from None
-    params = _GENERATOR_PARAMS.get(kind)
+    params = GENERATOR_PARAMS.get(kind)
     if params is None:
         raise ConfigError(f"asset {name!r}: unknown generator kind {kind!r}")
     _check_keys(spec, _SYNTH_KEYS.union(params), f"asset {name!r} synth")
-    return GeneratorSpec(kind=kind, length=length, seed=seed,
-                         **{p: float(spec[p]) for p in params})
+    out = {"generator": GeneratorSpec(kind=kind, length=length, seed=seed,
+                                      **{p: float(spec[p]) for p in params})}
+    if "price_scale" in spec:
+        out["price_scale"] = float(spec["price_scale"])
+    return out
+
+
+def _parse_asset(entry: dict, base: Path) -> AssetInput:
+    name = entry["name"]
+    _check_keys(entry, _ASSET_KEYS, f"asset {name!r}")
+    ticks, synth = entry.get("ticks"), entry.get("synth")
+    # AssetInput rejects an entry with both or neither
+    return AssetInput(name=name, ticks_path=None if ticks is None else base / ticks,
+                      **({} if synth is None else _synth_fields(name, synth)))
+
+
+def _n_grid(grid: dict) -> tuple[int, ...]:
+    _check_keys(grid, _N_GRID_KEYS, "n_grid_s")
+    return tuple(range(int(grid["min"]), int(grid["max"]) + 1, int(grid["step"])))
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+#: config key -> parser of its JSON value; other keys are taken as given, and
+#: a key left out takes its PipelineConfig default
+_PARSERS = {"delta_s": float, "year_start": date.fromisoformat, "n_grid_s": _n_grid,
+            "volatility_windows_s": _int_tuple, "horizons": _int_tuple,
+            "min_clusters": int, "output_dir": Path}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -151,6 +175,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputFileError(f"config {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(raw, base_dir=path.parent)
@@ -159,40 +185,13 @@ def load_config(path: str | Path) -> PipelineConfig:
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL_KEYS, "top level")
+    _check_keys(raw, {f.name for f in fields(PipelineConfig)}, "top level")
     base = base_dir or Path(".")
     try:
-        assets = []
-        for entry in raw["assets"]:
-            name = entry["name"]
-            _check_keys(entry, _ASSET_KEYS, f"asset {name!r}")
-            ticks, synth = entry.get("ticks"), entry.get("synth")
-            # AssetInput rejects an entry with both or neither
-            assets.append(AssetInput(
-                name=name,
-                ticks_path=None if ticks is None else base / ticks,
-                generator=None if synth is None else _parse_generator(name, synth),
-                price_scale=float((synth or {}).get("price_scale", 0.001))))
-        grid = raw.get("n_grid_s", DEFAULT_N_GRID_S)
-        _check_keys(grid, _N_GRID_KEYS, "n_grid_s")
-        n_grid = tuple(range(int(grid["min"]), int(grid["max"]) + 1, int(grid["step"])))
-        cfg = PipelineConfig(
-            assets=tuple(assets),
-            delta_s=float(raw["delta_s"]),
-            year_start=date.fromisoformat(raw["year_start"]),
-            n_grid_s=n_grid,
-            volatility_windows_s=tuple(int(t) for t in raw.get(
-                "volatility_windows_s", DEFAULT_VOLATILITY_WINDOWS_S)),
-            horizons=tuple(int(m) for m in raw.get("horizons", DEFAULT_HORIZONS)),
-            entropy_estimator=raw.get("entropy_estimator", "surprisal"),
-            entropy_source=raw.get("entropy_source", "volatility"),
-            threshold_m=raw.get("threshold_m", "n"),
-            aggregation=raw.get("aggregation", "sum"),
-            min_clusters=int(raw.get("min_clusters", 50)),
-            horizon_mode=raw.get("horizon_mode", "expanding"),
-            return_kind=raw.get("return_kind", "simple"),
-            output_dir=Path(raw.get("output_dir", "out")),
-        )
+        assets = tuple(_parse_asset(entry, base) for entry in raw["assets"])
+        cfg = PipelineConfig(assets=assets, **{
+            key: _PARSERS.get(key, lambda v: v)(value)
+            for key, value in raw.items() if key != "assets"})
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -206,16 +206,11 @@ def max_sharpe_weights(moments: MomentEstimates,
         f = _sharpe(w, mu, sigma)
         if f > best_f:
             best, best_f = w, f
-
-    # guaranteed no worse than every vertex and the uniform portfolio
-    refs = [np.eye(n)[i] for i in range(n)] + [np.full(n, 1.0 / n)]
-    for r in refs:
-        if _sharpe(r, mu, sigma) > best_f:
-            best, best_f = r, _sharpe(r, mu, sigma)
-
-    best = np.maximum(best, 0.0)
-    best = best / best.sum()
-    return WeightVector(best, labels)
+    # _ascend takes strict gains only, so best is no worse than the uniform and
+    # best-vertex starts, and like every start and projection it is >= +0.0
+    if best is None:
+        raise NoTangencyError("no start portfolio has positive variance")
+    return WeightVector(best / best.sum(), labels)
 
 
 # --- entropy-based weights and diagnostics -----------------------------------

@@ -96,6 +96,22 @@ class HorizonSpec:
         return _month_boundary_ns(self.year_start, 0)
 
 
+def seconds_to_ns(seconds: float, what: str) -> int:
+    """`seconds` rounded to whole nanoseconds; DataError naming `what` unless finite and >= 1 ns."""
+    ns = seconds * NS_PER_S
+    if not math.isfinite(ns):
+        raise DataError(f"{what} {seconds} is not a finite number of nanoseconds")
+    if round(ns) < 1:
+        raise DataError(f"{what} {seconds} is below one nanosecond")
+    return round(ns)
+
+
+def check_sample_times(start_ns: int, delta_ns: int, length: int, what: str) -> None:
+    """DataError naming `what` unless start_ns + k * delta_ns fits int64 for every k < length."""
+    if not (-2**63 <= start_ns and start_ns + (length - 1) * delta_ns < 2**63):
+        raise DataError(f"sample times from {what} do not fit int64 nanoseconds")
+
+
 def _month_boundary_ns(year_start: date, months_ahead: int) -> int:
     month0 = year_start.year * 12 + (year_start.month - 1) + months_ahead
     dt = datetime(month0 // 12, month0 % 12 + 1, 1, tzinfo=timezone.utc)

@@ -20,6 +20,9 @@ from .series import SampledSeries
 #: to Monte Carlo noise at the series lengths used here.
 ARFIMA_TRUNCATION = 10_000
 
+#: generator kind -> its float GeneratorSpec fields, which are also its config keys and CLI flags
+GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",), "garch": ("omega", "alpha", "beta")}
+
 _STREAM_IDS = {"fbm": 1, "arfima": 2, "garch": 3}
 
 

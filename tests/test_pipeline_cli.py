@@ -438,6 +438,7 @@ class TestSynthCommand:
         (["--delta-s", "1e10"], "do not fit int64 nanoseconds"),
         (["--start", "2300-01-01"], "--start 2300-01-01 at --delta-s 1.0 do not fit"),
         (["--start", "1600-01-01"], "--start 1600-01-01 at --delta-s 1.0 do not fit"),
+        (["--delta-s", "1e-12"], "--delta-s 1e-12 is below one nanosecond"),
     ])
     def test_unrepresentable_sample_times_exit_2(self, tmp_path, caplog, extra, needle):
         _exits_naming(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "16",
@@ -489,6 +490,21 @@ class TestConfigValidation:
     def test_duplicate_entries_exit_2(self, tmp_path, caplog, key, values):
         cfg_path = _write_config(tmp_path, overrides={key: values})
         _exits_2_naming(cfg_path, caplog, f"{key}: duplicate entries")
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta_s", float("nan")), ("delta_s", float("inf")), ("delta_s", 1e300),
+        ("delta_s", 1e-12), ("year_start", "1600-01-01"), ("year_start", "2300-01-01"),
+        ("year_start", "9999-12-01")])
+    def test_time_grid_outside_int64_nanoseconds_exits_2(self, tmp_path, caplog, key, value):
+        _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("volatility_windows_s", []), ("horizons", []),
+        ("n_grid_s", {"min": 480, "max": 120, "step": 120}), ("threshold_m", True)])
+    def test_empty_sweep_or_boolean_threshold_exits_2(self, tmp_path, caplog, key, value):
+        _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, key)
+        assert not (tmp_path / "out").exists()
 
     def test_threshold_m_accepts_integer(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"threshold_m": 7})

@@ -96,6 +96,11 @@ class TestMaxSharpe:
         with pytest.raises(NoTangencyError):
             max_sharpe_weights(MomentEstimates([-0.1, -0.2], np.eye(2)))
 
+    def test_zero_covariance_raises(self):
+        # no start has positive variance, so no start has a finite Sharpe ratio
+        with pytest.raises(NoTangencyError, match="positive variance"):
+            max_sharpe_weights(MomentEstimates([1.0, 0.5], np.zeros((2, 2))))
+
     def test_singular_sigma_gets_ridge(self):
         # duplicated asset: rank-1 covariance
         sigma = np.array([[0.04, 0.04], [0.04, 0.04]])
