@@ -2,7 +2,9 @@
 
 All physical quantities in the config file are in seconds and must divide
 evenly by the sampling interval; non-divisible values are rejected rather
-than rounded.
+than rounded. Integer fields take JSON integers (or floats with no
+fractional part); a boolean, a fractional number or a string is rejected
+naming the key.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 from .dma_cluster import MIN_CLUSTERS
@@ -130,8 +133,8 @@ def _synth_fields(name: str, spec: dict) -> dict:
     """AssetInput fields of a synth spec: its generator, and price_scale if given."""
     try:
         kind = spec["kind"]
-        length = int(spec["length"])
-        seed = int(spec["seed"])
+        length = _int(spec["length"], f"asset {name!r} synth length")
+        seed = _int(spec["seed"], f"asset {name!r} synth seed")
     except KeyError as exc:
         raise ConfigError(f"asset {name!r}: synth spec missing {exc}") from None
     params = GENERATOR_PARAMS.get(kind)
@@ -154,20 +157,31 @@ def _parse_asset(entry: dict, base: Path) -> AssetInput:
                       **({} if synth is None else _synth_fields(name, synth)))
 
 
+def _int(value, key: str) -> int:
+    """A JSON integer, or a float with no fractional part, as an int; else a ConfigError."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+
+
 def _n_grid(grid: dict) -> tuple[int, ...]:
     _check_keys(grid, _N_GRID_KEYS, "n_grid_s")
-    return tuple(range(int(grid["min"]), int(grid["max"]) + 1, int(grid["step"])))
+    lo, hi, step = (_int(grid[k], f"n_grid_s.{k}") for k in ("min", "max", "step"))
+    if step < 1:
+        raise ConfigError(f"n_grid_s.step: must be >= 1, got {step}")
+    return tuple(range(lo, hi + 1, step))
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _int_tuple(values, key: str) -> tuple[int, ...]:
+    return tuple(_int(v, key) for v in values)
 
 
 #: config key -> parser of its JSON value; other keys are taken as given, and
 #: a key left out takes its PipelineConfig default
 _PARSERS = {"delta_s": float, "year_start": date.fromisoformat, "n_grid_s": _n_grid,
-            "volatility_windows_s": _int_tuple, "horizons": _int_tuple,
-            "min_clusters": int, "output_dir": Path}
+            "volatility_windows_s": partial(_int_tuple, key="volatility_windows_s"),
+            "horizons": partial(_int_tuple, key="horizons"),
+            "min_clusters": partial(_int, key="min_clusters"), "output_dir": Path}
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -138,6 +138,12 @@ class CrossingPass:
     n: int
     times: np.ndarray
     previous: np.ndarray
+    #: outputs whose sign the prefix sums tested (0: the filter was skipped)
+    tested: int
+    #: of those, outputs left in doubt
+    in_doubt: int
+    #: whether the pass called the full convolve
+    full_convolve: bool
 
     def crossings(self, start: int, stop: int) -> np.ndarray:
         """crossing_times(y[start:stop], n), as positions in that span.
@@ -202,25 +208,153 @@ def _pass_histogram(n: int, acc: np.ndarray) -> ClusterDistribution:
                       probabilities=counts / counts.sum())
 
 
-def crossing_pass(y: SampledSeries, n: int) -> CrossingPass:
+#: unit roundoff of float64 arithmetic (round to nearest)
+_U = 2.0 ** -53
+#: covers the O(u) roundings in forming the bound itself
+_SLACK = 1 + 2.0 ** -40
+#: a pass with more than 1 sign in doubt per this many outputs calls the full
+#: convolve instead: each run in doubt costs one np.convolve call (a few us),
+#: the full convolve 2-25 ns per output (numpy 2.4, 2-vCPU x86-64)
+_DOUBT_LIMIT = 1024
+#: outputs a series' first pass tests before it builds the whole-series tables
+_PROBE = 4096
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
+    return k * _U / (1 - k * _U)
+
+
+def _tables(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Prefix sums of v, of |v| (None when v >= 0: the same) and the error table.
+
+    error_table[k] is u times max|prefix[:k+1]| plus gamma_{len+3} times the
+    |v| prefix sum (its own rounding), plus 2**-1021 for underflow.
+    """
+    prefix = np.empty(len(v) + 1)
+    prefix[0] = 0.0
+    gamma = _gamma(len(v) + 3)
+    with np.errstate(over="ignore"):  # an inf entry leaves its windows in doubt
+        np.cumsum(v, out=prefix[1:])
+        if v.min() >= 0:  # prefix is nondecreasing: its own |.| sums and maximum
+            abs_prefix = None
+            table = prefix * ((1 + gamma) * _U * _SLACK)
+        else:
+            abs_prefix = np.empty(len(v) + 1)
+            abs_prefix[0] = 0.0
+            np.cumsum(np.abs(v), out=abs_prefix[1:])
+            table = np.maximum.accumulate(np.abs(prefix))
+            table += gamma * abs_prefix
+            table *= _U * _SLACK
+    table += 2.0 ** -1021
+    return prefix, abs_prefix, table
+
+
+def _certify(tables: tuple, v: np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
+    """Fill d with v[n-1:] - MA_n from the tables of v; True where its sign is certified."""
+    prefix, abs_prefix, error_table = tables
+    c = 1.0 / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = prefix[n:] - prefix[:-n]
+        np.multiply(bound, c, out=d)
+        np.subtract(v[n - 1:], d, out=d)
+        if abs_prefix is not None:
+            bound = abs_prefix[n:] - abs_prefix[:-n]
+        bound *= c * (_gamma(n) + 2 * _U) * _SLACK
+        bound += error_table[n:]
+        return np.abs(d) > bound  # False for NaN: those take the exact path
+
+
+class PrefixTables:
+    """Prefix sums of one series, shared by its crossing passes at every n.
+
+    deviations(n) forms d~ = y[n-1:] - (P[n:] - P[:-n]) * c from the prefix
+    sums P (c = fl(1/n)) and certifies sign(d~) = sign(d), d the deviation
+    under moving_average, wherever |d~| exceeds a bound on |d~ - d|: the
+    filter-then-exact pattern of robust predicates (Shewchuk 1997). For the
+    window y[i:i+n] the bound is error_table[i+n] + kappa_n X_i, X_i the
+    window's sum of |y| (from P itself when y >= 0, as every volatility
+    series is). np.cumsum adds in order, each step rounding by at most
+    u |P[k]|, so a window sum is off by at most u n max|P[:i+n+1]|, which
+    error_table covers (c n <= 1 + u). kappa_n X_i covers np.convolve's
+    length-n dot product, off by at most gamma_n c X_i in any summation
+    order, with or without FMA (Higham 2002, section 3.1), and the filter's
+    own roundings. Because fl(a - b) has the sign of a - b, a certified sign
+    is exact. Outputs in doubt, NaN and inf included, are recomputed with
+    np.convolve over their runs. Past 1 in _DOUBT_LIMIT of them the pass
+    calls the full convolve and marks the series tie_heavy (repeated prices
+    give exact-zero deviations), so that its later passes skip the filter;
+    the first pass tests its first _PROBE outputs alone, so a tie-heavy
+    series is found before its whole-series tables are built.
+    """
+
+    def __init__(self, y: SampledSeries):
+        self.series = y
+        self.tie_heavy = False
+        self.tables = None  # built by the first pass the probe does not settle
+
+    def deviations(self, n: int) -> tuple[np.ndarray, int, int, bool]:
+        """y[n-1:] - MA_n, each sign as under moving_average(y, n).
+
+        Also returns how many outputs the prefix sums tested and left in
+        doubt, and whether the full convolve was called. Only the signs are
+        exact: a certified value is the filter's.
+        """
+        v = self.series.values
+        if not 2 <= n <= len(v):
+            raise _window_error(n, len(v))
+        d = np.empty(len(v) - n + 1)
+        tested = doubt = 0
+        if not self.tie_heavy and self.tables is None:
+            probe = v[:_PROBE + n - 1]
+            tested = len(probe) - n + 1
+            doubt = tested - np.count_nonzero(_certify(_tables(probe), probe, n, d[:tested]))
+            self.tie_heavy = doubt * _DOUBT_LIMIT > len(d)
+            if not self.tie_heavy:
+                self.tables = _tables(v)
+        if not self.tie_heavy:
+            certain = _certify(self.tables, v, n, d)
+            tested, doubt = len(d), len(d) - np.count_nonzero(certain)
+            self.tie_heavy = doubt * _DOUBT_LIMIT > len(d)
+        if self.tie_heavy:
+            return v[n - 1:] - moving_average(self.series, n).values, tested, doubt, True
+        if doubt:
+            kernel = np.full(n, 1.0 / n)
+            idx = np.flatnonzero(~certain)
+            cuts = np.flatnonzero(np.diff(idx) != 1) + 1
+            for lo, hi in zip(idx[np.r_[0, cuts]].tolist(),
+                              (idx[np.r_[cuts - 1, -1]] + 1).tolist()):
+                d[lo:hi] = v[lo + n - 1:hi + n - 1] - np.convolve(
+                    v[lo:hi + n - 1], kernel, mode="valid")
+        return d, tested, doubt, False
+
+
+def crossing_pass(y: SampledSeries, n: int,
+                  tables: PrefixTables | None = None) -> CrossingPass:
     """Where y - moving_average flips sign, and the nonzero deviation before each flip.
 
-    When no deviation is zero (or NaN), the previous nonzero deviation is the
-    previous sample, so the flips are read from one boolean d > 0. Otherwise
+    Only the deviations' signs are computed, each equal to its sign under
+    moving_average: from the prefix sums of y (tables, PrefixTables(y) when
+    not given) wherever a rigorous bound on their rounding certifies it; with
+    np.convolve over each run of outputs left in doubt, exact zeros among
+    them; and with the full np.convolve on a series with more than 1 output
+    in 1024 in doubt (see PrefixTables). When no deviation is zero (or NaN),
+    the previous nonzero deviation is the previous sample, so the flips are
+    read from one boolean d > 0; every certified sign is nonzero. Otherwise
     each deviation's sign is compared with the last nonzero one's.
     """
-    ma = moving_average(y, n).values
-    d = y.values[n - 1:] - ma
+    d, tested, doubt, convolved = (PrefixTables(y) if tables is None else tables).deviations(n)
+    stats = dict(tested=tested, in_doubt=doubt, full_convolve=convolved)
     pos = d > 0
-    if np.count_nonzero(pos) + np.count_nonzero(d < 0) == len(d):
+    if not (doubt or convolved) or np.count_nonzero(pos) + np.count_nonzero(d < 0) == len(d):
         flip = np.flatnonzero(pos[1:] != pos[:-1])
-        return CrossingPass(n=n, times=flip + n, previous=flip + (n - 1))
+        return CrossingPass(n=n, times=flip + n, previous=flip + (n - 1), **stats)
     sign = np.sign(d)
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
     nonzero += n - 1  # positions in y
-    return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip])
+    return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip], **stats)
 
 
 def crossing_times(y: SampledSeries, n: int) -> np.ndarray:

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import AssetInput, PipelineConfig
-from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
-                          aggregate_index, crossing_pass, entropy_curve,
-                          entropy_index)
+from .dma_cluster import (ClusterDistribution, CrossingPass, EntropyCurve,
+                          EntropyIndex, PrefixTables, aggregate_index,
+                          crossing_pass, entropy_curve, entropy_index)
 from .errors import (DataError, EntroportError, InputFileError,
                      InsufficientClustersError, NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
@@ -80,15 +80,16 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
 
 
 def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeries,
-           n: int, cfg: PipelineConfig) -> None:
+           tables: PrefixTables, n: int, cfg: PipelineConfig) -> None:
     """Entropy curve and index at one n for each cell, or a warning why not.
 
-    One crossing pass over the whole source serves every cell's span and
-    histograms each of its durations once; it dies with this call, so one n's
-    pass is alive at a time (two cost peak RSS).
+    One crossing pass over the whole source (its signs certified from the
+    source's prefix tables) serves every cell's span and histograms each of
+    its durations once; it dies with this call, so one n's pass is alive at a
+    time (two cost peak RSS).
     """
     if n <= len(source):
-        cpass = crossing_pass(source, n)
+        cpass = crossing_pass(source, n, tables)
         dists = cpass.distributions([(spans[c.horizon].start, spans[c.horizon].stop)
                                      for c in cells], cfg.min_clusters)
     else:  # every span is too short
@@ -106,10 +107,21 @@ def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeri
     if logger.isEnabledFor(logging.DEBUG):
         dropped = sum(isinstance(d, InsufficientClustersError) for d in dists)
         kept = sum(isinstance(d, ClusterDistribution) for d in dists)
-        logger.debug("%s T=%ds n=%d: %d crossings; cells %d kept, %d dropped, "
+        logger.debug("%s T=%ds n=%d: %s; %d crossings; cells %d kept, %d dropped, "
                      "%d too short", cells[0].asset, cells[0].window_s, n,
+                     _sign_note(cpass),
                      0 if cpass is None else len(cpass.times), kept, dropped,
                      len(dists) - kept - dropped)
+
+
+def _sign_note(cpass: CrossingPass | None) -> str:
+    """How a pass settled its signs, for the debug line."""
+    if cpass is None:
+        return "no pass"
+    if not cpass.tested:
+        return "full convolve (tie-heavy source)"
+    note = f"{cpass.in_doubt} of {cpass.tested} signs in doubt"
+    return note + ", full convolve" if cpass.full_convolve else note
 
 
 def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
@@ -128,8 +140,9 @@ def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
     source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, window)
     spans = {m: slice(rng.start, rng.stop - cut) for m, rng in ranges.items()}
     cells = [CellResult(asset=name, horizon=m, window_s=t_s) for m in spans]
+    tables = PrefixTables(source)  # shared by the passes of every n
     for n in cfg.n_grid_samples():
-        _add_n(cells, spans, source, n, cfg)
+        _add_n(cells, spans, source, tables, n, cfg)
     for cell in cells:
         if not cell.indices:
             raise InsufficientClustersError(
@@ -274,12 +287,12 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
 
     if figure == "entropy_curves":
         src = run_dir / "entropy_curves.csv"
-        rows = _read_csv_rows(src)
+        rows = _read_csv_rows(src, ints=(1, 2, 3, 4))
         if not rows:
             raise ValueError(f"{src}: no entropy curves to export")
         groups: dict[tuple[str, int, int], list] = {}
         for asset, m, t_s, n, tau, s in rows:
-            groups.setdefault((asset, int(m), int(t_s)), []).append((int(n), int(tau), s))
+            groups.setdefault((asset, m, t_s), []).append((n, tau, s))
         fig_dir.mkdir(parents=True, exist_ok=True)
         for (asset, m, t_s) in sorted(groups):
             path = fig_dir / f"fig_entropy_{asset}_M{m:02d}_T{t_s}.csv"
@@ -288,21 +301,40 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
             written.append(path)
     else:
         src = run_dir / "weights.csv"
-        rows = _read_csv_rows(src)
+        rows = _read_csv_rows(src, ints=(1, 2))
         if not rows:
             raise ValueError(f"{src}: no weights to export")
         fig_dir.mkdir(parents=True, exist_ok=True)
         path = fig_dir / "fig_weights_vs_horizon.csv"
         _write_csv(path, "method,T_s,M,asset,weight", (
             f"{method},{t_s},{m},{asset},{w}\n" for method, m, t_s, asset, w
-            in sorted(rows, key=lambda r: (r[0], int(r[2]), int(r[1]), r[3]))))
+            in sorted(rows, key=lambda r: (r[0], r[2], r[1], r[3]))))
         written.append(path)
     return written
 
 
-def _read_csv_rows(path: Path) -> list[list[str]]:
+def _read_csv_rows(path: Path, ints: tuple[int, ...]) -> list[list]:
+    """The data rows of a run CSV, with the fields at ints parsed as integers.
+
+    A row with another field count than the header's, or an integer field
+    that does not parse, is a ValueError naming the file and the line.
+    """
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror}") from None
-    return [line.split(",") for line in lines[1:] if line]
+    width = len(lines[0].split(",")) if lines else 0
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        row = line.split(",")
+        try:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            for i in ints:
+                row[i] = int(row[i])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        rows.append(row)
+    return rows

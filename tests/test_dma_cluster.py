@@ -5,7 +5,7 @@ from entroport import (ClusterDistribution, DataError, EmptyInputError,
                        InsufficientClustersError, SampledSeries, aggregate_index, cluster_distribution,
                        entropy_curve, entropy_index, extract_clusters,
                        fit_cluster_model, moving_average)
-from entroport.dma_cluster import crossing_times
+from entroport.dma_cluster import PrefixTables, _tables, crossing_pass, crossing_times
 
 
 def _series(values, delta=1):
@@ -33,6 +33,42 @@ class TestMovingAverage:
             moving_average(_series([1, 2, 3]), 1)
         with pytest.raises(DataError):
             moving_average(_series([1, 2, 3]), 4)
+
+
+def _convolve_signs(values, n):
+    return np.sign(values[n - 1:] - np.convolve(values, np.full(n, 1.0 / n), "valid"))
+
+
+class TestPrefixTables:
+    def test_signs_in_doubt_are_recomputed_run_by_run(self):
+        values = np.random.default_rng(7).standard_normal(2 ** 14)
+        values[1000:1012] = values[1000]  # windows inside the run: d within ulps of 0
+        tables = PrefixTables(_series(values))
+        d, tested, doubt, convolved = tables.deviations(8)
+        assert tested == len(d) and 0 < doubt <= len(d) // 1024
+        assert not convolved and not tables.tie_heavy
+        assert np.array_equal(np.sign(d), _convolve_signs(values, 8))
+
+    def test_tie_heavy_series_is_found_by_the_first_pass_probe(self):
+        values = np.repeat(np.random.default_rng(7).standard_normal(400), 40)
+        tables = PrefixTables(_series(values))
+        for n, tested in ((5, 4096), (9, 0), (40, 0)):
+            d, got_tested, doubt, convolved = tables.deviations(n)
+            assert (got_tested, convolved, tables.tie_heavy) == (tested, True, True)
+            assert tables.tables is None  # the whole-series tables were never built
+            assert np.array_equal(np.sign(d), _convolve_signs(values, n))
+        cpass = crossing_pass(_series(values), 5, tables)
+        assert (cpass.tested, cpass.in_doubt, cpass.full_convolve) == (0, 0, True)
+
+    def test_volatility_series_shares_prefix_as_abs_prefix(self):
+        assert _tables(np.array([0.0, 1.0, 2.0]))[1] is None
+        assert _tables(np.array([0.0, -1.0, 2.0]))[1].tolist() == [0, 0, 1, 3]
+
+    def test_out_of_range_n(self):
+        tables = PrefixTables(_series([1, 2, 3]))
+        for n in (1, 4):
+            with pytest.raises(DataError):
+                tables.deviations(n)
 
 
 class TestExtractClusters:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,59 @@ def test_exact_zero_deviations_keep_their_bytes(tmp_path):
     }
 
 
+# float sources with no exact-zero deviation; n runs from 2 to 26 samples, so
+# np.convolve's per-output dot leaves its short-kernel loop for the long ones
+FLOAT_SOURCE_CONFIG = {
+    "assets": [
+        {"name": "FBM", "synth": {"kind": "fbm", "hurst": 0.6, "length": 32768, "seed": 1}},
+        {"name": "GARCH", "synth": {"kind": "garch", "omega": 1e-6, "alpha": 0.05,
+                                    "beta": 0.9, "length": 32768, "seed": 4}},
+    ],
+    "delta_s": 120,
+    "n_grid_s": {"min": 240, "max": 3120, "step": 360},
+    "volatility_windows_s": [360, 720],
+    "horizons": [1],
+}
+
+
+@pytest.mark.parametrize("source, digests", [
+    ("volatility", {
+        "indices_by_n.csv": "9e3685b1f36b807dbace1edad60032759472b52d9b464fc0fca59766446a3366",
+        "entropy_curves.csv": "edf0e000987747545fb822f6215b50c622df370f0282ca4c1d698b1e86565b22"}),
+    ("return", {
+        "indices_by_n.csv": "17316f599c94ea89a6aada2446830b0ed58298ffe6c8f882cb723db56ca04d82",
+        "entropy_curves.csv": "bd2260b46e2f9942353c538fc5b3fa605a004efc0f3b4e7ca80e4b4013960547"}),
+])
+def test_float_sources_keep_their_bytes(tmp_path, source, digests):
+    """Certified signs give the crossings of the full np.convolve, so the same bytes."""
+    cfg = load_config(_write_config(tmp_path, overrides=dict(FLOAT_SOURCE_CONFIG,
+                                                             entropy_source=source)))
+    run_pipeline(cfg, config_bytes=b"")
+    # digests of the outputs while every pass called np.convolve in full
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
+def test_debug_line_reports_signs_in_doubt(tmp_path, caplog):
+    """-v names each pass's signs in doubt and full convolves; the manifest does not."""
+    caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
+    _sticky_tick_file(tmp_path / "t1.csv", 1)
+    cfg_path = _write_config(tmp_path, overrides={
+        "assets": [{"name": "T1", "ticks": "t1.csv"}, BASE_CONFIG["assets"][0]],
+        "volatility_windows_s": [360], "min_clusters": 1})
+    run_pipeline(load_config(cfg_path), config_bytes=b"")
+    passes = [r.getMessage() for r in caplog.records if "crossings; cells" in r.getMessage()]
+    sticky = [m for m in passes if m.startswith("T1 ")]
+    # repeated prices put many signs in doubt: one filtered pass, then straight convolves
+    assert re.fullmatch(r"T1 T=360s n=2: \d+ of \d+ signs in doubt, full convolve; .*",
+                        sticky[0])
+    assert all(": full convolve (tie-heavy source); " in m for m in sticky[1:])
+    synth = [m for m in passes if m.startswith("SYN1 ")]
+    assert len(synth) == 4 and all(re.search(r": 0 of \d+ signs in doubt; ", m) for m in synth)
+    manifest = (tmp_path / "out" / "manifest.json").read_text()
+    assert "doubt" not in manifest and "convolve" not in manifest
+
+
 def test_curve_rows_equal_per_row_format(tmp_path):
     curve = EntropyCurve(n=5, taus=np.array([1, 2, 7, 10 ** 6]),
                          values=np.array([0.0, -0.0, 0.1 + 0.2, 1e-300]))
@@ -408,6 +462,18 @@ class TestFigures:
 
     def test_missing_run_dir_exits_3(self, tmp_path):
         assert main(["figures", str(tmp_path / "nope")]) == 3
+
+    @pytest.mark.parametrize("name, row, reason", [
+        ("entropy_curves.csv", "A,1,360", "expected 6 fields, got 3"),
+        ("entropy_curves.csv", "A,1,360,x,2,0.5", "invalid literal for int()"),
+        ("weights.csv", "naive_1_over_N,1,360,A,0.5,9", "expected 5 fields, got 6")])
+    def test_malformed_run_csv_names_file_and_line(self, tmp_path, caplog, name, row, reason):
+        header = {"entropy_curves.csv": "asset,horizon,T_s,n,tau,S\nA,1,360,2,1,0.5",
+                  "weights.csv": "method,horizon,T_s,asset,weight\nnaive_1_over_N,1,360,B,0.5"}
+        (tmp_path / name).write_text(f"{header[name]}\n\n{row}\n")
+        figure = "entropy_curves" if name == "entropy_curves.csv" else "weights_vs_horizon"
+        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
+                      f"{tmp_path / name}: line 4: {reason}")
 
     def test_unreadable_curves_exit_3(self, tmp_path, caplog):
         (tmp_path / "entropy_curves.csv").mkdir()
@@ -501,10 +567,43 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("volatility_windows_s", []), ("horizons", []),
-        ("n_grid_s", {"min": 480, "max": 120, "step": 120}), ("threshold_m", True)])
+        ("n_grid_s", {"min": 480, "max": 120, "step": 120}), ("threshold_m", True),
+        ("n_grid_s", {"min": 120, "max": 480, "step": 0})])
     def test_empty_sweep_or_boolean_threshold_exits_2(self, tmp_path, caplog, key, value):
         _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, key)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("min_clusters", True, "min_clusters: expected an integer, got True"),
+        ("min_clusters", 50.5, "min_clusters: expected an integer, got 50.5"),
+        ("horizons", [True], "horizons: expected an integer, got True"),
+        ("horizons", ["1"], "horizons: expected an integer, got '1'"),
+        ("volatility_windows_s", [1800.9], "volatility_windows_s: expected an integer, "
+                                           "got 1800.9"),
+        ("n_grid_s", {"min": 120.5, "max": 480, "step": 120}, "n_grid_s.min: expected"),
+        ("n_grid_s", {"min": 120, "max": False, "step": 120}, "n_grid_s.max: expected"),
+        ("n_grid_s", {"min": 120, "max": 480, "step": True}, "n_grid_s.step: expected")])
+    def test_non_integer_fields_exit_2(self, tmp_path, caplog, key, value, needle):
+        _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, needle)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("length", 65536.5), ("length", True),
+                                              ("seed", False), ("seed", 1.25)])
+    def test_non_integer_synth_fields_exit_2(self, tmp_path, caplog, field, value):
+        asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
+        asset["synth"][field] = value
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog,
+                        f"asset 'SYN1' synth {field}: expected an integer, got {value!r}")
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        cfg = load_config(_write_config(tmp_path, overrides={
+            "min_clusters": 50.0, "horizons": [1.0], "volatility_windows_s": [360.0],
+            "n_grid_s": {"min": 120.0, "max": 480.0, "step": 120.0}}))
+        assert (cfg.min_clusters, cfg.horizons, cfg.volatility_windows_s) == (50, (1,), (360,))
+        assert cfg.n_grid_s == (120, 240, 360, 480)
+        assert all(type(v) is int for v in (cfg.min_clusters, *cfg.horizons, *cfg.n_grid_s))
 
     def test_threshold_m_accepts_integer(self, tmp_path):
         cfg_path = _write_config(tmp_path, overrides={"threshold_m": 7})

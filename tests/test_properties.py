@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, WeightVector,
                        cluster_distribution, entropy_curve, entropy_index,
                        extract_clusters, parse_ticks, resample, weight_entropy)
-from entroport.dma_cluster import crossing_pass
+from entroport.dma_cluster import PrefixTables, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _constant_windows
@@ -299,6 +299,75 @@ def test_pass_histograms_equal_checking_constructor(make, data):
         for estimator in ("surprisal", "shannon_term"):
             curve = entropy_curve(dist, estimator)
             EntropyCurve(curve.n, curve.taus, curve.values)  # passes the skipped check
+
+
+def _return_like(draw):
+    """Signed, heavy-tailed returns around a small drift."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return 1e-4 + 1e-3 * rng.standard_t(3, draw(st.integers(2, 300), label="length"))
+
+
+def _zero_windows(draw):
+    """Flat integer runs between runs of zeros, so whole windows are 0."""
+    runs = draw(st.lists(st.tuples(st.sampled_from([0, 0, 1, 3]), st.integers(1, 40)),
+                         min_size=2, max_size=12), label="runs")
+    return np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
+
+
+def _scaled(draw):
+    """Gaussian series at 10**e for e in [-300, 300]."""
+    return _float_series(draw) * 10.0 ** draw(st.integers(-300, 300), label="e")
+
+
+def _overflowing(draw):
+    """Values near the float64 maximum: the prefix sums overflow to inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.uniform(0.2, 1.0, draw(st.integers(2, 120), label="length")) * 1.7e308
+    return values * draw(st.sampled_from([1.0, -1.0]), label="sign")
+
+
+def _half_ulp_steps(draw):
+    """Zeros, then b = 2**e, then values of half an ulp of b (times a sign).
+
+    Each half ulp rounds the prefix sum back to b (ties to even), so past b
+    the window sums read 0 against an exact n * ulp(b) / 2, and d lies within
+    an ulp of 0: the prefix-sum error reaches the bound's window term.
+    """
+    b = 2.0 ** draw(st.integers(-1000, 1000), label="e")
+    values = np.full(draw(st.integers(2, 120), label="length"), b * 2.0 ** -53)
+    values[:draw(st.integers(0, len(values) - 1), label="zeros")] = 0.0
+    values[np.flatnonzero(values)[0]] = b
+    return values * draw(st.sampled_from([1.0, -1.0]), label="sign")
+
+
+def _long_with_flat_run(draw):
+    """A long Gaussian series with one flat run: a few signs in doubt, recomputed run by run."""
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1),
+                                        label="seed")).standard_normal(2**15)
+    at = draw(st.integers(0, len(values) - 40), label="at")
+    values[at:at + draw(st.integers(2, 40), label="run")] = values[at]
+    return values
+
+
+# cut at len(y); from n = 12 np.convolve leaves its short-kernel loop for a dot per output
+N_GRID = (2, 3, 4, 5, 7, 8, 11, 12, 16, 17, 24, 32, 33, 50, 64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(make=st.sampled_from([_float_series, _return_like, _flat_integer_runs,
+                             _zero_windows, _scaled, _overflowing, _half_ulp_steps,
+                             _long_with_flat_run]),
+       data=st.data())
+def test_certified_signs_equal_convolve_signs(make, data):
+    values = make(data.draw)
+    y = SampledSeries(values, start_time=0, delta=1)
+    shared = PrefixTables(y)  # as in the pipeline: one table for every n
+    for n in [n for n in N_GRID if n <= len(values)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.sign(values[n - 1:] - np.convolve(values, np.full(n, 1 / n), "valid"))
+            for tables in (PrefixTables(y), shared):
+                got = np.sign(tables.deviations(n)[0])
+                assert np.array_equal(got, want, equal_nan=True), n
 
 
 # runs of repeated values, signed zeros, infinities and NaN
