@@ -3,8 +3,10 @@
 All physical quantities in the config file are in seconds and must divide
 evenly by the sampling interval; non-divisible values are rejected rather
 than rounded. Integer fields take JSON integers (or floats with no
-fractional part); a boolean, a fractional number or a string is rejected
-naming the key.
+fractional part), float fields take JSON numbers; a boolean, a string (or,
+for an integer field, a fractional number) is rejected naming the key.
+Asset names are non-empty printable strings without ',', '/' or '\\', so
+that they fit a CSV field and a file name.
 """
 
 from __future__ import annotations
@@ -141,15 +143,20 @@ def _synth_fields(name: str, spec: dict) -> dict:
     if params is None:
         raise ConfigError(f"asset {name!r}: unknown generator kind {kind!r}")
     _check_keys(spec, _SYNTH_KEYS.union(params), f"asset {name!r} synth")
-    out = {"generator": GeneratorSpec(kind=kind, length=length, seed=seed,
-                                      **{p: float(spec[p]) for p in params})}
+    where = f"asset {name!r} synth"
+    out = {"generator": GeneratorSpec(kind=kind, length=length, seed=seed, **{
+        p: _float(spec[p], f"{where} {p}") for p in params})}
     if "price_scale" in spec:
-        out["price_scale"] = float(spec["price_scale"])
+        out["price_scale"] = _float(spec["price_scale"], f"{where} price_scale")
     return out
 
 
 def _parse_asset(entry: dict, base: Path) -> AssetInput:
     name = entry["name"]
+    if not (type(name) is str and name and name.isprintable()
+            and not set(name) & set(",/\\")):
+        raise ConfigError(f"asset {name!r}: name must be a non-empty printable "
+                          f"string without ',', '/' or '\\'")
     _check_keys(entry, _ASSET_KEYS, f"asset {name!r}")
     ticks, synth = entry.get("ticks"), entry.get("synth")
     # AssetInput rejects an entry with both or neither
@@ -162,6 +169,18 @@ def _int(value, key: str) -> int:
     if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
     raise ConfigError(f"{key}: expected an integer, got {value!r}")
+
+
+def _float(value, key: str) -> float:
+    """A JSON number as a float; else (a boolean, a string) a ConfigError."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ConfigError(f"{key}: expected a number, got {value!r}")
+
+
+def _threshold(value) -> str | int:
+    """threshold_m: "n", or an integer parsed as _int parses one."""
+    return value if value == "n" else _int(value, "threshold_m")
 
 
 def _n_grid(grid: dict) -> tuple[int, ...]:
@@ -178,10 +197,12 @@ def _int_tuple(values, key: str) -> tuple[int, ...]:
 
 #: config key -> parser of its JSON value; other keys are taken as given, and
 #: a key left out takes its PipelineConfig default
-_PARSERS = {"delta_s": float, "year_start": date.fromisoformat, "n_grid_s": _n_grid,
+_PARSERS = {"delta_s": partial(_float, key="delta_s"), "year_start": date.fromisoformat,
+            "n_grid_s": _n_grid,
             "volatility_windows_s": partial(_int_tuple, key="volatility_windows_s"),
             "horizons": partial(_int_tuple, key="horizons"),
-            "min_clusters": partial(_int, key="min_clusters"), "output_dir": Path}
+            "min_clusters": partial(_int, key="min_clusters"), "threshold_m": _threshold,
+            "output_dir": Path}
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -138,12 +138,8 @@ class CrossingPass:
     n: int
     times: np.ndarray
     previous: np.ndarray
-    #: outputs whose sign the prefix sums tested (0: the filter was skipped)
-    tested: int
-    #: of those, outputs left in doubt
-    in_doubt: int
-    #: whether the pass called the full convolve
-    full_convolve: bool
+    #: whether the prefix sums certified every sign (else np.convolve gave them)
+    certified: bool
 
     def crossings(self, start: int, stop: int) -> np.ndarray:
         """crossing_times(y[start:stop], n), as positions in that span.
@@ -212,10 +208,6 @@ def _pass_histogram(n: int, acc: np.ndarray) -> ClusterDistribution:
 _U = 2.0 ** -53
 #: covers the O(u) roundings in forming the bound itself
 _SLACK = 1 + 2.0 ** -40
-#: a pass with more than 1 sign in doubt per this many outputs calls the full
-#: convolve instead: each run in doubt costs one np.convolve call (a few us),
-#: the full convolve 2-25 ns per output (numpy 2.4, 2-vCPU x86-64)
-_DOUBT_LIMIT = 1024
 #: outputs a series' first pass tests before it builds the whole-series tables
 _PROBE = 4096
 
@@ -250,19 +242,19 @@ def _tables(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     return prefix, abs_prefix, table
 
 
-def _certify(tables: tuple, v: np.ndarray, n: int, d: np.ndarray) -> np.ndarray:
-    """Fill d with v[n-1:] - MA_n from the tables of v; True where its sign is certified."""
+def _certify(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """v[n-1:] - MA_n from the tables of v, and whether every sign of it is certified."""
     prefix, abs_prefix, error_table = tables
     c = 1.0 / n
     with np.errstate(over="ignore", invalid="ignore"):
         bound = prefix[n:] - prefix[:-n]
-        np.multiply(bound, c, out=d)
+        d = bound * c
         np.subtract(v[n - 1:], d, out=d)
         if abs_prefix is not None:
             bound = abs_prefix[n:] - abs_prefix[:-n]
         bound *= c * (_gamma(n) + 2 * _U) * _SLACK
         bound += error_table[n:]
-        return np.abs(d) > bound  # False for NaN: those take the exact path
+        return d, bool(np.all(np.abs(d) > bound))  # False for NaN: not certified
 
 
 class PrefixTables:
@@ -280,53 +272,38 @@ class PrefixTables:
     length-n dot product, off by at most gamma_n c X_i in any summation
     order, with or without FMA (Higham 2002, section 3.1), and the filter's
     own roundings. Because fl(a - b) has the sign of a - b, a certified sign
-    is exact. Outputs in doubt, NaN and inf included, are recomputed with
-    np.convolve over their runs. Past 1 in _DOUBT_LIMIT of them the pass
-    calls the full convolve and marks the series tie_heavy (repeated prices
-    give exact-zero deviations), so that its later passes skip the filter;
-    the first pass tests its first _PROBE outputs alone, so a tie-heavy
-    series is found before its whole-series tables are built.
+    is exact. One rule settles a pass: if every sign is certified, the prefix
+    sums give them all; otherwise (a sign in doubt, NaN and inf included) the
+    full moving_average gives them all, and the series is marked tie_heavy
+    (repeated prices give exact-zero deviations): its tables are dropped and
+    its later passes convolve directly. The first pass tests its first
+    _PROBE outputs alone, so a tie-heavy series is found before its
+    whole-series tables are built.
     """
 
     def __init__(self, y: SampledSeries):
         self.series = y
         self.tie_heavy = False
-        self.tables = None  # built by the first pass the probe does not settle
+        self.tables = None  # built by the first pass whose probe is certified
 
-    def deviations(self, n: int) -> tuple[np.ndarray, int, int, bool]:
-        """y[n-1:] - MA_n, each sign as under moving_average(y, n).
+    def deviations(self, n: int) -> tuple[np.ndarray, bool]:
+        """y[n-1:] - MA_n, each sign as under moving_average(y, n), and whether certified.
 
-        Also returns how many outputs the prefix sums tested and left in
-        doubt, and whether the full convolve was called. Only the signs are
-        exact: a certified value is the filter's.
+        Only the signs are exact: a certified value is the filter's.
         """
         v = self.series.values
         if not 2 <= n <= len(v):
             raise _window_error(n, len(v))
-        d = np.empty(len(v) - n + 1)
-        tested = doubt = 0
-        if not self.tie_heavy and self.tables is None:
+        if self.tables is None and not self.tie_heavy:
             probe = v[:_PROBE + n - 1]
-            tested = len(probe) - n + 1
-            doubt = tested - np.count_nonzero(_certify(_tables(probe), probe, n, d[:tested]))
-            self.tie_heavy = doubt * _DOUBT_LIMIT > len(d)
-            if not self.tie_heavy:
+            if _certify(_tables(probe), probe, n)[1]:
                 self.tables = _tables(v)
-        if not self.tie_heavy:
-            certain = _certify(self.tables, v, n, d)
-            tested, doubt = len(d), len(d) - np.count_nonzero(certain)
-            self.tie_heavy = doubt * _DOUBT_LIMIT > len(d)
-        if self.tie_heavy:
-            return v[n - 1:] - moving_average(self.series, n).values, tested, doubt, True
-        if doubt:
-            kernel = np.full(n, 1.0 / n)
-            idx = np.flatnonzero(~certain)
-            cuts = np.flatnonzero(np.diff(idx) != 1) + 1
-            for lo, hi in zip(idx[np.r_[0, cuts]].tolist(),
-                              (idx[np.r_[cuts - 1, -1]] + 1).tolist()):
-                d[lo:hi] = v[lo + n - 1:hi + n - 1] - np.convolve(
-                    v[lo:hi + n - 1], kernel, mode="valid")
-        return d, tested, doubt, False
+        if self.tables is not None:
+            d, certified = _certify(self.tables, v, n)
+            if certified:
+                return d, True
+        self.tie_heavy, self.tables = True, None
+        return v[n - 1:] - moving_average(self.series, n).values, False
 
 
 def crossing_pass(y: SampledSeries, n: int,
@@ -334,27 +311,23 @@ def crossing_pass(y: SampledSeries, n: int,
     """Where y - moving_average flips sign, and the nonzero deviation before each flip.
 
     Only the deviations' signs are computed, each equal to its sign under
-    moving_average: from the prefix sums of y (tables, PrefixTables(y) when
-    not given) wherever a rigorous bound on their rounding certifies it; with
-    np.convolve over each run of outputs left in doubt, exact zeros among
-    them; and with the full np.convolve on a series with more than 1 output
-    in 1024 in doubt (see PrefixTables). When no deviation is zero (or NaN),
-    the previous nonzero deviation is the previous sample, so the flips are
-    read from one boolean d > 0; every certified sign is nonzero. Otherwise
-    each deviation's sign is compared with the last nonzero one's.
+    moving_average: all from the prefix sums of y (tables, PrefixTables(y)
+    when not given) when they certify every one, else all from the full
+    np.convolve (see PrefixTables). Certified signs are never zero, so the
+    flips are read from one boolean d > 0. A convolved pass may hold exact
+    zeros (or NaN), so each sign is compared with the last nonzero one's.
     """
-    d, tested, doubt, convolved = (PrefixTables(y) if tables is None else tables).deviations(n)
-    stats = dict(tested=tested, in_doubt=doubt, full_convolve=convolved)
-    pos = d > 0
-    if not (doubt or convolved) or np.count_nonzero(pos) + np.count_nonzero(d < 0) == len(d):
+    d, certified = (PrefixTables(y) if tables is None else tables).deviations(n)
+    if certified:
+        pos = d > 0
         flip = np.flatnonzero(pos[1:] != pos[:-1])
-        return CrossingPass(n=n, times=flip + n, previous=flip + (n - 1), **stats)
+        return CrossingPass(n=n, times=flip + n, previous=flip + (n - 1), certified=True)
     sign = np.sign(d)
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
     nonzero += n - 1  # positions in y
-    return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip], **stats)
+    return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip], certified=False)
 
 
 def crossing_times(y: SampledSeries, n: int) -> np.ndarray:

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import AssetInput, PipelineConfig
-from .dma_cluster import (ClusterDistribution, CrossingPass, EntropyCurve,
-                          EntropyIndex, PrefixTables, aggregate_index,
-                          crossing_pass, entropy_curve, entropy_index)
+from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
+                          PrefixTables, aggregate_index, crossing_pass,
+                          entropy_curve, entropy_index)
 from .errors import (DataError, EntroportError, InputFileError,
                      InsufficientClustersError, NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
@@ -83,8 +83,8 @@ def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeri
            tables: PrefixTables, n: int, cfg: PipelineConfig) -> None:
     """Entropy curve and index at one n for each cell, or a warning why not.
 
-    One crossing pass over the whole source (its signs certified from the
-    source's prefix tables) serves every cell's span and histograms each of
+    One crossing pass over the whole source (its signs from the source's
+    prefix tables, see PrefixTables) serves every cell's span and histograms each of
     its durations once; it dies with this call, so one n's pass is alive at a
     time (two cost peak RSS).
     """
@@ -109,19 +109,10 @@ def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeri
         kept = sum(isinstance(d, ClusterDistribution) for d in dists)
         logger.debug("%s T=%ds n=%d: %s; %d crossings; cells %d kept, %d dropped, "
                      "%d too short", cells[0].asset, cells[0].window_s, n,
-                     _sign_note(cpass),
+                     "no pass" if cpass is None else
+                     "signs certified" if cpass.certified else "full convolve",
                      0 if cpass is None else len(cpass.times), kept, dropped,
                      len(dists) - kept - dropped)
-
-
-def _sign_note(cpass: CrossingPass | None) -> str:
-    """How a pass settled its signs, for the debug line."""
-    if cpass is None:
-        return "no pass"
-    if not cpass.tested:
-        return "full convolve (tie-heavy source)"
-    note = f"{cpass.in_doubt} of {cpass.tested} signs in doubt"
-    return note + ", full convolve" if cpass.full_convolve else note
 
 
 def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],

@@ -46,13 +46,19 @@ class VolatilityWindow:
         return cls(physical_s=samples * delta_ns / NS_PER_S, samples=samples)
 
 
-def linear_returns(prices: SampledSeries) -> SampledSeries:
-    """Simple returns r_t = (y_t - y_{t-1}) / y_{t-1}; length shrinks by one."""
+def _checked_prices(prices: SampledSeries) -> np.ndarray:
+    """The values of prices, which must hold at least 2 strictly positive prices."""
     y = prices.values
     if len(y) < 2:
         raise DataError("need at least 2 prices to compute returns")
     if np.any(y <= 0):
         raise DataError("prices must be strictly positive")
+    return y
+
+
+def linear_returns(prices: SampledSeries) -> SampledSeries:
+    """Simple returns r_t = (y_t - y_{t-1}) / y_{t-1}; length shrinks by one."""
+    y = _checked_prices(prices)
     r = np.diff(y) / y[:-1]
     return SampledSeries(values=r, start_time=prices.start_time + prices.delta,
                          delta=prices.delta, kind="return")
@@ -60,12 +66,7 @@ def linear_returns(prices: SampledSeries) -> SampledSeries:
 
 def log_returns(prices: SampledSeries) -> SampledSeries:
     """Log returns; config alternative to linear_returns."""
-    y = prices.values
-    if len(y) < 2:
-        raise DataError("need at least 2 prices to compute returns")
-    if np.any(y <= 0):
-        raise DataError("prices must be strictly positive")
-    r = np.diff(np.log(y))
+    r = np.diff(np.log(_checked_prices(prices)))
     return SampledSeries(values=r, start_time=prices.start_time + prices.delta,
                          delta=prices.delta, kind="return")
 

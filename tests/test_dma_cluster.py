@@ -5,6 +5,7 @@ from entroport import (ClusterDistribution, DataError, EmptyInputError,
                        InsufficientClustersError, SampledSeries, aggregate_index, cluster_distribution,
                        entropy_curve, entropy_index, extract_clusters,
                        fit_cluster_model, moving_average)
+from entroport import dma_cluster
 from entroport.dma_cluster import PrefixTables, _tables, crossing_pass, crossing_times
 
 
@@ -40,25 +41,28 @@ def _convolve_signs(values, n):
 
 
 class TestPrefixTables:
-    def test_signs_in_doubt_are_recomputed_run_by_run(self):
+    def test_one_sign_in_doubt_convolves_the_whole_pass(self):
         values = np.random.default_rng(7).standard_normal(2 ** 14)
-        values[1000:1012] = values[1000]  # windows inside the run: d within ulps of 0
+        d, certified = PrefixTables(_series(values)).deviations(8)
+        assert certified and np.array_equal(np.sign(d), _convolve_signs(values, 8))
+        values[10000:10012] = values[10000]  # past the probe; d within ulps of 0 inside it
         tables = PrefixTables(_series(values))
-        d, tested, doubt, convolved = tables.deviations(8)
-        assert tested == len(d) and 0 < doubt <= len(d) // 1024
-        assert not convolved and not tables.tie_heavy
+        d, certified = tables.deviations(8)
+        assert not certified and tables.tie_heavy and tables.tables is None
         assert np.array_equal(np.sign(d), _convolve_signs(values, 8))
 
-    def test_tie_heavy_series_is_found_by_the_first_pass_probe(self):
+    def test_tie_heavy_series_is_found_by_the_first_pass_probe(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(dma_cluster, "_tables",
+                            lambda v: built.append(len(v)) or _tables(v))
         values = np.repeat(np.random.default_rng(7).standard_normal(400), 40)
         tables = PrefixTables(_series(values))
-        for n, tested in ((5, 4096), (9, 0), (40, 0)):
-            d, got_tested, doubt, convolved = tables.deviations(n)
-            assert (got_tested, convolved, tables.tie_heavy) == (tested, True, True)
-            assert tables.tables is None  # the whole-series tables were never built
+        for n in (5, 9, 40):
+            d, certified = tables.deviations(n)
+            assert not certified and tables.tie_heavy and tables.tables is None
             assert np.array_equal(np.sign(d), _convolve_signs(values, n))
-        cpass = crossing_pass(_series(values), 5, tables)
-        assert (cpass.tested, cpass.in_doubt, cpass.full_convolve) == (0, 0, True)
+        assert built == [dma_cluster._PROBE + 4]  # the whole-series tables were never built
+        assert not crossing_pass(_series(values), 5, tables).certified
 
     def test_volatility_series_shares_prefix_as_abs_prefix(self):
         assert _tables(np.array([0.0, 1.0, 2.0]))[1] is None

@@ -363,8 +363,8 @@ def test_float_sources_keep_their_bytes(tmp_path, source, digests):
             for name in digests} == digests
 
 
-def test_debug_line_reports_signs_in_doubt(tmp_path, caplog):
-    """-v names each pass's signs in doubt and full convolves; the manifest does not."""
+def test_debug_line_reports_how_signs_were_settled(tmp_path, caplog):
+    """-v names each pass's sign rule, certified or full convolve; the manifest does not."""
     caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
     _sticky_tick_file(tmp_path / "t1.csv", 1)
     cfg_path = _write_config(tmp_path, overrides={
@@ -372,15 +372,13 @@ def test_debug_line_reports_signs_in_doubt(tmp_path, caplog):
         "volatility_windows_s": [360], "min_clusters": 1})
     run_pipeline(load_config(cfg_path), config_bytes=b"")
     passes = [r.getMessage() for r in caplog.records if "crossings; cells" in r.getMessage()]
+    # repeated prices leave signs in doubt, so every pass of T1 convolves
     sticky = [m for m in passes if m.startswith("T1 ")]
-    # repeated prices put many signs in doubt: one filtered pass, then straight convolves
-    assert re.fullmatch(r"T1 T=360s n=2: \d+ of \d+ signs in doubt, full convolve; .*",
-                        sticky[0])
-    assert all(": full convolve (tie-heavy source); " in m for m in sticky[1:])
+    assert sticky and all(re.match(r"T1 T=360s n=\d+: full convolve; ", m) for m in sticky)
     synth = [m for m in passes if m.startswith("SYN1 ")]
-    assert len(synth) == 4 and all(re.search(r": 0 of \d+ signs in doubt; ", m) for m in synth)
+    assert len(synth) == 4 and all(re.search(r": signs certified; ", m) for m in synth)
     manifest = (tmp_path / "out" / "manifest.json").read_text()
-    assert "doubt" not in manifest and "convolve" not in manifest
+    assert "certified" not in manifest and "convolve" not in manifest
 
 
 def test_curve_rows_equal_per_row_format(tmp_path):
@@ -582,7 +580,11 @@ class TestConfigValidation:
                                            "got 1800.9"),
         ("n_grid_s", {"min": 120.5, "max": 480, "step": 120}, "n_grid_s.min: expected"),
         ("n_grid_s", {"min": 120, "max": False, "step": 120}, "n_grid_s.max: expected"),
-        ("n_grid_s", {"min": 120, "max": 480, "step": True}, "n_grid_s.step: expected")])
+        ("n_grid_s", {"min": 120, "max": 480, "step": True}, "n_grid_s.step: expected"),
+        ("threshold_m", 5.5, "threshold_m: expected an integer, got 5.5"),
+        ("threshold_m", "5", "threshold_m: expected an integer, got '5'"),
+        ("delta_s", "60", "delta_s: expected a number, got '60'"),
+        ("delta_s", True, "delta_s: expected a number, got True")])
     def test_non_integer_fields_exit_2(self, tmp_path, caplog, key, value, needle):
         _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, needle)
         assert not (tmp_path / "out").exists()
@@ -605,9 +607,36 @@ class TestConfigValidation:
         assert cfg.n_grid_s == (120, 240, 360, 480)
         assert all(type(v) is int for v in (cfg.min_clusters, *cfg.horizons, *cfg.n_grid_s))
 
+    @pytest.mark.parametrize("name", ["A,B", "x/y", "x\\y", "", "tab\t", 5, None])
+    def test_bad_asset_name_exits_2(self, tmp_path, caplog, name):
+        asset = dict(BASE_CONFIG["assets"][0], name=name)
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, f"asset {name!r}: name must be a non-empty "
+                                          f"printable string")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("hurst", "0.5"), ("hurst", False),
+                                              ("price_scale", "1"), ("price_scale", True)])
+    def test_non_number_synth_fields_exit_2(self, tmp_path, caplog, field, value):
+        asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
+        asset["synth"][field] = value
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog,
+                        f"asset 'SYN1' synth {field}: expected a number, got {value!r}")
+
+    def test_number_fields_take_json_integers(self, tmp_path):
+        asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
+        asset["synth"]["price_scale"] = 2
+        cfg = load_config(_write_config(tmp_path, overrides={
+            "delta_s": 60, "assets": [asset, BASE_CONFIG["assets"][1]]}))
+        assert (cfg.delta_s, cfg.assets[0].price_scale) == (60.0, 2.0)
+        assert type(cfg.delta_s) is float and type(cfg.assets[0].price_scale) is float
+
     def test_threshold_m_accepts_integer(self, tmp_path):
-        cfg_path = _write_config(tmp_path, overrides={"threshold_m": 7})
-        cfg = load_config(cfg_path)
-        assert cfg.threshold_for(4) == 7
+        for value in (7, 7.0):
+            cfg = load_config(_write_config(tmp_path, overrides={"threshold_m": value}))
+            assert type(cfg.threshold_m) is int and cfg.threshold_for(4) == 7
         cfg_path = _write_config(tmp_path, overrides={"threshold_m": "n"})
         assert load_config(cfg_path).threshold_for(4) == 4

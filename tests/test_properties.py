@@ -341,7 +341,7 @@ def _half_ulp_steps(draw):
 
 
 def _long_with_flat_run(draw):
-    """A long Gaussian series with one flat run: a few signs in doubt, recomputed run by run."""
+    """A long Gaussian series with one flat run: a few signs in doubt, so the pass convolves."""
     values = np.random.default_rng(draw(st.integers(0, 2**32 - 1),
                                         label="seed")).standard_normal(2**15)
     at = draw(st.integers(0, len(values) - 40), label="at")

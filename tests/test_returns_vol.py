@@ -37,6 +37,15 @@ class TestLinearReturns:
         r = log_returns(_prices([100, 110]))
         assert r.values == pytest.approx([np.log(1.1)])
 
+    @pytest.mark.parametrize("values, message", [
+        ([100], "need at least 2 prices to compute returns"),
+        ([100, 0], "prices must be strictly positive"),
+        ([100, -1], "prices must be strictly positive")])
+    def test_both_kinds_check_prices_alike(self, values, message):
+        for to_returns in (linear_returns, log_returns):
+            with pytest.raises(DataError, match=f"^{message}$"):
+                to_returns(_prices(values))
+
 
 class TestVolatilityWindow:
     def test_from_physical(self):
