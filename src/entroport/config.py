@@ -1,7 +1,8 @@
 """Pipeline configuration: JSON schema, validation, physical-to-sample conversion.
 
-All physical quantities in the config file are in seconds and must divide
-evenly by the sampling interval; non-divisible values are rejected rather
+All physical quantities in the config file are in seconds. Each span (an
+n grid value, a volatility window) must be a whole number of sampling
+intervals, at least 2 (series.whole_samples); others are rejected rather
 than rounded. Integer fields take JSON integers (or floats with no
 fractional part), float fields take JSON numbers; a boolean, a string (or,
 for an integer field, a fractional number) is rejected naming the key.
@@ -12,6 +13,7 @@ that they fit a CSV field and a file name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from datetime import date
 from functools import partial
@@ -20,7 +22,7 @@ from pathlib import Path
 from .dma_cluster import MIN_CLUSTERS
 from .errors import ConfigError, InputFileError
 from .returns_vol import VolatilityWindow
-from .series import NS_PER_S, HorizonSpec, check_sample_times, seconds_to_ns
+from .series import HorizonSpec, check_sample_times, seconds_to_ns, whole_samples
 from .synth import GENERATOR_PARAMS, GeneratorSpec
 
 _ASSET_KEYS = {"name", "ticks", "synth"}
@@ -66,12 +68,7 @@ class PipelineConfig:
         return seconds_to_ns(self.delta_s, "delta_s")
 
     def n_grid_samples(self) -> tuple[int, ...]:
-        delta_ns = self.delta_ns
-        for n in self.n_grid_s:
-            if n * NS_PER_S % delta_ns != 0:
-                raise ConfigError(f"n grid value {n}s is not a multiple of delta "
-                                  f"{self.delta_s}s")
-        return tuple(int(n * NS_PER_S // delta_ns) for n in self.n_grid_s)
+        return tuple(whole_samples(n, self.delta_ns, "n grid value") for n in self.n_grid_s)
 
     def validate(self) -> None:
         if len(self.assets) < 1:
@@ -87,6 +84,8 @@ class PipelineConfig:
                 raise ConfigError(f"{key}: duplicate entries in {list(values)}")
         if any(not 1 <= m <= 12 for m in self.horizons):
             raise ConfigError(f"horizons must lie in [1, 12], got {self.horizons}")
+        if self.year_start.day != 1:
+            raise ConfigError(f"year_start {self.year_start} must be the first of a month")
         delta_ns = self.delta_ns
         start_ns = HorizonSpec(self.year_start, 1).start_ns()
         grid = f"year_start {self.year_start} at delta_s {self.delta_s}"
@@ -99,9 +98,7 @@ class PipelineConfig:
             if a.generator is not None:
                 check_sample_times(start_ns, delta_ns, a.generator.length,
                                    f"{grid} for {a.generator.length} samples of {a.name!r}")
-        n_samples = self.n_grid_samples()
-        if any(n < 2 for n in n_samples):
-            raise ConfigError(f"n grid in samples must be >= 2, got {n_samples}")
+        self.n_grid_samples()  # each value whole samples, >= 2, like each window
         for t in self.volatility_windows_s:
             VolatilityWindow.from_physical(t, delta_ns)
         if self.entropy_estimator not in ("surprisal", "shannon_term"):
@@ -147,7 +144,9 @@ def _synth_fields(name: str, spec: dict) -> dict:
     out = {"generator": GeneratorSpec(kind=kind, length=length, seed=seed, **{
         p: _float(spec[p], f"{where} {p}") for p in params})}
     if "price_scale" in spec:
-        out["price_scale"] = _float(spec["price_scale"], f"{where} price_scale")
+        scale = out["price_scale"] = _float(spec["price_scale"], f"{where} price_scale")
+        if not 0 < scale < math.inf:
+            raise ConfigError(f"{where} price_scale: must be finite and > 0, got {scale!r}")
     return out
 
 

@@ -4,7 +4,7 @@ A cluster is the stretch of a series between two consecutive intersections
 with its trailing moving average. Durations are counted in sampling units,
 binned into an empirical distribution, turned into a per-bin entropy curve
 (surprisal by default) and summed into a scalar index per moving-average
-window, split at a threshold between the power-law and linear regimes.
+window, reported split at a threshold between the power-law and linear regimes.
 """
 
 from __future__ import annotations
@@ -141,17 +141,6 @@ class CrossingPass:
     #: whether the prefix sums certified every sign (else np.convolve gave them)
     certified: bool
 
-    def crossings(self, start: int, stop: int) -> np.ndarray:
-        """crossing_times(y[start:stop], n), as positions in that span.
-
-        The trailing mean is causal, so the span's deviations are the whole
-        series'. A crossing counts only if its previous nonzero deviation is
-        inside the span too: the span's first one has no predecessor there.
-        """
-        lo = np.searchsorted(self.previous, start + self.n - 1)
-        hi = np.searchsorted(self.times, stop)
-        return self.times[lo:hi] - start
-
     def distributions(self, spans: list[tuple[int, int]],
                       min_clusters: int = MIN_CLUSTERS
                       ) -> list[ClusterDistribution | EntroportError]:
@@ -159,11 +148,13 @@ class CrossingPass:
 
         Where that call would raise, the entry is the exception: a DataError
         when the span is shorter than n, an InsufficientClustersError below
-        min_clusters. A span's durations are diff(times)[lo:hi-1], with lo set
-        by its start and hi by its stop (see crossings), so spans are walked in
-        (start, stop) order and those sharing a start grow one running
-        bincount, each adding only the durations past the previous stop.
-        Dropped spans add theirs too; too-short spans add none.
+        min_clusters. The trailing mean is causal, so a span's crossings are
+        the whole series' times[lo:hi]: hi counts the times before stop, and
+        lo drops those whose previous nonzero deviation precedes the span's
+        first deviation, at start + n - 1. Its durations are diff(times)[lo:hi-1],
+        so spans are walked in (start, stop) order and those sharing a start
+        grow one running bincount, each adding only the durations past the
+        previous stop. Dropped spans add theirs too; too-short spans add none.
         """
         durations = np.diff(self.times)
         size = int(durations.max()) + 1 if len(durations) else 1
@@ -337,7 +328,7 @@ def crossing_times(y: SampledSeries, n: int) -> np.ndarray:
     preceding cluster. Indices are absolute positions in y (the overlap
     region starts at n - 1).
     """
-    return crossing_pass(y, n).crossings(0, len(y))
+    return crossing_pass(y, n).times
 
 
 def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:
@@ -386,10 +377,12 @@ def entropy_curve(dist: ClusterDistribution,
 
 
 def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
-    """Sum the entropy curve, split at threshold m.
+    """Sum the whole entropy curve, reported split at threshold m.
 
     Bins with tau <= m feed the power-law part, tau > m the linear part;
-    the shared endpoint tau = m is counted once, in the power-law part.
+    the shared endpoint tau = m is counted once, in the power-law part. value
+    is power_law_part + linear_part, every observed bin, so m moves only the
+    split (and value by the rounding of two partial sums at most).
     """
     if m < 1:
         raise DataError(f"threshold m must be >= 1, got {m}")
@@ -406,8 +399,10 @@ def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
 def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:
     """Combine per-window indices over the grid; sum by default.
 
-    Switching to the arithmetic mean rescales every asset's aggregate by the
-    same factor, so normalized portfolio weights are unchanged.
+    The arithmetic mean divides by the count of indices given. It leaves
+    normalized portfolio weights unchanged only when every asset keeps the
+    same number of n points: an n dropped for one asset alone changes its
+    divisor alone.
     """
     if not indices:
         raise EmptyInputError("no entropy indices to aggregate")

@@ -64,34 +64,39 @@ class PipelineResult:
 
 
 def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
-    """Materialize an asset's price series from ticks or a generator spec."""
-    if asset.ticks_path is not None:
-        where = f"asset {asset.name!r} ({asset.ticks_path})"
-        try:
-            return resample(parse_ticks(asset.ticks_path.read_bytes()), cfg.delta_ns)
-        except EntroportError as exc:  # same class, message names the file
-            exc.args = (f"{where}: {exc}",)
-            raise
-        except OSError as exc:
-            raise InputFileError(f"{where}: {exc.strerror}") from None
-    start_ns = HorizonSpec(cfg.year_start, 1).start_ns()
-    raw = asset.generator.generate(delta=cfg.delta_ns, start_time=start_ns)
-    return to_price_series(raw, scale=asset.price_scale)
+    """Materialize an asset's price series from ticks or a generator spec.
+
+    An error keeps its class, and its message names the asset and its tick
+    file or generator kind.
+    """
+    ticks, spec = asset.ticks_path, asset.generator
+    where = f"asset {asset.name!r} ({ticks if spec is None else 'synth ' + spec.kind})"
+    try:
+        if spec is None:
+            return resample(parse_ticks(ticks.read_bytes()), cfg.delta_ns)
+        start_ns = HorizonSpec(cfg.year_start, 1).start_ns()
+        raw = spec.generate(delta=cfg.delta_ns, start_time=start_ns)
+        return to_price_series(raw, scale=asset.price_scale)
+    except EntroportError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+    except OSError as exc:
+        raise InputFileError(f"{where}: {exc.strerror}") from None
 
 
-def _add_n(cells: list[CellResult], spans: dict[int, slice], source: SampledSeries,
+def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
            tables: PrefixTables, n: int, cfg: PipelineConfig) -> None:
     """Entropy curve and index at one n for each cell, or a warning why not.
 
-    One crossing pass over the whole source (its signs from the source's
-    prefix tables, see PrefixTables) serves every cell's span and histograms each of
+    spans[i] is cells[i]'s (start, stop) in the source, tables.series. One
+    crossing pass over the whole source (its signs from the source's prefix
+    tables, see PrefixTables) serves every cell's span and histograms each of
     its durations once; it dies with this call, so one n's pass is alive at a
     time (two cost peak RSS).
     """
-    if n <= len(source):
-        cpass = crossing_pass(source, n, tables)
-        dists = cpass.distributions([(spans[c.horizon].start, spans[c.horizon].stop)
-                                     for c in cells], cfg.min_clusters)
+    if n <= len(tables.series):
+        cpass = crossing_pass(tables.series, n, tables)
+        dists = cpass.distributions(spans, cfg.min_clusters)
     else:  # every span is too short
         cpass, dists = None, [None] * len(cells)
     for cell, dist in zip(cells, dists):
@@ -129,11 +134,11 @@ def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
         if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
             raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
     source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, window)
-    spans = {m: slice(rng.start, rng.stop - cut) for m, rng in ranges.items()}
-    cells = [CellResult(asset=name, horizon=m, window_s=t_s) for m in spans]
+    spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
+    cells = [CellResult(asset=name, horizon=m, window_s=t_s) for m in ranges]
     tables = PrefixTables(source)  # shared by the passes of every n
     for n in cfg.n_grid_samples():
-        _add_n(cells, spans, source, tables, n, cfg)
+        _add_n(cells, spans, tables, n, cfg)
     for cell in cells:
         if not cell.indices:
             raise InsufficientClustersError(

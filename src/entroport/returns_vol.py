@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .series import NS_PER_S, SampledSeries
+from .series import NS_PER_S, SampledSeries, whole_samples
 
 #: window values per std call in rolling_volatility
 _VOL_BLOCK = 2 ** 16
@@ -28,16 +28,8 @@ class VolatilityWindow:
 
     @classmethod
     def from_physical(cls, physical_s: float, delta_ns: int) -> "VolatilityWindow":
-        span_ns = physical_s * NS_PER_S
-        if span_ns % delta_ns != 0:
-            raise DataError(
-                f"window {physical_s}s is not an integer multiple of "
-                f"delta {delta_ns}ns"
-            )
-        samples = int(span_ns // delta_ns)
-        if samples < 2:
-            raise DataError(f"window must span >= 2 samples, got {samples}")
-        return cls(physical_s=physical_s, samples=samples)
+        return cls(physical_s=physical_s,
+                   samples=whole_samples(physical_s, delta_ns, "volatility window"))
 
     @classmethod
     def from_samples(cls, samples: int, delta_ns: int) -> "VolatilityWindow":

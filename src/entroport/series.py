@@ -106,6 +106,16 @@ def seconds_to_ns(seconds: float, what: str) -> int:
     return round(ns)
 
 
+def whole_samples(seconds: float, delta_ns: int, what: str) -> int:
+    """`seconds` as a count of delta_ns samples; DataError naming `what` unless whole and >= 2."""
+    samples, rest = divmod(seconds * NS_PER_S, delta_ns)
+    if rest != 0:
+        raise DataError(f"{what} {seconds}s is not a whole number of {delta_ns} ns samples")
+    if samples < 2:
+        raise DataError(f"{what} {seconds}s is under 2 samples of {delta_ns} ns")
+    return int(samples)
+
+
 def check_sample_times(start_ns: int, delta_ns: int, length: int, what: str) -> None:
     """DataError naming `what` unless start_ns + k * delta_ns fits int64 for every k < length."""
     if not (-2**63 <= start_ns and start_ns + (length - 1) * delta_ns < 2**63):

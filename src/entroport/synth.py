@@ -20,9 +20,6 @@ from .series import SampledSeries
 #: to Monte Carlo noise at the series lengths used here.
 ARFIMA_TRUNCATION = 10_000
 
-#: generator kind -> its float GeneratorSpec fields, which are also its config keys and CLI flags
-GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",), "garch": ("omega", "alpha", "beta")}
-
 _STREAM_IDS = {"fbm": 1, "arfima": 2, "garch": 3}
 
 
@@ -44,17 +41,10 @@ class GeneratorSpec:
     beta: float | None = None
 
     def generate(self, delta: int = 1, start_time: int = 0) -> SampledSeries:
-        if self.kind == "fbm":
-            return fbm_series(self.hurst, self.length, self.seed,
-                              delta=delta, start_time=start_time)
-        if self.kind == "arfima":
-            return arfima_series(self.d, self.length, self.seed,
-                                 delta=delta, start_time=start_time)
-        if self.kind == "garch":
-            return garch_series(self.omega, self.alpha, self.beta,
-                                self.length, self.seed,
-                                delta=delta, start_time=start_time)
-        raise DataError(f"unknown generator kind {self.kind!r}")
+        if self.kind not in _GENERATORS:
+            raise DataError(f"unknown generator kind {self.kind!r}")
+        return _GENERATORS[self.kind](*(getattr(self, p) for p in GENERATOR_PARAMS[self.kind]),
+                                      self.length, self.seed, delta=delta, start_time=start_time)
 
 
 def fbm_series(hurst: float, length: int, seed: int, *,
@@ -185,18 +175,28 @@ def garch_series(omega: float, alpha: float, beta: float, length: int, seed: int
                          kind="return")
 
 
+#: generator kind -> its float GeneratorSpec fields, which are also its config keys and CLI flags
+GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",), "garch": ("omega", "alpha", "beta")}
+#: generator kind -> its series function, which takes GENERATOR_PARAMS[kind], length and seed
+_GENERATORS = {"fbm": fbm_series, "arfima": arfima_series, "garch": garch_series}
+
+
 def to_price_series(series: SampledSeries, *, scale: float = 1.0,
                     base_price: float = 100.0) -> SampledSeries:
     """Map a synthetic path onto a positive price series.
 
     Level paths ('price' kind, e.g. FBM) become base * exp(scale * x);
     return-like paths compound as base * prod(1 + scale * r), floored away
-    from zero.
+    from zero. A price that overflows to inf or underflows to 0 is a
+    DataError naming the scale.
     """
     x = series.values
-    if series.kind == "price":
-        values = base_price * np.exp(scale * x)
-    else:
-        growth = np.maximum(1.0 + scale * x, 1e-8)
-        values = base_price * np.cumprod(growth)
+    with np.errstate(over="ignore"):  # reported below, not warned
+        if series.kind == "price":
+            values = base_price * np.exp(scale * x)
+        else:
+            growth = np.maximum(1.0 + scale * x, 1e-8)
+            values = base_price * np.cumprod(growth)
+    if not ((values > 0) & (values < np.inf)).all():
+        raise DataError(f"price_scale {scale} takes prices outside (0, inf)")
     return series.with_values(values, kind="price")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +626,54 @@ class TestConfigValidation:
             "assets": [asset, BASE_CONFIG["assets"][1]]})
         _exits_2_naming(cfg_path, caplog,
                         f"asset 'SYN1' synth {field}: expected a number, got {value!r}")
+
+    @pytest.mark.parametrize("kind, scale", [("fbm", 0), ("fbm", -0.001), ("garch", -50),
+                                             ("fbm", float("inf")), ("fbm", float("nan"))])
+    def test_price_scale_not_finite_and_positive_exits_2(self, tmp_path, caplog, kind, scale):
+        asset = {"name": "SYN1", "synth": {"kind": kind, "length": 65536, "seed": 1,
+                                           "price_scale": scale}}
+        asset["synth"].update({"hurst": 0.5} if kind == "fbm" else
+                              {"omega": 1e-6, "alpha": 0.05, "beta": 0.9})
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, f"asset 'SYN1' synth price_scale: must be finite "
+                                          f"and > 0, got {float(scale)!r}")
+        assert not (tmp_path / "out").exists()
+
+    def test_price_overflow_exits_2_naming_the_asset_without_a_warning(self, tmp_path, caplog):
+        asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
+        asset["synth"]["price_scale"] = 1e6
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            _exits_2_naming(cfg_path, caplog, "asset 'SYN1' (synth fbm): price_scale "
+                                              "1000000.0 takes prices outside (0, inf)")
+        assert seen == []
+
+    def test_generator_error_names_the_asset(self, tmp_path, caplog):
+        asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
+        asset["synth"]["hurst"] = 1.5
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "asset 'SYN1' (synth fbm): Hurst exponent")
+
+    def test_year_start_not_first_of_month_exits_2(self, tmp_path, caplog):
+        cfg_path = _write_config(tmp_path, overrides={"year_start": "2018-01-15"})
+        _exits_2_naming(cfg_path, caplog, "year_start 2018-01-15 must be the first of a month")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seconds, rule", [
+        (90, "is not a whole number of 60000000000 ns samples"),
+        (60, "is under 2 samples of 60000000000 ns")])
+    def test_n_grid_value_and_window_share_one_samples_rule(self, tmp_path, caplog,
+                                                            seconds, rule):
+        for key, value, what in [("n_grid_s", {"min": seconds, "max": seconds, "step": 1},
+                                  "n grid value"),
+                                 ("volatility_windows_s", [seconds], "volatility window")]:
+            caplog.clear()
+            _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog,
+                            f"{what} {seconds}s {rule}")
 
     def test_number_fields_take_json_integers(self, tmp_path):
         asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))

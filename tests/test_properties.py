@@ -177,25 +177,6 @@ def test_each_odd_line_parses_as_in_line_loop(line):
     assert _parse_outcome(parse_ticks, data) == _parse_outcome(_parse_ticks_lines, data)
 
 
-# runs of small integers: flat stretches give exact-zero deviations from the mean
-runs = st.lists(st.tuples(st.integers(min_value=-2, max_value=2),
-                          st.integers(min_value=1, max_value=5)),
-                min_size=3, max_size=30)
-
-
-@settings(deadline=None)
-@pytest.mark.parametrize("expanding", [True, False])
-@given(runs=runs, data=st.data())
-def test_span_cut_of_one_pass_equals_pass_over_slice(expanding, runs, data):
-    values = np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
-    y = SampledSeries(values, start_time=0, delta=1)
-    start = 0 if expanding else data.draw(st.integers(1, len(values) - 2))
-    n = data.draw(st.integers(2, len(values) - start))
-    stop = data.draw(st.integers(start + n, len(values)))
-    cut = np.diff(crossing_pass(y, n).crossings(start, stop))
-    assert cut.tolist() == extract_clusters(y.with_values(values[start:stop]), n).tolist()
-
-
 def _distribution_outcome(result):
     """taus, counts and probabilities of a distribution, or an error's class and message."""
     if isinstance(result, Exception):

@@ -1,8 +1,10 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,16 @@ class TestReproducibility:
             b = spec.generate()
             assert np.array_equal(a.values, b.values)
 
+    def test_spec_passes_its_parameters_in_order(self):
+        spec = GeneratorSpec("garch", 500, 7, omega=1e-5, alpha=0.1, beta=0.8)
+        got = spec.generate(delta=5, start_time=3)
+        assert (got.delta, got.start_time) == (5, 3)
+        assert np.array_equal(got.values, garch_series(1e-5, 0.1, 0.8, 500, 7).values)
+
+    def test_unknown_kind_is_a_data_error(self):
+        with pytest.raises(DataError, match="^unknown generator kind 'brownian'$"):
+            GeneratorSpec("brownian", 1024, 7).generate()
+
     def test_distinct_seeds_differ(self):
         a = fbm_series(0.5, 1024, 1).values
         b = fbm_series(0.5, 1024, 2).values
@@ -158,6 +170,15 @@ class TestToPriceSeries:
         p = to_price_series(g)
         assert np.all(p.values > 0)
         assert p.values[0] == pytest.approx(100.0 * (1 + g.values[0]))
+
+    @pytest.mark.parametrize("scale", [1e6, -1e6])
+    def test_prices_outside_the_positive_floats_are_a_data_error(self, scale):
+        s = fbm_series(0.5, 256, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(
+                    f"price_scale {scale} takes prices outside (0, inf)")):
+                to_price_series(s, scale=scale)
 
 
 class TestFFTConvolution:
