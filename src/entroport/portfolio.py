@@ -16,6 +16,7 @@ from .errors import DataError, NoTangencyError
 logger = logging.getLogger(__name__)
 
 SIMPLEX_TOL = 1e-9
+_MAX_ITER = 500  # cap on the steps of one max-Sharpe ascent
 
 
 class RiskProfile(Enum):
@@ -36,6 +37,8 @@ class WeightVector:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(w) != len(self.labels):
             raise DataError("weights and labels must have equal length")
+        if not np.all(np.isfinite(w)):
+            raise DataError(f"non-finite weight in {w}")
         if np.any(w < -SIMPLEX_TOL):
             raise DataError(f"negative weight in {w}")
         if abs(w.sum() - 1.0) > SIMPLEX_TOL:
@@ -57,6 +60,10 @@ class MomentEstimates:
         sigma = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+        if not np.all(np.isfinite(mu)):
+            raise DataError(f"expected returns mu must be finite, got {mu}")
+        if not np.all(np.isfinite(sigma)):
+            raise DataError("covariance matrix sigma must be finite")
         if sigma.shape != (len(mu), len(mu)):
             raise DataError(f"covariance shape {sigma.shape} does not match {len(mu)} assets")
         if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
@@ -70,46 +77,61 @@ def _project_simplex(v: list[float]) -> np.ndarray:
 
     Plain-float form of sort / cumsum / maximum(v - theta, 0): the same
     operations in the same order, so the same bits, without numpy's per-call
-    cost on a vector of a few elements. Raises IndexError, as the numpy form
-    does, when no index passes the test (values near 2^53 and beyond).
+    cost on a vector of a few elements. rho is the last index i with
+    u_i * (i + 1) > css_i - 1, found by one backward scan. Raises IndexError,
+    as the numpy form does, when no index passes the test (values near 2^53
+    and beyond).
     """
     u = sorted(v, reverse=True)
-    css = [c - 1.0 for c in itertools.accumulate(u)]
-    rho = [i for i, (x, c) in enumerate(zip(u, css)) if x * (i + 1) > c][-1]
-    theta = css[rho] / (rho + 1.0)
+    css = list(itertools.accumulate(u))
+    for rho in range(len(u) - 1, -1, -1):
+        if u[rho] * (rho + 1) > css[rho] - 1.0:
+            break
+    else:
+        raise IndexError("no index passes the simplex projection test")
+    theta = (css[rho] - 1.0) / (rho + 1.0)
     # np.maximum(d, 0.0) gives +0.0 for d = -0.0 and keeps NaN
     return np.array([0.0 if d <= 0.0 else d for d in (x - theta for x in v)])
 
 
 def _sharpe(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
-    var = float(w @ sigma @ w)
+    var = float(w.dot(sigma).dot(w))
     if var <= 0:
         return -np.inf
-    return float(w @ mu) / np.sqrt(var)
+    return float(w.dot(mu)) / np.sqrt(var)
 
 
 def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-            max_iter: int = 500) -> np.ndarray:
+            max_iter: int = _MAX_ITER) -> tuple[np.ndarray, int]:
     """Projected-gradient ascent on the Sharpe ratio with backtracking.
 
-    The step and the projection run on Python floats; each candidate's
-    variance and mean are kept for the next gradient.
+    Returns the weights and the number of steps taken; max_iter steps means
+    the ascent stopped at its cap, not at a point where no step gains. The
+    step, the gradient and the projection run on Python floats; each
+    candidate's variance and mean are kept for the next gradient.
     """
+    # ndarray.dot on purpose: the same BLAS kernels as @ at about half the
+    # call cost. Their rounding, not a Python sum's, defines the output bytes,
+    # and so does the operand order: the variance is (w.Sigma).w and the
+    # gradient Sigma.w; for symmetric Sigma the two products round differently,
+    # so neither stands in for the other.
+    mu_list = mu.tolist()
     w = w0.copy()
-    var, mean = float(w @ sigma @ w), float(w @ mu)
+    var, mean = float(w.dot(sigma).dot(w)), float(w.dot(mu))
     f = mean / math.sqrt(var) if var > 0 else -math.inf
     step = 1.0
-    for _ in range(max_iter):
+    for steps in range(max_iter):
         if var <= 0:
             break
         sp = math.sqrt(var)
-        grad = mu / sp - (mean / (sp * var)) * (sigma @ w)
-        wl, gl = w.tolist(), grad.tolist()
+        k = mean / (sp * var)
+        # elementwise as numpy's mu / sp - k * (sigma @ w), so the same bits
+        gl = [m / sp - k * s for m, s in zip(mu_list, sigma.dot(w).tolist())]
+        wl = w.tolist()
         t = step
         for _ in range(40):
             cand = _project_simplex([x + t * g for x, g in zip(wl, gl)])
-            # numpy @ on purpose: its BLAS rounding, not a Python sum's, defines the output bytes
-            cvar, cmean = float(cand @ sigma @ cand), float(cand @ mu)
+            cvar, cmean = float(cand.dot(sigma).dot(cand)), float(cand.dot(mu))
             fc = cmean / math.sqrt(cvar) if cvar > 0 else -math.inf
             if fc > f + 1e-15:
                 w, f, var, mean = cand, fc, cvar, cmean
@@ -118,7 +140,9 @@ def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
             t *= 0.5
         else:
             break
-    return w
+    else:  # every iteration took a step
+        steps = max_iter
+    return w, steps
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,31 +209,40 @@ def max_sharpe_weights(moments: MomentEstimates,
                        eigmin, eps)
         sigma = sigma + eps * np.eye(n)
 
-    starts = [np.full(n, 1.0 / n)]
+    starts = {"uniform": np.full(n, 1.0 / n)}
     vertex_scores = [
         _sharpe(np.eye(n)[i], mu, sigma) for i in range(n)
     ]
-    starts.append(np.eye(n)[int(np.argmax(vertex_scores))])
+    starts["vertex"] = np.eye(n)[int(np.argmax(vertex_scores))]
     try:
         tangency = np.linalg.solve(sigma, mu)
         tangency = np.maximum(tangency, 0.0)
         if tangency.sum() > 0:
-            starts.append(tangency / tangency.sum())
+            starts["tangency"] = tangency / tangency.sum()
     except np.linalg.LinAlgError:
         pass
     if n <= 6:
-        starts.append(_grid_start(mu, sigma, grid_divisions))
+        starts["grid"] = _grid_start(mu, sigma, grid_divisions)
 
-    best, best_f = None, -np.inf
-    for w0 in starts:
-        w = _ascend(w0, mu, sigma)
+    ascents = {name: _ascend(w0, mu, sigma) for name, w0 in starts.items()}
+    best_start, best_f = None, -np.inf
+    for name, (w, _) in ascents.items():
         f = _sharpe(w, mu, sigma)
         if f > best_f:
-            best, best_f = w, f
+            best_start, best_f = name, f
+    if logger.isEnabledFor(logging.DEBUG):
+        capped = [name for name, (_, steps) in ascents.items() if steps == _MAX_ITER]
+        logger.debug("max_sharpe %s: ascent steps %s; best start %s; %s",
+                     ",".join(labels),
+                     " ".join(f"{name}={steps}" for name, (_, steps) in ascents.items()),
+                     best_start,
+                     f"unconverged, stopped at the {_MAX_ITER}-step cap: {','.join(capped)}"
+                     if capped else "every start converged")
     # _ascend takes strict gains only, so best is no worse than the uniform and
     # best-vertex starts, and like every start and projection it is >= +0.0
-    if best is None:
+    if best_start is None:
         raise NoTangencyError("no start portfolio has positive variance")
+    best = ascents[best_start][0]
     return WeightVector(best / best.sum(), labels)
 
 
@@ -225,8 +258,8 @@ def cluster_entropy_weights(indices, labels: tuple[str, ...],
     ivals = np.asarray(indices, dtype=float)
     if len(ivals) < 2:
         raise DataError("need at least 2 assets")
-    if np.any(ivals <= 0):
-        raise DataError(f"all indices must be positive, got {ivals}")
+    if not np.all(np.isfinite(ivals) & (ivals > 0)):
+        raise DataError(f"all indices must be finite and positive, got {ivals}")
     if profile is RiskProfile.HIGH_RISK:
         w = ivals / ivals.sum()
     else:

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ class TestPortfolioMoments:
         sigma = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(DataError):
             MomentEstimates([0.1, 0.1], sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_rejected(self, bad):
+        with pytest.raises(DataError, match="mu must be finite"):
+            max_sharpe_weights(MomentEstimates([bad, 0.1], np.eye(2)))
+
+    def test_nan_sigma_rejected_as_non_finite(self):
+        # not as asymmetric: NaN != NaN fails the symmetry check too
+        with pytest.raises(DataError, match="sigma must be finite"):
+            MomentEstimates([0.1, 0.1], [[1.0, np.nan], [np.nan, 1.0]])
 
     def test_sharpe_zero_mean(self):
         assert _sharpe(np.array([0.5, 0.5]), np.zeros(2), np.eye(2)) == 0.0
@@ -125,6 +136,29 @@ class TestMaxSharpe:
                 h.update(type(exc).__name__.encode())
         assert h.hexdigest() == digest
 
+    def test_debug_line_names_the_capped_start(self, caplog):
+        # problem 18 of the n = 6 set: three starts run to the step cap
+        mu, sigma = list(_solver_problems(6))[18]
+        quiet = max_sharpe_weights(MomentEstimates(mu, sigma)).weights
+        with caplog.at_level(logging.DEBUG, logger="entroport.portfolio"):
+            loud = max_sharpe_weights(MomentEstimates(mu, sigma)).weights
+        assert loud.tobytes() == quiet.tobytes()
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert "uniform=500 vertex=500 tangency=3 grid=500; best start tangency" in line
+        assert line.endswith("unconverged, stopped at the 500-step cap: uniform,vertex,grid")
+
+    def test_debug_line_says_when_every_start_converged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="entroport.portfolio"):
+            max_sharpe_weights(MomentEstimates([0.1, 0.05], np.diag([0.04, 0.01])), ("a", "b"))
+        (line,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert line.startswith("max_sharpe a,b: ascent steps uniform=")
+        assert line.endswith("every start converged")
+
+    def test_no_debug_line_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="entroport.portfolio"):
+            max_sharpe_weights(MomentEstimates([0.1, 0.05], np.diag([0.04, 0.01])))
+        assert not caplog.records
+
 
 class TestClusterEntropyWeights:
     labels = ("a", "b", "c")
@@ -151,6 +185,11 @@ class TestClusterEntropyWeights:
     def test_non_positive_index_rejected(self):
         with pytest.raises(DataError):
             cluster_entropy_weights([2, 0, 5], self.labels)
+
+    @pytest.mark.parametrize("indices", [[np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0]])
+    def test_non_finite_index_rejected(self, indices):
+        with pytest.raises(DataError, match="finite"):
+            cluster_entropy_weights(indices, self.labels)
 
     def test_needs_two_assets(self):
         with pytest.raises(DataError):
@@ -205,3 +244,9 @@ class TestWeightVector:
             _wv([0.6, 0.6])
         with pytest.raises(DataError):
             _wv([1.2, -0.2])
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_non_finite_weights_rejected(self, weights):
+        # NaN fails both simplex comparisons, so only a finiteness check sees it
+        with pytest.raises(DataError, match="non-finite weight"):
+            WeightVector(weights, ("a", "b"))

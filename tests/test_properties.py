@@ -1,7 +1,8 @@
-"""Property tests for the histogram, crossing, tick, volatility and simplex invariants
+"""Property tests for the histogram, crossing, tick, volatility, simplex and ascent invariants
 the pipeline relies on."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, WeightV
                        extract_clusters, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, crossing_pass
 from entroport.errors import EntroportError
-from entroport.portfolio import _grid_start, _project_simplex, _sharpe
+from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _constant_windows
 from entroport.series import _parse_ticks_lines
 
@@ -394,6 +395,32 @@ def _project_simplex_numpy(v):
     return np.maximum(v - theta, 0.0)
 
 
+def _ascend_numpy(w0, mu, sigma, max_iter=500):
+    """Reference: the ascent with numpy @, the numpy gradient and projection."""
+    w = w0.copy()
+    var, mean = float(w @ sigma @ w), float(w @ mu)
+    f = mean / math.sqrt(var) if var > 0 else -math.inf
+    step = 1.0
+    for _ in range(max_iter):
+        if var <= 0:
+            break
+        sp = math.sqrt(var)
+        grad = mu / sp - (mean / (sp * var)) * (sigma @ w)
+        t = step
+        for _ in range(40):
+            cand = _project_simplex_numpy(w + t * grad)
+            cvar, cmean = float(cand @ sigma @ cand), float(cand @ mu)
+            fc = cmean / math.sqrt(cvar) if cvar > 0 else -math.inf
+            if fc > f + 1e-15:
+                w, f, var, mean = cand, fc, cvar, cmean
+                step = min(t * 2.0, 1e6)
+                break
+            t *= 0.5
+        else:
+            break
+    return w
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 projection_inputs = (
     st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 1 / 3])),
@@ -414,6 +441,39 @@ def test_project_simplex_equals_numpy_form_bit_for_bit(v):
             _project_simplex(v)
         return
     assert _project_simplex(v).tobytes() == expected.tobytes()
+
+
+@st.composite
+def ascent_problems(draw):
+    """A start, mixed-sign expected returns and a covariance from random factors;
+    fewer factors than assets gives a singular covariance, which gets the ridge
+    exactly as max_sharpe_weights adds it."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(min_value=-6, max_value=0))
+    a = rng.standard_normal((n, draw(st.integers(min_value=1, max_value=n + 2))))
+    sigma = a @ a.T * scale
+    if np.linalg.eigvalsh(sigma).min() < 1e-14 * max(np.trace(sigma), 1e-300):
+        eps = 1e-10 * np.trace(sigma) / n
+        sigma = sigma + eps * np.eye(n)
+    mu = rng.normal(0.02, 0.05, n) * np.sqrt(scale)
+    mu[:2] = abs(mu[0]), -abs(mu[1])
+    mu = mu[rng.permutation(n)]
+    start = draw(st.sampled_from(["uniform", "vertex", "interior"]))
+    if start == "uniform":
+        w0 = np.full(n, 1.0 / n)
+    elif start == "vertex":
+        w0 = np.eye(n)[draw(st.integers(min_value=0, max_value=n - 1))]
+    else:
+        w0 = rng.dirichlet(np.ones(n))
+    return w0, mu, sigma
+
+
+@settings(deadline=None, max_examples=150)
+@given(ascent_problems())
+def test_ascend_equals_numpy_form_bit_for_bit(problem):
+    w, _ = _ascend(*problem)
+    assert w.tobytes() == _ascend_numpy(*problem).tobytes()
 
 
 @settings(deadline=None)
