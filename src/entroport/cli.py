@@ -78,6 +78,8 @@ def _cmd_synth(args) -> None:
     if None in params.values():
         raise DataError(f"{'/'.join('--' + p for p in params)} "
                         f"{'is' if len(params) == 1 else 'are'} required for {args.kind}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     spec = GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed, **params)
     start_ns = int(datetime(args.start.year, args.start.month, args.start.day,
                             tzinfo=timezone.utc).timestamp()) * NS_PER_S

@@ -136,6 +136,8 @@ def _synth_fields(name: str, spec: dict) -> dict:
         seed = _int(spec["seed"], f"asset {name!r} synth seed")
     except KeyError as exc:
         raise ConfigError(f"asset {name!r}: synth spec missing {exc}") from None
+    if seed < 0:
+        raise ConfigError(f"asset {name!r} synth seed: must be >= 0, got {seed}")
     params = GENERATOR_PARAMS.get(kind)
     if params is None:
         raise ConfigError(f"asset {name!r}: unknown generator kind {kind!r}")

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .series import NS_PER_S, SampledSeries, whole_samples
 
-#: window values per std call in rolling_volatility
-_VOL_BLOCK = 2 ** 16
+#: windows per block in rolling_volatility, whatever their length: a block's
+#: temporaries are about ten arrays of _VOL_BLOCK floats
+_VOL_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,81 @@ def log_returns(prices: SampledSeries) -> SampledSeries:
 
 
 def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> SampledSeries:
-    """Windowed sample standard deviation (ddof=1) over fully contained windows."""
+    """Windowed sample standard deviation (ddof=1) over fully contained windows.
+
+    Each window's std is formed as np.std forms it, with both of its sums
+    added in numpy's pairwise order, so the bytes equal
+    sliding_window_view(r, w).std(axis=-1, ddof=1). The sums run over the w
+    shifted columns of a block of _VOL_BLOCK windows: O(len * w) work in
+    about 4 * w numpy calls per block.
+    """
     w = window.samples
     r = returns.values
     if w < 2:
         raise DataError("volatility window must span >= 2 samples")
     if w > len(r):
         raise DataError(f"window ({w}) longer than series ({len(r)})")
-    windows = sliding_window_view(r, w)
-    out = np.empty(len(windows))
-    # std reduces each row on its own, so blocks of rows give the same bytes
-    # as one call while its (rows x w) temporaries stay at _VOL_BLOCK values
-    rows = max(1, _VOL_BLOCK // w)
-    for lo in range(0, len(windows), rows):
-        out[lo:lo + rows] = windows[lo:lo + rows].std(axis=-1, ddof=1)
+    out = np.empty(len(r) - w + 1)
+    for lo in range(0, len(out), _VOL_BLOCK):
+        block = out[lo:lo + _VOL_BLOCK]
+        _window_std(r[lo:lo + len(block) + w - 1], w, block)
     # a constant window must give exactly 0, not mean-roundoff noise
     out[_constant_windows(r, w)] = 0.0
     return returns.with_values(out, kind="volatility")
+
+
+def _window_std(seg: np.ndarray, w: int, out: np.ndarray) -> None:
+    """Write to out the ddof=1 std of each length-w window of seg in the steps of
+    numpy's _var: mean = sum / w, the sum of (x - mean)**2 over w - 1, its sqrt."""
+    rows = len(out)
+
+    def column(k, into=None):
+        if into is None:
+            return seg[k:k + rows]
+        into[...] = seg[k:k + rows]
+        return into
+
+    mean = _pairwise_sum(column, 0, w, rows)
+    mean /= w
+    scratch = np.empty(rows)
+
+    def squared_deviation(k, into=scratch):
+        np.subtract(seg[k:k + rows], mean, out=into)
+        return np.square(into, out=into)
+
+    total = _pairwise_sum(squared_deviation, 0, w, rows)
+    total /= w - 1
+    np.sqrt(total, out=out)
+
+
+def _pairwise_sum(term, lo: int, n: int, rows: int) -> np.ndarray:
+    """term(lo) + ... + term(lo + n - 1) as a new array, added in the order of
+    numpy's pairwise_sum over n values (numpy/_core/src/umath/loops_utils.h.src).
+
+    term(k) returns the k-th array of rows values, for reading only; term(k, into)
+    writes it to into. Under 8 terms the sum is sequential. Up to 128 it runs 8
+    strided accumulators, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    adds the remaining terms in order. Above 128 it splits at n/2 rounded down to
+    a multiple of 8 and adds the two halves' sums.
+    """
+    if n < 8:
+        total = term(lo, np.empty(rows))
+        for k in range(lo + 1, lo + n):
+            total += term(k)
+        return total
+    if n <= 128:
+        r = [term(k, np.empty(rows)) for k in range(lo, lo + 8)]
+        tail = lo + n - n % 8
+        for k in range(lo + 8, tail):
+            r[(k - lo) % 8] += term(k)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(tail, lo + n):
+            total += term(k)
+        return total
+    half = n // 2 - n // 2 % 8
+    total = _pairwise_sum(term, lo, half, rows)
+    total += _pairwise_sum(term, lo + half, n - half, rows)
+    return total
 
 
 def _constant_windows(r: np.ndarray, w: int) -> np.ndarray:

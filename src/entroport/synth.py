@@ -156,6 +156,9 @@ def arfima_theoretical_acf(d: float, max_lag: int) -> np.ndarray:
 def garch_series(omega: float, alpha: float, beta: float, length: int, seed: int, *,
                  delta: int = 1, start_time: int = 0) -> SampledSeries:
     """GARCH(1,1) return path with unconditional variance omega / (1 - alpha - beta)."""
+    for name, value in (("omega", omega), ("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value}")
     if omega <= 0:
         raise DataError(f"omega must be positive, got {omega}")
     if alpha < 0 or beta < 0:

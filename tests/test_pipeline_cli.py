@@ -515,6 +515,18 @@ class TestSynthCommand:
                    "1024", "--seed", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, caplog):
+        _exits_naming(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "16",
+                       "--seed", "-1", "--out", tmp_path / "x.csv"], 2, caplog,
+                      "--seed: must be >= 0, got -1")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_finite_garch_parameter_exits_2_naming_it(self, tmp_path, caplog):
+        _exits_naming(["synth", "--kind", "garch", "--omega", "nan", "--alpha", "0.05",
+                       "--beta", "0.9", "--length", "16", "--seed", "5",
+                       "--out", tmp_path / "x.csv"], 2, caplog, "omega must be finite, got nan")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigValidation:
     def test_defaults_mirror_reported_sweep(self, tmp_path):
@@ -650,6 +662,23 @@ class TestConfigValidation:
             _exits_2_naming(cfg_path, caplog, "asset 'SYN1' (synth fbm): price_scale "
                                               "1000000.0 takes prices outside (0, inf)")
         assert seen == []
+
+    def test_negative_synth_seed_exits_2(self, tmp_path, caplog):
+        asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
+        asset["synth"]["seed"] = -1
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "asset 'SYN1' synth seed: must be >= 0, got -1")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_garch_omega_exits_2_naming_it(self, tmp_path, caplog):
+        asset = {"name": "G", "synth": {"kind": "garch", "omega": float("nan"),
+                                        "alpha": 0.05, "beta": 0.9, "length": 65536,
+                                        "seed": 1}}
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [asset, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, "asset 'G' (synth garch): omega must be finite, "
+                                          "got nan")
 
     def test_generator_error_names_the_asset(self, tmp_path, caplog):
         asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))

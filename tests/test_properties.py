@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, WeightVector,
-                       cluster_distribution, entropy_curve, entropy_index,
+from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, VolatilityWindow,
+                       WeightVector, cluster_distribution, entropy_curve, entropy_index,
                        extract_clusters, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
-from entroport.returns_vol import _constant_windows
+from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
 from entroport.series import _parse_ticks_lines
 
 durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=300)
@@ -370,6 +370,38 @@ def test_constant_window_mask_matches_max_equals_min(runs, data):
     with np.errstate(invalid="ignore"):
         expected = windows.max(axis=-1) == windows.min(axis=-1)
     assert _constant_windows(r, w).tolist() == expected.tolist()
+
+
+# window counts: a few, or around one and two block edges of rolling_volatility
+window_counts = st.one_of(st.integers(1, 40),
+                          st.sampled_from([_VOL_BLOCK - 1, _VOL_BLOCK, _VOL_BLOCK + 1,
+                                           2 * _VOL_BLOCK - 1, 2 * _VOL_BLOCK + 1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(w=st.integers(2, 300), count=window_counts, seed=st.integers(0, 2**32 - 1),
+       exponents=st.tuples(st.integers(-300, 150), st.integers(-300, 150)),
+       odd_share=st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+def test_rolling_volatility_equals_std_bit_for_bit(w, count, seed, exponents, odd_share):
+    # w up to 300 takes all three branches of the pairwise sum (< 8, <= 128, split);
+    # magnitudes 1e-300..1e150 keep every sum of squares finite
+    rng = np.random.default_rng(seed)
+    length = count + w - 1
+    r = rng.standard_normal(length) * 10.0 ** rng.integers(min(exponents),
+                                                          max(exponents) + 1, length)
+    odd = np.flatnonzero(rng.random(length) < odd_share)
+    kinds = rng.integers(0, 3, len(odd))
+    r[odd[kinds == 0]] = rng.choice([0.0, -0.0], np.count_nonzero(kinds == 0))
+    r[odd[kinds == 1]] = rng.integers(-2**20, 2**20, np.count_nonzero(kinds == 1)) * 5e-324
+    source = np.arange(length)
+    source[odd[kinds == 2]] = 0
+    r = r[np.maximum.accumulate(source)]  # a tie repeats the last value before it
+    windows = sliding_window_view(r, w)
+    expected = windows.std(axis=-1, ddof=1)
+    expected[windows.max(axis=-1) == windows.min(axis=-1)] = 0.0
+    got = rolling_volatility(SampledSeries(r, start_time=0, delta=1),
+                             VolatilityWindow.from_samples(w, 1)).values
+    assert got.tobytes() == expected.tobytes()
 
 
 vectors = st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=8)

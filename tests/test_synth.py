@@ -95,6 +95,13 @@ class TestGARCH:
         with pytest.raises(DataError):
             garch_series(-1e-5, 0.1, 0.1, 100, 0)
 
+    @pytest.mark.parametrize("param", ["omega", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_named(self, param, value):
+        params = {"omega": 1e-5, "alpha": 0.1, "beta": 0.8, param: value}
+        with pytest.raises(DataError, match=f"^{param} must be finite, got {value}$"):
+            garch_series(**params, length=100, seed=0)
+
     def test_degenerate_iid_case(self):
         omega = 4e-4
         x = garch_series(omega, 0.0, 0.0, 100_000, 1).values
