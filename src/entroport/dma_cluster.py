@@ -10,6 +10,7 @@ window, reported split at a threshold between the power-law and linear regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -199,8 +200,6 @@ def _pass_histogram(n: int, acc: np.ndarray) -> ClusterDistribution:
 _U = 2.0 ** -53
 #: covers the O(u) roundings in forming the bound itself
 _SLACK = 1 + 2.0 ** -40
-#: outputs a series' first pass tests before it builds the whole-series tables
-_PROBE = 4096
 
 
 def _gamma(k: int) -> float:
@@ -265,17 +264,22 @@ class PrefixTables:
     own roundings. Because fl(a - b) has the sign of a - b, a certified sign
     is exact. One rule settles a pass: if every sign is certified, the prefix
     sums give them all; otherwise (a sign in doubt, NaN and inf included) the
-    full moving_average gives them all, and the series is marked tie_heavy
-    (repeated prices give exact-zero deviations): its tables are dropped and
-    its later passes convolve directly. The first pass tests its first
-    _PROBE outputs alone, so a tie-heavy series is found before its
-    whole-series tables are built.
+    full moving_average gives them all. The bound covers |d~ - d_exact| too,
+    so where d_exact = 0, as in a window of n equal values, |d~| <= bound and
+    no sign is certified: a pass with n <= flat_run, the longest run of equal
+    values, convolves without trying, and the first pass past it builds the tables.
     """
 
     def __init__(self, y: SampledSeries):
         self.series = y
-        self.tie_heavy = False
-        self.tables = None  # built by the first pass whose probe is certified
+        ties = np.zeros(len(y) + 1, dtype=bool)  # ties[i]: y[i-1] == y[i]; False at both ends
+        np.equal(y.values[1:], y.values[:-1], out=ties[1:-1])
+        edges = np.flatnonzero(ties[1:] != ties[:-1]) if ties.any() else np.zeros(0, int)
+        self.flat_run = int((edges[1::2] - edges[::2]).max(initial=0)) + 1
+
+    @cached_property
+    def tables(self) -> tuple:
+        return _tables(self.series.values)
 
     def deviations(self, n: int) -> tuple[np.ndarray, bool]:
         """y[n-1:] - MA_n, each sign as under moving_average(y, n), and whether certified.
@@ -285,15 +289,10 @@ class PrefixTables:
         v = self.series.values
         if not 2 <= n <= len(v):
             raise _window_error(n, len(v))
-        if self.tables is None and not self.tie_heavy:
-            probe = v[:_PROBE + n - 1]
-            if _certify(_tables(probe), probe, n)[1]:
-                self.tables = _tables(v)
-        if self.tables is not None:
+        if n > self.flat_run:
             d, certified = _certify(self.tables, v, n)
             if certified:
                 return d, True
-        self.tie_heavy, self.tables = True, None
         return v[n - 1:] - moving_average(self.series, n).values, False
 
 

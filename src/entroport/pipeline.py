@@ -115,7 +115,9 @@ def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
         logger.debug("%s T=%ds n=%d: %s; %d crossings; cells %d kept, %d dropped, "
                      "%d too short", cells[0].asset, cells[0].window_s, n,
                      "no pass" if cpass is None else
-                     "signs certified" if cpass.certified else "full convolve",
+                     "signs certified" if cpass.certified else
+                     f"full convolve (flat run {tables.flat_run} >= n)"
+                     if n <= tables.flat_run else "full convolve (signs in doubt)",
                      0 if cpass is None else len(cpass.times), kept, dropped,
                      len(dists) - kept - dropped)
 

@@ -41,28 +41,38 @@ def _convolve_signs(values, n):
 
 
 class TestPrefixTables:
-    def test_one_sign_in_doubt_convolves_the_whole_pass(self):
+    def test_one_sign_in_doubt_convolves_the_whole_pass(self, monkeypatch):
         values = np.random.default_rng(7).standard_normal(2 ** 14)
         d, certified = PrefixTables(_series(values)).deviations(8)
         assert certified and np.array_equal(np.sign(d), _convolve_signs(values, 8))
-        values[10000:10012] = values[10000]  # past the probe; d within ulps of 0 inside it
+        # 1-ulp steps: no two values are equal, but d is within ulps of 0 inside them
+        values[10000:10012] = values[10000] + np.spacing(values[10000]) * np.arange(12)
         tables = PrefixTables(_series(values))
+        assert tables.flat_run == 1
+        built = []
+        monkeypatch.setattr(dma_cluster, "_tables",
+                            lambda v: built.append(len(v)) or _tables(v))
         d, certified = tables.deviations(8)
-        assert not certified and tables.tie_heavy and tables.tables is None
+        assert not certified and built == [len(values)]  # certification was tried
         assert np.array_equal(np.sign(d), _convolve_signs(values, 8))
 
-    def test_tie_heavy_series_is_found_by_the_first_pass_probe(self, monkeypatch):
+    def test_passes_within_the_flat_run_never_build_the_tables(self, monkeypatch):
         built = []
         monkeypatch.setattr(dma_cluster, "_tables",
                             lambda v: built.append(len(v)) or _tables(v))
         values = np.repeat(np.random.default_rng(7).standard_normal(400), 40)
         tables = PrefixTables(_series(values))
+        assert tables.flat_run == 40
         for n in (5, 9, 40):
             d, certified = tables.deviations(n)
-            assert not certified and tables.tie_heavy and tables.tables is None
-            assert np.array_equal(np.sign(d), _convolve_signs(values, n))
-        assert built == [dma_cluster._PROBE + 4]  # the whole-series tables were never built
+            assert not certified and np.array_equal(np.sign(d), _convolve_signs(values, n))
+        assert built == [] and vars(tables).keys() == {"series", "flat_run"}
         assert not crossing_pass(_series(values), 5, tables).certified
+        for n in (41, 41, 64):
+            d, certified = tables.deviations(n)
+            assert np.array_equal(np.sign(d), _convolve_signs(values, n))
+        assert built == [len(values)]  # once, by the first pass past the flat run
+        assert vars(tables).keys() == {"series", "flat_run", "tables"}
 
     def test_volatility_series_shares_prefix_as_abs_prefix(self):
         assert _tables(np.array([0.0, 1.0, 2.0]))[1] is None

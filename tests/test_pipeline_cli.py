@@ -11,12 +11,12 @@ import pytest
 from entroport import pipeline
 from entroport.cli import main
 from entroport.config import load_config
-from entroport.dma_cluster import EntropyCurve, compute_entropy_index
+from entroport.dma_cluster import EntropyCurve, PrefixTables, compute_entropy_index
 from entroport.errors import ConfigError, NoTangencyError
 from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
                                 load_asset_prices, run_pipeline)
 from entroport.returns_vol import VolatilityWindow, linear_returns, rolling_volatility
-from entroport.series import HorizonSpec, slice_horizon
+from entroport.series import HorizonSpec, SampledSeries, slice_horizon
 
 BASE_CONFIG = {
     "assets": [
@@ -157,6 +157,20 @@ class TestAnalyze:
             run_pipeline(cfg, config_bytes=b"")
         assert written == ["entropy_curves.csv"]
         assert not (out / "manifest.json").exists()
+
+    def test_relative_paths_resolve_as_documented(self, tmp_path, monkeypatch):
+        """A relative output_dir is under the working directory, a ticks path by the config."""
+        config_dir, work_dir = tmp_path / "config", tmp_path / "work"
+        config_dir.mkdir()
+        work_dir.mkdir()
+        _sticky_tick_file(config_dir / "t1.csv", 1)
+        cfg_path = _write_config(config_dir, overrides={
+            "assets": [{"name": "T1", "ticks": "t1.csv"}, BASE_CONFIG["assets"][0]],
+            "output_dir": "out"})
+        monkeypatch.chdir(work_dir)
+        assert main(["analyze", str(cfg_path)]) == 0
+        assert (work_dir / "out" / "manifest.json").is_file()
+        assert not (config_dir / "out").exists()
 
     def test_warning_recorded_for_dropped_n(self, tmp_path):
         # high min_clusters drops the largest n but not the smallest
@@ -365,7 +379,7 @@ def test_float_sources_keep_their_bytes(tmp_path, source, digests):
 
 
 def test_debug_line_reports_how_signs_were_settled(tmp_path, caplog):
-    """-v names each pass's sign rule, certified or full convolve; the manifest does not."""
+    """-v names each pass's sign rule, certified or full convolve and why; the manifest does not."""
     caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
     _sticky_tick_file(tmp_path / "t1.csv", 1)
     cfg_path = _write_config(tmp_path, overrides={
@@ -373,13 +387,31 @@ def test_debug_line_reports_how_signs_were_settled(tmp_path, caplog):
         "volatility_windows_s": [360], "min_clusters": 1})
     run_pipeline(load_config(cfg_path), config_bytes=b"")
     passes = [r.getMessage() for r in caplog.records if "crossings; cells" in r.getMessage()]
-    # repeated prices leave signs in doubt, so every pass of T1 convolves
-    sticky = [m for m in passes if m.startswith("T1 ")]
-    assert sticky and all(re.match(r"T1 T=360s n=\d+: full convolve; ", m) for m in sticky)
+    # repeated prices give flat runs longer than every n, so every pass of T1 convolves
+    sticky = [re.match(r"T1 T=360s n=(\d+): full convolve \(flat run (\d+) >= n\); ", m)
+              for m in passes if m.startswith("T1 ")]
+    assert len(sticky) == 4 and all(m and int(m[2]) >= int(m[1]) for m in sticky)
     synth = [m for m in passes if m.startswith("SYN1 ")]
     assert len(synth) == 4 and all(re.search(r": signs certified; ", m) for m in synth)
     manifest = (tmp_path / "out" / "manifest.json").read_text()
     assert "certified" not in manifest and "convolve" not in manifest
+
+
+@pytest.mark.parametrize("run, reason", [
+    (np.arange(12), r"signs in doubt"),  # 1-ulp steps: no two values are equal
+    (np.zeros(8), r"flat run 8 >= n"),   # a run of exactly n equal values
+])
+def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
+    caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
+    values = np.random.default_rng(7).standard_normal(2 ** 14)
+    values[10000:10000 + len(run)] = values[10000] + np.spacing(values[10000]) * run
+    tables = PrefixTables(SampledSeries(values, start_time=0, delta=1))
+    cells = [CellResult(asset="A", horizon=1, window_s=360)]
+    pipeline._add_n(cells, [(0, len(values))], tables, 8,
+                    load_config(_write_config(tmp_path, overrides={"min_clusters": 1})))
+    assert 8 in cells[0].curves
+    assert re.match(rf"A T=360s n=8: full convolve \({reason}\); ",
+                    caplog.records[-1].getMessage())
 
 
 def test_curve_rows_equal_per_row_format(tmp_path):

@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, VolatilityWindow,
                        WeightVector, cluster_distribution, entropy_curve, entropy_index,
                        extract_clusters, parse_ticks, resample, weight_entropy)
-from entroport.dma_cluster import PrefixTables, crossing_pass
+from entroport.dma_cluster import PrefixTables, _certify, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
@@ -335,11 +335,13 @@ def _long_with_flat_run(draw):
 N_GRID = (2, 3, 4, 5, 7, 8, 11, 12, 16, 17, 24, 32, 33, 50, 64)
 
 
+SIGN_SOURCES = st.sampled_from([_float_series, _return_like, _flat_integer_runs,
+                                _zero_windows, _scaled, _overflowing, _half_ulp_steps,
+                                _long_with_flat_run])
+
+
 @settings(deadline=None, max_examples=300)
-@given(make=st.sampled_from([_float_series, _return_like, _flat_integer_runs,
-                             _zero_windows, _scaled, _overflowing, _half_ulp_steps,
-                             _long_with_flat_run]),
-       data=st.data())
+@given(make=SIGN_SOURCES, data=st.data())
 def test_certified_signs_equal_convolve_signs(make, data):
     values = make(data.draw)
     y = SampledSeries(values, start_time=0, delta=1)
@@ -350,6 +352,56 @@ def test_certified_signs_equal_convolve_signs(make, data):
             for tables in (PrefixTables(y), shared):
                 got = np.sign(tables.deviations(n)[0])
                 assert np.array_equal(got, want, equal_nan=True), n
+
+
+def _longest_run(values) -> int:
+    best = run = 1
+    for a, b in zip(values, values[1:]):
+        run = run + 1 if a == b else 1
+        best = max(best, run)
+    return best
+
+
+# runs of ties, signed zeros among them; the first and last runs end the series
+tie_runs = st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1.7e308]),
+                              st.integers(1, 9)), min_size=1, max_size=20)
+
+
+@settings(deadline=None)
+@given(runs=tie_runs)
+def test_flat_run_equals_longest_run_loop(runs):
+    values = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    flat_run = PrefixTables(SampledSeries(values, start_time=0, delta=1)).flat_run
+    assert flat_run == _longest_run(values.tolist())
+
+
+@settings(deadline=None, max_examples=200)
+@given(make=SIGN_SOURCES, data=st.data())
+def test_no_pass_within_the_flat_run_is_certified(make, data):
+    """A window of n equal values has exact deviation 0, which no error bound certifies."""
+    values = make(data.draw)
+    at = data.draw(st.integers(0, len(values) - 1), label="at")
+    run = data.draw(st.integers(2, 60), label="run")
+    values = np.insert(values, at, np.full(run - 1, values[at]))  # a run at least this long
+    tables = PrefixTables(SampledSeries(values, start_time=0, delta=1))
+    assert tables.flat_run >= run
+    for n in range(2, min(tables.flat_run, len(values)) + 1):
+        assert not _certify(tables.tables, values, n)[1], n
+
+
+@settings(deadline=None, max_examples=100)
+@given(make=SIGN_SOURCES, data=st.data())
+def test_shared_tables_answer_each_n_as_fresh_ones(make, data):
+    """A pass leaves no state behind but the tables, so the order of n cannot matter."""
+    values = make(data.draw)
+    y = SampledSeries(values, start_time=0, delta=1)
+    shared = PrefixTables(y)
+    for n in data.draw(st.permutations([n for n in N_GRID if n <= len(values)]), label="order"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (got, got_certified), (want, want_certified) = (shared.deviations(n),
+                                                            PrefixTables(y).deviations(n))
+        assert got_certified == want_certified, n
+        assert np.array_equal(np.sign(got), np.sign(want), equal_nan=True), n
 
 
 # runs of repeated values, signed zeros, infinities and NaN
