@@ -3,9 +3,9 @@
 Each subcommand handler only raises; main maps what it raises to an exit
 code: 0 success, 2 invalid config or data (including a delta that is not a
 finite whole number of nanoseconds >= 1, sample times outside int64
-nanoseconds, or an empty sweep), or an output path that cannot be written,
-3 a missing or unreadable input file, 4 insufficient cluster statistics for
-a whole asset.
+nanoseconds, or an empty sweep), an output path that cannot be written, or
+running out of memory, 3 a missing or unreadable input file, 4 insufficient
+cluster statistics for a whole asset.
 """
 
 from __future__ import annotations
@@ -121,6 +121,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # inputs are read as InputFileError, so this is a write
         logger.error("cannot write outputs to %s: %s", args.out, exc)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. synth --length beyond the address space
+        logger.error("out of memory: %s", exc)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -67,7 +67,7 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
     """Materialize an asset's price series from ticks or a generator spec.
 
     An error keeps its class, and its message names the asset and its tick
-    file or generator kind.
+    file or generator kind; running out of memory is a DataError.
     """
     ticks, spec = asset.ticks_path, asset.generator
     where = f"asset {asset.name!r} ({ticks if spec is None else 'synth ' + spec.kind})"
@@ -82,6 +82,8 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
         raise
     except OSError as exc:
         raise InputFileError(f"{where}: {exc.strerror}") from None
+    except MemoryError as exc:  # e.g. a grid finer than memory can hold
+        raise DataError(f"{where}: out of memory ({exc})") from None
 
 
 def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],

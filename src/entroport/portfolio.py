@@ -17,6 +17,7 @@ logger = logging.getLogger(__name__)
 
 SIMPLEX_TOL = 1e-9
 _MAX_ITER = 500  # cap on the steps of one max-Sharpe ascent
+_GRID_DIVISIONS = 10  # max-Sharpe grid start: weights in steps of 1/10
 
 
 class RiskProfile(Enum):
@@ -101,11 +102,10 @@ def _sharpe(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     return float(w.dot(mu)) / np.sqrt(var)
 
 
-def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-            max_iter: int = _MAX_ITER) -> tuple[np.ndarray, int]:
+def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, int]:
     """Projected-gradient ascent on the Sharpe ratio with backtracking.
 
-    Returns the weights and the number of steps taken; max_iter steps means
+    Returns the weights and the number of steps taken; _MAX_ITER steps means
     the ascent stopped at its cap, not at a point where no step gains. The
     step, the gradient and the projection run on Python floats; each
     candidate's variance and mean are kept for the next gradient.
@@ -120,7 +120,7 @@ def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     var, mean = float(w.dot(sigma).dot(w)), float(w.dot(mu))
     f = mean / math.sqrt(var) if var > 0 else -math.inf
     step = 1.0
-    for steps in range(max_iter):
+    for steps in range(_MAX_ITER):
         if var <= 0:
             break
         sp = math.sqrt(var)
@@ -141,7 +141,7 @@ def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
         else:
             break
     else:  # every iteration took a step
-        steps = max_iter
+        steps = _MAX_ITER
     return w, steps
 
 
@@ -184,8 +184,7 @@ def _grid_start(mu: np.ndarray, sigma: np.ndarray, divisions: int) -> np.ndarray
 
 
 def max_sharpe_weights(moments: MomentEstimates,
-                       labels: tuple[str, ...] | None = None,
-                       grid_divisions: int = 10) -> WeightVector:
+                       labels: tuple[str, ...] | None = None) -> WeightVector:
     """Long-only weights maximizing the Sharpe ratio.
 
     Runs projected-gradient ascent from several starts (uniform, best vertex,
@@ -222,7 +221,7 @@ def max_sharpe_weights(moments: MomentEstimates,
     except np.linalg.LinAlgError:
         pass
     if n <= 6:
-        starts["grid"] = _grid_start(mu, sigma, grid_divisions)
+        starts["grid"] = _grid_start(mu, sigma, _GRID_DIVISIONS)
 
     ascents = {name: _ascend(w0, mu, sigma) for name, w0 in starts.items()}
     best_start, best_f = None, -np.inf

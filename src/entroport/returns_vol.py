@@ -70,7 +70,7 @@ def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> Samp
     added in numpy's pairwise order, so the bytes equal
     sliding_window_view(r, w).std(axis=-1, ddof=1). The sums run over the w
     shifted columns of a block of _VOL_BLOCK windows: O(len * w) work in
-    about 4 * w numpy calls per block.
+    about 4 * w numpy calls per block, however few windows it holds.
     """
     w = window.samples
     r = returns.values
@@ -80,54 +80,40 @@ def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> Samp
         raise DataError(f"window ({w}) longer than series ({len(r)})")
     out = np.empty(len(r) - w + 1)
     for lo in range(0, len(out), _VOL_BLOCK):
+        # numpy's _var steps: mean = sum / w, sum of (x - mean)**2 over w - 1, sqrt
         block = out[lo:lo + _VOL_BLOCK]
-        _window_std(r[lo:lo + len(block) + w - 1], w, block)
+        rows = len(block)
+        seg = r[lo:lo + rows + w - 1]
+        mean = _pairwise_sum(lambda k: seg[k:k + rows], w)
+        mean /= w
+        scratch = np.empty(rows)
+        total = _pairwise_sum(lambda k: np.square(
+            np.subtract(seg[k:k + rows], mean, out=scratch), out=scratch), w)
+        total /= w - 1
+        np.sqrt(total, out=block)
     # a constant window must give exactly 0, not mean-roundoff noise
     out[_constant_windows(r, w)] = 0.0
     return returns.with_values(out, kind="volatility")
 
 
-def _window_std(seg: np.ndarray, w: int, out: np.ndarray) -> None:
-    """Write to out the ddof=1 std of each length-w window of seg in the steps of
-    numpy's _var: mean = sum / w, the sum of (x - mean)**2 over w - 1, its sqrt."""
-    rows = len(out)
-
-    def column(k, into=None):
-        if into is None:
-            return seg[k:k + rows]
-        into[...] = seg[k:k + rows]
-        return into
-
-    mean = _pairwise_sum(column, 0, w, rows)
-    mean /= w
-    scratch = np.empty(rows)
-
-    def squared_deviation(k, into=scratch):
-        np.subtract(seg[k:k + rows], mean, out=into)
-        return np.square(into, out=into)
-
-    total = _pairwise_sum(squared_deviation, 0, w, rows)
-    total /= w - 1
-    np.sqrt(total, out=out)
-
-
-def _pairwise_sum(term, lo: int, n: int, rows: int) -> np.ndarray:
+def _pairwise_sum(term, n: int, lo: int = 0) -> np.ndarray:
     """term(lo) + ... + term(lo + n - 1) as a new array, added in the order of
     numpy's pairwise_sum over n values (numpy/_core/src/umath/loops_utils.h.src).
 
-    term(k) returns the k-th array of rows values, for reading only; term(k, into)
-    writes it to into. Under 8 terms the sum is sequential. Up to 128 it runs 8
-    strided accumulators, adds them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
-    adds the remaining terms in order. Above 128 it splits at n/2 rounded down to
-    a multiple of 8 and adds the two halves' sums.
+    term(k) returns an array to read, which the next call may overwrite, so a
+    term kept as an accumulator is copied. Under 8 terms the sum is sequential.
+    Up to 128 it runs 8 strided accumulators, adds them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the remaining terms in
+    order. Above 128 it splits at n/2 rounded down to a multiple of 8 and adds
+    the two halves' sums.
     """
     if n < 8:
-        total = term(lo, np.empty(rows))
+        total = term(lo).copy()
         for k in range(lo + 1, lo + n):
             total += term(k)
         return total
     if n <= 128:
-        r = [term(k, np.empty(rows)) for k in range(lo, lo + 8)]
+        r = [term(k).copy() for k in range(lo, lo + 8)]
         tail = lo + n - n % 8
         for k in range(lo + 8, tail):
             r[(k - lo) % 8] += term(k)
@@ -136,8 +122,8 @@ def _pairwise_sum(term, lo: int, n: int, rows: int) -> np.ndarray:
             total += term(k)
         return total
     half = n // 2 - n // 2 % 8
-    total = _pairwise_sum(term, lo, half, rows)
-    total += _pairwise_sum(term, lo + half, n - half, rows)
+    total = _pairwise_sum(term, half, lo)
+    total += _pairwise_sum(term, n - half, lo + half)
     return total
 
 

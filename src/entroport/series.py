@@ -251,7 +251,8 @@ def slice_horizon(series: SampledSeries, spec: HorizonSpec,
                   mode: str = "expanding") -> slice:
     """Index range of a series' samples that fall in the calendar horizon.
 
-    mode='expanding' (default): prefix covering months 1..M from year_start.
+    mode='expanding' (default): months 1..M, from year_start on; samples
+    before year_start belong to no horizon.
     mode='monthly': the disjoint month M only.
     """
     if mode not in ("expanding", "monthly"):
@@ -262,8 +263,7 @@ def slice_horizon(series: SampledSeries, spec: HorizonSpec,
             f"series ends at {series.end_time} ns, before the {spec.months}-month "
             f"horizon boundary {end_ns} ns"
         )
-    lo_ns = _month_boundary_ns(spec.year_start, spec.months - 1) if mode == "monthly" \
-        else series.start_time
+    lo_ns = _month_boundary_ns(spec.year_start, spec.months - 1 if mode == "monthly" else 0)
     lo, hi = np.searchsorted(series.times(), [lo_ns, end_ns]).tolist()
     if lo >= hi:
         raise HorizonError("no samples fall inside the requested horizon")

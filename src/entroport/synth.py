@@ -19,6 +19,8 @@ from .series import SampledSeries
 #: mass is O(K^(d-1)) ~ 1e-4 .. 1e-2 of psi_K for |d| < 0.5, negligible next
 #: to Monte Carlo noise at the series lengths used here.
 ARFIMA_TRUNCATION = 10_000
+#: the price at the start of every synthetic path (to_price_series)
+BASE_PRICE = 100.0
 
 _STREAM_IDS = {"fbm": 1, "arfima": 2, "garch": 3}
 
@@ -102,16 +104,15 @@ def fractional_weights(d: float, count: int) -> np.ndarray:
 
 
 def arfima_series(d: float, length: int, seed: int, *,
-                  delta: int = 1, start_time: int = 0,
-                  truncation: int = ARFIMA_TRUNCATION) -> SampledSeries:
+                  delta: int = 1, start_time: int = 0) -> SampledSeries:
     """ARFIMA(0, d, 0) noise via truncated fractional-differencing weights."""
     if not abs(d) < 0.5:
         raise DataError(f"fractional order must satisfy |d| < 0.5, got {d}")
     if length < 1:
         raise DataError("length must be >= 1")
     rng = _rng("arfima", seed)
-    psi = fractional_weights(d, truncation + 1)
-    eps = rng.standard_normal(length + truncation)
+    psi = fractional_weights(d, ARFIMA_TRUNCATION + 1)
+    eps = rng.standard_normal(length + ARFIMA_TRUNCATION)
     x = _fft_convolve_valid(eps, psi)
     return SampledSeries(values=x[:length], start_time=start_time,
                          delta=delta, kind="return")
@@ -184,22 +185,21 @@ GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",), "garch": ("omega", "alp
 _GENERATORS = {"fbm": fbm_series, "arfima": arfima_series, "garch": garch_series}
 
 
-def to_price_series(series: SampledSeries, *, scale: float = 1.0,
-                    base_price: float = 100.0) -> SampledSeries:
+def to_price_series(series: SampledSeries, *, scale: float = 1.0) -> SampledSeries:
     """Map a synthetic path onto a positive price series.
 
-    Level paths ('price' kind, e.g. FBM) become base * exp(scale * x);
-    return-like paths compound as base * prod(1 + scale * r), floored away
+    Level paths ('price' kind, e.g. FBM) become BASE_PRICE * exp(scale * x);
+    return-like paths compound as BASE_PRICE * prod(1 + scale * r), floored away
     from zero. A price that overflows to inf or underflows to 0 is a
     DataError naming the scale.
     """
     x = series.values
     with np.errstate(over="ignore"):  # reported below, not warned
         if series.kind == "price":
-            values = base_price * np.exp(scale * x)
+            values = BASE_PRICE * np.exp(scale * x)
         else:
             growth = np.maximum(1.0 + scale * x, 1e-8)
-            values = base_price * np.cumprod(growth)
+            values = BASE_PRICE * np.cumprod(growth)
     if not ((values > 0) & (values < np.inf)).all():
         raise DataError(f"price_scale {scale} takes prices outside (0, inf)")
     return series.with_values(values, kind="price")

@@ -172,6 +172,67 @@ class TestAnalyze:
         assert (work_dir / "out" / "manifest.json").is_file()
         assert not (config_dir / "out").exists()
 
+    # each request exceeds a 47-bit address space, so numpy refuses it unallocated
+    @pytest.mark.parametrize("source", ["synth", "ticks"])
+    def test_out_of_memory_exits_2_naming_the_asset(self, tmp_path, caplog, source):
+        if source == "synth":
+            asset = {"name": "BIG", "synth": {"kind": "fbm", "hurst": 0.5,
+                                              "length": 2 ** 47, "seed": 1}}
+            where = "asset 'BIG' (synth fbm)"
+        else:  # a year of 1 ns grid points
+            (tmp_path / "two.csv").write_text(
+                "timestamp_ns,price\n1514764800000000000,100.0\n1546300799000000000,101.0\n")
+            asset = {"name": "BIG", "ticks": "two.csv"}
+            where = f"asset 'BIG' ({tmp_path / 'two.csv'})"
+        cfg_path = _write_config(tmp_path, overrides={"assets": [asset], "delta_s": 1e-9})
+        _exits_2_naming(cfg_path, caplog, f"{where}: out of memory (Unable to allocate")
+        assert not (tmp_path / "out").exists()
+
+    def test_n_longer_than_the_source_warns_series_too_short(self, tmp_path):
+        # 50,000 samples outrun January's 44,634 volatility values; n = 2 runs
+        cfg_path = _write_config(tmp_path, overrides={
+            "n_grid_s": {"min": 120, "max": 3_000_000, "step": 2_999_880}})
+        result = run_pipeline(load_config(cfg_path), config_bytes=b"")
+        assert result.warnings == [f"{name} M=1 T=360s n=50000: series too short"
+                                   for name in ("SYN1", "SYN2")]
+        assert all(list(cell.curves) == [2] for cell in result.cells.values())
+
+    def test_window_longer_than_a_horizon_exits_2(self, tmp_path, caplog):
+        # January holds 44,640 prices, so 44,639 returns
+        cfg_path = _write_config(tmp_path, overrides={"volatility_windows_s": [44_640 * 60]})
+        _exits_2_naming(cfg_path, caplog, "window (44640) longer than series (44639)")
+
+    def test_monthly_horizon_with_one_price_exits_2(self, tmp_path, caplog):
+        # at 28-day steps from 2018-01-01, February holds only 2018-02-26
+        days = 28 * 86400
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "SYN1", "synth": {"kind": "fbm", "hurst": 0.5,
+                                                  "length": 16, "seed": 1}}],
+            "delta_s": days, "n_grid_s": {"min": 2 * days, "max": 2 * days, "step": 1},
+            "volatility_windows_s": [2 * days], "horizons": [2], "horizon_mode": "monthly"})
+        _exits_2_naming(cfg_path, caplog, "need at least 2 prices to compute returns")
+
+    def test_ticks_before_year_start_feed_no_expanding_horizon(self, tmp_path):
+        """Ticks from 2017-12-01: expanding M=1 is January, as monthly M=1 is."""
+        t0 = 1512086400 * 10 ** 9  # 2017-12-01 UTC
+        n_ticks = 62 * 1440  # December and January
+        assets = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            prices = 100 * np.exp(np.cumsum(rng.standard_normal(n_ticks)) * 1e-3)
+            (tmp_path / f"t{seed}.csv").write_text("timestamp_ns,price\n" + "".join(
+                f"{t0 + i * 60 * 10 ** 9},{p:.6f}\n" for i, p in enumerate(prices.tolist())))
+            assets.append({"name": f"T{seed}", "ticks": f"t{seed}.csv"})
+        outputs = {}
+        for mode in ("expanding", "monthly"):
+            cfg = load_config(_write_config(tmp_path, name=f"{mode}.json", overrides={
+                "assets": assets, "horizon_mode": mode,
+                "output_dir": str(tmp_path / mode)}))
+            run_pipeline(cfg, config_bytes=b"")
+            outputs[mode] = {name: (tmp_path / mode / name).read_bytes() for name in (
+                "entropy_curves.csv", "indices_by_n.csv", "weights.csv", "diagnostics.csv")}
+        assert outputs["expanding"] == outputs["monthly"]
+
     def test_warning_recorded_for_dropped_n(self, tmp_path):
         # high min_clusters drops the largest n but not the smallest
         cfg_path = _write_config(tmp_path, overrides={"min_clusters": 15000})
@@ -559,6 +620,14 @@ class TestSynthCommand:
                        "--out", tmp_path / "x.csv"], 2, caplog, "omega must be finite, got nan")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path, caplog):
+        # 2**47 samples exceed a 47-bit address space, so numpy refuses them unallocated
+        _exits_naming(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.05",
+                       "--beta", "0.9", "--length", 2 ** 47, "--seed", "5",
+                       "--delta-s", "1e-9", "--out", tmp_path / "x.csv"], 2, caplog,
+                      "out of memory: Unable to allocate")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigValidation:
     def test_defaults_mirror_reported_sweep(self, tmp_path):
@@ -643,6 +712,44 @@ class TestConfigValidation:
             "assets": [asset, BASE_CONFIG["assets"][1]]})
         _exits_2_naming(cfg_path, caplog,
                         f"asset 'SYN1' synth {field}: expected an integer, got {value!r}")
+
+    @pytest.mark.parametrize("overrides, needle", [
+        ({"entropy_estimator": "gini"}, "unknown entropy_estimator 'gini'"),
+        ({"entropy_source": "price"}, "unknown entropy_source 'price'"),
+        ({"aggregation": "max"}, "unknown aggregation 'max'"),
+        ({"horizon_mode": "weekly"}, "unknown horizon_mode 'weekly'"),
+        ({"return_kind": "linear"}, "unknown return_kind 'linear'"),
+        ({"threshold_m": 0}, "threshold_m must be 'n' or a positive integer, got 0"),
+        ({"min_clusters": 0}, "min_clusters must be >= 1"),
+        ({"assets": []}, "at least one asset is required"),
+        ({"assets": 5}, "bad config: TypeError(\"'int' object is not iterable\")")])
+    def test_bad_config_values_exit_2(self, tmp_path, caplog, overrides, needle):
+        _exits_2_naming(_write_config(tmp_path, overrides=overrides), caplog, needle)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, needle", [
+        ("{\"assets\": ", "config.json: not valid JSON (Expecting value"),
+        ("[]", "config root must be a JSON object")])
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path, caplog, text, needle):
+        (tmp_path / "config.json").write_text(text)
+        _exits_2_naming(tmp_path / "config.json", caplog, needle)
+
+    @pytest.mark.parametrize("synth, needle", [
+        ({"kind": "fbm", "hurst": 0.5, "length": 65536},
+         "asset 'SYN1': synth spec missing 'seed'"),
+        ({"kind": "levy", "length": 65536, "seed": 1},
+         "asset 'SYN1': unknown generator kind 'levy'"),
+        ({"kind": "garch", "omega": 1e-6, "alpha": 0.05, "beta": 0.9, "length": 0, "seed": 1},
+         "asset 'SYN1' (synth garch): length must be >= 1"),
+        ({"kind": "arfima", "d": 0.2, "length": 0, "seed": 1},
+         "asset 'SYN1' (synth arfima): length must be >= 1"),
+        ({"kind": "garch", "omega": 1e-6, "alpha": -0.1, "beta": 0.9, "length": 65536,
+          "seed": 1}, "asset 'SYN1' (synth garch): alpha and beta must be non-negative")])
+    def test_bad_synth_specs_exit_2(self, tmp_path, caplog, synth, needle):
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "SYN1", "synth": synth}, BASE_CONFIG["assets"][1]]})
+        _exits_2_naming(cfg_path, caplog, needle)
+        assert not (tmp_path / "out").exists()
 
     def test_integral_floats_are_integers(self, tmp_path):
         cfg = load_config(_write_config(tmp_path, overrides={

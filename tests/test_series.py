@@ -199,6 +199,23 @@ class TestSliceHorizon:
         jan = s.values[slice_horizon(s, HorizonSpec(date(2018, 1, 1), 1), mode="monthly")]
         assert jan[-1] < feb[0]
 
+    def test_expanding_horizon_starts_at_year_start(self):
+        # daily samples from 2017-12-01: December belongs to no 2018 horizon
+        s = self._year_series()
+        early = s.with_values(np.arange(365.0 + 31),
+                              start_time=HorizonSpec(date(2017, 12, 1), 1).start_ns())
+        spec = HorizonSpec(date(2018, 1, 1), 1)
+        assert slice_horizon(early, spec) == slice_horizon(early, spec, mode="monthly")
+        assert slice_horizon(early, spec) == slice(31, 62)
+
+    @pytest.mark.parametrize("mode", ["expanding", "monthly"])
+    def test_horizon_with_no_samples_is_an_error(self, mode):
+        # a series that starts after January has no sample in M=1
+        s = self._year_series()
+        march = s.with_values(s.values, start_time=HorizonSpec(date(2018, 3, 1), 1).start_ns())
+        with pytest.raises(HorizonError, match="no samples fall inside the requested horizon"):
+            slice_horizon(march, HorizonSpec(date(2018, 1, 1), 1), mode=mode)
+
 
 def test_series_cache_roundtrip(tmp_path):
     s = SampledSeries(np.array([1.5, 2.25, 3.125]), start_time=1000,
