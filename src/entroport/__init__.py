@@ -7,8 +7,7 @@ from .errors import (ConfigError, DataError, EmptyInputError, EntroportError,
                      NoTangencyError, TickParseError)
 from .series import (TICK_DTYPE, HorizonSpec, SampledSeries, align_lengths,
                      parse_ticks, resample, slice_horizon)
-from .returns_vol import (VolatilityWindow, linear_returns, log_returns,
-                          rolling_volatility)
+from .returns_vol import linear_returns, log_returns, rolling_volatility
 from .dma_cluster import (ClusterDistribution, ClusterModelFit, EntropyCurve,
                           EntropyIndex, aggregate_index, cluster_distribution,
                           compute_entropy_index, entropy_curve, entropy_index,

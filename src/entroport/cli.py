@@ -16,7 +16,7 @@ import sys
 from datetime import date, datetime, timezone
 from pathlib import Path
 
-from .config import load_config
+from .config import read_config
 from .errors import (ConfigError, DataError, EntroportError, InputFileError,
                      InsufficientClustersError)
 from .pipeline import FIGURE_KEYS, emit_figure_data, run_pipeline
@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> None:
-    cfg = load_config(args.config)
+    cfg, config_bytes = read_config(args.config)  # the manifest hashes the bytes parsed
     args.out = cfg.output_dir  # named by main if a write fails
-    result = run_pipeline(cfg, config_bytes=args.config.read_bytes())
+    result = run_pipeline(cfg, config_bytes=config_bytes)
     logger.info("wrote outputs to %s (%d warnings)", cfg.output_dir,
                 len(result.warnings))
 

@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .dma_cluster import MIN_CLUSTERS
 from .errors import ConfigError, InputFileError
-from .returns_vol import VolatilityWindow
 from .series import HorizonSpec, check_sample_times, seconds_to_ns, whole_samples
 from .synth import GENERATOR_PARAMS, GeneratorSpec
 
@@ -100,7 +99,7 @@ class PipelineConfig:
                                    f"{grid} for {a.generator.length} samples of {a.name!r}")
         self.n_grid_samples()  # each value whole samples, >= 2, like each window
         for t in self.volatility_windows_s:
-            VolatilityWindow.from_physical(t, delta_ns)
+            whole_samples(t, delta_ns, "volatility window")
         if self.entropy_estimator not in ("surprisal", "shannon_term"):
             raise ConfigError(f"unknown entropy_estimator {self.entropy_estimator!r}")
         if self.entropy_source not in ("volatility", "return"):
@@ -208,14 +207,20 @@ _PARSERS = {"delta_s": partial(_float, key="delta_s"), "year_start": date.fromis
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a JSON pipeline config file."""
+    return read_config(path)[0]
+
+
+def read_config(path: str | Path) -> tuple[PipelineConfig, bytes]:
+    """load_config(path), and the bytes it parsed: the file is read once."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        raw = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise InputFileError(f"config {path}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(raw, base_dir=path.parent), data
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> PipelineConfig:

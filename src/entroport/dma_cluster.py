@@ -296,18 +296,17 @@ class PrefixTables:
         return v[n - 1:] - moving_average(self.series, n).values, False
 
 
-def crossing_pass(y: SampledSeries, n: int,
-                  tables: PrefixTables | None = None) -> CrossingPass:
+def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     """Where y - moving_average flips sign, and the nonzero deviation before each flip.
 
-    Only the deviations' signs are computed, each equal to its sign under
-    moving_average: all from the prefix sums of y (tables, PrefixTables(y)
-    when not given) when they certify every one, else all from the full
-    np.convolve (see PrefixTables). Certified signs are never zero, so the
-    flips are read from one boolean d > 0. A convolved pass may hold exact
-    zeros (or NaN), so each sign is compared with the last nonzero one's.
+    y is tables.series. Only the deviations' signs are computed, each equal
+    to its sign under moving_average: all from the prefix sums of y when they
+    certify every one, else all from the full np.convolve (see PrefixTables).
+    Certified signs are never zero, so the flips are read from one boolean
+    d > 0. A convolved pass may hold exact zeros (or NaN), so each sign is
+    compared with the last nonzero one's.
     """
-    d, certified = (PrefixTables(y) if tables is None else tables).deviations(n)
+    d, certified = tables.deviations(n)
     if certified:
         pos = d > 0
         flip = np.flatnonzero(pos[1:] != pos[:-1])
@@ -327,7 +326,7 @@ def crossing_times(y: SampledSeries, n: int) -> np.ndarray:
     preceding cluster. Indices are absolute positions in y (the overlap
     region starts at n - 1).
     """
-    return crossing_pass(y, n).times
+    return crossing_pass(PrefixTables(y), n).times
 
 
 def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:

@@ -28,10 +28,9 @@ from .errors import (DataError, EntroportError, InputFileError,
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
-from .returns_vol import (VolatilityWindow, linear_returns, log_returns,
-                          rolling_volatility)
+from .returns_vol import linear_returns, log_returns, rolling_volatility
 from .series import (HorizonSpec, SampledSeries, align_lengths, parse_ticks,
-                     resample, slice_horizon)
+                     resample, slice_horizon, whole_samples)
 from .synth import to_price_series
 
 logger = logging.getLogger(__name__)
@@ -97,7 +96,7 @@ def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
     time (two cost peak RSS).
     """
     if n <= len(tables.series):
-        cpass = crossing_pass(tables.series, n, tables)
+        cpass = crossing_pass(tables, n)
         dists = cpass.distributions(spans, cfg.min_clusters)
     else:  # every span is too short
         cpass, dists = None, [None] * len(cells)
@@ -132,12 +131,12 @@ def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
     exactly those of the sliced prices, so the whole-series source is
     computed once and each horizon takes its span by index.
     """
-    window = VolatilityWindow.from_physical(t_s, cfg.delta_ns)
-    cut = 1 if cfg.entropy_source == "return" else window.samples
+    w = whole_samples(t_s, cfg.delta_ns, "volatility window")
+    cut = 1 if cfg.entropy_source == "return" else w
     for rng in ranges.values():
         if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
             raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
-    source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, window)
+    source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, w)
     spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
     cells = [CellResult(asset=name, horizon=m, window_s=t_s) for m in ranges]
     tables = PrefixTables(source)  # shared by the passes of every n

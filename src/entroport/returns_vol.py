@@ -1,41 +1,19 @@
-"""Return series and rolling expected-return / volatility windows.
+"""Return series and rolling volatility over windows of w samples.
 
-The volatility window T is a physical duration; it must be an integer
-multiple of the sampling interval (no rounding) so runs are reproducible
-across configurations.
+A window's physical span T becomes w only in series.whole_samples, which
+rejects a T that is not a whole number of sampling intervals (no rounding).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
-from .series import NS_PER_S, SampledSeries, whole_samples
+from .series import SampledSeries
 
 #: windows per block in rolling_volatility, whatever their length: a block's
 #: temporaries are about ten arrays of _VOL_BLOCK floats
 _VOL_BLOCK = 2 ** 13
-
-
-@dataclass(frozen=True)
-class VolatilityWindow:
-    """Rolling window: physical span in seconds plus the derived sample count."""
-
-    physical_s: float
-    samples: int
-
-    @classmethod
-    def from_physical(cls, physical_s: float, delta_ns: int) -> "VolatilityWindow":
-        return cls(physical_s=physical_s,
-                   samples=whole_samples(physical_s, delta_ns, "volatility window"))
-
-    @classmethod
-    def from_samples(cls, samples: int, delta_ns: int) -> "VolatilityWindow":
-        if samples < 2:
-            raise DataError(f"window must span >= 2 samples, got {samples}")
-        return cls(physical_s=samples * delta_ns / NS_PER_S, samples=samples)
 
 
 def _checked_prices(prices: SampledSeries) -> np.ndarray:
@@ -63,8 +41,8 @@ def log_returns(prices: SampledSeries) -> SampledSeries:
                          delta=prices.delta, kind="return")
 
 
-def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> SampledSeries:
-    """Windowed sample standard deviation (ddof=1) over fully contained windows.
+def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
+    """Sample standard deviation (ddof=1) of each fully contained window of w returns.
 
     Each window's std is formed as np.std forms it, with both of its sums
     added in numpy's pairwise order, so the bytes equal
@@ -72,7 +50,6 @@ def rolling_volatility(returns: SampledSeries, window: VolatilityWindow) -> Samp
     shifted columns of a block of _VOL_BLOCK windows: O(len * w) work in
     about 4 * w numpy calls per block, however few windows it holds.
     """
-    w = window.samples
     r = returns.values
     if w < 2:
         raise DataError("volatility window must span >= 2 samples")

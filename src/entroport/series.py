@@ -264,10 +264,18 @@ def slice_horizon(series: SampledSeries, spec: HorizonSpec,
             f"horizon boundary {end_ns} ns"
         )
     lo_ns = _month_boundary_ns(spec.year_start, spec.months - 1 if mode == "monthly" else 0)
-    lo, hi = np.searchsorted(series.times(), [lo_ns, end_ns]).tolist()
+    lo, hi = _first_sample_at(series, lo_ns), _first_sample_at(series, end_ns)
     if lo >= hi:
         raise HorizonError("no samples fall inside the requested horizon")
     return slice(lo, hi)
+
+
+def _first_sample_at(series: SampledSeries, t_ns: int) -> int:
+    """Index of the first sample at or after t_ns, as searchsorted(series.times(), t_ns).
+
+    That is ceil((t_ns - start_time) / delta) clamped to [0, len], in integers.
+    """
+    return min(max(-((series.start_time - t_ns) // series.delta), 0), len(series))
 
 
 # --- sampled-series cache CSV ------------------------------------------------

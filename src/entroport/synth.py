@@ -67,14 +67,17 @@ def fbm_series(hurst: float, length: int, seed: int, *,
 
 
 def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    # each temporary is deleted once used: at n = 2^20 they are tens of MB each
+    # each temporary is deleted once used, and both FFTs run in place on their
+    # complex input: at n = 2^20 each buffer is tens of MB
     k = np.arange(n + 1, dtype=float)
     two_h = 2.0 * hurst
     cov = 0.5 * ((k + 1) ** two_h - 2.0 * k ** two_h + np.abs(k - 1) ** two_h)
     del k
-    row = np.concatenate([cov, cov[-2:0:-1]])          # length 2n
+    row = np.empty(2 * n, dtype=complex)
+    row[:n + 1] = cov
+    row[n + 1:] = cov[-2:0:-1]
     del cov
-    lam = np.fft.fft(row).real
+    lam = np.fft.fft(row, out=row).real.copy()
     del row
     if lam.min() < -1e-8:
         raise DataError(f"circulant embedding not non-negative definite (min {lam.min()})")
@@ -91,7 +94,7 @@ def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndar
     w[1:n] = half * (a[1:n] + 1j * b[1:n])
     del a, b, half
     w[m - 1:n:-1] = np.conj(w[1:n])
-    return np.fft.fft(w).real[:n]
+    return np.fft.fft(w, out=w).real[:n].copy()
 
 
 def fractional_weights(d: float, count: int) -> np.ndarray:

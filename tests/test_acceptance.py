@@ -16,7 +16,6 @@ import pytest
 import entroport as ep
 from entroport.cli import main as cli_main
 from entroport.portfolio import _sharpe, simplex_grid
-from entroport.returns_vol import VolatilityWindow
 
 
 def _report(criterion, ok, detail):
@@ -109,9 +108,7 @@ def test_criterion_5_uniformity_limit():
             path = ep.fbm_series(0.5, 2 ** 17, 1000 * rep + asset)
             prices = ep.to_price_series(path, scale=1e-3)
             returns = ep.linear_returns(prices)
-            vol = ep.rolling_volatility(
-                returns, VolatilityWindow.from_samples(window_samples,
-                                                       returns.delta))
+            vol = ep.rolling_volatility(returns, window_samples)
             indices = [ep.compute_entropy_index(vol, n) for n in n_grid]
             aggregates.append(ep.aggregate_index(indices))
         wv = ep.cluster_entropy_weights(aggregates,
@@ -174,7 +171,7 @@ def test_criterion_8_aggregation_invariance():
         vol = ep.rolling_volatility(
             ep.linear_returns(ep.to_price_series(
                 ep.fbm_series(0.5, 2 ** 15, 300 + asset), scale=1e-3)),
-            VolatilityWindow.from_samples(36, 1))
+            36)
         indices = [ep.compute_entropy_index(vol, n) for n in n_grid]
         sums.append(ep.aggregate_index(indices, how="sum"))
         means.append(ep.aggregate_index(indices, how="mean"))

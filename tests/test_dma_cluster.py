@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroport import (ClusterDistribution, DataError, EmptyInputError,
+from entroport import (ClusterDistribution, DataError, EmptyInputError, EntropyCurve,
                        InsufficientClustersError, SampledSeries, aggregate_index, cluster_distribution,
                        entropy_curve, entropy_index, extract_clusters,
                        fit_cluster_model, moving_average)
@@ -67,7 +67,7 @@ class TestPrefixTables:
             d, certified = tables.deviations(n)
             assert not certified and np.array_equal(np.sign(d), _convolve_signs(values, n))
         assert built == [] and vars(tables).keys() == {"series", "flat_run"}
-        assert not crossing_pass(_series(values), 5, tables).certified
+        assert not crossing_pass(tables, 5).certified
         for n in (41, 41, 64):
             d, certified = tables.deviations(n)
             assert np.array_equal(np.sign(d), _convolve_signs(values, n))
@@ -188,6 +188,10 @@ class TestEntropyCurve:
         with pytest.raises(ValueError):
             entropy_curve(dist, estimator="bogus")
 
+    def test_negative_values_rejected(self):
+        with pytest.raises(DataError, match="must be non-negative"):
+            EntropyCurve(n=5, taus=np.array([1, 2]), values=np.array([0.5, -0.1]))
+
 
 class TestEntropyIndex:
     def test_single_zero_bin(self):
@@ -224,6 +228,11 @@ class TestEntropyIndex:
         with pytest.raises(DataError):
             entropy_index(entropy_curve(dist), 0)
 
+    def test_empty_curve(self):
+        empty = EntropyCurve(n=4, taus=np.zeros(0, dtype=np.int64), values=np.zeros(0))
+        with pytest.raises(EmptyInputError, match="no points"):
+            entropy_index(empty, 4)
+
 
 class TestAggregateIndex:
     def _index(self, n, v):
@@ -242,6 +251,10 @@ class TestAggregateIndex:
     def test_empty_grid(self):
         with pytest.raises(EmptyInputError):
             aggregate_index([])
+
+    def test_unknown_aggregation(self):
+        with pytest.raises(ValueError, match="unknown aggregation 'median'"):
+            aggregate_index([self._index(4, 2.5)], how="median")
 
 
 class TestFitClusterModel:

@@ -2,21 +2,24 @@ import hashlib
 import json
 import logging
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entroport import pipeline
+import entroport
+from entroport import config, pipeline
 from entroport.cli import main
 from entroport.config import load_config
 from entroport.dma_cluster import EntropyCurve, PrefixTables, compute_entropy_index
 from entroport.errors import ConfigError, NoTangencyError
 from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
                                 load_asset_prices, run_pipeline)
-from entroport.returns_vol import VolatilityWindow, linear_returns, rolling_volatility
-from entroport.series import HorizonSpec, SampledSeries, slice_horizon
+from entroport.returns_vol import linear_returns, rolling_volatility
+from entroport.series import HorizonSpec, SampledSeries, slice_horizon, whole_samples
 
 BASE_CONFIG = {
     "assets": [
@@ -137,6 +140,27 @@ class TestAnalyze:
             a = (tmp_path / "a" / "out" / name).read_bytes()
             b = (tmp_path / "b" / "out" / name).read_bytes()
             assert a == b, name
+
+    @pytest.mark.parametrize("change", ["rewrite", "remove"])
+    def test_manifest_hashes_the_config_bytes_parsed(self, tmp_path, monkeypatch, change):
+        """The config file changes while it is parsed, before any second read could see it."""
+        cfg_path = _write_config(tmp_path)
+        parsed = cfg_path.read_bytes()
+        parse, calls = config.config_from_dict, []
+
+        def parse_then_change_the_file(*args, **kwargs):
+            calls.append(change)
+            if change == "rewrite":
+                cfg_path.write_text(json.dumps({**BASE_CONFIG, "horizons": [2]}))
+            else:
+                cfg_path.unlink()
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(config, "config_from_dict", parse_then_change_the_file)
+        assert main(["analyze", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert calls == [change]
+        assert manifest["config_sha256"] == hashlib.sha256(parsed).hexdigest()
 
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         cfg = load_config(_write_config(tmp_path))
@@ -326,8 +350,8 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
             span = slice_horizon(prices, HorizonSpec(cfg.year_start, m), mode=mode)
             rets = linear_returns(prices.with_values(prices.values[span]))
             for t_s in cfg.volatility_windows_s:
-                window = VolatilityWindow.from_physical(t_s, cfg.delta_ns)
-                y = rets if source == "return" else rolling_volatility(rets, window)
+                w = whole_samples(t_s, cfg.delta_ns, "volatility window")
+                y = rets if source == "return" else rolling_volatility(rets, w)
                 for n in cfg.n_grid_samples():
                     ix = compute_entropy_index(
                         y, n, threshold_m=cfg.threshold_for(n),
@@ -392,7 +416,7 @@ def test_exact_zero_deviations_keep_their_bytes(tmp_path):
         "assets": [{"name": f"T{seed}", "ticks": f"t{seed}.csv"} for seed in (1, 2)]}))
     prices = load_asset_prices(cfg.assets[0], cfg)
     y = rolling_volatility(linear_returns(prices),
-                           VolatilityWindow.from_physical(360, cfg.delta_ns)).values
+                           whole_samples(360, cfg.delta_ns, "volatility window")).values
     n = min(cfg.n_grid_samples())
     assert np.any(y[n - 1:] == np.convolve(y, np.full(n, 1.0 / n), mode="valid"))
     run_pipeline(cfg, config_bytes=b"")
@@ -566,6 +590,15 @@ class TestFigures:
         figure = "entropy_curves" if name == "entropy_curves.csv" else "weights_vs_horizon"
         _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
                       f"{tmp_path / name}: line 4: {reason}")
+
+    @pytest.mark.parametrize("name, header, figure", [
+        ("entropy_curves.csv", "asset,horizon,T_s,n,tau,S", "entropy_curves"),
+        ("weights.csv", "method,horizon,T_s,asset,weight", "weights_vs_horizon")])
+    def test_header_only_run_csv_exits_2(self, tmp_path, caplog, name, header, figure):
+        (tmp_path / name).write_text(header + "\n")
+        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
+                      f"{tmp_path / name}: no ")
+        assert not (tmp_path / "figures").exists()
 
     def test_unreadable_curves_exit_3(self, tmp_path, caplog):
         (tmp_path / "entropy_curves.csv").mkdir()
@@ -857,3 +890,15 @@ class TestConfigValidation:
             assert type(cfg.threshold_m) is int and cfg.threshold_for(4) == 7
         cfg_path = _write_config(tmp_path, overrides={"threshold_m": "n"})
         assert load_config(cfg_path).threshold_for(4) == 4
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # every run pays this import in its set-up time
+    code = ("import sys; before = set(sys.modules); import entroport.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = Path(entroport.__file__).parents[1]
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={"PYTHONPATH": str(src)}).stdout.split()
+    assert "entroport.cli" in added and "numpy" in added
+    allowed = sys.stdlib_module_names | {"numpy", "entroport"}
+    assert [m for m in added if m.split(".")[0] not in allowed] == []

@@ -230,6 +230,10 @@ class TestKLCrossEntropy:
         with pytest.raises(DataError):
             kl_cross_entropy(_wv([0.5, 0.5]), _wv([1.0, 0.0]))
 
+    def test_length_mismatch(self):
+        with pytest.raises(DataError, match="equal length"):
+            kl_cross_entropy(_wv([0.5, 0.5]), naive_weights(tuple("abc")))
+
     def test_non_positive_otherwise(self):
         rng = np.random.default_rng(23)
         u = naive_weights(tuple("abcd"))
@@ -250,3 +254,7 @@ class TestWeightVector:
         # NaN fails both simplex comparisons, so only a finiteness check sees it
         with pytest.raises(DataError, match="non-finite weight"):
             WeightVector(weights, ("a", "b"))
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(DataError, match="equal length"):
+            WeightVector([0.5, 0.5], ("a", "b", "c"))

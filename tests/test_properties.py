@@ -3,6 +3,7 @@ the pipeline relies on."""
 
 import itertools
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, EntropyCurve, SampledSeries, VolatilityWindow,
+from entroport import (ClusterDistribution, EntropyCurve, HorizonError, HorizonSpec,
+                       SampledSeries, slice_horizon,
                        WeightVector, cluster_distribution, entropy_curve, entropy_index,
                        extract_clusters, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _certify, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
-from entroport.series import _parse_ticks_lines
+from entroport.series import _first_sample_at, _parse_ticks_lines
 
 durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=300)
 
@@ -178,6 +180,47 @@ def test_each_odd_line_parses_as_in_line_loop(line):
     assert _parse_outcome(parse_ticks, data) == _parse_outcome(_parse_ticks_lines, data)
 
 
+@settings(deadline=None, max_examples=400)
+@given(start=st.integers(-10**15, 10**15), delta=st.integers(1, 10**12),
+       length=st.integers(1, 400), data=st.data())
+def test_first_sample_at_equals_searchsorted_over_times(start, delta, length, data):
+    series = SampledSeries(np.ones(length), start_time=start, delta=delta)
+    span = delta * length
+    # anywhere from well before the first sample to well after the last, or next to a sample
+    t = data.draw(st.one_of(
+        st.integers(start - 2 * span, start + 2 * span),
+        st.builds(lambda k, off: start + k * delta + off, st.integers(-2, length + 1),
+                  st.integers(-1, 1))), label="t")
+    assert _first_sample_at(series, t) == int(np.searchsorted(series.times(), t))
+
+
+def _slice_by_times(series, spec, lo_ns):
+    """slice_horizon's range as np.searchsorted over series.times() gives it, or HorizonError."""
+    if series.end_time < spec.end_ns() - series.delta:
+        return HorizonError
+    lo, hi = np.searchsorted(series.times(), [lo_ns, spec.end_ns()]).tolist()
+    return HorizonError if lo >= hi else slice(lo, hi)
+
+
+@settings(deadline=None, max_examples=300)
+@given(months=st.integers(1, 12), mode=st.sampled_from(["expanding", "monthly"]),
+       data=st.data())
+def test_slice_horizon_equals_searchsorted_over_times(months, mode, data):
+    spec = HorizonSpec(date(2018, 1, 1), months)
+    year = HorizonSpec(spec.year_start, 12).end_ns() - spec.start_ns()
+    delta = data.draw(st.integers(year // 200, year), label="delta")
+    start = data.draw(st.integers(spec.start_ns() - year, spec.end_ns()), label="start")
+    series = SampledSeries(np.ones(data.draw(st.integers(1, 603), label="length")),
+                           start_time=start, delta=delta)
+    lo_ns = (HorizonSpec(spec.year_start, months - 1).end_ns()
+             if mode == "monthly" and months > 1 else spec.start_ns())
+    try:
+        got = slice_horizon(series, spec, mode=mode)
+    except HorizonError:
+        got = HorizonError
+    assert got == _slice_by_times(series, spec, lo_ns)
+
+
 def _distribution_outcome(result):
     """taus, counts and probabilities of a distribution, or an error's class and message."""
     if isinstance(result, Exception):
@@ -208,7 +251,7 @@ def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
     overlaps = [(s, data.draw(st.integers(s + 1, length))) for s in starts]
     spans = data.draw(st.permutations(months + expanding + overlaps), label="spans")
 
-    got = crossing_pass(y, n).distributions(spans, min_clusters)
+    got = crossing_pass(PrefixTables(y), n).distributions(spans, min_clusters)
     for (start, stop), result in zip(spans, got):
         try:
             expected = cluster_distribution(
@@ -254,7 +297,7 @@ def _mixed_runs(draw):
 def test_crossing_pass_equals_sign_rule(make, data):
     values = make(data.draw)
     n = data.draw(st.integers(2, len(values)), label="n")
-    got = crossing_pass(SampledSeries(values, start_time=0, delta=1), n)
+    got = crossing_pass(PrefixTables(SampledSeries(values, start_time=0, delta=1)), n)
     times, previous = _sign_rule_pass(values, n)
     assert got.times.dtype == times.dtype and got.previous.dtype == previous.dtype
     assert got.times.tobytes() == times.tobytes()
@@ -268,7 +311,7 @@ def test_pass_histograms_equal_checking_constructor(make, data):
     values = make(data.draw)
     n = data.draw(st.integers(2, len(values)), label="n")
     stops = data.draw(st.lists(st.integers(n, len(values)), min_size=1, max_size=4))
-    cpass = crossing_pass(SampledSeries(values, start_time=0, delta=1), n)
+    cpass = crossing_pass(PrefixTables(SampledSeries(values, start_time=0, delta=1)), n)
     for dist in cpass.distributions([(0, stop) for stop in stops], 1):
         if not isinstance(dist, ClusterDistribution):
             continue
@@ -451,8 +494,7 @@ def test_rolling_volatility_equals_std_bit_for_bit(w, count, seed, exponents, od
     windows = sliding_window_view(r, w)
     expected = windows.std(axis=-1, ddof=1)
     expected[windows.max(axis=-1) == windows.min(axis=-1)] = 0.0
-    got = rolling_volatility(SampledSeries(r, start_time=0, delta=1),
-                             VolatilityWindow.from_samples(w, 1)).values
+    got = rolling_volatility(SampledSeries(r, start_time=0, delta=1), w).values
     assert got.tobytes() == expected.tobytes()
 
 

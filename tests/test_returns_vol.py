@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (DataError, SampledSeries, VolatilityWindow,
-                       linear_returns, log_returns, rolling_volatility)
+from entroport import (DataError, SampledSeries, linear_returns, log_returns,
+                       rolling_volatility)
 from entroport.returns_vol import _VOL_BLOCK
+from entroport.series import whole_samples
 
 
 def _prices(values, delta=10):
@@ -48,61 +49,58 @@ class TestLinearReturns:
 
 
 class TestVolatilityWindow:
+    """A physical volatility window becomes a sample count through whole_samples."""
+
     def test_from_physical(self):
-        w = VolatilityWindow.from_physical(180, 5_000_000_000)
-        assert w.samples == 36
+        assert whole_samples(180, 5_000_000_000, "volatility window") == 36
 
     def test_non_integer_ratio_rejected(self):
-        with pytest.raises(DataError):
-            VolatilityWindow.from_physical(180, 7_000_000_000)
+        with pytest.raises(DataError, match="not a whole number"):
+            whole_samples(180, 7_000_000_000, "volatility window")
 
     def test_sub_two_samples_rejected(self):
-        with pytest.raises(DataError):
-            VolatilityWindow.from_physical(5, 5_000_000_000)
+        with pytest.raises(DataError, match="under 2 samples"):
+            whole_samples(5, 5_000_000_000, "volatility window")
 
 
 class TestRollingVolatility:
-    def _window(self, samples):
-        return VolatilityWindow.from_samples(samples, 10)
-
     def test_constant_returns_give_zero(self):
-        out = rolling_volatility(_returns([0.3] * 8), self._window(4))
+        out = rolling_volatility(_returns([0.3] * 8), 4)
         assert np.all(out.values == 0.0)
         assert out.kind == "volatility"
 
     def test_two_point_window_hand_value(self):
-        out = rolling_volatility(_returns([1.0, 3.0]), self._window(2))
+        out = rolling_volatility(_returns([1.0, 3.0]), 2)
         assert out.values == pytest.approx([np.sqrt(2.0)])
 
     def test_iid_normal_monte_carlo(self):
         # sample std of 1e4 standard normals is 1 within +/- 0.05
         rng = np.random.default_rng(42)
         r = _returns(rng.standard_normal(12_000))
-        out = rolling_volatility(r, self._window(10_000))
+        out = rolling_volatility(r, 10_000)
         assert np.all(np.abs(out.values - 1.0) < 0.05)
 
     def test_window_below_two_samples(self):
         with pytest.raises(DataError):
-            rolling_volatility(_returns([0.1, 0.2]), VolatilityWindow(10.0, 1))
+            rolling_volatility(_returns([0.1, 0.2]), 1)
 
     def test_output_length(self):
         rng = np.random.default_rng(7)
         for n, w in [(10, 2), (50, 13), (100, 100)]:
-            out = rolling_volatility(_returns(rng.standard_normal(n)),
-                                     self._window(w))
+            out = rolling_volatility(_returns(rng.standard_normal(n)), w)
             assert len(out) == n - w + 1
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(8)
         r = rng.standard_normal(200)
         for c in (-3.0, 0.5, 7.0):
-            a = rolling_volatility(_returns(c * r), self._window(20)).values
-            b = rolling_volatility(_returns(r), self._window(20)).values
+            a = rolling_volatility(_returns(c * r), 20).values
+            b = rolling_volatility(_returns(r), 20).values
             assert np.allclose(a, abs(c) * b, rtol=1e-12)
 
     def test_non_negative_and_zero_iff_constant(self):
         vals = np.array([0.1, 0.1, 0.1, 0.5, 0.2, 0.2])
-        out = rolling_volatility(_returns(vals), self._window(3)).values
+        out = rolling_volatility(_returns(vals), 3).values
         assert np.all(out >= 0)
         assert out[0] == 0.0 and np.all(out[1:] > 0)
 
@@ -117,5 +115,5 @@ class TestRollingVolatility:
                 continue
             r = rng.standard_normal(n_windows + w - 1)
             expected = sliding_window_view(r, w).std(axis=-1, ddof=1)
-            out = rolling_volatility(_returns(r), self._window(w)).values
+            out = rolling_volatility(_returns(r), w).values
             assert out.tobytes() == expected.tobytes()

@@ -20,6 +20,19 @@ def _ticks(rows):
     return np.array(rows, dtype=TICK_DTYPE)
 
 
+class TestSampledSeries:
+    @pytest.mark.parametrize("fields, message", [
+        ({"values": [[1.0, 2.0]]}, "non-empty 1-D"),
+        ({"values": []}, "non-empty 1-D"),
+        ({"delta": 0}, "delta must be a positive"),
+        ({"delta": -1}, "delta must be a positive"),
+        ({"kind": "ohlc"}, "unknown series kind 'ohlc'"),
+        ({"values": [1.0, np.nan]}, "must be finite")])
+    def test_rejects_malformed_series(self, fields, message):
+        with pytest.raises(DataError, match=message):
+            SampledSeries(**{"values": [1.0, 2.0], "start_time": 0, "delta": 1, **fields})
+
+
 class TestParseTicks:
     def test_well_formed_rows(self):
         recs = parse_ticks(_csv([(10, 1.5), (20, 1.6), (30, 1.7)]))
@@ -105,6 +118,11 @@ class TestResample:
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
             resample(_ticks([]), 10)
+
+    @pytest.mark.parametrize("delta", [0, -10])
+    def test_non_positive_delta(self, delta):
+        with pytest.raises(DataError, match="delta must be positive"):
+            resample(_ticks([(0, 1.0), (20, 2.0)]), delta)
 
     def test_last_tick_wins_on_shared_timestamp(self):
         ticks = _ticks([(0, 1.0), (0, 9.0), (10, 2.0)])
@@ -215,6 +233,11 @@ class TestSliceHorizon:
         march = s.with_values(s.values, start_time=HorizonSpec(date(2018, 3, 1), 1).start_ns())
         with pytest.raises(HorizonError, match="no samples fall inside the requested horizon"):
             slice_horizon(march, HorizonSpec(date(2018, 1, 1), 1), mode=mode)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown horizon mode 'weekly'"):
+            slice_horizon(self._year_series(), HorizonSpec(date(2018, 1, 1), 1),
+                          mode="weekly")
 
 
 def test_series_cache_roundtrip(tmp_path):
