@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DataError, EmptyInputError, EntroportError,
                      HorizonError, InputFileError, InsufficientClustersError,
                      NoTangencyError, TickParseError)
-from .series import (TICK_DTYPE, HorizonSpec, SampledSeries, align_lengths,
-                     parse_ticks, resample, slice_horizon)
+from .series import (TICK_DTYPE, SampledSeries, align_lengths, date_ns,
+                     month_start_ns, parse_ticks, resample, slice_horizon)
 from .returns_vol import linear_returns, log_returns, rolling_volatility
 from .dma_cluster import (ClusterDistribution, ClusterModelFit, EntropyCurve,
                           EntropyIndex, aggregate_index, cluster_distribution,

@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from datetime import date, datetime, timezone
+from datetime import date
 from pathlib import Path
 
 from .config import read_config
 from .errors import (ConfigError, DataError, EntroportError, InputFileError,
                      InsufficientClustersError)
 from .pipeline import FIGURE_KEYS, emit_figure_data, run_pipeline
-from .series import NS_PER_S, check_sample_times, seconds_to_ns, write_series_csv
+from .series import check_sample_times, date_ns, seconds_to_ns, write_series_csv
 from .synth import GENERATOR_PARAMS, GeneratorSpec
 
 EXIT_OK = 0
@@ -81,8 +81,7 @@ def _cmd_synth(args) -> None:
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     spec = GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed, **params)
-    start_ns = int(datetime(args.start.year, args.start.month, args.start.day,
-                            tzinfo=timezone.utc).timestamp()) * NS_PER_S
+    start_ns = date_ns(args.start)
     delta = seconds_to_ns(args.delta_s, "--delta-s")
     check_sample_times(start_ns, delta, args.length,
                        f"--start {args.start} at --delta-s {args.delta_s}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dma_cluster import MIN_CLUSTERS
 from .errors import ConfigError, InputFileError
-from .series import HorizonSpec, check_sample_times, seconds_to_ns, whole_samples
+from .series import check_sample_times, date_ns, month_start_ns, seconds_to_ns, whole_samples
 from .synth import GENERATOR_PARAMS, GeneratorSpec
 
 _ASSET_KEYS = {"name", "ticks", "synth"}
@@ -86,12 +86,12 @@ class PipelineConfig:
         if self.year_start.day != 1:
             raise ConfigError(f"year_start {self.year_start} must be the first of a month")
         delta_ns = self.delta_ns
-        start_ns = HorizonSpec(self.year_start, 1).start_ns()
+        start_ns = date_ns(self.year_start)
         grid = f"year_start {self.year_start} at delta_s {self.delta_s}"
         # the first step before the end boundary, which for a year_start past
         # int64 may lie beyond datetime's year 9999
         check_sample_times(start_ns, delta_ns, 2, grid)
-        end_ns = HorizonSpec(self.year_start, max(self.horizons)).end_ns()
+        end_ns = month_start_ns(self.year_start, max(self.horizons))
         check_sample_times(start_ns, end_ns - start_ns, 2, grid)
         for a in self.assets:
             if a.generator is not None:

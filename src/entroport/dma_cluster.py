@@ -207,34 +207,32 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-def _tables(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Prefix sums of v, of |v| (None when v >= 0: the same) and the error table.
+def _tables(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """Prefix sums of v, of |v| (None when v >= 0: the same) and their error bound.
 
-    error_table[k] is u times max|prefix[:k+1]| plus gamma_{len+3} times the
-    |v| prefix sum (its own rounding), plus 2**-1021 for underflow.
+    The bound, one number for every window, is u (max|prefix| + gamma_{len+3}
+    sum|v|), the second term for the |v| sums' own rounding, plus 2**-1021
+    for underflow.
     """
     prefix = np.empty(len(v) + 1)
     prefix[0] = 0.0
     gamma = _gamma(len(v) + 3)
-    with np.errstate(over="ignore"):  # an inf entry leaves its windows in doubt
+    with np.errstate(over="ignore"):  # an inf entry leaves the pass in doubt
         np.cumsum(v, out=prefix[1:])
         if v.min() >= 0:  # prefix is nondecreasing: its own |.| sums and maximum
             abs_prefix = None
-            table = prefix * ((1 + gamma) * _U * _SLACK)
+            error = prefix[-1] * ((1 + gamma) * _U * _SLACK)
         else:
             abs_prefix = np.empty(len(v) + 1)
             abs_prefix[0] = 0.0
             np.cumsum(np.abs(v), out=abs_prefix[1:])
-            table = np.maximum.accumulate(np.abs(prefix))
-            table += gamma * abs_prefix
-            table *= _U * _SLACK
-    table += 2.0 ** -1021
-    return prefix, abs_prefix, table
+            error = (np.abs(prefix).max() + gamma * abs_prefix[-1]) * (_U * _SLACK)
+    return prefix, abs_prefix, error + 2.0 ** -1021
 
 
 def _certify(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     """v[n-1:] - MA_n from the tables of v, and whether every sign of it is certified."""
-    prefix, abs_prefix, error_table = tables
+    prefix, abs_prefix, error = tables
     c = 1.0 / n
     with np.errstate(over="ignore", invalid="ignore"):
         bound = prefix[n:] - prefix[:-n]
@@ -243,7 +241,7 @@ def _certify(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
         if abs_prefix is not None:
             bound = abs_prefix[n:] - abs_prefix[:-n]
         bound *= c * (_gamma(n) + 2 * _U) * _SLACK
-        bound += error_table[n:]
+        bound += error
         return d, bool(np.all(np.abs(d) > bound))  # False for NaN: not certified
 
 
@@ -254,11 +252,11 @@ class PrefixTables:
     sums P (c = fl(1/n)) and certifies sign(d~) = sign(d), d the deviation
     under moving_average, wherever |d~| exceeds a bound on |d~ - d|: the
     filter-then-exact pattern of robust predicates (Shewchuk 1997). For the
-    window y[i:i+n] the bound is error_table[i+n] + kappa_n X_i, X_i the
-    window's sum of |y| (from P itself when y >= 0, as every volatility
-    series is). np.cumsum adds in order, each step rounding by at most
-    u |P[k]|, so a window sum is off by at most u n max|P[:i+n+1]|, which
-    error_table covers (c n <= 1 + u). kappa_n X_i covers np.convolve's
+    window y[i:i+n] the bound is E + kappa_n X_i, X_i the window's sum of
+    |y| (from P itself when y >= 0, as every volatility series is) and E one
+    number for the whole series (see _tables). np.cumsum adds in order, each
+    step rounding by at most u |P[k]|, so a window sum is off by at most
+    u n max|P|, which E covers (c n <= 1 + u). kappa_n X_i covers np.convolve's
     length-n dot product, off by at most gamma_n c X_i in any summation
     order, with or without FMA (Higham 2002, section 3.1), and the filter's
     own roundings. Because fl(a - b) has the sign of a - b, a certified sign

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
 from .returns_vol import linear_returns, log_returns, rolling_volatility
-from .series import (HorizonSpec, SampledSeries, align_lengths, parse_ticks,
+from .series import (SampledSeries, align_lengths, month_start_ns, parse_ticks,
                      resample, slice_horizon, whole_samples)
 from .synth import to_price_series
 
@@ -62,20 +63,17 @@ class PipelineResult:
     warnings: list[str]
 
 
-def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
-    """Materialize an asset's price series from ticks or a generator spec.
+@contextmanager
+def _naming(asset: AssetInput, what: str = ""):
+    """Name the asset, its tick file or generator kind, and `what` in an error raised inside.
 
-    An error keeps its class, and its message names the asset and its tick
-    file or generator kind; running out of memory is a DataError.
+    An EntroportError keeps its class, an OSError becomes an InputFileError
+    and running out of memory a DataError.
     """
-    ticks, spec = asset.ticks_path, asset.generator
-    where = f"asset {asset.name!r} ({ticks if spec is None else 'synth ' + spec.kind})"
+    source = asset.ticks_path if asset.generator is None else f"synth {asset.generator.kind}"
+    where = f"asset {asset.name!r} ({source}){what}"
     try:
-        if spec is None:
-            return resample(parse_ticks(ticks.read_bytes()), cfg.delta_ns)
-        start_ns = HorizonSpec(cfg.year_start, 1).start_ns()
-        raw = spec.generate(delta=cfg.delta_ns, start_time=start_ns)
-        return to_price_series(raw, scale=asset.price_scale)
+        yield
     except EntroportError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
@@ -83,6 +81,20 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
         raise InputFileError(f"{where}: {exc.strerror}") from None
     except MemoryError as exc:  # e.g. a grid finer than memory can hold
         raise DataError(f"{where}: out of memory ({exc})") from None
+
+
+def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
+    """Materialize an asset's price series from ticks or a generator spec.
+
+    An error keeps its class, and its message names the asset and its tick
+    file or generator kind; running out of memory is a DataError.
+    """
+    ticks, spec = asset.ticks_path, asset.generator
+    with _naming(asset):
+        if spec is None:
+            return resample(parse_ticks(ticks.read_bytes()), cfg.delta_ns)
+        raw = spec.generate(delta=cfg.delta_ns, start_time=month_start_ns(cfg.year_start, 0))
+        return to_price_series(raw, scale=asset.price_scale)
 
 
 def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
@@ -123,7 +135,7 @@ def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
                      len(dists) - kept - dropped)
 
 
-def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
+def _window_cells(asset: AssetInput, returns: SampledSeries, ranges: dict[int, slice],
                   t_s: int, cfg: PipelineConfig) -> list[CellResult]:
     """One asset's cells at window t_s for every horizon.
 
@@ -136,16 +148,17 @@ def _window_cells(name: str, returns: SampledSeries, ranges: dict[int, slice],
     for rng in ranges.values():
         if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
             raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
-    source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, w)
+    with _naming(asset, f", volatility window {t_s}s"):
+        source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, w)
     spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
-    cells = [CellResult(asset=name, horizon=m, window_s=t_s) for m in ranges]
+    cells = [CellResult(asset=asset.name, horizon=m, window_s=t_s) for m in ranges]
     tables = PrefixTables(source)  # shared by the passes of every n
     for n in cfg.n_grid_samples():
         _add_n(cells, spans, tables, n, cfg)
     for cell in cells:
         if not cell.indices:
             raise InsufficientClustersError(
-                f"asset {name!r} has no valid n point at M={cell.horizon}, T={t_s}s")
+                f"asset {asset.name!r} has no valid n point at M={cell.horizon}, T={t_s}s")
         cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
     return cells
 
@@ -158,23 +171,26 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
     logger.info("loaded %d assets, %d samples each", len(prices), len(prices[0]))
 
     # one price index range per horizon: all assets share the grid of prices[0]
-    ranges = {m: slice_horizon(prices[0], HorizonSpec(cfg.year_start, m),
-                               mode=cfg.horizon_mode) for m in cfg.horizons}
+    ranges = {m: slice_horizon(prices[0], cfg.year_start, m, mode=cfg.horizon_mode)
+              for m in cfg.horizons}
     if any(rng.stop - rng.start < 2 for rng in ranges.values()):
         raise DataError("need at least 2 prices to compute returns")
     end = max(rng.stop for rng in ranges.values())  # later samples feed no cell
     to_returns = log_returns if cfg.return_kind == "log" else linear_returns
-    returns = [to_returns(p.with_values(p.values[:end])) for p in prices]
+    returns = []
+    for asset, p in zip(cfg.assets, prices):
+        with _naming(asset):
+            returns.append(to_returns(p.with_values(p.values[:end])))
 
     warnings: list[str] = []
     cells: dict[tuple[str, int, int], CellResult] = {}
     weights_rows: list[tuple[str, int, int, str, float]] = []
     diag_rows: list[tuple[str, int, int, float, float]] = []
 
-    for name, rets in zip(names, returns):
+    for asset, rets in zip(cfg.assets, returns):
         for t_s in cfg.volatility_windows_s:
-            for cell in _window_cells(name, rets, ranges, t_s, cfg):
-                cells[(name, cell.horizon, t_s)] = cell
+            for cell in _window_cells(asset, rets, ranges, t_s, cfg):
+                cells[(asset.name, cell.horizon, t_s)] = cell
                 warnings.extend(cell.warnings)
 
     uniform = naive_weights(names)

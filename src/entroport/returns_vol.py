@@ -27,9 +27,15 @@ def _checked_prices(prices: SampledSeries) -> np.ndarray:
 
 
 def linear_returns(prices: SampledSeries) -> SampledSeries:
-    """Simple returns r_t = (y_t - y_{t-1}) / y_{t-1}; length shrinks by one."""
+    """Simple returns r_t = (y_t - y_{t-1}) / y_{t-1}; length shrinks by one.
+
+    A return that overflows float64 (a price near 0 before a larger one) is a DataError.
+    """
     y = _checked_prices(prices)
-    r = np.diff(y) / y[:-1]
+    with np.errstate(over="ignore"):  # reported below, not warned
+        r = np.diff(y) / y[:-1]
+    if not np.isfinite(r).all():
+        raise DataError("a simple return overflows float64")
     return SampledSeries(values=r, start_time=prices.start_time + prices.delta,
                          delta=prices.delta, kind="return")
 
@@ -48,7 +54,8 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     added in numpy's pairwise order, so the bytes equal
     sliding_window_view(r, w).std(axis=-1, ddof=1). The sums run over the w
     shifted columns of a block of _VOL_BLOCK windows: O(len * w) work in
-    about 4 * w numpy calls per block, however few windows it holds.
+    about 4 * w numpy calls per block, however few windows it holds. A
+    volatility that overflows float64 is a DataError.
     """
     r = returns.values
     if w < 2:
@@ -56,20 +63,23 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     if w > len(r):
         raise DataError(f"window ({w}) longer than series ({len(r)})")
     out = np.empty(len(r) - w + 1)
-    for lo in range(0, len(out), _VOL_BLOCK):
-        # numpy's _var steps: mean = sum / w, sum of (x - mean)**2 over w - 1, sqrt
-        block = out[lo:lo + _VOL_BLOCK]
-        rows = len(block)
-        seg = r[lo:lo + rows + w - 1]
-        mean = _pairwise_sum(lambda k: seg[k:k + rows], w)
-        mean /= w
-        scratch = np.empty(rows)
-        total = _pairwise_sum(lambda k: np.square(
-            np.subtract(seg[k:k + rows], mean, out=scratch), out=scratch), w)
-        total /= w - 1
-        np.sqrt(total, out=block)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        for lo in range(0, len(out), _VOL_BLOCK):
+            # numpy's _var steps: mean = sum / w, sum of (x - mean)**2 over w - 1, sqrt
+            block = out[lo:lo + _VOL_BLOCK]
+            rows = len(block)
+            seg = r[lo:lo + rows + w - 1]
+            mean = _pairwise_sum(lambda k: seg[k:k + rows], w)
+            mean /= w
+            scratch = np.empty(rows)
+            total = _pairwise_sum(lambda k: np.square(
+                np.subtract(seg[k:k + rows], mean, out=scratch), out=scratch), w)
+            total /= w - 1
+            np.sqrt(total, out=block)
     # a constant window must give exactly 0, not mean-roundoff noise
     out[_constant_windows(r, w)] = 0.0
+    if not np.isfinite(out).all():
+        raise DataError(f"the volatility of a {w}-sample window overflows float64")
     return returns.with_values(out, kind="volatility")
 
 

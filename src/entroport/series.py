@@ -12,7 +12,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date
 from typing import BinaryIO
 
 import numpy as np
@@ -77,25 +77,6 @@ class SampledSeries:
         )
 
 
-@dataclass(frozen=True)
-class HorizonSpec:
-    """Calendar partition: expanding window of `months` months from `year_start`."""
-
-    year_start: date
-    months: int
-
-    def __post_init__(self):
-        if not 1 <= self.months <= 12:
-            raise HorizonError(f"months must be in [1, 12], got {self.months}")
-
-    def end_ns(self) -> int:
-        """Start of the month after the horizon, as ns since epoch (exclusive bound)."""
-        return _month_boundary_ns(self.year_start, self.months)
-
-    def start_ns(self) -> int:
-        return _month_boundary_ns(self.year_start, 0)
-
-
 def seconds_to_ns(seconds: float, what: str) -> int:
     """`seconds` rounded to whole nanoseconds; DataError naming `what` unless finite and >= 1 ns."""
     ns = seconds * NS_PER_S
@@ -122,10 +103,15 @@ def check_sample_times(start_ns: int, delta_ns: int, length: int, what: str) -> 
         raise DataError(f"sample times from {what} do not fit int64 nanoseconds")
 
 
-def _month_boundary_ns(year_start: date, months_ahead: int) -> int:
-    month0 = year_start.year * 12 + (year_start.month - 1) + months_ahead
-    dt = datetime(month0 // 12, month0 % 12 + 1, 1, tzinfo=timezone.utc)
-    return int(dt.timestamp()) * NS_PER_S
+def date_ns(day: date) -> int:
+    """Midnight UTC at the start of day, as ns since the epoch."""
+    return (day - date(1970, 1, 1)).days * 86_400 * NS_PER_S
+
+
+def month_start_ns(year_start: date, months: int) -> int:
+    """Midnight UTC on the first of the month `months` after year_start's, in ns."""
+    month0 = year_start.year * 12 + (year_start.month - 1) + months
+    return date_ns(date(month0 // 12, month0 % 12 + 1, 1))
 
 
 def parse_ticks(source: BinaryIO | bytes) -> np.ndarray:
@@ -247,23 +233,25 @@ def align_lengths(series: list[SampledSeries]) -> list[SampledSeries]:
     return [s.with_values(s.values[:n_min]) for s in series]
 
 
-def slice_horizon(series: SampledSeries, spec: HorizonSpec,
+def slice_horizon(series: SampledSeries, year_start: date, months: int,
                   mode: str = "expanding") -> slice:
-    """Index range of a series' samples that fall in the calendar horizon.
+    """Index range of a series' samples that fall in the calendar horizon of M = months.
 
     mode='expanding' (default): months 1..M, from year_start on; samples
     before year_start belong to no horizon.
     mode='monthly': the disjoint month M only.
     """
+    if not 1 <= months <= 12:
+        raise HorizonError(f"months must be in [1, 12], got {months}")
     if mode not in ("expanding", "monthly"):
         raise ValueError(f"unknown horizon mode {mode!r}")
-    end_ns = spec.end_ns()
+    end_ns = month_start_ns(year_start, months)
     if series.end_time < end_ns - series.delta:
         raise HorizonError(
-            f"series ends at {series.end_time} ns, before the {spec.months}-month "
+            f"series ends at {series.end_time} ns, before the {months}-month "
             f"horizon boundary {end_ns} ns"
         )
-    lo_ns = _month_boundary_ns(spec.year_start, spec.months - 1 if mode == "monthly" else 0)
+    lo_ns = month_start_ns(year_start, months - 1 if mode == "monthly" else 0)
     lo, hi = _first_sample_at(series, lo_ns), _first_sample_at(series, end_ns)
     if lo >= hi:
         raise HorizonError("no samples fall inside the requested horizon")

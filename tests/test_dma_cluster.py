@@ -85,6 +85,15 @@ class TestPrefixTables:
                 tables.deviations(n)
 
 
+class TestCrossingPass:
+    def test_no_durations_with_min_clusters_zero_is_empty_input(self):
+        # one crossing in the span: no duration to histogram, and no gate to stop it
+        cpass = crossing_pass(PrefixTables(_series([0.0, 1.0, 0.0])), 2)
+        assert cpass.times.tolist() == [2]
+        with pytest.raises(EmptyInputError, match="at least one duration bin"):
+            cpass.distributions([(0, 3)], min_clusters=0)
+
+
 class TestExtractClusters:
     def test_monotone_series_never_crosses(self):
         assert len(extract_clusters(_series(np.arange(100.0)), 5)) == 0

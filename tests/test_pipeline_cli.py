@@ -19,7 +19,7 @@ from entroport.errors import ConfigError, NoTangencyError
 from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
                                 load_asset_prices, run_pipeline)
 from entroport.returns_vol import linear_returns, rolling_volatility
-from entroport.series import HorizonSpec, SampledSeries, slice_horizon, whole_samples
+from entroport.series import SampledSeries, slice_horizon, whole_samples
 
 BASE_CONFIG = {
     "assets": [
@@ -313,6 +313,26 @@ class TestTickIngestion:
         _exits_2_naming(cfg_path, caplog,
                         f"asset 'BAD' ({tmp_path / 'bad.csv'}): line 3: not valid UTF-8")
 
+    # minute 1000 of asset A: a price near 0 gives a return near 1e302, whose
+    # square overflows; followed by 1e10, the return itself overflows. Either
+    # exits 2 naming the asset (and the window), with no numpy RuntimeWarning
+    # (the test config turns one into an error)
+    @pytest.mark.parametrize("spike, needle", [
+        ({1000: 1e-300}, ", volatility window 360s: the volatility of a 6-sample window "
+                         "overflows float64"),
+        ({1000: 1e-300, 1001: 1e10}, ": a simple return overflows float64"),
+    ], ids=["volatility", "return"])
+    def test_overflow_exits_2_naming_the_asset(self, tmp_path, caplog, spike, needle):
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        for name, prices in (("a.csv", spike), ("b.csv", {})):
+            rows = "".join(f"{t0 + i * 60 * 10 ** 9},{prices.get(i, 100.0 + i % 7)}\n"
+                           for i in range(44_700))
+            (tmp_path / name).write_text("timestamp_ns,price\n" + rows)
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "A", "ticks": "a.csv"}, {"name": "B", "ticks": "b.csv"}]})
+        _exits_2_naming(cfg_path, caplog, f"asset 'A' ({tmp_path / 'a.csv'}){needle}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
     def test_tick_grids_with_different_starts_exit_2(self, tmp_path, caplog, mode):
         t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
@@ -347,7 +367,7 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
     for asset in cfg.assets:
         prices = load_asset_prices(asset, cfg)
         for m in cfg.horizons:
-            span = slice_horizon(prices, HorizonSpec(cfg.year_start, m), mode=mode)
+            span = slice_horizon(prices, cfg.year_start, m, mode=mode)
             rets = linear_returns(prices.with_values(prices.values[span]))
             for t_s in cfg.volatility_windows_s:
                 w = whole_samples(t_s, cfg.delta_ns, "volatility window")
@@ -616,6 +636,13 @@ class TestSynthCommand:
         assert text[0].startswith("# kind=price delta_ns=2000000000")
         assert text[1] == "t_ns,value"
         assert len(text) == 2 + 1024
+
+    def test_start_date_is_midnight_utc(self, tmp_path):
+        out = tmp_path / "series.csv"
+        assert main(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "4",
+                     "--seed", "5", "--start", "2019-07-13", "--out", str(out)]) == 0
+        stamps = [int(row.split(",")[0]) for row in out.read_text().splitlines()[2:]]
+        assert stamps == [(1_562_976_000 + k) * 10 ** 9 for k in range(4)]
 
     def test_missing_parameter_exits_2(self, tmp_path):
         rc = main(["synth", "--kind", "fbm", "--length", "1024", "--seed",

@@ -1,9 +1,13 @@
 """Property tests for the histogram, crossing, tick, volatility, simplex and ascent invariants
 the pipeline relies on."""
 
+import bisect
 import itertools
 import math
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, EntropyCurve, HorizonError, HorizonSpec,
-                       SampledSeries, slice_horizon,
+from entroport import (ClusterDistribution, EntropyCurve, HorizonError, SampledSeries,
+                       date_ns, month_start_ns, slice_horizon,
                        WeightVector, cluster_distribution, entropy_curve, entropy_index,
                        extract_clusters, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _certify, crossing_pass
@@ -194,11 +198,16 @@ def test_first_sample_at_equals_searchsorted_over_times(start, delta, length, da
     assert _first_sample_at(series, t) == int(np.searchsorted(series.times(), t))
 
 
-def _slice_by_times(series, spec, lo_ns):
-    """slice_horizon's range as np.searchsorted over series.times() gives it, or HorizonError."""
-    if series.end_time < spec.end_ns() - series.delta:
+def _slice_by_times(series, lo_ns, end_ns):
+    """slice_horizon's range as a search over the sample times gives it, or HorizonError.
+
+    The times are Python ints: a drawn series can reach past int64, where
+    series.times() wraps around.
+    """
+    if series.end_time < end_ns - series.delta:
         return HorizonError
-    lo, hi = np.searchsorted(series.times(), [lo_ns, spec.end_ns()]).tolist()
+    times = [series.start_time + k * series.delta for k in range(len(series))]
+    lo, hi = bisect.bisect_left(times, lo_ns), bisect.bisect_left(times, end_ns)
     return HorizonError if lo >= hi else slice(lo, hi)
 
 
@@ -206,19 +215,20 @@ def _slice_by_times(series, spec, lo_ns):
 @given(months=st.integers(1, 12), mode=st.sampled_from(["expanding", "monthly"]),
        data=st.data())
 def test_slice_horizon_equals_searchsorted_over_times(months, mode, data):
-    spec = HorizonSpec(date(2018, 1, 1), months)
-    year = HorizonSpec(spec.year_start, 12).end_ns() - spec.start_ns()
+    year_start = date(2018, 1, 1)
+    start_ns, end_ns = date_ns(year_start), month_start_ns(year_start, months)
+    year = month_start_ns(year_start, 12) - start_ns
     delta = data.draw(st.integers(year // 200, year), label="delta")
-    start = data.draw(st.integers(spec.start_ns() - year, spec.end_ns()), label="start")
+    start = data.draw(st.integers(start_ns - year, end_ns), label="start")
     series = SampledSeries(np.ones(data.draw(st.integers(1, 603), label="length")),
                            start_time=start, delta=delta)
-    lo_ns = (HorizonSpec(spec.year_start, months - 1).end_ns()
-             if mode == "monthly" and months > 1 else spec.start_ns())
+    lo_ns = (month_start_ns(year_start, months - 1)
+             if mode == "monthly" and months > 1 else start_ns)
     try:
-        got = slice_horizon(series, spec, mode=mode)
+        got = slice_horizon(series, year_start, months, mode=mode)
     except HorizonError:
         got = HorizonError
-    assert got == _slice_by_times(series, spec, lo_ns)
+    assert got == _slice_by_times(series, lo_ns, end_ns)
 
 
 def _distribution_outcome(result):
@@ -633,3 +643,40 @@ def test_grid_start_equals_argmax_loop(n, distinct, seed, ridge):
         sigma = sigma + 1e-10 * np.trace(sigma) / n * np.eye(n)
     expected = _argmax_loop_start(mu, sigma, 10)
     assert _grid_start(mu, sigma, 10).tolist() == expected.tolist()
+
+
+_FALSIFIED_THEN_TWO_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(min_value=0))
+def test_falsified(x):
+    assert x < 0
+
+
+def test_after_1():
+    pass
+
+
+def test_after_2():
+    pass
+"""
+
+
+def test_falsified_property_prints_its_example_and_the_session_goes_on(tmp_path):
+    """Under this repo's pytest config a falsified property is one failed test.
+
+    Hypothesis imports libcst to write the example's .hypothesis/patches file,
+    and libcst warns on import; raised as an error, that warning ends the
+    session with an INTERNALERROR (exit 3) before the example is printed or
+    the later tests run.
+    """
+    (tmp_path / "test_demo.py").write_text(_FALSIFIED_THEN_TWO_PASSING)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_demo.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example: test_falsified(" in proc.stdout
+    assert "1 failed, 2 passed" in proc.stdout

@@ -84,6 +84,10 @@ class TestRollingVolatility:
         with pytest.raises(DataError):
             rolling_volatility(_returns([0.1, 0.2]), 1)
 
+    def test_window_longer_than_series(self):
+        with pytest.raises(DataError, match=r"window \(4\) longer than series \(3\)"):
+            rolling_volatility(_returns([0.1, 0.2, 0.3]), 4)
+
     def test_output_length(self):
         rng = np.random.default_rng(7)
         for n, w in [(10, 2), (50, 13), (100, 100)]:

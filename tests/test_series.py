@@ -5,8 +5,8 @@ import pytest
 from datetime import date
 
 from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError,
-                       HorizonSpec, SampledSeries, align_lengths, parse_ticks,
-                       resample, slice_horizon)
+                       SampledSeries, align_lengths, date_ns, month_start_ns,
+                       parse_ticks, resample, slice_horizon)
 from entroport.errors import TickParseError
 from entroport.series import NS_PER_S, _parse_ticks_fast, write_series_csv
 
@@ -174,69 +174,81 @@ class TestAlignLengths:
             align_lengths([self._series(4), shifted])
 
 
+class TestCalendar:
+    def test_date_ns_is_midnight_utc(self):
+        assert date_ns(date(1970, 1, 1)) == 0
+        assert date_ns(date(1969, 12, 31)) == -86_400 * NS_PER_S
+        assert date_ns(date(2019, 7, 13)) == 1_562_976_000 * NS_PER_S
+
+    def test_month_start_ns_counts_calendar_months(self):
+        assert month_start_ns(date(2018, 11, 1), 0) == date_ns(date(2018, 11, 1))
+        assert month_start_ns(date(2018, 11, 1), 2) == date_ns(date(2019, 1, 1))
+        assert month_start_ns(date(2018, 1, 1), 12) == 1_546_300_800 * NS_PER_S
+
+
 class TestSliceHorizon:
     def _year_series(self, delta_s=86400):
         # daily samples across the whole of 2018
-        start = HorizonSpec(date(2018, 1, 1), 1).start_ns()
+        start = date_ns(date(2018, 1, 1))
         n = 365
         return SampledSeries(np.arange(float(n)), start_time=start,
                              delta=delta_s * NS_PER_S)
 
     def test_full_year_m12_returns_everything(self):
         s = self._year_series()
-        out = slice_horizon(s, HorizonSpec(date(2018, 1, 1), 12))
+        out = slice_horizon(s, date(2018, 1, 1), 12)
         assert out == slice(0, len(s))
 
     def test_m1_keeps_january_only(self):
         s = self._year_series()
-        out = slice_horizon(s, HorizonSpec(date(2018, 1, 1), 1))
+        out = slice_horizon(s, date(2018, 1, 1), 1)
         assert len(s.values[out]) == 31
 
     def test_m13_is_rejected(self):
-        with pytest.raises(HorizonError):
-            HorizonSpec(date(2018, 1, 1), 13)
+        with pytest.raises(HorizonError, match=r"months must be in \[1, 12\], got 13"):
+            slice_horizon(self._year_series(), date(2018, 1, 1), 13)
 
     def test_short_series_is_an_error(self):
         s = self._year_series()
         short = s.with_values(s.values[:40])
         with pytest.raises(HorizonError):
-            slice_horizon(short, HorizonSpec(date(2018, 1, 1), 3))
+            slice_horizon(short, date(2018, 1, 1), 3)
 
     def test_expanding_prefix_property(self):
         s = self._year_series()
         for m in range(1, 12):
-            a = s.values[slice_horizon(s, HorizonSpec(date(2018, 1, 1), m))]
-            b = s.values[slice_horizon(s, HorizonSpec(date(2018, 1, 1), m + 1))]
+            a = s.values[slice_horizon(s, date(2018, 1, 1), m)]
+            b = s.values[slice_horizon(s, date(2018, 1, 1), m + 1)]
             assert len(a) < len(b)
             assert np.array_equal(a, b[:len(a)])
 
     def test_monthly_mode_is_disjoint(self):
         s = self._year_series()
-        feb = s.values[slice_horizon(s, HorizonSpec(date(2018, 1, 1), 2), mode="monthly")]
+        feb = s.values[slice_horizon(s, date(2018, 1, 1), 2, mode="monthly")]
         assert len(feb) == 28
-        jan = s.values[slice_horizon(s, HorizonSpec(date(2018, 1, 1), 1), mode="monthly")]
+        jan = s.values[slice_horizon(s, date(2018, 1, 1), 1, mode="monthly")]
         assert jan[-1] < feb[0]
 
     def test_expanding_horizon_starts_at_year_start(self):
         # daily samples from 2017-12-01: December belongs to no 2018 horizon
         s = self._year_series()
         early = s.with_values(np.arange(365.0 + 31),
-                              start_time=HorizonSpec(date(2017, 12, 1), 1).start_ns())
-        spec = HorizonSpec(date(2018, 1, 1), 1)
-        assert slice_horizon(early, spec) == slice_horizon(early, spec, mode="monthly")
-        assert slice_horizon(early, spec) == slice(31, 62)
+                              start_time=date_ns(date(2017, 12, 1)))
+        jan = (date(2018, 1, 1), 1)
+        assert slice_horizon(early, *jan) == slice_horizon(early, *jan, mode="monthly")
+        assert slice_horizon(early, *jan) == slice(31, 62)
 
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
     def test_horizon_with_no_samples_is_an_error(self, mode):
         # a series that starts after January has no sample in M=1
         s = self._year_series()
-        march = s.with_values(s.values, start_time=HorizonSpec(date(2018, 3, 1), 1).start_ns())
+        march = s.with_values(s.values, start_time=date_ns(date(2018, 3, 1)))
         with pytest.raises(HorizonError, match="no samples fall inside the requested horizon"):
-            slice_horizon(march, HorizonSpec(date(2018, 1, 1), 1), mode=mode)
+            slice_horizon(march, date(2018, 1, 1), 1, mode=mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown horizon mode 'weekly'"):
-            slice_horizon(self._year_series(), HorizonSpec(date(2018, 1, 1), 1),
+            slice_horizon(self._year_series(), date(2018, 1, 1), 1,
                           mode="weekly")
 
 
