@@ -141,6 +141,9 @@ def _synth_fields(name: str, spec: dict) -> dict:
     if params is None:
         raise ConfigError(f"asset {name!r}: unknown generator kind {kind!r}")
     _check_keys(spec, _SYNTH_KEYS.union(params), f"asset {name!r} synth")
+    missing = [p for p in params if p not in spec]
+    if missing:
+        raise ConfigError(f"asset {name!r}: synth spec missing {missing[0]!r}")
     where = f"asset {name!r} synth"
     out = {"generator": GeneratorSpec(kind=kind, length=length, seed=seed, **{
         p: _float(spec[p], f"{where} {p}") for p in params})}

@@ -207,42 +207,30 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-def _tables(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Prefix sums of v, of |v| (None when v >= 0: the same) and their error bound.
+def _tables(v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Prefix sums of v, their error bound E and max|v|.
 
-    The bound, one number for every window, is u (max|prefix| + gamma_{len+3}
-    sum|v|), the second term for the |v| sums' own rounding, plus 2**-1021
-    for underflow.
+    E is u (max|prefix| + gamma_{len+3} sum|v|) plus 2**-1021 for underflow;
+    PrefixTables' argument needs only the first term, the second is a margin.
     """
     prefix = np.empty(len(v) + 1)
     prefix[0] = 0.0
-    gamma = _gamma(len(v) + 3)
+    abs_v = np.abs(v)
     with np.errstate(over="ignore"):  # an inf entry leaves the pass in doubt
         np.cumsum(v, out=prefix[1:])
-        if v.min() >= 0:  # prefix is nondecreasing: its own |.| sums and maximum
-            abs_prefix = None
-            error = prefix[-1] * ((1 + gamma) * _U * _SLACK)
-        else:
-            abs_prefix = np.empty(len(v) + 1)
-            abs_prefix[0] = 0.0
-            np.cumsum(np.abs(v), out=abs_prefix[1:])
-            error = (np.abs(prefix).max() + gamma * abs_prefix[-1]) * (_U * _SLACK)
-    return prefix, abs_prefix, error + 2.0 ** -1021
+        error = (np.abs(prefix).max() + _gamma(len(v) + 3) * abs_v.sum()) * (_U * _SLACK)
+    return prefix, error + 2.0 ** -1021, abs_v.max()
 
 
-def _certify(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    """v[n-1:] - MA_n from the tables of v, and whether every sign of it is certified."""
-    prefix, abs_prefix, error = tables
+def _filter(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """v[n-1:] - MA_n from the tables of v, and one bound on every value's error."""
+    prefix, error, v_max = tables
     c = 1.0 / n
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = prefix[n:] - prefix[:-n]
-        d = bound * c
+        d = prefix[n:] - prefix[:-n]
+        d *= c
         np.subtract(v[n - 1:], d, out=d)
-        if abs_prefix is not None:
-            bound = abs_prefix[n:] - abs_prefix[:-n]
-        bound *= c * (_gamma(n) + 2 * _U) * _SLACK
-        bound += error
-        return d, bool(np.all(np.abs(d) > bound))  # False for NaN: not certified
+        return d, error + c * (_gamma(n) + 2 * _U) * _SLACK * (n * v_max)
 
 
 class PrefixTables:
@@ -251,21 +239,22 @@ class PrefixTables:
     deviations(n) forms d~ = y[n-1:] - (P[n:] - P[:-n]) * c from the prefix
     sums P (c = fl(1/n)) and certifies sign(d~) = sign(d), d the deviation
     under moving_average, wherever |d~| exceeds a bound on |d~ - d|: the
-    filter-then-exact pattern of robust predicates (Shewchuk 1997). For the
-    window y[i:i+n] the bound is E + kappa_n X_i, X_i the window's sum of
-    |y| (from P itself when y >= 0, as every volatility series is) and E one
-    number for the whole series (see _tables). np.cumsum adds in order, each
-    step rounding by at most u |P[k]|, so a window sum is off by at most
-    u n max|P|, which E covers (c n <= 1 + u). kappa_n X_i covers np.convolve's
-    length-n dot product, off by at most gamma_n c X_i in any summation
-    order, with or without FMA (Higham 2002, section 3.1), and the filter's
-    own roundings. Because fl(a - b) has the sign of a - b, a certified sign
-    is exact. One rule settles a pass: if every sign is certified, the prefix
-    sums give them all; otherwise (a sign in doubt, NaN and inf included) the
-    full moving_average gives them all. The bound covers |d~ - d_exact| too,
-    so where d_exact = 0, as in a window of n equal values, |d~| <= bound and
-    no sign is certified: a pass with n <= flat_run, the longest run of equal
-    values, convolves without trying, and the first pass past it builds the tables.
+    filter-then-exact pattern of robust predicates (Shewchuk 1997). One bound
+    serves every window of a pass: E + kappa_n fl(n max|y|), E one number for
+    the whole series (see _tables) and kappa_n = c (gamma_n + 2u) _SLACK.
+    np.cumsum adds in order, each step rounding by at most u |P[k]|, so a
+    window sum is off by at most u n max|P|, which E covers (c n <= 1 + u).
+    On the window y[i:i+n], whose exact sum of |y| is X_i <= n max|y|,
+    np.convolve's length-n dot product is off by at most gamma_n c X_i in any
+    summation order, with or without FMA (Higham 2002, section 3.1); kappa_n X_i
+    covers that and the filter's own roundings, and the one rounding of n max|y|
+    falls within _SLACK. Because fl(a - b) has the sign of a - b, a certified
+    sign is exact. One rule settles a pass: if every sign is certified, the
+    prefix sums give them all; otherwise (a sign in doubt, NaN and inf included)
+    the full moving_average gives them all. The bound covers |d~ - d_exact| too,
+    so where d_exact = 0, as in a window of n equal values, no sign is certified:
+    a pass with n <= flat_run, the longest run of equal values, convolves
+    without trying, and the first pass past it builds the tables.
     """
 
     def __init__(self, y: SampledSeries):
@@ -288,8 +277,8 @@ class PrefixTables:
         if not 2 <= n <= len(v):
             raise _window_error(n, len(v))
         if n > self.flat_run:
-            d, certified = _certify(self.tables, v, n)
-            if certified:
+            d, bound = _filter(self.tables, v, n)
+            if np.abs(d).min() > bound:  # False for NaN: not certified
                 return d, True
         return v[n - 1:] - moving_average(self.series, n).values, False
 

@@ -332,12 +332,15 @@ def _read_csv_rows(path: Path, ints: tuple[int, ...]) -> list[list]:
     """The data rows of a run CSV, with the fields at ints parsed as integers.
 
     A row with another field count than the header's, or an integer field
-    that does not parse, is a ValueError naming the file and the line.
+    that does not parse, is a ValueError naming the file and the line; an
+    undecodable file is one naming the file.
     """
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     width = len(lines[0].split(",")) if lines else 0
     rows = []
     for number, line in enumerate(lines[1:], start=2):

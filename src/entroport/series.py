@@ -51,6 +51,9 @@ class SampledSeries:
             raise DataError("series must be a non-empty 1-D sequence")
         if self.delta <= 0:
             raise DataError("delta must be a positive number of nanoseconds")
+        # in Python ints, which cannot wrap as numpy's would
+        check_sample_times(int(self.start_time), int(self.delta), len(self.values),
+                           "the series' start_time and delta")
         if self.kind not in SERIES_KINDS:
             raise DataError(f"unknown series kind {self.kind!r}")
         if not np.all(np.isfinite(self.values)):
@@ -163,9 +166,10 @@ def _parse_ticks_lines(data: bytes) -> np.ndarray:
     reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
     stamps: list[int] = []
     prices: list[float] = []
-    line_no = 0
+    line_no = end = 0  # the lines on which the record starts and ends
     try:
-        for line_no, row in enumerate(reader, start=1):
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
             if any(map(_UNDECODABLE.search, row)):
                 raise TickParseError(line_no, "not valid UTF-8")
             if line_no == 1:
@@ -188,7 +192,7 @@ def _parse_ticks_lines(data: bytes) -> np.ndarray:
             stamps.append(ts)
             prices.append(price)
     except csv.Error as exc:  # e.g. a field over the csv field size limit
-        raise TickParseError(line_no + 1, str(exc)) from None
+        raise TickParseError(end + 1, str(exc)) from None
     if not stamps:
         raise EmptyInputError("tick source contains no records")
     ticks = np.empty(len(stamps), dtype=TICK_DTYPE)

@@ -74,10 +74,6 @@ class TestPrefixTables:
         assert built == [len(values)]  # once, by the first pass past the flat run
         assert vars(tables).keys() == {"series", "flat_run", "tables"}
 
-    def test_volatility_series_shares_prefix_as_abs_prefix(self):
-        assert _tables(np.array([0.0, 1.0, 2.0]))[1] is None
-        assert _tables(np.array([0.0, -1.0, 2.0]))[1].tolist() == [0, 0, 1, 3]
-
     def test_out_of_range_n(self):
         tables = PrefixTables(_series([1, 2, 3]))
         for n in (1, 4):

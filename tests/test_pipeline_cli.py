@@ -614,6 +614,16 @@ class TestFigures:
     @pytest.mark.parametrize("name, header, figure", [
         ("entropy_curves.csv", "asset,horizon,T_s,n,tau,S", "entropy_curves"),
         ("weights.csv", "method,horizon,T_s,asset,weight", "weights_vs_horizon")])
+    def test_non_utf8_run_csv_names_file_and_exits_2(self, tmp_path, caplog, name, header,
+                                                      figure):
+        (tmp_path / name).write_bytes(header.encode() + b"\nA\xff\n")
+        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
+                      f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "figures").exists()
+
+    @pytest.mark.parametrize("name, header, figure", [
+        ("entropy_curves.csv", "asset,horizon,T_s,n,tau,S", "entropy_curves"),
+        ("weights.csv", "method,horizon,T_s,asset,weight", "weights_vs_horizon")])
     def test_header_only_run_csv_exits_2(self, tmp_path, caplog, name, header, figure):
         (tmp_path / name).write_text(header + "\n")
         _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
@@ -804,7 +814,10 @@ class TestConfigValidation:
         ({"kind": "arfima", "d": 0.2, "length": 0, "seed": 1},
          "asset 'SYN1' (synth arfima): length must be >= 1"),
         ({"kind": "garch", "omega": 1e-6, "alpha": -0.1, "beta": 0.9, "length": 65536,
-          "seed": 1}, "asset 'SYN1' (synth garch): alpha and beta must be non-negative")])
+          "seed": 1}, "asset 'SYN1' (synth garch): alpha and beta must be non-negative"),
+        ({"kind": "fbm", "length": 1024, "seed": 1}, "asset 'SYN1': synth spec missing 'hurst'"),
+        ({"kind": "garch", "omega": 1e-6, "alpha": 0.05, "length": 1024, "seed": 1},
+         "asset 'SYN1': synth spec missing 'beta'")])
     def test_bad_synth_specs_exit_2(self, tmp_path, caplog, synth, needle):
         cfg_path = _write_config(tmp_path, overrides={
             "assets": [{"name": "SYN1", "synth": synth}, BASE_CONFIG["assets"][1]]})

@@ -1,7 +1,6 @@
 """Property tests for the histogram, crossing, tick, volatility, simplex and ascent invariants
 the pipeline relies on."""
 
-import bisect
 import itertools
 import math
 import subprocess
@@ -15,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, EntropyCurve, HorizonError, SampledSeries,
-                       date_ns, month_start_ns, slice_horizon,
+from entroport import (ClusterDistribution, DataError, EntropyCurve, HorizonError,
+                       SampledSeries, date_ns, month_start_ns, slice_horizon,
                        WeightVector, cluster_distribution, entropy_curve, entropy_index,
                        extract_clusters, parse_ticks, resample, weight_entropy)
-from entroport.dma_cluster import PrefixTables, _certify, crossing_pass
+from entroport.dma_cluster import PrefixTables, _filter, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
@@ -199,15 +198,10 @@ def test_first_sample_at_equals_searchsorted_over_times(start, delta, length, da
 
 
 def _slice_by_times(series, lo_ns, end_ns):
-    """slice_horizon's range as a search over the sample times gives it, or HorizonError.
-
-    The times are Python ints: a drawn series can reach past int64, where
-    series.times() wraps around.
-    """
+    """slice_horizon's range as a search over the sample times gives it, or HorizonError."""
     if series.end_time < end_ns - series.delta:
         return HorizonError
-    times = [series.start_time + k * series.delta for k in range(len(series))]
-    lo, hi = bisect.bisect_left(times, lo_ns), bisect.bisect_left(times, end_ns)
+    lo, hi = np.searchsorted(series.times(), [lo_ns, end_ns]).tolist()
     return HorizonError if lo >= hi else slice(lo, hi)
 
 
@@ -220,8 +214,12 @@ def test_slice_horizon_equals_searchsorted_over_times(months, mode, data):
     year = month_start_ns(year_start, 12) - start_ns
     delta = data.draw(st.integers(year // 200, year), label="delta")
     start = data.draw(st.integers(start_ns - year, end_ns), label="start")
-    series = SampledSeries(np.ones(data.draw(st.integers(1, 603), label="length")),
-                           start_time=start, delta=delta)
+    length = data.draw(st.integers(1, 603), label="length")
+    if start + (length - 1) * delta >= 2**63:  # the grid passes int64
+        with pytest.raises(DataError, match="do not fit int64"):
+            SampledSeries(np.ones(length), start_time=start, delta=delta)
+        return
+    series = SampledSeries(np.ones(length), start_time=start, delta=delta)
     lo_ns = (month_start_ns(year_start, months - 1)
              if mode == "monthly" and months > 1 else start_ns)
     try:
@@ -388,9 +386,9 @@ def _long_with_flat_run(draw):
 N_GRID = (2, 3, 4, 5, 7, 8, 11, 12, 16, 17, 24, 32, 33, 50, 64)
 
 
-SIGN_SOURCES = st.sampled_from([_float_series, _return_like, _flat_integer_runs,
-                                _zero_windows, _scaled, _overflowing, _half_ulp_steps,
-                                _long_with_flat_run])
+_SIGN_SOURCES = [_float_series, _return_like, _flat_integer_runs, _zero_windows, _scaled,
+                 _overflowing, _half_ulp_steps, _long_with_flat_run]
+SIGN_SOURCES = st.sampled_from(_SIGN_SOURCES)
 
 
 @settings(deadline=None, max_examples=300)
@@ -405,6 +403,38 @@ def test_certified_signs_equal_convolve_signs(make, data):
             for tables in (PrefixTables(y), shared):
                 got = np.sign(tables.deviations(n)[0])
                 assert np.array_equal(got, want, equal_nan=True), n
+
+
+def _exact(*arrays) -> list[np.ndarray]:
+    """Finite float arrays as arrays of Python ints, exact in one unit 2**-k."""
+    parts = [np.frexp(np.asarray(x, dtype=float)) for x in arrays]
+    k = max(int((53 - exponent).max()) for _, exponent in parts)
+    return [np.ldexp(fraction, 53).astype(np.int64).astype(object)
+            << (exponent + (k - 53)).astype(object) for fraction, exponent in parts]
+
+
+@settings(deadline=None, max_examples=100)
+@given(make=st.sampled_from([make for make in _SIGN_SOURCES if make is not _overflowing]),
+       data=st.data())
+def test_one_bound_covers_every_window(make, data):
+    """The pass's one bound covers d~ against the convolved and the exact deviation.
+
+    For each window, in exact integers: |d~ - (y - m~)| <= bound, m~ the
+    np.convolve mean, whose deviation's sign is the one certified, and
+    |d~ - d_exact| <= bound, d_exact from the window's exact sum, the
+    difference of two exact prefix sums (times n on both sides). A bound too
+    small fails here even where it flips no certified sign.
+    """
+    values = make(data.draw)
+    tables = PrefixTables(SampledSeries(values, start_time=0, delta=1)).tables
+    for n in [n for n in N_GRID if n <= len(values)]:
+        d, bound = _filter(tables, values, n)
+        m = np.convolve(values, np.full(n, 1 / n), "valid")
+        y, d, m, (bound,) = _exact(values, d, m, [bound])
+        prefix = np.cumsum(np.concatenate([[0], y]))  # Python ints: exact
+        y = y[n - 1:]
+        assert (abs(d - (y - m)) <= bound).all(), n
+        assert (abs(n * (d - y) + prefix[n:] - prefix[:-n]) <= n * bound).all(), n
 
 
 def _longest_run(values) -> int:
@@ -439,7 +469,8 @@ def test_no_pass_within_the_flat_run_is_certified(make, data):
     tables = PrefixTables(SampledSeries(values, start_time=0, delta=1))
     assert tables.flat_run >= run
     for n in range(2, min(tables.flat_run, len(values)) + 1):
-        assert not _certify(tables.tables, values, n)[1], n
+        d, bound = _filter(tables.tables, values, n)
+        assert not np.abs(d).min() > bound, n
 
 
 @settings(deadline=None, max_examples=100)

@@ -27,7 +27,12 @@ class TestSampledSeries:
         ({"delta": 0}, "delta must be a positive"),
         ({"delta": -1}, "delta must be a positive"),
         ({"kind": "ohlc"}, "unknown series kind 'ohlc'"),
-        ({"values": [1.0, np.nan]}, "must be finite")])
+        ({"values": [1.0, np.nan]}, "must be finite"),
+        # sample times past int64, where times() would wrap
+        ({"values": np.ones(490), "start_time": 1483228800000000000,
+          "delta": 31463996897783642}, "do not fit int64"),
+        ({"values": np.ones(3), "start_time": np.int64(2**63 - 2), "delta": np.int64(1)},
+         "do not fit int64")])
     def test_rejects_malformed_series(self, fields, message):
         with pytest.raises(DataError, match=message):
             SampledSeries(**{"values": [1.0, 2.0], "start_time": 0, "delta": 1, **fields})
@@ -56,6 +61,13 @@ class TestParseTicks:
     def test_malformed_row_reports_line_number(self):
         with pytest.raises(TickParseError, match="line 3"):
             parse_ticks(io.BytesIO(b"timestamp_ns,price\n10,1.0\nnot-a-number,2\n"))
+
+    def test_line_number_counts_the_lines_of_a_quoted_field(self):
+        # the bad record starts on line 4; it is the third record
+        with pytest.raises(TickParseError, match="line 4: could not convert"):
+            parse_ticks(b'timestamp_ns,price\n"1\n",5\n2,abc\n')
+        with pytest.raises(TickParseError, match="line 4: field larger"):
+            parse_ticks(b'timestamp_ns,price\n"1\n",5\n' + b"1" * 200_000 + b",2.0\n")
 
     def test_non_positive_price_is_a_data_error(self):
         with pytest.raises(DataError):
