@@ -26,6 +26,8 @@ from .synth import GENERATOR_PARAMS, GeneratorSpec
 
 _ASSET_KEYS = {"name", "ticks", "synth"}
 _N_GRID_KEYS = {"min", "max", "step"}
+#: n grid values a config may sweep; each is one crossing pass per series
+MAX_N_GRID = 10_000
 #: a synth spec may also give its kind's GENERATOR_PARAMS
 _SYNTH_KEYS = {"kind", "length", "seed", "price_scale"}
 
@@ -187,10 +189,15 @@ def _threshold(value) -> str | int:
 
 
 def _n_grid(grid: dict) -> tuple[int, ...]:
+    """The grid min, min + step, ... <= max; counted before it is built."""
     _check_keys(grid, _N_GRID_KEYS, "n_grid_s")
     lo, hi, step = (_int(grid[k], f"n_grid_s.{k}") for k in ("min", "max", "step"))
     if step < 1:
         raise ConfigError(f"n_grid_s.step: must be >= 1, got {step}")
+    if lo < 1:
+        raise ConfigError(f"n_grid_s.min: must be >= 1, got {grid['min']!r}")
+    if (hi - lo) // step + 1 > MAX_N_GRID:
+        raise ConfigError(f"n_grid_s: more than {MAX_N_GRID} values")
     return tuple(range(lo, hi + 1, step))
 
 

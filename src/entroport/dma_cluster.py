@@ -9,7 +9,7 @@ window, reported split at a threshold between the power-law and linear regimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,52 +26,28 @@ MIN_CLUSTERS = 50
 class ClusterDistribution:
     """Histogram of cluster durations for one window length n.
 
-    taus are the observed durations (samples, strictly ascending), counts the
-    cluster count per duration and probabilities the normalized counts.
-    Counts may be fractional when a model distribution is supplied directly
-    (diagnostics and tests). This constructor, which cluster_distribution
-    uses, checks all of that; CrossingPass.distributions builds through the
-    unchecked _pass_histogram instead, whose bins meet the checks by
-    construction.
+    taus are the observed durations (int64 samples >= 1, strictly ascending),
+    counts the cluster count per duration (positive float64) and
+    probabilities counts / counts.sum(). _pass_histogram builds it from a
+    crossing pass; a model distribution may carry fractional counts.
     """
 
     n: int
     taus: np.ndarray
     counts: np.ndarray
-    probabilities: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=float)
-        if taus.ndim != 1 or taus.shape != counts.shape:
-            raise DataError("taus and counts must be 1-D and of equal length")
-        if len(taus) == 0:
-            raise EmptyInputError("distribution needs at least one duration bin")
-        if taus[0] < 1 or np.any(np.diff(taus) <= 0):
-            raise DataError("durations must be >= 1 sample and strictly ascending")
-        if np.any(counts <= 0):
-            raise DataError("cluster counts must be positive")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "probabilities", counts / counts.sum())
+    probabilities: np.ndarray
 
 
 @dataclass(frozen=True)
 class EntropyCurve:
-    """Per-duration entropy values S(tau, n) in nats, observed bins only.
+    """Per-duration entropy values S(tau, n) >= 0 in nats, observed bins only.
 
-    taus are the distribution's, strictly ascending. This constructor checks
-    the values; entropy_curve skips the check, since -ln p and -p ln p are
-    non-negative for every p in (0, 1].
+    taus are the distribution's, strictly ascending.
     """
 
     n: int
     taus: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.values < -1e-12):
-            raise DataError("entropy values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -83,30 +59,6 @@ class EntropyIndex:
     value: float
     power_law_part: float
     linear_part: float
-
-
-@dataclass(frozen=True)
-class ClusterModelFit:
-    """Least-squares fit diagnostics of a duration distribution (no cutoff term).
-
-    D is the exponent of a pure power law ln P = -D ln tau + const fitted
-    over tau_range (fractal dimension; Hurst exponent = 2 - D), and S0 the
-    fit's intercept on the surprisal curve -ln P. linear_slope is a separate
-    straight-line slope of the surprisal on tau in (n, 5n], the linear
-    regime (nan when fewer than 3 bins fall there).
-    """
-
-    D: float
-    S0: float
-    linear_slope: float
-    tau_range: tuple[float, float]
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls with these fields, without __post_init__."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _window_error(n: int, length: int) -> DataError:
@@ -145,17 +97,20 @@ class CrossingPass:
     def distributions(self, spans: list[tuple[int, int]],
                       min_clusters: int = MIN_CLUSTERS
                       ) -> list[ClusterDistribution | EntroportError]:
-        """cluster_distribution(extract_clusters(y[start:stop], n)) for each span.
+        """The histogram of y[start:stop]'s cluster durations, for each span.
 
-        Where that call would raise, the entry is the exception: a DataError
-        when the span is shorter than n, an InsufficientClustersError below
-        min_clusters. The trailing mean is causal, so a span's crossings are
-        the whole series' times[lo:hi]: hi counts the times before stop, and
-        lo drops those whose previous nonzero deviation precedes the span's
-        first deviation, at start + n - 1. Its durations are diff(times)[lo:hi-1],
-        so spans are walked in (start, stop) order and those sharing a start
-        grow one running bincount, each adding only the durations past the
-        previous stop. Dropped spans add theirs too; too-short spans add none.
+        The durations are the diffs of the crossing times that a pass over
+        y[start:stop] alone finds; the partial clusters at either end are not
+        counted. Where there is no histogram, the entry is the exception: a
+        DataError when the span is shorter than n, an InsufficientClustersError
+        below min_clusters (>= 1) durations. The trailing mean is causal, so a
+        span's crossings are the whole series' times[lo:hi]: hi counts the
+        times before stop, and lo drops those whose previous nonzero deviation
+        precedes the span's first deviation, at start + n - 1. Its durations
+        are diff(times)[lo:hi-1], so spans are walked in (start, stop) order
+        and those sharing a start grow one running bincount, each adding only
+        the durations past the previous stop. Dropped spans add theirs too;
+        too-short spans add none.
         """
         durations = np.diff(self.times)
         size = int(durations.max()) + 1 if len(durations) else 1
@@ -175,25 +130,21 @@ class CrossingPass:
             end = new_end
             if end - lo < min_clusters:
                 out[i] = _too_few_clusters(end - lo, self.n, min_clusters)
-            elif end == lo:  # only when min_clusters < 1
-                raise EmptyInputError("distribution needs at least one duration bin")
             else:
                 out[i] = _pass_histogram(self.n, acc)
         return out
 
 
 def _pass_histogram(n: int, acc: np.ndarray) -> ClusterDistribution:
-    """ClusterDistribution of a nonzero bincount of pass durations, unchecked.
+    """ClusterDistribution of a nonzero bincount of pass durations.
 
     The durations are diffs of strictly increasing crossing times, so the
-    nonzero bins are strictly ascending taus >= 1 with positive counts:
-    ClusterDistribution's checks hold by construction. Counts and
-    probabilities are formed as its constructor forms them.
+    nonzero bins are strictly ascending taus >= 1 with positive counts.
     """
     taus = np.flatnonzero(acc)
     counts = acc[taus].astype(float)
-    return _unchecked(ClusterDistribution, n=n, taus=taus, counts=counts,
-                      probabilities=counts / counts.sum())
+    return ClusterDistribution(n=n, taus=taus, counts=counts,
+                               probabilities=counts / counts.sum())
 
 
 #: unit roundoff of float64 arithmetic (round to nearest)
@@ -306,42 +257,6 @@ def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip], certified=False)
 
 
-def crossing_times(y: SampledSeries, n: int) -> np.ndarray:
-    """Sample indices where y - moving_average strictly changes sign.
-
-    Exact zeros are not crossings; runs of zeros are absorbed into the
-    preceding cluster. Indices are absolute positions in y (the overlap
-    region starts at n - 1).
-    """
-    return crossing_pass(PrefixTables(y), n).times
-
-
-def extract_clusters(y: SampledSeries, n: int) -> np.ndarray:
-    """Cluster durations (samples) between consecutive crossings.
-
-    Partial segments before the first and after the last crossing are
-    discarded. Fewer than two crossings yields an empty result.
-    """
-    return np.diff(crossing_times(y, n))
-
-
-def cluster_distribution(durations, n: int,
-                         min_clusters: int = MIN_CLUSTERS) -> ClusterDistribution:
-    """Histogram of integer durations; errors below min_clusters observations.
-
-    Durations are sample counts, so the bincount spans at most the series
-    length; counting from the shortest lets a duration below 1 reach
-    ClusterDistribution's check, which this checking path keeps.
-    """
-    durations = np.asarray(durations).astype(np.int64)
-    if len(durations) < min_clusters:
-        raise _too_few_clusters(len(durations), n, min_clusters)
-    first = int(durations.min()) if len(durations) else 0
-    acc = np.bincount(durations - first)
-    taus = np.flatnonzero(acc)
-    return ClusterDistribution(n=n, taus=taus + first, counts=acc[taus])
-
-
 def entropy_curve(dist: ClusterDistribution,
                   estimator: str = "surprisal") -> EntropyCurve:
     """Entropy per observed duration bin.
@@ -358,7 +273,7 @@ def entropy_curve(dist: ClusterDistribution,
         values = -p * np.log(p)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return _unchecked(EntropyCurve, n=dist.n, taus=dist.taus, values=values)
+    return EntropyCurve(n=dist.n, taus=dist.taus, values=values)
 
 
 def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
@@ -395,45 +310,3 @@ def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:
         raise ValueError(f"unknown aggregation {how!r}")
     total = float(sum(ix.value for ix in indices))
     return total / len(indices) if how == "mean" else total
-
-
-def compute_entropy_index(y: SampledSeries, n: int, *, threshold_m: int | None = None,
-                          estimator: str = "surprisal",
-                          min_clusters: int = MIN_CLUSTERS) -> EntropyIndex:
-    """Convenience path: series -> clusters -> distribution -> curve -> index.
-
-    threshold_m defaults to n, the expected power-law / exponential crossover.
-    """
-    durations = extract_clusters(y, n)
-    dist = cluster_distribution(durations, n, min_clusters=min_clusters)
-    curve = entropy_curve(dist, estimator=estimator)
-    return entropy_index(curve, n if threshold_m is None else threshold_m)
-
-
-def fit_cluster_model(dist: ClusterDistribution,
-                      fit_range: tuple[float, float]) -> ClusterModelFit:
-    """Least-squares power-law fit ln P = -D ln tau + const over fit_range.
-
-    Also fits the linear regime slope of the surprisal curve on
-    tau in (n, 5n] when at least 3 bins fall there (nan otherwise).
-    """
-    lo, hi = fit_range
-    taus, probs = dist.taus, dist.probabilities
-    in_range = (taus >= lo) & (taus <= hi)
-    if in_range.sum() < 3:
-        raise DataError(
-            f"need >= 3 bins in fit range [{lo}, {hi}], got {int(in_range.sum())}"
-        )
-    slope, intercept = np.polyfit(np.log(taus[in_range]),
-                                  np.log(probs[in_range]), 1)
-    d_fit = -float(slope)
-    s0 = -float(intercept)
-
-    lin_mask = (taus > dist.n) & (taus <= 5 * dist.n)
-    if lin_mask.sum() >= 3:
-        surprisal = -np.log(probs[lin_mask])
-        lin_slope = float(np.polyfit(taus[lin_mask], surprisal, 1)[0])
-    else:
-        lin_slope = float("nan")
-    return ClusterModelFit(D=d_fit, S0=s0, linear_slope=lin_slope,
-                           tau_range=(float(lo), float(hi)))

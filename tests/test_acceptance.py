@@ -8,13 +8,13 @@ simplex grids, closed-form identities) instead of market data.
 import json
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
 import entroport as ep
 from entroport.cli import main as cli_main
+from entroport.dma_cluster import PrefixTables, _pass_histogram, crossing_pass
 from entroport.portfolio import _sharpe, simplex_grid
 
 
@@ -25,6 +25,19 @@ def _report(criterion, ok, detail):
     if sys.stdout is not sys.__stdout__:
         print(line, file=sys.__stdout__)
     return ok
+
+
+def _distribution(y, n):
+    """The pipeline's crossing pass over y at window n, and its histogram of all of y."""
+    cpass = crossing_pass(PrefixTables(y), n)
+    dist, = cpass.distributions([(0, len(y))])
+    if isinstance(dist, Exception):
+        raise dist
+    return cpass, dist
+
+
+def _index(y, n):
+    return ep.entropy_index(ep.entropy_curve(_distribution(y, n)[1]), n)
 
 
 def test_criterion_1_substitute_oracles():
@@ -43,10 +56,11 @@ def test_criterion_2_scaling_law_recovery(hurst):
     target = 2.0 - hurst
     fitted = []
     for seed in range(20):
-        series = ep.fbm_series(hurst, 2 ** 17, seed)
-        durations = ep.extract_clusters(series, 100)
-        dist = ep.cluster_distribution(durations, 100)
-        fitted.append(ep.fit_cluster_model(dist, (3, 50)).D)
+        _, dist = _distribution(ep.fbm_series(hurst, 2 ** 17, seed), 100)
+        fit = (dist.taus >= 3) & (dist.taus <= 50)
+        assert fit.sum() >= 3
+        slope = np.polyfit(np.log(dist.taus[fit]), np.log(dist.probabilities[fit]), 1)[0]
+        fitted.append(-float(slope))
     mean_d = float(np.mean(fitted))
     ok = abs(mean_d - target) <= 0.15
     assert _report(2, ok, f"H={hurst}: mean fitted D={mean_d:.3f}, "
@@ -57,12 +71,9 @@ def test_criterion_2_scaling_law_recovery(hurst):
 def test_criterion_3_entropy_curve_linear_slope(n):
     # pooled 20-seed ensemble of FBM H=0.5; linear fit of S(tau, n) over
     # tau in (2n, 5n] against the predicted 1/n slope
-    counts = Counter()
-    for seed in range(20):
-        counts.update(ep.extract_clusters(ep.fbm_series(0.5, 2 ** 17, seed),
-                                          n).tolist())
-    dist = ep.cluster_distribution(list(counts.elements()), n)
-    curve = ep.entropy_curve(dist)
+    durations = [np.diff(crossing_pass(PrefixTables(ep.fbm_series(0.5, 2 ** 17, seed)),
+                                       n).times) for seed in range(20)]
+    curve = ep.entropy_curve(_pass_histogram(n, np.bincount(np.concatenate(durations))))
     taus, svals = curve.taus, curve.values
     mask = (taus > 2 * n) & (taus <= 5 * n)
     assert mask.sum() >= 3
@@ -109,7 +120,7 @@ def test_criterion_5_uniformity_limit():
             prices = ep.to_price_series(path, scale=1e-3)
             returns = ep.linear_returns(prices)
             vol = ep.rolling_volatility(returns, window_samples)
-            indices = [ep.compute_entropy_index(vol, n) for n in n_grid]
+            indices = [_index(vol, n) for n in n_grid]
             aggregates.append(ep.aggregate_index(indices))
         wv = ep.cluster_entropy_weights(aggregates,
                                         tuple(f"a{i}" for i in range(5)))
@@ -140,7 +151,6 @@ def test_criterion_6_exact_identities():
 
 
 def test_criterion_7_conservation_property():
-    from entroport.dma_cluster import crossing_times
     rng = np.random.default_rng(2024)
     n = 50
     violations = 0
@@ -148,14 +158,10 @@ def test_criterion_7_conservation_property():
     for _ in range(1000):
         y = ep.SampledSeries(np.cumsum(rng.standard_normal(10_000)),
                              start_time=0, delta=1)
-        t = crossing_times(y, n)
-        tau = ep.extract_clusters(y, n)
-        if len(t) < 2:
+        cpass, dist = _distribution(y, n)
+        t = cpass.times
+        if dist.counts.sum() != len(t) - 1 or dist.counts @ dist.taus != t[-1] - t[0]:
             violations += 1
-            continue
-        if tau.sum() != t[-1] - t[0]:
-            violations += 1
-        dist = ep.cluster_distribution(tau, n)
         prob_err = max(prob_err,
                        abs(sum(dist.probabilities.tolist()) - 1.0))
     ok = violations == 0 and prob_err <= 1e-12
@@ -172,7 +178,7 @@ def test_criterion_8_aggregation_invariance():
             ep.linear_returns(ep.to_price_series(
                 ep.fbm_series(0.5, 2 ** 15, 300 + asset), scale=1e-3)),
             36)
-        indices = [ep.compute_entropy_index(vol, n) for n in n_grid]
+        indices = [_index(vol, n) for n in n_grid]
         sums.append(ep.aggregate_index(indices, how="sum"))
         means.append(ep.aggregate_index(indices, how="mean"))
     labels = tuple(f"a{i}" for i in range(4))

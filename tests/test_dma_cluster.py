@@ -2,15 +2,29 @@ import numpy as np
 import pytest
 
 from entroport import (ClusterDistribution, DataError, EmptyInputError, EntropyCurve,
-                       InsufficientClustersError, SampledSeries, aggregate_index, cluster_distribution,
-                       entropy_curve, entropy_index, extract_clusters,
-                       fit_cluster_model, moving_average)
+                       InsufficientClustersError, SampledSeries, aggregate_index,
+                       entropy_curve, entropy_index, moving_average)
 from entroport import dma_cluster
-from entroport.dma_cluster import PrefixTables, _tables, crossing_pass, crossing_times
+from entroport.dma_cluster import PrefixTables, _pass_histogram, _tables, crossing_pass
 
 
 def _series(values, delta=1):
     return SampledSeries(np.asarray(values, dtype=float), start_time=0, delta=delta)
+
+
+def _durations(y, n):
+    return np.diff(crossing_pass(PrefixTables(y), n).times)
+
+
+def _histogram(n, durations):
+    """The distribution a crossing pass builds from these durations."""
+    return _pass_histogram(n, np.bincount(durations))
+
+
+def _model(n, taus, weights):
+    """A model distribution with fractional counts."""
+    return ClusterDistribution(n=n, taus=taus, counts=weights,
+                               probabilities=weights / weights.sum())
 
 
 class TestMovingAverage:
@@ -81,93 +95,84 @@ class TestPrefixTables:
                 tables.deviations(n)
 
 
-class TestCrossingPass:
-    def test_no_durations_with_min_clusters_zero_is_empty_input(self):
-        # one crossing in the span: no duration to histogram, and no gate to stop it
-        cpass = crossing_pass(PrefixTables(_series([0.0, 1.0, 0.0])), 2)
-        assert cpass.times.tolist() == [2]
-        with pytest.raises(EmptyInputError, match="at least one duration bin"):
-            cpass.distributions([(0, 3)], min_clusters=0)
-
-
 class TestExtractClusters:
+    """Cluster durations: the diffs of a crossing pass's times."""
+
     def test_monotone_series_never_crosses(self):
-        assert len(extract_clusters(_series(np.arange(100.0)), 5)) == 0
+        assert len(_durations(_series(np.arange(100.0)), 5)) == 0
 
     def test_alternating_series_all_unit_durations(self):
         y = _series([0, 1, 0, 1, 0, 1])
-        assert extract_clusters(y, 2).tolist() == [1, 1, 1]
+        assert _durations(y, 2).tolist() == [1, 1, 1]
 
     def test_constant_series_no_crossings(self):
-        assert len(extract_clusters(_series([2.0] * 50), 4)) == 0
+        assert len(_durations(_series([2.0] * 50), 4)) == 0
 
     def test_window_near_length_gives_at_most_one_cluster(self):
         rng = np.random.default_rng(3)
         y = _series(np.cumsum(rng.standard_normal(64)))
-        assert len(extract_clusters(y, 63)) <= 1
+        assert len(_durations(y, 63)) <= 1
 
     def test_conservation(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             y = _series(np.cumsum(rng.standard_normal(2000)))
-            t = crossing_times(y, 20)
-            tau = extract_clusters(y, 20)
+            cpass = crossing_pass(PrefixTables(y), 20)
+            dist, = cpass.distributions([(0, len(y))], min_clusters=1)
+            t = cpass.times
             if len(t) >= 2:
-                assert tau.sum() == t[-1] - t[0]
+                assert dist.counts.sum() == len(t) - 1
+                assert dist.counts @ dist.taus == t[-1] - t[0]
 
     def test_determinism(self):
         y = _series(np.cumsum(np.random.default_rng(9).standard_normal(500)))
-        a = extract_clusters(y, 10)
-        b = extract_clusters(y, 10)
-        assert np.array_equal(a, b)
+        assert np.array_equal(_durations(y, 10), _durations(y, 10))
 
 
 class TestClusterDistribution:
     def test_counting(self):
-        dist = cluster_distribution([1, 1, 2], 4, min_clusters=1)
+        dist = _histogram(4, [1, 1, 2])
         assert dist.taus.tolist() == [1, 2]
         assert dist.probabilities.tolist() == [2 / 3, 1 / 3]
 
     def test_single_value_single_bin(self):
-        dist = cluster_distribution([3] * 60, 4)
+        dist = _histogram(4, [3] * 60)
         assert dist.taus.tolist() == [3]
         assert dist.probabilities.tolist() == [1.0]
 
     def test_empty_durations(self):
-        with pytest.raises(InsufficientClustersError):
-            cluster_distribution([], 4, min_clusters=1)
+        dist, = crossing_pass(PrefixTables(_series(np.arange(100.0))), 5).distributions(
+            [(0, 100)], min_clusters=1)
+        assert isinstance(dist, InsufficientClustersError)
+
+    def _alternating(self, n_durations, min_clusters):
+        """The distribution of n_durations unit clusters, gated at min_clusters."""
+        y = _series(np.arange(n_durations + 3) % 2)
+        dist, = crossing_pass(PrefixTables(y), 2).distributions([(0, len(y))], min_clusters)
+        return dist
 
     def test_min_clusters_gate(self):
-        with pytest.raises(InsufficientClustersError):
-            cluster_distribution([1] * 49, 4, min_clusters=50)
+        dist = self._alternating(49, min_clusters=50)
+        assert isinstance(dist, InsufficientClustersError)
+        assert str(dist) == "49 clusters at n=2, need >= 50"
 
     def test_min_clusters_is_inclusive(self):
-        assert cluster_distribution([1] * 50, 4, min_clusters=50).counts.tolist() == [50.0]
+        assert self._alternating(50, min_clusters=50).counts.tolist() == [50.0]
 
     def test_normalization(self):
-        rng = np.random.default_rng(1)
-        durations = rng.integers(1, 30, size=500)
-        dist = cluster_distribution(durations, 8)
+        y = _series(np.cumsum(np.random.default_rng(1).standard_normal(5000)))
+        dist, = crossing_pass(PrefixTables(y), 8).distributions([(0, len(y))])
+        assert len(dist.taus) > 1
         assert abs(dist.probabilities.sum() - 1.0) < 1e-12
-
-    def test_rejects_malformed_bins(self):
-        for taus, counts in (([2, 1], [1, 1]), ([1, 1], [1, 1]), ([0, 1], [1, 1]),
-                             ([1, 2], [1, 0]), ([1, 2], [1])):
-            with pytest.raises(DataError):
-                ClusterDistribution(n=4, taus=taus, counts=counts)
-        with pytest.raises(EmptyInputError):
-            ClusterDistribution(n=4, taus=[], counts=[])
 
 
 class TestEntropyCurve:
     def test_single_bin_is_zero(self):
-        dist = cluster_distribution([4] * 60, 5)
-        curve = entropy_curve(dist)
+        curve = entropy_curve(_histogram(5, [4] * 60))
         assert curve.taus.tolist() == [4] and curve.values.tolist() == [0.0]
 
     def test_uniform_bins_give_log_k(self):
-        dist = ClusterDistribution(n=5, taus=np.arange(1, 7), counts=np.full(6, 10))
-        curve = entropy_curve(dist)
+        curve = entropy_curve(_histogram(5, np.repeat(np.arange(1, 7), 10)))
         assert all(s == pytest.approx(np.log(6)) for s in curve.values)
 
     def test_model_distribution_matches_surprisal_form(self):
@@ -176,62 +181,49 @@ class TestEntropyCurve:
         taus = np.arange(1, 11)
         weights = taus ** -1.5 * np.exp(-taus / 5.0)
         c = np.log(weights.sum())
-        dist = ClusterDistribution(n=5, taus=taus, counts=weights)
-        curve = entropy_curve(dist)
+        curve = entropy_curve(_model(5, taus, weights))
         for t, s in zip(taus, curve.values):
             expected = c + 1.5 * np.log(t) + t / 5.0
             assert s == pytest.approx(expected, rel=1e-12)
 
     def test_shannon_term_estimator(self):
-        dist = ClusterDistribution(n=5, taus=[1, 2], counts=[3, 1])
-        curve = entropy_curve(dist, estimator="shannon_term")
+        curve = entropy_curve(_histogram(5, [1, 1, 1, 2]), estimator="shannon_term")
         assert curve.values[0] == pytest.approx(-0.75 * np.log(0.75))
         assert curve.values[1] == pytest.approx(-0.25 * np.log(0.25))
 
     def test_unknown_estimator(self):
-        dist = ClusterDistribution(n=5, taus=[1], counts=[3])
         with pytest.raises(ValueError):
-            entropy_curve(dist, estimator="bogus")
-
-    def test_negative_values_rejected(self):
-        with pytest.raises(DataError, match="must be non-negative"):
-            EntropyCurve(n=5, taus=np.array([1, 2]), values=np.array([0.5, -0.1]))
+            entropy_curve(_histogram(5, [1, 1, 1]), estimator="bogus")
 
 
 class TestEntropyIndex:
     def test_single_zero_bin(self):
-        dist = cluster_distribution([2] * 60, 5)
-        ix = entropy_index(entropy_curve(dist), 5)
+        ix = entropy_index(entropy_curve(_histogram(5, [2] * 60)), 5)
         assert ix.value == 0.0
 
     def test_two_uniform_bins_split(self):
-        dist = ClusterDistribution(n=4, taus=[2, 6], counts=[5, 5])
-        ix = entropy_index(entropy_curve(dist), 4)
+        ix = entropy_index(entropy_curve(_histogram(4, [2] * 5 + [6] * 5)), 4)
         assert ix.power_law_part == pytest.approx(np.log(2))
         assert ix.linear_part == pytest.approx(np.log(2))
         assert ix.value == pytest.approx(2 * np.log(2))
 
     def test_threshold_bin_counted_once_in_power_part(self):
-        dist = ClusterDistribution(n=4, taus=[3, 4, 5], counts=[5, 5, 5])
-        ix = entropy_index(entropy_curve(dist), 4)
+        ix = entropy_index(entropy_curve(_histogram(4, [3, 4, 5] * 5)), 4)
         assert ix.power_law_part == pytest.approx(2 * np.log(3))
         assert ix.linear_part == pytest.approx(np.log(3))
         assert ix.value == pytest.approx(ix.power_law_part + ix.linear_part)
 
     def test_model_curve_matches_brute_force_sum(self):
         taus = np.arange(1, 11)
-        weights = taus ** -1.5 * np.exp(-taus / 5.0)
-        dist = ClusterDistribution(n=5, taus=taus, counts=weights)
-        curve = entropy_curve(dist)
+        curve = entropy_curve(_model(5, taus, taus ** -1.5 * np.exp(-taus / 5.0)))
         ix = entropy_index(curve, 5)
         # independent summation oracle over the curve points
         brute = sum(curve.values.tolist())
         assert ix.value == pytest.approx(brute, rel=1e-14)
 
     def test_bad_threshold(self):
-        dist = ClusterDistribution(n=4, taus=[1], counts=[5])
         with pytest.raises(DataError):
-            entropy_index(entropy_curve(dist), 0)
+            entropy_index(entropy_curve(_histogram(4, [1] * 5)), 0)
 
     def test_empty_curve(self):
         empty = EntropyCurve(n=4, taus=np.zeros(0, dtype=np.int64), values=np.zeros(0))
@@ -260,24 +252,3 @@ class TestAggregateIndex:
     def test_unknown_aggregation(self):
         with pytest.raises(ValueError, match="unknown aggregation 'median'"):
             aggregate_index([self._index(4, 2.5)], how="median")
-
-
-class TestFitClusterModel:
-    def test_exact_power_law(self):
-        taus = np.arange(1, 51)
-        dist = ClusterDistribution(n=100, taus=taus, counts=taus ** -1.5)
-        fit = fit_cluster_model(dist, (1, 50))
-        assert fit.D == pytest.approx(1.5, abs=0.01)
-
-    def test_linear_slope_on_exact_model(self):
-        # P ~ exp(-tau/n) past the cutoff: surprisal slope is exactly 1/n
-        n = 10
-        taus = np.arange(1, 6 * n)
-        dist = ClusterDistribution(n=n, taus=taus, counts=np.exp(-taus / n))
-        fit = fit_cluster_model(dist, (1, n))
-        assert fit.linear_slope == pytest.approx(1.0 / n, rel=1e-6)
-
-    def test_too_few_bins(self):
-        dist = ClusterDistribution(n=100, taus=[1, 2], counts=[5, 5])
-        with pytest.raises(DataError):
-            fit_cluster_model(dist, (1, 50))

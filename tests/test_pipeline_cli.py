@@ -13,8 +13,9 @@ import pytest
 import entroport
 from entroport import config, pipeline
 from entroport.cli import main
-from entroport.config import load_config
-from entroport.dma_cluster import EntropyCurve, PrefixTables, compute_entropy_index
+from entroport.config import MAX_N_GRID, load_config
+from entroport.dma_cluster import (EntropyCurve, PrefixTables, crossing_pass, entropy_curve,
+                                   entropy_index)
 from entroport.errors import ConfigError, NoTangencyError
 from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
                                 load_asset_prices, run_pipeline)
@@ -373,9 +374,12 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
                 w = whole_samples(t_s, cfg.delta_ns, "volatility window")
                 y = rets if source == "return" else rolling_volatility(rets, w)
                 for n in cfg.n_grid_samples():
-                    ix = compute_entropy_index(
-                        y, n, threshold_m=cfg.threshold_for(n),
-                        estimator=cfg.entropy_estimator, min_clusters=cfg.min_clusters)
+                    dist, = crossing_pass(PrefixTables(y), n).distributions(
+                        [(0, len(y))], cfg.min_clusters)
+                    if isinstance(dist, Exception):
+                        raise dist
+                    ix = entropy_index(entropy_curve(dist, cfg.entropy_estimator),
+                                       cfg.threshold_for(n))
                     expected[(asset.name, m, t_s, n)] = repr(ix.value)
     assert got == expected
 
@@ -754,6 +758,22 @@ class TestConfigValidation:
     def test_empty_sweep_or_boolean_threshold_exits_2(self, tmp_path, caplog, key, value):
         _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, key)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, needle", [
+        ({"min": -1e300, "max": 480, "step": 120}, "n_grid_s.min: must be >= 1, got -1e+300"),
+        ({"min": 0, "max": 480, "step": 120}, "n_grid_s.min: must be >= 1, got 0"),
+        ({"min": 120, "max": 1e300, "step": 120}, f"n_grid_s: more than {MAX_N_GRID} values"),
+        ({"min": 120, "max": 120 + MAX_N_GRID * 60, "step": 60},
+         f"n_grid_s: more than {MAX_N_GRID} values")])
+    def test_n_grid_out_of_bounds_exits_2_before_it_is_built(self, tmp_path, caplog, grid,
+                                                             needle):
+        _exits_2_naming(_write_config(tmp_path, overrides={"n_grid_s": grid}), caplog, needle)
+        assert not (tmp_path / "out").exists()
+
+    def test_n_grid_of_the_most_values_loads(self, tmp_path):
+        cfg = load_config(_write_config(tmp_path, overrides={
+            "n_grid_s": {"min": 120, "max": 120 + (MAX_N_GRID - 1) * 60, "step": 60}}))
+        assert len(cfg.n_grid_s) == MAX_N_GRID
 
     @pytest.mark.parametrize("key, value, needle", [
         ("min_clusters", True, "min_clusters: expected an integer, got True"),

@@ -5,6 +5,7 @@ import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, DataError, EntropyCurve, HorizonError,
+from entroport import (ClusterDistribution, DataError, HorizonError, InsufficientClustersError,
                        SampledSeries, date_ns, month_start_ns, slice_horizon,
-                       WeightVector, cluster_distribution, entropy_curve, entropy_index,
-                       extract_clusters, parse_ticks, resample, weight_entropy)
-from entroport.dma_cluster import PrefixTables, _filter, crossing_pass
+                       WeightVector, entropy_curve, entropy_index, parse_ticks, resample,
+                       weight_entropy)
+from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
@@ -28,22 +29,10 @@ durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_si
 
 
 @settings(deadline=None)
-@given(durations)
-def test_cluster_distribution_conserves_clusters_and_duration(taus_in):
-    d = np.array(taus_in)
-    dist = cluster_distribution(d, 10, min_clusters=1)
-    assert dist.counts.sum() == len(d)
-    assert (dist.taus * dist.counts).sum() == d.sum()
-    assert np.all(np.diff(dist.taus) > 0)
-    taus, counts = np.unique(d, return_counts=True)  # sort-based reference
-    assert (dist.taus.tolist(), dist.counts.tolist()) == (taus.tolist(), counts.tolist())
-
-
-@settings(deadline=None)
 @given(durations, st.integers(min_value=1, max_value=500),
        st.sampled_from(["surprisal", "shannon_term"]))
 def test_entropy_index_parts_add_up(taus_in, m, estimator):
-    dist = cluster_distribution(taus_in, 10, min_clusters=1)
+    dist = _pass_histogram(10, np.bincount(taus_in))
     curve = entropy_curve(dist, estimator)
     ix = entropy_index(curve, m)
     assert ix.power_law_part + ix.linear_part == ix.value
@@ -229,13 +218,6 @@ def test_slice_horizon_equals_searchsorted_over_times(months, mode, data):
     assert got == _slice_by_times(series, lo_ns, end_ns)
 
 
-def _distribution_outcome(result):
-    """taus, counts and probabilities of a distribution, or an error's class and message."""
-    if isinstance(result, Exception):
-        return type(result), str(result)
-    return result.taus.tolist(), result.counts.tolist(), result.probabilities.tolist()
-
-
 # flat runs of integers give exact-zero deviations; floats give generic ones
 levels = st.one_of(st.integers(min_value=-2, max_value=2),
                    st.floats(min_value=-1, max_value=1, allow_nan=False))
@@ -261,12 +243,20 @@ def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
 
     got = crossing_pass(PrefixTables(y), n).distributions(spans, min_clusters)
     for (start, stop), result in zip(spans, got):
-        try:
-            expected = cluster_distribution(
-                extract_clusters(y.with_values(values[start:stop]), n), n, min_clusters)
-        except EntroportError as exc:
-            expected = exc
-        assert _distribution_outcome(result) == _distribution_outcome(expected)
+        if stop - start < n:
+            assert type(result) is DataError
+            assert str(result) == f"window n={n} out of range for series of length {stop - start}"
+            continue
+        counts = Counter(np.diff(_sign_rule_pass(values[start:stop], n)[0]).tolist())
+        total = sum(counts.values())
+        if total < min_clusters:
+            assert type(result) is InsufficientClustersError
+            assert str(result) == f"{total} clusters at n={n}, need >= {min_clusters}"
+            continue
+        taus = sorted(counts)
+        assert result.taus.tolist() == taus
+        assert result.counts.tolist() == [counts[t] for t in taus]
+        assert result.probabilities.tolist() == [counts[t] / total for t in taus]
 
 
 def _sign_rule_pass(values, n):
@@ -315,7 +305,7 @@ def test_crossing_pass_equals_sign_rule(make, data):
 @settings(deadline=None, max_examples=200)
 @given(make=st.sampled_from([_float_series, _flat_integer_runs, _mixed_runs]),
        data=st.data())
-def test_pass_histograms_equal_checking_constructor(make, data):
+def test_pass_histograms_meet_the_distribution_invariants(make, data):
     values = make(data.draw)
     n = data.draw(st.integers(2, len(values)), label="n")
     stops = data.draw(st.lists(st.integers(n, len(values)), min_size=1, max_size=4))
@@ -323,15 +313,16 @@ def test_pass_histograms_equal_checking_constructor(make, data):
     for dist in cpass.distributions([(0, stop) for stop in stops], 1):
         if not isinstance(dist, ClusterDistribution):
             continue
-        checked = ClusterDistribution(n, dist.taus, dist.counts.astype(np.int64))
         assert dist.n == n
         assert dist.taus.dtype == np.int64 and dist.counts.dtype == np.float64
-        for name in ("taus", "counts", "probabilities"):
-            got, want = getattr(dist, name), getattr(checked, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert dist.taus.ndim == 1 and dist.taus.shape == dist.counts.shape
+        assert dist.taus[0] >= 1 and np.all(np.diff(dist.taus) > 0)
+        assert np.all(dist.counts > 0)
+        want = dist.counts / dist.counts.sum()
+        assert dist.probabilities.dtype == want.dtype
+        assert dist.probabilities.tobytes() == want.tobytes()
         for estimator in ("surprisal", "shannon_term"):
-            curve = entropy_curve(dist, estimator)
-            EntropyCurve(curve.n, curve.taus, curve.values)  # passes the skipped check
+            assert np.all(entropy_curve(dist, estimator).values >= 0)
 
 
 def _return_like(draw):
