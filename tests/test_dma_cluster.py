@@ -95,6 +95,16 @@ class TestPrefixTables:
                 tables.deviations(n)
 
 
+class TestCrossingPass:
+    def test_one_crossing_gives_zero_clusters(self):
+        # one crossing in the span: no duration to histogram, so the gate stops it
+        cpass = crossing_pass(PrefixTables(_series([0.0, 1.0, 0.0])), 2)
+        assert cpass.times.tolist() == [2]
+        dist, = cpass.distributions([(0, 3)], min_clusters=1)
+        assert isinstance(dist, InsufficientClustersError)
+        assert str(dist) == "0 clusters at n=2, need >= 1"
+
+
 class TestExtractClusters:
     """Cluster durations: the diffs of a crossing pass's times."""
 
@@ -185,6 +195,16 @@ class TestEntropyCurve:
         for t, s in zip(taus, curve.values):
             expected = c + 1.5 * np.log(t) + t / 5.0
             assert s == pytest.approx(expected, rel=1e-12)
+
+    def test_exponential_tail_has_linear_slope_one_over_n(self):
+        # P ~ exp(-tau/n): the surprisal slope, fitted over tau in (2n, 5n] as
+        # criterion 3 fits it, is exactly 1/n
+        n = 10
+        taus = np.arange(1, 6 * n)
+        curve = entropy_curve(_model(n, taus, np.exp(-taus / n)))
+        tail = (curve.taus > 2 * n) & (curve.taus <= 5 * n)
+        slope = np.polyfit(curve.taus[tail].astype(float), curve.values[tail], 1)[0]
+        assert slope == pytest.approx(1.0 / n, rel=1e-6)
 
     def test_shannon_term_estimator(self):
         curve = entropy_curve(_histogram(5, [1, 1, 1, 2]), estimator="shannon_term")

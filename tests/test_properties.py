@@ -29,6 +29,18 @@ durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_si
 
 
 @settings(deadline=None)
+@given(durations)
+def test_cluster_distribution_conserves_clusters_and_duration(taus_in):
+    d = np.array(taus_in)
+    dist = _pass_histogram(10, np.bincount(d))
+    assert dist.counts.sum() == len(d)
+    assert (dist.taus * dist.counts).sum() == d.sum()
+    assert np.all(np.diff(dist.taus) > 0)
+    taus, counts = np.unique(d, return_counts=True)  # sort-based reference
+    assert (dist.taus.tolist(), dist.counts.tolist()) == (taus.tolist(), counts.tolist())
+
+
+@settings(deadline=None)
 @given(durations, st.integers(min_value=1, max_value=500),
        st.sampled_from(["surprisal", "shannon_term"]))
 def test_entropy_index_parts_add_up(taus_in, m, estimator):
