@@ -91,8 +91,8 @@ class CrossingPass:
     n: int
     times: np.ndarray
     previous: np.ndarray
-    #: whether the prefix sums certified every sign (else np.convolve gave them)
-    certified: bool
+    #: how the signs were settled, as -v prints it (see crossing_pass)
+    rule: str
 
     def distributions(self, spans: list[tuple[int, int]],
                       min_clusters: int = MIN_CLUSTERS
@@ -237,24 +237,28 @@ class PrefixTables:
 def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     """Where y - moving_average flips sign, and the nonzero deviation before each flip.
 
-    y is tables.series. Only the deviations' signs are computed, each equal
-    to its sign under moving_average: all from the prefix sums of y when they
-    certify every one, else all from the full np.convolve (see PrefixTables).
-    Certified signs are never zero, so the flips are read from one boolean
-    d > 0. A convolved pass may hold exact zeros (or NaN), so each sign is
-    compared with the last nonzero one's.
+    y is tables.series; n >= 2 may exceed len(y), which gives no crossings
+    (rule "no pass"). Only the deviations' signs are computed, each equal to
+    its sign under moving_average: all from the prefix sums of y when they
+    certify every one ("signs certified"), else all from the full np.convolve
+    ("full convolve", see PrefixTables). Certified signs are never zero, so
+    the flips are read from one boolean d > 0. A convolved pass may hold
+    exact zeros (or NaN), so each sign is compared with the last nonzero one's.
     """
+    if n > len(tables.series):  # no deviation, so every span is too short
+        return CrossingPass(n, np.zeros(0, np.intp), np.zeros(0, np.intp), "no pass")
     d, certified = tables.deviations(n)
     if certified:
         pos = d > 0
         flip = np.flatnonzero(pos[1:] != pos[:-1])
-        return CrossingPass(n=n, times=flip + n, previous=flip + (n - 1), certified=True)
+        return CrossingPass(n, flip + n, flip + (n - 1), "signs certified")
     sign = np.sign(d)
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
     nonzero += n - 1  # positions in y
-    return CrossingPass(n=n, times=nonzero[flip + 1], previous=nonzero[flip], certified=False)
+    why = f"flat run {tables.flat_run} >= n" if n <= tables.flat_run else "signs in doubt"
+    return CrossingPass(n, nonzero[flip + 1], nonzero[flip], f"full convolve ({why})")
 
 
 def entropy_curve(dist: ClusterDistribution,

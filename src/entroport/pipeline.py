@@ -1,7 +1,8 @@
 """Pipeline orchestration: (asset x horizon x window x n-grid) sweep and CSV emission.
 
 Each asset's returns, each (asset, window) volatility series and each
-(asset, window, n) crossing pass are computed once over the whole series;
+(asset, window, n) crossing pass are computed once over the whole series
+(the return source, the same at every window, has one pass per (asset, n));
 every horizon cuts its cell out of them by index. Results are keyed and
 sorted before writing. The manifest is written last and contains only
 fields fully determined by config + seeds, keeping reruns byte-identical.
@@ -10,6 +11,7 @@ fields fully determined by config + seeds, keeping reruns byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import time
@@ -101,64 +103,68 @@ def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
            tables: PrefixTables, n: int, cfg: PipelineConfig) -> None:
     """Entropy curve and index at one n for each cell, or a warning why not.
 
-    spans[i] is cells[i]'s (start, stop) in the source, tables.series. One
-    crossing pass over the whole source (its signs from the source's prefix
-    tables, see PrefixTables) serves every cell's span and histograms each of
-    its durations once; it dies with this call, so one n's pass is alive at a
-    time (two cost peak RSS).
+    cells are those of every window whose source is tables.series (several
+    only for the return source), one window after another, so cells[i] is at
+    spans[i % len(spans)]. One crossing pass over the whole source (its signs
+    from the source's prefix tables, see PrefixTables) serves every span and
+    histograms each of its durations once; each span's curve and index are
+    shared by its cells. The pass dies with this call, so one n's pass is
+    alive at a time (two cost peak RSS).
     """
-    if n <= len(tables.series):
-        cpass = crossing_pass(tables, n)
-        dists = cpass.distributions(spans, cfg.min_clusters)
-    else:  # every span is too short
-        cpass, dists = None, [None] * len(cells)
-    for cell, dist in zip(cells, dists):
+    cpass = crossing_pass(tables, n)
+    dists = cpass.distributions(spans, cfg.min_clusters)
+    results = []  # per span: (curve, index), or the error why there is none
+    for dist in dists:
+        if isinstance(dist, ClusterDistribution):
+            curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
+            dist = curve, entropy_index(curve, cfg.threshold_for(n))
+        results.append(dist)
+    for cell, result in zip(cells, itertools.cycle(results)):
         label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
-        if isinstance(dist, InsufficientClustersError):
-            cell.warnings.append(f"{label}: dropped ({dist})")
-        elif not isinstance(dist, ClusterDistribution):
+        if isinstance(result, InsufficientClustersError):
+            cell.warnings.append(f"{label}: dropped ({result})")
+        elif isinstance(result, EntroportError):
             cell.warnings.append(f"{label}: series too short")
         else:
-            curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
-            cell.curves[n] = curve
-            cell.indices.append(entropy_index(curve, cfg.threshold_for(n)))
+            cell.curves[n], index = result
+            cell.indices.append(index)
     if logger.isEnabledFor(logging.DEBUG):
         dropped = sum(isinstance(d, InsufficientClustersError) for d in dists)
         kept = sum(isinstance(d, ClusterDistribution) for d in dists)
-        logger.debug("%s T=%ds n=%d: %s; %d crossings; cells %d kept, %d dropped, "
-                     "%d too short", cells[0].asset, cells[0].window_s, n,
-                     "no pass" if cpass is None else
-                     "signs certified" if cpass.certified else
-                     f"full convolve (flat run {tables.flat_run} >= n)"
-                     if n <= tables.flat_run else "full convolve (signs in doubt)",
-                     0 if cpass is None else len(cpass.times), kept, dropped,
+        logger.debug("%s T=%s n=%d: %s; %d crossings; cells %d kept, %d dropped, "
+                     "%d too short", cells[0].asset,
+                     ",".join(f"{c.window_s}s" for c in cells[::len(spans)]), n,
+                     cpass.rule, len(cpass.times), kept, dropped,
                      len(dists) - kept - dropped)
 
 
 def _window_cells(asset: AssetInput, returns: SampledSeries, ranges: dict[int, slice],
-                  t_s: int, cfg: PipelineConfig) -> list[CellResult]:
-    """One asset's cells at window t_s for every horizon.
+                  windows_s: tuple[int, ...], cfg: PipelineConfig) -> list[CellResult]:
+    """One asset's cells at each window of windows_s, for every horizon, from one source.
 
-    Prices [lo, hi) have returns r[lo:hi-1] and volatility vol[lo:hi-w],
-    exactly those of the sliced prices, so the whole-series source is
-    computed once and each horizon takes its span by index.
+    The source is the returns, whatever the window, or the volatility at
+    windows_s's one window. Prices [lo, hi) have returns r[lo:hi-1] and
+    volatility vol[lo:hi-w], exactly those of the sliced prices, so the
+    whole-series source and its crossing pass at each n are computed once,
+    and each horizon takes its span by index.
     """
-    w = whole_samples(t_s, cfg.delta_ns, "volatility window")
+    w = whole_samples(windows_s[0], cfg.delta_ns, "volatility window")
     cut = 1 if cfg.entropy_source == "return" else w
     for rng in ranges.values():
         if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
             raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
-    with _naming(asset, f", volatility window {t_s}s"):
+    with _naming(asset, f", volatility window {windows_s[0]}s"):
         source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, w)
     spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
-    cells = [CellResult(asset=asset.name, horizon=m, window_s=t_s) for m in ranges]
+    cells = [CellResult(asset=asset.name, horizon=m, window_s=t_s)
+             for t_s in windows_s for m in ranges]
     tables = PrefixTables(source)  # shared by the passes of every n
     for n in cfg.n_grid_samples():
         _add_n(cells, spans, tables, n, cfg)
     for cell in cells:
         if not cell.indices:
-            raise InsufficientClustersError(
-                f"asset {asset.name!r} has no valid n point at M={cell.horizon}, T={t_s}s")
+            raise InsufficientClustersError(f"asset {asset.name!r} has no valid n point "
+                                            f"at M={cell.horizon}, T={cell.window_s}s")
         cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
     return cells
 
@@ -187,10 +193,13 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
     weights_rows: list[tuple[str, int, int, str, float]] = []
     diag_rows: list[tuple[str, int, int, float, float]] = []
 
+    # the return source is the same at every window, so its windows share one sweep
+    groups = ([cfg.volatility_windows_s] if cfg.entropy_source == "return"
+              else [(t_s,) for t_s in cfg.volatility_windows_s])
     for asset, rets in zip(cfg.assets, returns):
-        for t_s in cfg.volatility_windows_s:
-            for cell in _window_cells(asset, rets, ranges, t_s, cfg):
-                cells[(asset.name, cell.horizon, t_s)] = cell
+        for windows_s in groups:
+            for cell in _window_cells(asset, rets, ranges, windows_s, cfg):
+                cells[(asset.name, cell.horizon, cell.window_s)] = cell
                 warnings.extend(cell.warnings)
 
     uniform = naive_weights(names)

@@ -81,7 +81,7 @@ class TestPrefixTables:
             d, certified = tables.deviations(n)
             assert not certified and np.array_equal(np.sign(d), _convolve_signs(values, n))
         assert built == [] and vars(tables).keys() == {"series", "flat_run"}
-        assert not crossing_pass(tables, 5).certified
+        assert crossing_pass(tables, 5).rule == "full convolve (flat run 40 >= n)"
         for n in (41, 41, 64):
             d, certified = tables.deviations(n)
             assert np.array_equal(np.sign(d), _convolve_signs(values, n))
@@ -103,6 +103,22 @@ class TestCrossingPass:
         dist, = cpass.distributions([(0, 3)], min_clusters=1)
         assert isinstance(dist, InsufficientClustersError)
         assert str(dist) == "0 clusters at n=2, need >= 1"
+
+    def test_window_longer_than_the_series_gives_no_pass(self):
+        # a pass exists for every n >= 2; past the series it finds every span too short
+        cpass = crossing_pass(PrefixTables(_series([0.0, 1.0, 0.0, 1.0, 0.0])), 9)
+        assert (cpass.rule, cpass.times.tolist(), cpass.previous.tolist()) == ("no pass", [], [])
+        dists = cpass.distributions([(0, 5), (1, 3)], min_clusters=1)
+        assert [str(d) for d in dists] == ["window n=9 out of range for series of length 5",
+                                           "window n=9 out of range for series of length 2"]
+        assert all(type(d) is DataError for d in dists)
+
+    @pytest.mark.parametrize("values, rule", [
+        (np.random.default_rng(7).standard_normal(64), "signs certified"),
+        (np.repeat([0.0, 1.0], 32), "full convolve (flat run 32 >= n)"),
+    ])
+    def test_rule_names_how_the_signs_were_settled(self, values, rule):
+        assert crossing_pass(PrefixTables(_series(values)), 8).rule == rule
 
 
 class TestExtractClusters:

@@ -16,7 +16,7 @@ from entroport.cli import main
 from entroport.config import MAX_N_GRID, load_config
 from entroport.dma_cluster import (EntropyCurve, PrefixTables, crossing_pass, entropy_curve,
                                    entropy_index)
-from entroport.errors import ConfigError, NoTangencyError
+from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
 from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
                                 load_asset_prices, run_pipeline)
 from entroport.returns_vol import linear_returns, rolling_volatility
@@ -420,6 +420,46 @@ def test_running_histogram_across_dropped_and_short_horizons(tmp_path, caplog):
     assert len(passes) == 2 * 5  # one per (asset, window, n)
     assert any(m.startswith("SYN1 T=10800s n=802: ") and
                m.endswith("cells 2 kept, 1 dropped, 1 too short") for m in passes)
+
+
+def _rows_by_window(out):
+    """Every output row and manifest warning of a run, grouped by its window T_s."""
+    rows: dict[int, list[str]] = {}
+    for name in ("entropy_curves.csv", "indices_by_n.csv", "indices_aggregated.csv",
+                 "weights.csv", "diagnostics.csv"):
+        for line in (out / name).read_text().splitlines()[1:]:
+            rows.setdefault(int(line.split(",")[2]), []).append(f"{name}:{line}")
+    for warning in json.loads((out / "manifest.json").read_text())["warnings"]:
+        rows.setdefault(int(re.search(r" T=(\d+)s", warning)[1]), []).append(warning)
+    return rows
+
+
+def test_return_source_windows_share_one_pass_per_n(tmp_path, monkeypatch):
+    """The return source is the same at every window: one crossing pass per (asset, n)
+    serves them all, and each window's rows are those of a run at that window alone."""
+    calls = []
+    monkeypatch.setattr(pipeline, "crossing_pass",
+                        lambda tables, n: calls.append(n) or crossing_pass(tables, n))
+    windows = [21600, 10800, 36000]
+    overrides = dict(EDGE_CONFIG, entropy_source="return")
+    cfg = load_config(_write_config(tmp_path, overrides=dict(overrides,
+                                                             volatility_windows_s=windows)))
+    run_pipeline(cfg, config_bytes=b"")
+    assert len(calls) == len(cfg.assets) * len(cfg.n_grid_samples()) == 2 * 5
+    shared = _rows_by_window(tmp_path / "out")
+    assert any("too short" in row for row in shared[10800])
+    assert any("dropped" in row for row in shared[10800])
+    for t_s in windows:
+        (tmp_path / str(t_s)).mkdir()
+        run_pipeline(load_config(_write_config(tmp_path / str(t_s), overrides=dict(
+            overrides, volatility_windows_s=[t_s]))), config_bytes=b"")
+        assert _rows_by_window(tmp_path / str(t_s) / "out") == {t_s: shared[t_s]}
+    # an asset with no valid n names the first window, as a run per window did
+    cfg = load_config(_write_config(tmp_path, overrides=dict(
+        overrides, volatility_windows_s=windows, min_clusters=10 ** 6)))
+    with pytest.raises(InsufficientClustersError,
+                       match=r"^asset 'SYN1' has no valid n point at M=1, T=21600s$"):
+        run_pipeline(cfg, config_bytes=b"")
 
 
 def _sticky_tick_file(path, seed, n_ticks=50_000):

@@ -21,7 +21,8 @@ from entroport import (ClusterDistribution, DataError, HorizonError, Insufficien
                        weight_entropy)
 from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
 from entroport.errors import EntroportError
-from entroport.portfolio import _ascend, _grid_start, _project_simplex, _sharpe
+from entroport.portfolio import (MomentEstimates, _ascend, _grid_start, _project_simplex,
+                                 _sharpe, max_sharpe_weights)
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
 from entroport.series import _first_sample_at, _parse_ticks_lines
 
@@ -653,6 +654,32 @@ def test_weight_entropy_lies_in_zero_to_log_n(raw):
     w = np.array(raw) / sum(raw)
     h = weight_entropy(WeightVector(w, tuple(f"a{i}" for i in range(len(w)))))
     assert 0.0 <= h <= np.log(len(w)) + 1e-12
+
+
+@st.composite
+def interior_tangencies(draw):
+    """Sigma = A A^T + c I and mu = Sigma y with y > 0: Sigma^-1 mu = y is in the
+    simplex's interior once scaled, so y / sum(y) is the long-only optimum. c is at
+    least 1e-3 trace(A A^T), far above the ridge threshold, and bounds Sigma's
+    condition number by about 1000 N."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    a = rng.standard_normal((n, draw(st.integers(min_value=1, max_value=n + 2))))
+    gram = a @ a.T
+    sigma = gram + draw(st.floats(1e-3, 1.0)) * np.trace(gram) * np.eye(n)
+    sigma = (sigma + sigma.T) / 2 * 10.0 ** draw(st.integers(min_value=-6, max_value=0))
+    y = rng.uniform(0.01, 1.0, n) * 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    return sigma @ y, sigma, y
+
+
+@settings(deadline=None, max_examples=100)
+@given(interior_tangencies())
+def test_max_sharpe_reaches_an_interior_tangency(problem):
+    mu, sigma, y = problem
+    assert np.linalg.eigvalsh(sigma).min() >= 1e-14 * np.trace(sigma)  # no ridge
+    got = max_sharpe_weights(MomentEstimates(mu=mu, sigma=sigma)).weights
+    best = _sharpe(y / y.sum(), mu, sigma)
+    assert abs(_sharpe(got, mu, sigma) - best) <= 1e-12 * best
 
 
 def _argmax_loop_start(mu, sigma, divisions):
