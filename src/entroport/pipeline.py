@@ -99,74 +99,79 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
         return to_price_series(raw, scale=asset.price_scale)
 
 
-def _add_n(cells: list[CellResult], spans: list[tuple[int, int]],
+def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
            tables: PrefixTables, n: int, cfg: PipelineConfig) -> None:
     """Entropy curve and index at one n for each cell, or a warning why not.
 
-    cells are those of every window whose source is tables.series (several
-    only for the return source), one window after another, so cells[i] is at
-    spans[i % len(spans)]. One crossing pass over the whole source (its signs
-    from the source's prefix tables, see PrefixTables) serves every span and
-    histograms each of its durations once; each span's curve and index are
-    shared by its cells. The pass dies with this call, so one n's pass is
-    alive at a time (two cost peak RSS).
+    cells[i] holds the cells at spans[i], a (start, stop) in the source,
+    tables.series: one per window with that source (several only for the
+    return source). One crossing pass over the whole source (its signs from
+    the source's prefix tables, see PrefixTables) serves every span and
+    histograms each of its durations once; it dies with this call, so one
+    n's pass is alive at a time (two cost peak RSS).
     """
     cpass = crossing_pass(tables, n)
     dists = cpass.distributions(spans, cfg.min_clusters)
-    results = []  # per span: (curve, index), or the error why there is none
-    for dist in dists:
+    for span_cells, dist in zip(cells, dists):
         if isinstance(dist, ClusterDistribution):
             curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
-            dist = curve, entropy_index(curve, cfg.threshold_for(n))
-        results.append(dist)
-    for cell, result in zip(cells, itertools.cycle(results)):
-        label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
-        if isinstance(result, InsufficientClustersError):
-            cell.warnings.append(f"{label}: dropped ({result})")
-        elif isinstance(result, EntroportError):
-            cell.warnings.append(f"{label}: series too short")
-        else:
-            cell.curves[n], index = result
-            cell.indices.append(index)
+            index = entropy_index(curve, cfg.threshold_for(n))
+        for cell in span_cells:
+            label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
+            if isinstance(dist, InsufficientClustersError):
+                cell.warnings.append(f"{label}: dropped ({dist})")
+            elif not isinstance(dist, ClusterDistribution):
+                cell.warnings.append(f"{label}: series too short")
+            else:
+                cell.curves[n] = curve
+                cell.indices.append(index)
     if logger.isEnabledFor(logging.DEBUG):
-        dropped = sum(isinstance(d, InsufficientClustersError) for d in dists)
-        kept = sum(isinstance(d, ClusterDistribution) for d in dists)
+        per_span = len(cells[0])  # one cell per window
+        dropped = per_span * sum(isinstance(d, InsufficientClustersError) for d in dists)
+        kept = per_span * sum(isinstance(d, ClusterDistribution) for d in dists)
         logger.debug("%s T=%s n=%d: %s; %d crossings; cells %d kept, %d dropped, "
-                     "%d too short", cells[0].asset,
-                     ",".join(f"{c.window_s}s" for c in cells[::len(spans)]), n,
-                     cpass.rule, len(cpass.times), kept, dropped,
-                     len(dists) - kept - dropped)
+                     "%d too short", cells[0][0].asset,
+                     ",".join(f"{c.window_s}s" for c in cells[0]), n, cpass.rule,
+                     len(cpass.times), kept, dropped, per_span * len(dists) - kept - dropped)
 
 
-def _window_cells(asset: AssetInput, returns: SampledSeries, ranges: dict[int, slice],
-                  windows_s: tuple[int, ...], cfg: PipelineConfig) -> list[CellResult]:
-    """One asset's cells at each window of windows_s, for every horizon, from one source.
+def _asset_cells(asset: AssetInput, returns: SampledSeries, ranges: dict[int, slice],
+                 cfg: PipelineConfig) -> list[CellResult]:
+    """One asset's cells at every window and horizon.
 
-    The source is the returns, whatever the window, or the volatility at
-    windows_s's one window. Prices [lo, hi) have returns r[lo:hi-1] and
-    volatility vol[lo:hi-w], exactly those of the sliced prices, so the
-    whole-series source and its crossing pass at each n are computed once,
-    and each horizon takes its span by index.
+    Prices [lo, hi) have returns r[lo:hi-1] and volatility vol[lo:hi-w],
+    exactly those of the sliced prices, so each whole-series source and its
+    crossing pass at each n are computed once, and each horizon takes its
+    span by index. The return source is the same at every window, so one
+    sweep serves every window's cells; the volatility source has one per window.
     """
-    w = whole_samples(windows_s[0], cfg.delta_ns, "volatility window")
-    cut = 1 if cfg.entropy_source == "return" else w
-    for rng in ranges.values():
-        if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
-            raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
-    with _naming(asset, f", volatility window {windows_s[0]}s"):
-        source = returns if cfg.entropy_source == "return" else rolling_volatility(returns, w)
-    spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
-    cells = [CellResult(asset=asset.name, horizon=m, window_s=t_s)
-             for t_s in windows_s for m in ranges]
-    tables = PrefixTables(source)  # shared by the passes of every n
-    for n in cfg.n_grid_samples():
-        _add_n(cells, spans, tables, n, cfg)
-    for cell in cells:
-        if not cell.indices:
-            raise InsufficientClustersError(f"asset {asset.name!r} has no valid n point "
-                                            f"at M={cell.horizon}, T={cell.window_s}s")
-        cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
-    return cells
+    # (windows, cut) per sweep: prices [lo, hi) take the span source[lo:hi-cut]
+    if cfg.entropy_source == "return":
+        sweeps = [(cfg.volatility_windows_s, 1)]
+    else:
+        sweeps = [((t_s,), whole_samples(t_s, cfg.delta_ns, "volatility window"))
+                  for t_s in cfg.volatility_windows_s]
+    out = []
+    for windows_s, cut in sweeps:
+        for rng in ranges.values():
+            if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
+                raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
+        with _naming(asset, f", volatility window {windows_s[0]}s"):
+            source = (returns if cfg.entropy_source == "return"
+                      else rolling_volatility(returns, cut))
+        spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
+        cells = [[CellResult(asset=asset.name, horizon=m, window_s=t_s) for t_s in windows_s]
+                 for m in ranges]
+        tables = PrefixTables(source)  # shared by the passes of every n
+        for n in cfg.n_grid_samples():
+            _add_n(cells, spans, tables, n, cfg)
+        for cell in itertools.chain(*cells):
+            if not cell.indices:
+                raise InsufficientClustersError(f"asset {asset.name!r} has no valid n point "
+                                                f"at M={cell.horizon}, T={cell.window_s}s")
+            cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
+            out.append(cell)
+    return out
 
 
 def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> PipelineResult:
@@ -193,14 +198,10 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
     weights_rows: list[tuple[str, int, int, str, float]] = []
     diag_rows: list[tuple[str, int, int, float, float]] = []
 
-    # the return source is the same at every window, so its windows share one sweep
-    groups = ([cfg.volatility_windows_s] if cfg.entropy_source == "return"
-              else [(t_s,) for t_s in cfg.volatility_windows_s])
     for asset, rets in zip(cfg.assets, returns):
-        for windows_s in groups:
-            for cell in _window_cells(asset, rets, ranges, windows_s, cfg):
-                cells[(asset.name, cell.horizon, cell.window_s)] = cell
-                warnings.extend(cell.warnings)
+        for cell in _asset_cells(asset, rets, ranges, cfg):
+            cells[(asset.name, cell.horizon, cell.window_s)] = cell
+            warnings.extend(cell.warnings)
 
     uniform = naive_weights(names)
     for m, rng in ranges.items():

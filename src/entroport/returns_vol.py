@@ -7,7 +7,6 @@ rejects a T that is not a whole number of sampling intervals (no rounding).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .series import SampledSeries
@@ -15,8 +14,6 @@ from .series import SampledSeries
 #: windows per block in rolling_volatility, whatever their length: a block's
 #: temporaries are about ten arrays of _VOL_BLOCK floats
 _VOL_BLOCK = 2 ** 13
-#: values per np.std call of a block that holds fewer windows than w
-_STD_CHUNK = 8 * _VOL_BLOCK
 
 
 def _checked_prices(prices: SampledSeries) -> np.ndarray:
@@ -57,10 +54,8 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     added in numpy's pairwise order, so the bytes equal
     sliding_window_view(r, w).std(axis=-1, ddof=1). The sums run over the w
     shifted columns of a block of _VOL_BLOCK windows: O(len * w) work in
-    about 4 * w numpy calls per block. A block of fewer windows than w (a w
-    close to the series length) calls that np.std itself instead, on chunks
-    of at most _STD_CHUNK values (or one window), so a call covers many
-    values either way. A volatility that overflows float64 is a DataError.
+    about 4 * w numpy calls per block, however few windows it holds. A
+    volatility that overflows float64 is a DataError.
     """
     r = returns.values
     if w < 2:
@@ -74,12 +69,6 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
             block = out[lo:lo + _VOL_BLOCK]
             rows = len(block)
             seg = r[lo:lo + rows + w - 1]
-            if rows < w:
-                step = max(1, _STD_CHUNK // w)
-                for i in range(0, rows, step):
-                    sliding_window_view(seg[i:i + step + w - 1], w).std(
-                        axis=-1, ddof=1, out=block[i:i + step])
-                continue
             mean = _pairwise_sum(lambda k: seg[k:k + rows], w)
             mean /= w
             scratch = np.empty(rows)

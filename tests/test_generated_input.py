@@ -95,10 +95,11 @@ def _mutated(base, edits):
 
     op "set" puts value at path, "delete" removes it, "unknown" adds the key
     "unknown" with value beside it; an edit whose path an earlier one removed
-    does nothing.
+    does nothing. Each value is copied, so no edit reaches VALUES or base.
     """
     cfg = copy.deepcopy(base)
     for path, op, value in edits:
+        value = copy.deepcopy(value)
         if not path:
             cfg = value if op == "set" else cfg
             continue
@@ -174,6 +175,12 @@ def _analyze(config, files=None) -> int:
         finally:
             os.chdir(cwd)
     return code
+
+
+def test_edits_leave_the_value_pool_alone():
+    pool = copy.deepcopy(VALUES)
+    _mutated(SYNTH_CONFIG, [((), "set", VALUES[-1]), (("length",), "set", VALUES[-3])])
+    assert VALUES == pool and SYNTH_CONFIG["assets"][0]["synth"]["length"] == 2048
 
 
 def test_the_unmutated_inputs_run():

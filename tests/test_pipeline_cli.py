@@ -434,9 +434,17 @@ def _rows_by_window(out):
     return rows
 
 
-def test_return_source_windows_share_one_pass_per_n(tmp_path, monkeypatch):
+def _cell_counts(caplog, head):
+    """n -> (kept, dropped, too short) from the -v pass lines that start with head."""
+    lines = [re.match(rf"{head} n=(\d+): .*; cells (\d+) kept, (\d+) dropped, (\d+) too short$",
+                      r.getMessage()) for r in caplog.records]
+    return {int(m[1]): tuple(int(g) for g in m.groups()[1:]) for m in lines if m}
+
+
+def test_return_source_windows_share_one_pass_per_n(tmp_path, monkeypatch, caplog):
     """The return source is the same at every window: one crossing pass per (asset, n)
     serves them all, and each window's rows are those of a run at that window alone."""
+    caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
     calls = []
     monkeypatch.setattr(pipeline, "crossing_pass",
                         lambda tables, n: calls.append(n) or crossing_pass(tables, n))
@@ -449,11 +457,17 @@ def test_return_source_windows_share_one_pass_per_n(tmp_path, monkeypatch):
     shared = _rows_by_window(tmp_path / "out")
     assert any("too short" in row for row in shared[10800])
     assert any("dropped" in row for row in shared[10800])
+    # one -v line per (asset, n) names every window and counts every window's cells
+    counts = _cell_counts(caplog, "SYN1 T=21600s,10800s,36000s")
+    assert len(counts) == 5 and all(sum(c) == 3 * 4 for c in counts.values())
     for t_s in windows:
         (tmp_path / str(t_s)).mkdir()
+        caplog.clear()
         run_pipeline(load_config(_write_config(tmp_path / str(t_s), overrides=dict(
             overrides, volatility_windows_s=[t_s]))), config_bytes=b"")
         assert _rows_by_window(tmp_path / str(t_s) / "out") == {t_s: shared[t_s]}
+        assert {n: tuple(3 * k for k in c)
+                for n, c in _cell_counts(caplog, f"SYN1 T={t_s}s").items()} == counts
     # an asset with no valid n names the first window, as a run per window did
     cfg = load_config(_write_config(tmp_path, overrides=dict(
         overrides, volatility_windows_s=windows, min_clusters=10 ** 6)))
@@ -556,7 +570,7 @@ def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
     values[10000:10000 + len(run)] = values[10000] + np.spacing(values[10000]) * run
     tables = PrefixTables(SampledSeries(values, start_time=0, delta=1))
     cells = [CellResult(asset="A", horizon=1, window_s=360)]
-    pipeline._add_n(cells, [(0, len(values))], tables, 8,
+    pipeline._add_n([cells], [(0, len(values))], tables, 8,
                     load_config(_write_config(tmp_path, overrides={"min_clusters": 1})))
     assert 8 in cells[0].curves
     assert re.match(rf"A T=360s n=8: full convolve \({reason}\); ",

@@ -4,7 +4,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from entroport import (DataError, SampledSeries, linear_returns, log_returns,
                        rolling_volatility)
-from entroport.returns_vol import _STD_CHUNK, _VOL_BLOCK
+from entroport.returns_vol import _VOL_BLOCK
 from entroport.series import whole_samples
 
 
@@ -110,8 +110,8 @@ class TestRollingVolatility:
 
     @pytest.mark.parametrize("w", [2, 3, 12, 300, _VOL_BLOCK + 5])
     def test_row_blocks_equal_one_std_call(self, w):
-        # window counts around multiples of _VOL_BLOCK // w; at w = 300 and
-        # w > _VOL_BLOCK these blocks hold fewer windows than w, so np.std runs
+        # window counts around one and two block edges; w = 300 spans more
+        # samples than a block has rows, w > _VOL_BLOCK gives one-row blocks
         rows = max(1, _VOL_BLOCK // w)
         rng = np.random.default_rng(w)
         for n_windows in (rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1):
@@ -122,15 +122,10 @@ class TestRollingVolatility:
             out = rolling_volatility(_returns(r), w).values
             assert out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("w, n_windows", [
-        (1000, 999),              # one short block, in np.std chunks of 65 windows
-        (150, _VOL_BLOCK + 100),  # a block of column sums, then a short block
-        (_STD_CHUNK + 3, 5),      # a window longer than a chunk: one per np.std call
-    ])
-    def test_blocks_of_fewer_windows_than_w_equal_one_std_call(self, w, n_windows):
-        r = np.random.default_rng(w).standard_normal(n_windows + w - 1)
-        k = n_windows // 2
-        r[k:k + w] = 0.25  # one constant window, which must give exactly 0
+    @pytest.mark.parametrize("w", [300, 1000])
+    def test_full_blocks_of_long_windows_equal_one_std_call(self, w):
+        # a full block and a one-window block, each summed in the split regime
+        r = np.random.default_rng(w).standard_normal(_VOL_BLOCK + w)
         expected = sliding_window_view(r, w).std(axis=-1, ddof=1)
-        expected[k] = 0.0
-        assert rolling_volatility(_returns(r), w).values.tobytes() == expected.tobytes()
+        out = rolling_volatility(_returns(r), w).values
+        assert out.tobytes() == expected.tobytes()
