@@ -78,6 +78,10 @@ def _cmd_synth(args) -> None:
     if None in params.values():
         raise DataError(f"{'/'.join('--' + p for p in params)} "
                         f"{'is' if len(params) == 1 else 'are'} required for {args.kind}")
+    foreign = [f"--{p}" for kind, ps in GENERATOR_PARAMS.items() if kind != args.kind
+               for p in ps if getattr(args, p) is not None]
+    if foreign:  # as a synth spec rejects a key of another kind
+        raise ConfigError(f"{args.kind} takes no {', '.join(foreign)}")
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     spec = GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed, **params)

@@ -72,8 +72,8 @@ class PipelineConfig:
         return tuple(whole_samples(n, self.delta_ns, "n grid value") for n in self.n_grid_s)
 
     def validate(self) -> None:
-        if len(self.assets) < 1:
-            raise ConfigError("at least one asset is required")
+        if len(self.assets) < 2:  # a covariance and a weight vector need two
+            raise ConfigError(f"at least 2 assets are required, got {len(self.assets)}")
         names = [a.name for a in self.assets]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate asset names in {names}")

@@ -162,7 +162,7 @@ def _tables(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Prefix sums of v, their error bound E and max|v|.
 
     E is u (max|prefix| + gamma_{len+3} sum|v|) plus 2**-1021 for underflow;
-    PrefixTables' argument needs only the first term, the second is a margin.
+    crossing_pass's argument needs only the first term, the second is a margin.
     """
     prefix = np.empty(len(v) + 1)
     prefix[0] = 0.0
@@ -185,27 +185,10 @@ def _filter(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 
 
 class PrefixTables:
-    """Prefix sums of one series, shared by its crossing passes at every n.
+    """One series, shared by its crossing passes at every n.
 
-    deviations(n) forms d~ = y[n-1:] - (P[n:] - P[:-n]) * c from the prefix
-    sums P (c = fl(1/n)) and certifies sign(d~) = sign(d), d the deviation
-    under moving_average, wherever |d~| exceeds a bound on |d~ - d|: the
-    filter-then-exact pattern of robust predicates (Shewchuk 1997). One bound
-    serves every window of a pass: E + kappa_n fl(n max|y|), E one number for
-    the whole series (see _tables) and kappa_n = c (gamma_n + 2u) _SLACK.
-    np.cumsum adds in order, each step rounding by at most u |P[k]|, so a
-    window sum is off by at most u n max|P|, which E covers (c n <= 1 + u).
-    On the window y[i:i+n], whose exact sum of |y| is X_i <= n max|y|,
-    np.convolve's length-n dot product is off by at most gamma_n c X_i in any
-    summation order, with or without FMA (Higham 2002, section 3.1); kappa_n X_i
-    covers that and the filter's own roundings, and the one rounding of n max|y|
-    falls within _SLACK. Because fl(a - b) has the sign of a - b, a certified
-    sign is exact. One rule settles a pass: if every sign is certified, the
-    prefix sums give them all; otherwise (a sign in doubt, NaN and inf included)
-    the full moving_average gives them all. The bound covers |d~ - d_exact| too,
-    so where d_exact = 0, as in a window of n equal values, no sign is certified:
-    a pass with n <= flat_run, the longest run of equal values, convolves
-    without trying, and the first pass past it builds the tables.
+    flat_run is its longest run of equal values; tables, its prefix sums and
+    their error bound (see _tables), is built by the first pass that reads it.
     """
 
     def __init__(self, y: SampledSeries):
@@ -219,45 +202,54 @@ class PrefixTables:
     def tables(self) -> tuple:
         return _tables(self.series.values)
 
-    def deviations(self, n: int) -> tuple[np.ndarray, bool]:
-        """y[n-1:] - MA_n, each sign as under moving_average(y, n), and whether certified.
-
-        Only the signs are exact: a certified value is the filter's.
-        """
-        v = self.series.values
-        if not 2 <= n <= len(v):
-            raise _window_error(n, len(v))
-        if n > self.flat_run:
-            d, bound = _filter(self.tables, v, n)
-            if np.abs(d).min() > bound:  # False for NaN: not certified
-                return d, True
-        return v[n - 1:] - moving_average(self.series, n).values, False
-
 
 def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     """Where y - moving_average flips sign, and the nonzero deviation before each flip.
 
-    y is tables.series; n >= 2 may exceed len(y), which gives no crossings
-    (rule "no pass"). Only the deviations' signs are computed, each equal to
-    its sign under moving_average: all from the prefix sums of y when they
-    certify every one ("signs certified"), else all from the full np.convolve
-    ("full convolve", see PrefixTables). Certified signs are never zero, so
-    the flips are read from one boolean d > 0. A convolved pass may hold
-    exact zeros (or NaN), so each sign is compared with the last nonzero one's.
+    y is tables.series. Only the signs of the deviations d are computed, each
+    equal to its sign under moving_average(y, n), and one rule settles the
+    whole pass, named in rule as -v prints it. An n > len(y) gives no
+    crossings ("no pass"); an n < 2 is moving_average's DataError.
+
+    Past the flat run, d~ = y[n-1:] - (P[n:] - P[:-n]) * c is formed from the
+    prefix sums P (c = fl(1/n)), and sign(d~) = sign(d) is certified wherever
+    |d~| exceeds a bound on |d~ - d|: the filter-then-exact pattern of robust
+    predicates (Shewchuk 1997). One bound serves every window of a pass:
+    E + kappa_n fl(n max|y|), E one number for the whole series (see _tables)
+    and kappa_n = c (gamma_n + 2u) _SLACK. np.cumsum adds in order, each step
+    rounding by at most u |P[k]|, so a window sum is off by at most
+    u n max|P|, which E covers (c n <= 1 + u). On the window y[i:i+n], whose
+    exact sum of |y| is X_i <= n max|y|, np.convolve's length-n dot product is
+    off by at most gamma_n c X_i in any summation order, with or without FMA
+    (Higham 2002, section 3.1); kappa_n X_i covers that and the filter's own
+    roundings, and the one rounding of n max|y| falls within _SLACK. Because
+    fl(a - b) has the sign of a - b, a certified sign is exact. If every sign
+    is certified ("signs certified"), none is zero and the flips are read from
+    one boolean d~ > 0. Otherwise (a sign in doubt, NaN and inf included) the
+    full moving_average gives them all ("full convolve (signs in doubt)"), and
+    as it may hold exact zeros (or NaN), each sign is compared with the last
+    nonzero one's. The bound covers |d~ - d_exact| too, so where d_exact = 0,
+    as in a window of n equal values, no sign is certified: a pass with
+    n <= flat_run convolves without trying ("full convolve (flat run L >= n)"),
+    and the first pass past it builds the tables.
     """
-    if n > len(tables.series):  # no deviation, so every span is too short
+    y = tables.series
+    if n > len(y):  # no deviation, so every span is too short
         return CrossingPass(n, np.zeros(0, np.intp), np.zeros(0, np.intp), "no pass")
-    d, certified = tables.deviations(n)
-    if certified:
-        pos = d > 0
-        flip = np.flatnonzero(pos[1:] != pos[:-1])
-        return CrossingPass(n, flip + n, flip + (n - 1), "signs certified")
-    sign = np.sign(d)
+    if n <= tables.flat_run:
+        why = f"flat run {tables.flat_run} >= n"
+    else:
+        d, bound = _filter(tables.tables, y.values, n)
+        if np.abs(d).min() > bound:  # False for NaN: not certified
+            pos = d > 0
+            flip = np.flatnonzero(pos[1:] != pos[:-1])
+            return CrossingPass(n, flip + n, flip + (n - 1), "signs certified")
+        why = "signs in doubt"
+    sign = np.sign(y.values[n - 1:] - moving_average(y, n).values)
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
     nonzero += n - 1  # positions in y
-    why = f"flat run {tables.flat_run} >= n" if n <= tables.flat_run else "signs in doubt"
     return CrossingPass(n, nonzero[flip + 1], nonzero[flip], f"full convolve ({why})")
 
 

@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,6 +43,10 @@ METHOD_HIGH = "cluster_entropy_high"
 METHOD_LOW = "cluster_entropy_low"
 METHOD_SHARPE = "max_sharpe"
 METHOD_NAIVE = "naive_1_over_N"
+
+#: the headers of the run CSVs that `figures` reads
+CURVES_HEADER = "asset,horizon,T_s,n,tau,S"
+WEIGHTS_HEADER = "method,horizon,T_s,asset,weight"
 
 
 @dataclass
@@ -105,8 +110,8 @@ def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
 
     cells[i] holds the cells at spans[i], a (start, stop) in the source,
     tables.series: one per window with that source (several only for the
-    return source). One crossing pass over the whole source (its signs from
-    the source's prefix tables, see PrefixTables) serves every span and
+    return source). One crossing pass over the whole source (its signs
+    settled by one rule, see crossing_pass) serves every span and
     histograms each of its durations once; it dies with this call, so one
     n's pass is alive at a time (two cost peak RSS).
     """
@@ -269,13 +274,13 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
     (out / "manifest.json").unlink(missing_ok=True)
 
     cells = [result.cells[key] for key in sorted(result.cells)]
-    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", _curve_lines(cells))
+    _write_csv(out / "entropy_curves.csv", CURVES_HEADER, _curve_lines(cells))
     _write_csv(out / "indices_by_n.csv", "asset,horizon,T_s,n,I_n", (
         f"{c.asset},{c.horizon},{c.window_s},{ix.n},{_fmt(ix.value)}\n"
         for c in cells for ix in sorted(c.indices, key=lambda i: i.n)))
     _write_csv(out / "indices_aggregated.csv", "asset,horizon,T_s,I", (
         f"{c.asset},{c.horizon},{c.window_s},{_fmt(c.aggregate)}\n" for c in cells))
-    _write_csv(out / "weights.csv", "method,horizon,T_s,asset,weight", (
+    _write_csv(out / "weights.csv", WEIGHTS_HEADER, (
         f"{method},{m},{t_s},{asset},{_fmt(w)}\n"
         for method, m, t_s, asset, w in sorted(result.weights)))
     _write_csv(out / "diagnostics.csv", "method,horizon,T_s,weight_entropy,kl_vs_uniform", (
@@ -312,7 +317,7 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
 
     if figure == "entropy_curves":
         src = run_dir / "entropy_curves.csv"
-        rows = _read_csv_rows(src, ints=(1, 2, 3, 4))
+        rows = _read_csv_rows(src, CURVES_HEADER, ints=(1, 2, 3, 4), floats=(5,))
         if not rows:
             raise ValueError(f"{src}: no entropy curves to export")
         groups: dict[tuple[str, int, int], list] = {}
@@ -326,7 +331,7 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
             written.append(path)
     else:
         src = run_dir / "weights.csv"
-        rows = _read_csv_rows(src, ints=(1, 2))
+        rows = _read_csv_rows(src, WEIGHTS_HEADER, ints=(1, 2), floats=(4,))
         if not rows:
             raise ValueError(f"{src}: no weights to export")
         fig_dir.mkdir(parents=True, exist_ok=True)
@@ -338,12 +343,14 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
     return written
 
 
-def _read_csv_rows(path: Path, ints: tuple[int, ...]) -> list[list]:
+def _read_csv_rows(path: Path, header: str, ints: tuple[int, ...],
+                   floats: tuple[int, ...]) -> list[list]:
     """The data rows of a run CSV, with the fields at ints parsed as integers.
 
-    A row with another field count than the header's, or an integer field
-    that does not parse, is a ValueError naming the file and the line; an
-    undecodable file is one naming the file.
+    The fields at floats must parse as finite floats, and keep their text.
+    A first line other than header, a row with another field count, or an
+    integer or float field that does not parse is a ValueError naming the
+    file and the line; an undecodable file is one naming the file.
     """
     try:
         lines = path.read_text().splitlines()
@@ -351,7 +358,9 @@ def _read_csv_rows(path: Path, ints: tuple[int, ...]) -> list[list]:
         raise InputFileError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    width = len(lines[0].split(",")) if lines else 0
+    if lines[:1] != [header]:
+        raise ValueError(f"{path}: line 1: expected the header {header!r}")
+    width = len(header.split(","))
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -362,6 +371,9 @@ def _read_csv_rows(path: Path, ints: tuple[int, ...]) -> list[list]:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
             for i in ints:
                 row[i] = int(row[i])
+            for i in floats:
+                if not math.isfinite(float(row[i])):
+                    raise ValueError(f"{row[i]!r} is not a finite number")
         except ValueError as exc:
             raise ValueError(f"{path}: line {number}: {exc}") from None
         rows.append(row)

@@ -50,6 +50,9 @@ def log_returns(prices: SampledSeries) -> SampledSeries:
 def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     """Sample standard deviation (ddof=1) of each fully contained window of w returns.
 
+    vol[k] is stamped at its window's last return, as moving_average stamps a
+    mean, so the series starts w - 1 steps after the returns.
+
     Each window's std is formed as np.std forms it, with both of its sums
     added in numpy's pairwise order, so the bytes equal
     sliding_window_view(r, w).std(axis=-1, ddof=1). The sums run over the w
@@ -80,7 +83,8 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     out[_constant_windows(r, w)] = 0.0
     if not np.isfinite(out).all():
         raise DataError(f"the volatility of a {w}-sample window overflows float64")
-    return returns.with_values(out, kind="volatility")
+    return returns.with_values(out, kind="volatility",
+                               start_time=returns.start_time + (w - 1) * returns.delta)
 
 
 def _pairwise_sum(term, n: int, lo: int = 0) -> np.ndarray:

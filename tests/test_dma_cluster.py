@@ -50,15 +50,25 @@ class TestMovingAverage:
             moving_average(_series([1, 2, 3]), 4)
 
 
-def _convolve_signs(values, n):
-    return np.sign(values[n - 1:] - np.convolve(values, np.full(n, 1.0 / n), "valid"))
+def _convolve_pass(values, n):
+    """times and previous of a pass by the previous-nonzero rule over np.convolve's signs."""
+    sign = np.sign(values[n - 1:] - np.convolve(values, np.full(n, 1.0 / n), "valid"))
+    nonzero = np.flatnonzero(sign)
+    flip = np.flatnonzero(sign[nonzero][1:] != sign[nonzero][:-1])
+    return (nonzero[flip + 1] + n - 1).tolist(), (nonzero[flip] + n - 1).tolist()
+
+
+def _settled(tables, n):
+    """crossing_pass(tables, n) as (times, previous) and its rule."""
+    cpass = crossing_pass(tables, n)
+    return (cpass.times.tolist(), cpass.previous.tolist()), cpass.rule
 
 
 class TestPrefixTables:
     def test_one_sign_in_doubt_convolves_the_whole_pass(self, monkeypatch):
         values = np.random.default_rng(7).standard_normal(2 ** 14)
-        d, certified = PrefixTables(_series(values)).deviations(8)
-        assert certified and np.array_equal(np.sign(d), _convolve_signs(values, 8))
+        assert _settled(PrefixTables(_series(values)), 8) == (_convolve_pass(values, 8),
+                                                               "signs certified")
         # 1-ulp steps: no two values are equal, but d is within ulps of 0 inside them
         values[10000:10012] = values[10000] + np.spacing(values[10000]) * np.arange(12)
         tables = PrefixTables(_series(values))
@@ -66,9 +76,9 @@ class TestPrefixTables:
         built = []
         monkeypatch.setattr(dma_cluster, "_tables",
                             lambda v: built.append(len(v)) or _tables(v))
-        d, certified = tables.deviations(8)
-        assert not certified and built == [len(values)]  # certification was tried
-        assert np.array_equal(np.sign(d), _convolve_signs(values, 8))
+        assert _settled(tables, 8) == (_convolve_pass(values, 8),
+                                       "full convolve (signs in doubt)")
+        assert built == [len(values)]  # certification was tried
 
     def test_passes_within_the_flat_run_never_build_the_tables(self, monkeypatch):
         built = []
@@ -78,21 +88,20 @@ class TestPrefixTables:
         tables = PrefixTables(_series(values))
         assert tables.flat_run == 40
         for n in (5, 9, 40):
-            d, certified = tables.deviations(n)
-            assert not certified and np.array_equal(np.sign(d), _convolve_signs(values, n))
+            assert _settled(tables, n) == (_convolve_pass(values, n),
+                                           "full convolve (flat run 40 >= n)")
         assert built == [] and vars(tables).keys() == {"series", "flat_run"}
-        assert crossing_pass(tables, 5).rule == "full convolve (flat run 40 >= n)"
         for n in (41, 41, 64):
-            d, certified = tables.deviations(n)
-            assert np.array_equal(np.sign(d), _convolve_signs(values, n))
+            assert _settled(tables, n)[0] == _convolve_pass(values, n)
         assert built == [len(values)]  # once, by the first pass past the flat run
         assert vars(tables).keys() == {"series", "flat_run", "tables"}
 
     def test_out_of_range_n(self):
         tables = PrefixTables(_series([1, 2, 3]))
-        for n in (1, 4):
-            with pytest.raises(DataError):
-                tables.deviations(n)
+        for n in (1, 0, -2):
+            with pytest.raises(DataError, match=f"window n={n} out of range"):
+                crossing_pass(tables, n)
+        assert _settled(tables, 4) == (([], []), "no pass")
 
 
 class TestCrossingPass:

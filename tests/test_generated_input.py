@@ -1,12 +1,19 @@
-"""Generated bad input: `entroport analyze` ends in a documented exit code, never a traceback.
+"""Generated bad input: the CLI ends in a documented exit code, never a traceback.
 
-Hypothesis mutates two small valid inputs: a two-asset synthetic config
-(fields set to a pool of hostile values, deleted, or joined by unknown keys)
-and one tick file of a two-asset tick config (byte flips, deletions and
-insertions of `\\r`, quotes, commas, non-UTF-8 bytes, huge numbers and
-repeated headers). The property: `cli.main(["analyze", path])` returns 0, 2,
-3 or 4, no exception or warning escapes, and exit 0 leaves an output
-directory whose manifest lists every file in it.
+Hypothesis mutates small valid inputs of each subcommand:
+- `analyze`: a two-asset synthetic config (fields set to a pool of hostile
+  values, deleted, or joined by unknown keys) and one tick file of a
+  two-asset tick config (byte flips, deletions and insertions of `\\r`,
+  quotes, commas, non-UTF-8 bytes, huge numbers and repeated headers);
+- `figures`: the `weights.csv` and `entropy_curves.csv` of a small finished
+  run, with the same byte edits;
+- `synth`: its argv, with flag values set from a pool of strings, flags
+  deleted, and flags or stray tokens added.
+The property: `cli.main` returns 0, 2, 3 or 4 (argparse's own exit 2
+included), no exception or warning escapes, and exit 0 leaves complete
+output: an `analyze` directory whose manifest lists every file in it,
+figure files whose numeric fields are all finite numbers, or a `synth` CSV
+of finite values.
 
 Sizes are bounded by construction, so no example allocates more than a few
 MB. The synthetic assets are 2,048 samples long, and every length or grid
@@ -16,9 +23,15 @@ anything is built; a small delta_s only moves the horizons past the data.
 The tick config is not mutated, since a small delta_s there would grid two
 months of ticks into millions of samples. It samples daily, so a mutated
 tick anywhere in int64 time gives a grid of at most about 2.2e5 samples.
+Every `synth --length` in the argv pool is at most 2**12, or is refused
+before anything is allocated (2**63 and beyond, as sample times past int64;
+a fraction, by argparse); `--delta-s` only spaces those samples, so no
+value of it allocates more.
 """
 
 import copy
+import functools
+import itertools
 import json
 import math
 import os
@@ -30,7 +43,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroport.cli import main
+from entroport.cli import build_parser, main
 from entroport.config import load_config
 
 DOCUMENTED_EXITS = (0, 2, 3, 4)
@@ -186,6 +199,8 @@ def test_edits_leave_the_value_pool_alone():
 def test_the_unmutated_inputs_run():
     assert _analyze(SYNTH_CONFIG) == 0
     assert _analyze(TICK_CONFIG, {"a.csv": TICKS_A, "b.csv": TICKS_B}) == 0
+    assert _figures(_run_csvs()) == 0
+    assert _synth(_mutated_argv([])) == 0
 
 
 @settings(deadline=None, max_examples=300)
@@ -198,3 +213,114 @@ def test_mutated_synth_config_exits_with_a_documented_code(edits):
 @given(byte_edits)
 def test_mutated_tick_file_exits_with_a_documented_code(edits):
     _analyze(TICK_CONFIG, {"a.csv": _mutated_bytes(TICKS_A, edits), "b.csv": TICKS_B})
+
+
+def _figures(files) -> int:
+    """main(["figures", ...]) on a run directory holding files.
+
+    Asserts the property: a documented exit code, no warning, and on exit 0
+    figure files whose every numeric field is a finite number.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp)
+        for name, data in files.items():
+            (run / name).write_bytes(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["figures", str(run)])
+        assert code in DOCUMENTED_EXITS
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            for path in (run / "figures").iterdir():
+                lines = path.read_text().splitlines()
+                # every column but method and asset is numeric
+                numeric = [i for i, col in enumerate(lines[0].split(","))
+                           if col not in ("method", "asset")]
+                for line in lines[1:]:
+                    row = line.split(",")
+                    assert all(math.isfinite(float(row[i])) for i in numeric), (path, line)
+    return code
+
+
+@functools.cache
+def _run_csvs() -> dict[str, bytes]:
+    """weights.csv (721 bytes) and entropy_curves.csv (3,154 bytes) of a SYNTH_CONFIG run."""
+    config = dict(SYNTH_CONFIG)
+    with tempfile.TemporaryDirectory() as tmp:
+        config["output_dir"] = str(Path(tmp, "out"))
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(config))
+        assert main(["analyze", str(path)]) == 0
+        return {name: Path(tmp, "out", name).read_bytes()
+                for name in ("weights.csv", "entropy_curves.csv")}
+
+
+@settings(deadline=None, max_examples=200)
+@given(name=st.sampled_from(["weights.csv", "entropy_curves.csv"]), edits=byte_edits)
+def test_mutated_run_csv_exits_with_a_documented_code(name, edits):
+    files = dict(_run_csvs())
+    files[name] = _mutated_bytes(files[name], edits)
+    _figures(files)
+
+
+SYNTH_ARGV = {"--kind": "garch", "--omega": "1e-6", "--alpha": "0.05", "--beta": "0.9",
+              "--length": "1024", "--seed": "5", "--delta-s": "60",
+              "--start": "2018-01-01", "--out": "x.csv"}
+SYNTH_FLAGS = [*SYNTH_ARGV, "--hurst", "--d"]
+# 2**12 is the largest length below 2**63; arguments stay inside the working directory
+ARGV_VALUES = ["", "x", "0", "1", "-1", "2", "0.5", "4096", str(2 ** 63), str(-2 ** 63),
+               "9" * 20, "1e300", "-1e300", "nan", "inf", "-inf", "1e-9", "1e10",
+               "fbm", "arfima", "garch", "2019-02-29", "9999-12-31", "0001-01-01", "--bogus"]
+
+argv_edits = st.lists(st.tuples(st.sampled_from(SYNTH_FLAGS),
+                                st.sampled_from(["set", "set", "delete", "add"]),
+                                st.sampled_from(ARGV_VALUES)), min_size=1, max_size=3)
+
+
+def _mutated_argv(edits) -> list[str]:
+    """SYNTH_ARGV with each (flag, op, value) edit applied in turn, as a synth argv.
+
+    op "set" gives flag the value (adding it if absent), "delete" drops it,
+    "add" appends flag and value once more after the rest.
+    """
+    argv, extra = dict(SYNTH_ARGV), []
+    for flag, op, value in edits:
+        if op == "set":
+            argv[flag] = value
+        elif op == "delete":
+            argv.pop(flag, None)
+        else:
+            extra += [flag, value]
+    return ["synth", *itertools.chain(*argv.items()), *extra]
+
+
+def _synth(argv) -> int:
+    """main(argv) in a fresh working directory; SystemExit (argparse) counts as its code.
+
+    Asserts the property: a documented exit code, no warning, and on exit 0
+    an --out CSV of finite values.
+    """
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a relative --out, mutated or not, stays in tmp
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in DOCUMENTED_EXITS
+            assert not caught, [str(w.message) for w in caught]
+            if code == 0:
+                rows = build_parser().parse_args(argv).out.read_text().splitlines()[2:]
+                assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+        finally:
+            os.chdir(cwd)
+    return code
+
+
+@settings(deadline=None, max_examples=200)
+@given(argv_edits)
+def test_mutated_synth_argv_exits_with_a_documented_code(edits):
+    _synth(_mutated_argv(edits))

@@ -209,7 +209,11 @@ class TestAnalyze:
                 "timestamp_ns,price\n1514764800000000000,100.0\n1546300799000000000,101.0\n")
             asset = {"name": "BIG", "ticks": "two.csv"}
             where = f"asset 'BIG' ({tmp_path / 'two.csv'})"
-        cfg_path = _write_config(tmp_path, overrides={"assets": [asset], "delta_s": 1e-9})
+        # a config needs two assets; this one loads after BIG, which fails first
+        small = {"name": "SMALL", "synth": {"kind": "fbm", "hurst": 0.5, "length": 16,
+                                            "seed": 2}}
+        cfg_path = _write_config(tmp_path, overrides={"assets": [asset, small],
+                                                      "delta_s": 1e-9})
         _exits_2_naming(cfg_path, caplog, f"{where}: out of memory (Unable to allocate")
         assert not (tmp_path / "out").exists()
 
@@ -231,8 +235,9 @@ class TestAnalyze:
         # at 28-day steps from 2018-01-01, February holds only 2018-02-26
         days = 28 * 86400
         cfg_path = _write_config(tmp_path, overrides={
-            "assets": [{"name": "SYN1", "synth": {"kind": "fbm", "hurst": 0.5,
-                                                  "length": 16, "seed": 1}}],
+            "assets": [{"name": f"SYN{seed}", "synth": {"kind": "fbm", "hurst": 0.5,
+                                                        "length": 16, "seed": seed}}
+                       for seed in (1, 2)],
             "delta_s": days, "n_grid_s": {"min": 2 * days, "max": 2 * days, "step": 1},
             "volatility_windows_s": [2 * days], "horizons": [2], "horizon_mode": "monthly"})
         _exits_2_naming(cfg_path, caplog, "need at least 2 prices to compute returns")
@@ -660,7 +665,10 @@ class TestFigures:
     @pytest.mark.parametrize("name, row, reason", [
         ("entropy_curves.csv", "A,1,360", "expected 6 fields, got 3"),
         ("entropy_curves.csv", "A,1,360,x,2,0.5", "invalid literal for int()"),
-        ("weights.csv", "naive_1_over_N,1,360,A,0.5,9", "expected 5 fields, got 6")])
+        ("weights.csv", "naive_1_over_N,1,360,A,0.5,9", "expected 5 fields, got 6"),
+        ("weights.csv", "naive_1_over_N,1,360,A,nope", "could not convert string to float"),
+        ("weights.csv", "naive_1_over_N,1,360,A,-inf", "'-inf' is not a finite number"),
+        ("entropy_curves.csv", "A,1,360,2,1,nan", "'nan' is not a finite number")])
     def test_malformed_run_csv_names_file_and_line(self, tmp_path, caplog, name, row, reason):
         header = {"entropy_curves.csv": "asset,horizon,T_s,n,tau,S\nA,1,360,2,1,0.5",
                   "weights.csv": "method,horizon,T_s,asset,weight\nnaive_1_over_N,1,360,B,0.5"}
@@ -677,6 +685,19 @@ class TestFigures:
         (tmp_path / name).write_bytes(header.encode() + b"\nA\xff\n")
         _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
                       f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "figures").exists()
+
+    @pytest.mark.parametrize("name, header, figure", [
+        ("entropy_curves.csv", "asset,horizon,T_s,n,S,tau", "entropy_curves"),
+        ("weights.csv", "method,horizon,T_s,weight,asset", "weights_vs_horizon"),
+        ("weights.csv", "", "weights_vs_horizon")])
+    def test_foreign_header_names_file_and_exits_2(self, tmp_path, caplog, name, header,
+                                                    figure):
+        # columns analyze never writes in this order: the rows would be copied misread
+        row = "A,1,360,2,0.5,1" if name == "entropy_curves.csv" else "naive_1_over_N,1,360,0.5,A"
+        (tmp_path / name).write_text(f"{header}\n{row}\n")
+        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
+                      f"{tmp_path / name}: line 1: expected the header")
         assert not (tmp_path / "figures").exists()
 
     @pytest.mark.parametrize("name, header, figure", [
@@ -735,6 +756,17 @@ class TestSynthCommand:
         rc = main(["synth", "--kind", "fbm", "--hurst", "1.5", "--length",
                    "1024", "--seed", "5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("kind, flags, needle", [
+        ("fbm", ["--hurst", "0.5", "--d", "0.3", "--omega", "5"], "fbm takes no --d, --omega"),
+        ("arfima", ["--d", "0.3", "--beta", "0.9"], "arfima takes no --beta"),
+        ("garch", ["--omega", "1e-6", "--alpha", "0.05", "--beta", "0.9", "--hurst", "0.5"],
+         "garch takes no --hurst")])
+    def test_flag_of_another_kind_exits_2_naming_it(self, tmp_path, caplog, kind, flags,
+                                                     needle):
+        _exits_naming(["synth", "--kind", kind, *flags, "--length", "16", "--seed", "5",
+                       "--out", tmp_path / "x.csv"], 2, caplog, needle)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, caplog):
         _exits_naming(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "16",
@@ -865,10 +897,17 @@ class TestConfigValidation:
         ({"return_kind": "linear"}, "unknown return_kind 'linear'"),
         ({"threshold_m": 0}, "threshold_m must be 'n' or a positive integer, got 0"),
         ({"min_clusters": 0}, "min_clusters must be >= 1"),
-        ({"assets": []}, "at least one asset is required"),
+        ({"assets": []}, "at least 2 assets are required, got 0"),
         ({"assets": 5}, "bad config: TypeError(\"'int' object is not iterable\")")])
     def test_bad_config_values_exit_2(self, tmp_path, caplog, overrides, needle):
         _exits_2_naming(_write_config(tmp_path, overrides=overrides), caplog, needle)
+        assert not (tmp_path / "out").exists()
+
+    def test_one_asset_exits_2_before_any_data_loads(self, tmp_path, caplog):
+        # the tick file is missing, so loading it would exit 3
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "A", "ticks": "missing.csv"}]})
+        _exits_2_naming(cfg_path, caplog, "at least 2 assets are required, got 1")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, needle", [

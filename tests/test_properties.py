@@ -272,10 +272,14 @@ def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
         assert result.probabilities.tolist() == [counts[t] / total for t in taus]
 
 
+def _convolve_signs(values, n):
+    """The signs of y - moving_average(y, n), from np.convolve."""
+    return np.sign(values[n - 1:] - np.convolve(values, np.full(n, 1.0 / n), mode="valid"))
+
+
 def _sign_rule_pass(values, n):
     """times and previous of crossing_pass by the previous-nonzero sign rule alone."""
-    ma = np.convolve(values, np.full(n, 1.0 / n), mode="valid")
-    sign = np.sign(values[n - 1:] - ma)
+    sign = _convolve_signs(values, n)
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
@@ -395,6 +399,29 @@ _SIGN_SOURCES = [_float_series, _return_like, _flat_integer_runs, _zero_windows,
 SIGN_SOURCES = st.sampled_from(_SIGN_SOURCES)
 
 
+def _check_pass(tables: PrefixTables, n: int) -> str:
+    """crossing_pass(tables, n) against the np.convolve sign oracle; returns its rule.
+
+    times and previous equal the oracle's bytes. The rule is the flat-run skip
+    exactly when n <= flat_run, and "signs certified" only where the oracle
+    has no zero or NaN sign, since certified signs are never zero.
+    """
+    values = tables.series.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        cpass = crossing_pass(tables, n)
+        times, previous = _sign_rule_pass(values, n)
+        signs = _convolve_signs(values, n)
+    assert cpass.times.tobytes() == times.tobytes(), n
+    assert cpass.previous.tobytes() == previous.tobytes(), n
+    if n <= tables.flat_run:
+        assert cpass.rule == f"full convolve (flat run {tables.flat_run} >= n)", n
+    else:
+        assert cpass.rule in ("signs certified", "full convolve (signs in doubt)"), n
+    if cpass.rule == "signs certified":
+        assert np.all(np.abs(signs) == 1), n
+    return cpass.rule
+
+
 @settings(deadline=None, max_examples=300)
 @given(make=SIGN_SOURCES, data=st.data())
 def test_certified_signs_equal_convolve_signs(make, data):
@@ -402,11 +429,8 @@ def test_certified_signs_equal_convolve_signs(make, data):
     y = SampledSeries(values, start_time=0, delta=1)
     shared = PrefixTables(y)  # as in the pipeline: one table for every n
     for n in [n for n in N_GRID if n <= len(values)]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.sign(values[n - 1:] - np.convolve(values, np.full(n, 1 / n), "valid"))
-            for tables in (PrefixTables(y), shared):
-                got = np.sign(tables.deviations(n)[0])
-                assert np.array_equal(got, want, equal_nan=True), n
+        for tables in (PrefixTables(y), shared):
+            _check_pass(tables, n)
 
 
 def _exact(*arrays) -> list[np.ndarray]:
@@ -485,11 +509,7 @@ def test_shared_tables_answer_each_n_as_fresh_ones(make, data):
     y = SampledSeries(values, start_time=0, delta=1)
     shared = PrefixTables(y)
     for n in data.draw(st.permutations([n for n in N_GRID if n <= len(values)]), label="order"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            (got, got_certified), (want, want_certified) = (shared.deviations(n),
-                                                            PrefixTables(y).deviations(n))
-        assert got_certified == want_certified, n
-        assert np.array_equal(np.sign(got), np.sign(want), equal_nan=True), n
+        assert _check_pass(shared, n) == _check_pass(PrefixTables(y), n), n
 
 
 # runs of repeated values, signed zeros, infinities and NaN

@@ -88,6 +88,12 @@ class TestRollingVolatility:
         with pytest.raises(DataError, match=r"window \(4\) longer than series \(3\)"):
             rolling_volatility(_returns([0.1, 0.2, 0.3]), 4)
 
+    def test_each_value_is_stamped_at_its_windows_last_return(self):
+        r = SampledSeries(np.arange(1.0, 9.0), start_time=1_000, delta=10, kind="return")
+        out = rolling_volatility(r, 3)
+        assert out.times().tolist() == r.times()[2:].tolist()
+        assert out.delta == r.delta
+
     def test_output_length(self):
         rng = np.random.default_rng(7)
         for n, w in [(10, 2), (50, 13), (100, 100)]:
