@@ -30,6 +30,10 @@ _N_GRID_KEYS = {"min", "max", "step"}
 MAX_N_GRID = 10_000
 #: a synth spec may also give its kind's GENERATOR_PARAMS
 _SYNTH_KEYS = {"kind", "length", "seed", "price_scale"}
+#: choice key -> the names it accepts, checked in this order
+CHOICES = {"entropy_estimator": ("surprisal", "shannon_term"),
+           "entropy_source": ("volatility", "return"), "aggregation": ("sum", "mean"),
+           "horizon_mode": ("expanding", "monthly"), "return_kind": ("simple", "log")}
 
 
 @dataclass(frozen=True)
@@ -102,16 +106,9 @@ class PipelineConfig:
         self.n_grid_samples()  # each value whole samples, >= 2, like each window
         for t in self.volatility_windows_s:
             whole_samples(t, delta_ns, "volatility window")
-        if self.entropy_estimator not in ("surprisal", "shannon_term"):
-            raise ConfigError(f"unknown entropy_estimator {self.entropy_estimator!r}")
-        if self.entropy_source not in ("volatility", "return"):
-            raise ConfigError(f"unknown entropy_source {self.entropy_source!r}")
-        if self.aggregation not in ("sum", "mean"):
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.horizon_mode not in ("expanding", "monthly"):
-            raise ConfigError(f"unknown horizon_mode {self.horizon_mode!r}")
-        if self.return_kind not in ("simple", "log"):
-            raise ConfigError(f"unknown return_kind {self.return_kind!r}")
+        for key, names in CHOICES.items():
+            if (value := getattr(self, key)) not in names:
+                raise ConfigError(f"unknown {key} {value!r}")
         if not (self.threshold_m == "n"
                 or (type(self.threshold_m) is int and self.threshold_m >= 1)):
             raise ConfigError(f"threshold_m must be 'n' or a positive integer, "
@@ -156,12 +153,17 @@ def _synth_fields(name: str, spec: dict) -> dict:
     return out
 
 
-def _parse_asset(entry: dict, base: Path) -> AssetInput:
-    name = entry["name"]
+def check_asset_name(name) -> None:
+    """A ConfigError unless name is a non-empty printable string without ',', '/' or '\\'."""
     if not (type(name) is str and name and name.isprintable()
             and not set(name) & set(",/\\")):
         raise ConfigError(f"asset {name!r}: name must be a non-empty printable "
                           f"string without ',', '/' or '\\'")
+
+
+def _parse_asset(entry: dict, base: Path) -> AssetInput:
+    name = entry["name"]
+    check_asset_name(name)
     _check_keys(entry, _ASSET_KEYS, f"asset {name!r}")
     ticks, synth = entry.get("ticks"), entry.get("synth")
     # AssetInput rejects an entry with both or neither

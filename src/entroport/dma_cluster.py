@@ -9,8 +9,9 @@ window, reported split at a threshold between the power-law and linear regimes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -272,6 +273,15 @@ def entropy_curve(dist: ClusterDistribution,
     return EntropyCurve(n=dist.n, taus=dist.taus, values=values)
 
 
+def _sum_in_order(values) -> float:
+    """0.0 + v0 + v1 + ..., rounded left to right on every Python.
+
+    Builtin sum does so up to 3.11, but adds floats with Neumaier compensation
+    from 3.12 on, which gives other bytes for the same values.
+    """
+    return reduce(operator.add, values, 0.0)
+
+
 def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
     """Sum the whole entropy curve, reported split at threshold m.
 
@@ -285,9 +295,8 @@ def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
     if len(curve.taus) == 0:
         raise EmptyInputError("entropy curve has no points")
     k = int(np.searchsorted(curve.taus, m, "right"))
-    # sequential sums in tau order keep the index bit-for-bit reproducible
-    power = sum(curve.values[:k].tolist())
-    linear = sum(curve.values[k:].tolist())
+    power = _sum_in_order(curve.values[:k].tolist())
+    linear = _sum_in_order(curve.values[k:].tolist())
     return EntropyIndex(n=curve.n, threshold=m, value=power + linear,
                         power_law_part=power, linear_part=linear)
 
@@ -304,5 +313,5 @@ def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:
         raise EmptyInputError("no entropy indices to aggregate")
     if how not in ("sum", "mean"):
         raise ValueError(f"unknown aggregation {how!r}")
-    total = float(sum(ix.value for ix in indices))
+    total = float(_sum_in_order(ix.value for ix in indices))
     return total / len(indices) if how == "mean" else total

@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AssetInput, PipelineConfig
+from .config import AssetInput, PipelineConfig, check_asset_name
 from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
                           PrefixTables, aggregate_index, crossing_pass,
                           entropy_curve, entropy_index)
-from .errors import (DataError, EntroportError, InputFileError,
+from .errors import (ConfigError, DataError, EntroportError, InputFileError,
                      InsufficientClustersError, NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
@@ -317,7 +317,7 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
 
     if figure == "entropy_curves":
         src = run_dir / "entropy_curves.csv"
-        rows = _read_csv_rows(src, CURVES_HEADER, ints=(1, 2, 3, 4), floats=(5,))
+        rows = _read_csv_rows(src, CURVES_HEADER, asset=0, ints=(1, 2, 3, 4), floats=(5,))
         if not rows:
             raise ValueError(f"{src}: no entropy curves to export")
         groups: dict[tuple[str, int, int], list] = {}
@@ -331,7 +331,7 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
             written.append(path)
     else:
         src = run_dir / "weights.csv"
-        rows = _read_csv_rows(src, WEIGHTS_HEADER, ints=(1, 2), floats=(4,))
+        rows = _read_csv_rows(src, WEIGHTS_HEADER, asset=3, ints=(1, 2), floats=(4,))
         if not rows:
             raise ValueError(f"{src}: no weights to export")
         fig_dir.mkdir(parents=True, exist_ok=True)
@@ -343,14 +343,15 @@ def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
     return written
 
 
-def _read_csv_rows(path: Path, header: str, ints: tuple[int, ...],
+def _read_csv_rows(path: Path, header: str, asset: int, ints: tuple[int, ...],
                    floats: tuple[int, ...]) -> list[list]:
     """The data rows of a run CSV, with the fields at ints parsed as integers.
 
-    The fields at floats must parse as finite floats, and keep their text.
-    A first line other than header, a row with another field count, or an
-    integer or float field that does not parse is a ValueError naming the
-    file and the line; an undecodable file is one naming the file.
+    The field at asset must pass the config's asset name rule, and the fields
+    at floats must parse as finite floats, and keep their text. A first line
+    other than header, a row with another field count, or a field that fails
+    its check is a ValueError naming the file and the line; an undecodable
+    file is one naming the file.
     """
     try:
         lines = path.read_text().splitlines()
@@ -369,12 +370,13 @@ def _read_csv_rows(path: Path, header: str, ints: tuple[int, ...],
         try:
             if len(row) != width:
                 raise ValueError(f"expected {width} fields, got {len(row)}")
+            check_asset_name(row[asset])
             for i in ints:
                 row[i] = int(row[i])
             for i in floats:
                 if not math.isfinite(float(row[i])):
                     raise ValueError(f"{row[i]!r} is not a finite number")
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ValueError(f"{path}: line {number}: {exc}") from None
         rows.append(row)
     return rows

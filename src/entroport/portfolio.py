@@ -102,13 +102,15 @@ def _sharpe(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     return float(w.dot(mu)) / np.sqrt(var)
 
 
-def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, int]:
+def _ascend(w0: np.ndarray, mu: np.ndarray,
+            sigma: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Projected-gradient ascent on the Sharpe ratio with backtracking.
 
-    Returns the weights and the number of steps taken; _MAX_ITER steps means
-    the ascent stopped at its cap, not at a point where no step gains. The
-    step, the gradient and the projection run on Python floats; each
-    candidate's variance and mean are kept for the next gradient.
+    Returns the weights, their Sharpe ratio (the bits _sharpe gives them) and
+    the number of steps taken; _MAX_ITER steps means the ascent stopped at its
+    cap, not at a point where no step gains. The step, the gradient and the
+    projection run on Python floats; each candidate's variance and mean are
+    kept for the next gradient.
     """
     # ndarray.dot on purpose: the same BLAS kernels as @ at about half the
     # call cost. Their rounding, not a Python sum's, defines the output bytes,
@@ -142,7 +144,7 @@ def _ascend(w0: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarr
             break
     else:  # every iteration took a step
         steps = _MAX_ITER
-    return w, steps
+    return w, f, steps
 
 
 @functools.lru_cache(maxsize=16)
@@ -208,11 +210,8 @@ def max_sharpe_weights(moments: MomentEstimates,
                        eigmin, eps)
         sigma = sigma + eps * np.eye(n)
 
-    starts = {"uniform": np.full(n, 1.0 / n)}
-    vertex_scores = [
-        _sharpe(np.eye(n)[i], mu, sigma) for i in range(n)
-    ]
-    starts["vertex"] = np.eye(n)[int(np.argmax(vertex_scores))]
+    starts = {"uniform": np.full(n, 1.0 / n),
+              "vertex": max(np.eye(n), key=lambda v: _sharpe(v, mu, sigma))}
     try:
         tangency = np.linalg.solve(sigma, mu)
         tangency = np.maximum(tangency, 0.0)
@@ -224,16 +223,15 @@ def max_sharpe_weights(moments: MomentEstimates,
         starts["grid"] = _grid_start(mu, sigma, _GRID_DIVISIONS)
 
     ascents = {name: _ascend(w0, mu, sigma) for name, w0 in starts.items()}
-    best_start, best_f = None, -np.inf
-    for name, (w, _) in ascents.items():
-        f = _sharpe(w, mu, sigma)
-        if f > best_f:
-            best_start, best_f = name, f
+    # the first start with the highest score; none if every score is -inf
+    best_start = max(ascents, key=lambda name: ascents[name][1])
+    if ascents[best_start][1] == -np.inf:
+        best_start = None
     if logger.isEnabledFor(logging.DEBUG):
-        capped = [name for name, (_, steps) in ascents.items() if steps == _MAX_ITER]
+        capped = [name for name, (_, _, steps) in ascents.items() if steps == _MAX_ITER]
         logger.debug("max_sharpe %s: ascent steps %s; best start %s; %s",
                      ",".join(labels),
-                     " ".join(f"{name}={steps}" for name, (_, steps) in ascents.items()),
+                     " ".join(f"{name}={steps}" for name, (_, _, steps) in ascents.items()),
                      best_start,
                      f"unconverged, stopped at the {_MAX_ITER}-step cap: {','.join(capped)}"
                      if capped else "every start converged")

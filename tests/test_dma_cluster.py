@@ -1,11 +1,16 @@
+import builtins
+import functools
+import operator
+
 import numpy as np
 import pytest
 
 from entroport import (ClusterDistribution, DataError, EmptyInputError, EntropyCurve,
-                       InsufficientClustersError, SampledSeries, aggregate_index,
+                       EntropyIndex, InsufficientClustersError, SampledSeries, aggregate_index,
                        entropy_curve, entropy_index, moving_average)
 from entroport import dma_cluster
-from entroport.dma_cluster import PrefixTables, _pass_histogram, _tables, crossing_pass
+from entroport.dma_cluster import (PrefixTables, _filter, _pass_histogram, _tables,
+                                   crossing_pass)
 
 
 def _series(values, delta=1):
@@ -105,6 +110,22 @@ class TestPrefixTables:
 
 
 class TestCrossingPass:
+    def test_certifies_only_above_the_full_bound(self):
+        # a random walk has no flat run; one sample reset puts its deviation at
+        # about 0.75 bound, so a pass certifying above half the bound would take it
+        values = np.cumsum(np.random.default_rng(3).standard_normal(4096))
+        n, i = 10, 2000
+        tables = PrefixTables(_series(values))
+        bound = _filter(tables.tables, values, n)[1]
+        window = values[i - n + 1:i]  # the other n - 1 samples of the window ending at i
+        values[i] = (window.sum() / n + 0.75 * bound) / (1 - 1 / n)
+        tables = PrefixTables(_series(values))
+        assert tables.flat_run == 1
+        d, bound = _filter(tables.tables, values, n)
+        assert bound / 2 < np.abs(d).min() < bound
+        assert _settled(tables, n) == (_convolve_pass(values, n),
+                                       "full convolve (signs in doubt)")
+
     def test_one_crossing_gives_zero_clusters(self):
         # one crossing in the span: no duration to histogram, so the gate stops it
         cpass = crossing_pass(PrefixTables(_series([0.0, 1.0, 0.0])), 2)
@@ -274,6 +295,38 @@ class TestEntropyIndex:
         empty = EntropyCurve(n=4, taus=np.zeros(0, dtype=np.int64), values=np.zeros(0))
         with pytest.raises(EmptyInputError, match="no points"):
             entropy_index(empty, 4)
+
+
+def _neumaier_sum(values, start=0):
+    """builtin sum over floats as Python 3.12 and later add them: compensated."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_index_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
+    def in_order(values):
+        return functools.reduce(operator.add, values, 0.0)
+
+    values = [1.0] + [1e-16] * 10
+    curve = EntropyCurve(n=4, taus=np.arange(1, 12), values=np.array(values))
+    ixs = [EntropyIndex(n=n, threshold=n, value=v, power_law_part=v, linear_part=0.0)
+           for n, v in enumerate(values, start=2)]
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert sum(values) == 1.000000000000001 != in_order(values) == 1.0
+    parts = [(ix.power_law_part, ix.linear_part, ix.value)
+             for ix in (entropy_index(curve, 11), entropy_index(curve, 4))]
+    total = aggregate_index(ixs)
+    monkeypatch.undo()
+    power, linear = in_order(values[:4]), in_order(values[4:])
+    assert parts == [(1.0, 0.0, 1.0), (power, linear, power + linear)]
+    assert total == 1.0
 
 
 class TestAggregateIndex:

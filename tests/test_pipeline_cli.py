@@ -709,6 +709,21 @@ class TestFigures:
                       f"{tmp_path / name}: no ")
         assert not (tmp_path / "figures").exists()
 
+    @pytest.mark.parametrize("name, rows, needle", [
+        ("entropy_curves.csv", "A,1,360,2,1,0.5\nA/B,1,360,2,1,0.5", "line 3: asset 'A/B'"),
+        ("weights.csv", "naive_1_over_N,1,360,A/B,0.5", "line 2: asset 'A/B'"),
+        ("weights.csv", "naive_1_over_N,1,360,,0.5", "line 2: asset ''")])
+    def test_asset_outside_the_name_rule_names_file_and_line(self, tmp_path, caplog, name,
+                                                              rows, needle):
+        # a name analyze refuses in a config: 'A/B' would name a file in a subdirectory
+        header = {"entropy_curves.csv": "asset,horizon,T_s,n,tau,S",
+                  "weights.csv": "method,horizon,T_s,asset,weight"}
+        (tmp_path / name).write_text(f"{header[name]}\n{rows}\n")
+        figure = "entropy_curves" if name == "entropy_curves.csv" else "weights_vs_horizon"
+        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
+                      f"{tmp_path / name}: {needle}: name must be a non-empty printable string")
+        assert not (tmp_path / "figures").exists()
+
     def test_unreadable_curves_exit_3(self, tmp_path, caplog):
         (tmp_path / "entropy_curves.csv").mkdir()
         _exits_naming(["figures", tmp_path, "--figure", "entropy_curves"], 3, caplog,
@@ -895,6 +910,7 @@ class TestConfigValidation:
         ({"aggregation": "max"}, "unknown aggregation 'max'"),
         ({"horizon_mode": "weekly"}, "unknown horizon_mode 'weekly'"),
         ({"return_kind": "linear"}, "unknown return_kind 'linear'"),
+        ({"return_kind": "linear", "aggregation": "max"}, "unknown aggregation 'max'"),
         ({"threshold_m": 0}, "threshold_m must be 'n' or a positive integer, got 0"),
         ({"min_clusters": 0}, "min_clusters must be >= 1"),
         ({"assets": []}, "at least 2 assets are required, got 0"),

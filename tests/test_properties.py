@@ -663,8 +663,10 @@ def ascent_problems(draw):
 @settings(deadline=None, max_examples=150)
 @given(ascent_problems())
 def test_ascend_equals_numpy_form_bit_for_bit(problem):
-    w, _ = _ascend(*problem)
+    w, f, _ = _ascend(*problem)
     assert w.tobytes() == _ascend_numpy(*problem).tobytes()
+    # the score max_sharpe_weights picks the best start by is _sharpe's, bit for bit
+    assert np.float64(f).tobytes() == np.float64(_sharpe(w, *problem[1:])).tobytes()
 
 
 @settings(deadline=None)
