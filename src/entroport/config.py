@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 from datetime import date
 from functools import partial
 from pathlib import Path
@@ -36,37 +35,41 @@ CHOICES = {"entropy_estimator": ("surprisal", "shannon_term"),
            "horizon_mode": ("expanding", "monthly"), "return_kind": ("simple", "log")}
 
 
-@dataclass(frozen=True)
 class AssetInput:
     """One asset: either a tick CSV path or a synthetic generator spec."""
 
-    name: str
-    ticks_path: Path | None = None
-    generator: GeneratorSpec | None = None
-    price_scale: float = 0.001
+    __slots__ = ("name", "ticks_path", "generator", "price_scale")
 
-    def __post_init__(self):
-        if (self.ticks_path is None) == (self.generator is None):
-            raise ConfigError(f"asset {self.name!r}: exactly one of 'ticks' or "
+    def __init__(self, name: str, ticks_path: Path | None = None,
+                 generator: GeneratorSpec | None = None, price_scale: float = 0.001):
+        self.name, self.ticks_path, self.generator, self.price_scale = (
+            name, ticks_path, generator, price_scale)
+        if (ticks_path is None) == (generator is None):
+            raise ConfigError(f"asset {name!r}: exactly one of 'ticks' or "
                               f"'synth' must be given")
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    assets: tuple[AssetInput, ...]
-    delta_s: float
-    year_start: date
-    n_grid_s: tuple[int, ...] = tuple(range(25, 201, 25))
-    volatility_windows_s: tuple[int, ...] = (180, 360, 720)
-    horizons: tuple[int, ...] = tuple(range(1, 13))
-    entropy_estimator: str = "surprisal"
-    entropy_source: str = "volatility"
-    threshold_m: str | int = "n"
-    aggregation: str = "sum"
-    min_clusters: int = MIN_CLUSTERS
-    horizon_mode: str = "expanding"
-    return_kind: str = "simple"
-    output_dir: Path = field(default_factory=lambda: Path("out"))
+    """A run's assets, grids and choices; __slots__ are the keys a config file may give."""
+
+    __slots__ = ("assets", "delta_s", "year_start", "n_grid_s", "volatility_windows_s",
+                 "horizons", "entropy_estimator", "entropy_source", "threshold_m",
+                 "aggregation", "min_clusters", "horizon_mode", "return_kind", "output_dir")
+
+    def __init__(self, assets: tuple[AssetInput, ...], delta_s: float, year_start: date,
+                 n_grid_s: tuple[int, ...] = tuple(range(25, 201, 25)),
+                 volatility_windows_s: tuple[int, ...] = (180, 360, 720),
+                 horizons: tuple[int, ...] = tuple(range(1, 13)),
+                 entropy_estimator: str = "surprisal", entropy_source: str = "volatility",
+                 threshold_m: str | int = "n", aggregation: str = "sum",
+                 min_clusters: int = MIN_CLUSTERS, horizon_mode: str = "expanding",
+                 return_kind: str = "simple", output_dir: Path = Path("out")):
+        self.assets, self.delta_s, self.year_start = assets, delta_s, year_start
+        self.n_grid_s, self.volatility_windows_s = n_grid_s, volatility_windows_s
+        self.horizons, self.threshold_m, self.min_clusters = horizons, threshold_m, min_clusters
+        self.entropy_estimator, self.entropy_source = entropy_estimator, entropy_source
+        self.aggregation, self.horizon_mode = aggregation, horizon_mode
+        self.return_kind, self.output_dir = return_kind, output_dir
 
     @property
     def delta_ns(self) -> int:
@@ -238,7 +241,7 @@ def read_config(path: str | Path) -> tuple[PipelineConfig, bytes]:
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, {f.name for f in fields(PipelineConfig)}, "top level")
+    _check_keys(raw, set(PipelineConfig.__slots__), "top level")
     base = base_dir or Path(".")
     try:
         assets = tuple(_parse_asset(entry, base) for entry in raw["assets"])

@@ -10,7 +10,6 @@ window, reported split at a threshold between the power-law and linear regimes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -23,7 +22,6 @@ from .series import SampledSeries
 MIN_CLUSTERS = 50
 
 
-@dataclass(frozen=True)
 class ClusterDistribution:
     """Histogram of cluster durations for one window length n.
 
@@ -33,33 +31,34 @@ class ClusterDistribution:
     crossing pass; a model distribution may carry fractional counts.
     """
 
-    n: int
-    taus: np.ndarray
-    counts: np.ndarray
-    probabilities: np.ndarray
+    __slots__ = ("n", "taus", "counts", "probabilities")
+
+    def __init__(self, n: int, taus: np.ndarray, counts: np.ndarray,
+                 probabilities: np.ndarray):
+        self.n, self.taus, self.counts, self.probabilities = n, taus, counts, probabilities
 
 
-@dataclass(frozen=True)
 class EntropyCurve:
     """Per-duration entropy values S(tau, n) >= 0 in nats, observed bins only.
 
     taus are the distribution's, strictly ascending.
     """
 
-    n: int
-    taus: np.ndarray
-    values: np.ndarray
+    __slots__ = ("n", "taus", "values")
+
+    def __init__(self, n: int, taus: np.ndarray, values: np.ndarray):
+        self.n, self.taus, self.values = n, taus, values
 
 
-@dataclass(frozen=True)
 class EntropyIndex:
     """Scalar index for one window length, split at threshold m."""
 
-    n: int
-    threshold: int
-    value: float
-    power_law_part: float
-    linear_part: float
+    __slots__ = ("n", "threshold", "value", "power_law_part", "linear_part")
+
+    def __init__(self, n: int, threshold: int, value: float, power_law_part: float,
+                 linear_part: float):
+        self.n, self.threshold, self.value = n, threshold, value
+        self.power_law_part, self.linear_part = power_law_part, linear_part
 
 
 def _window_error(n: int, length: int) -> DataError:
@@ -81,19 +80,18 @@ def moving_average(y: SampledSeries, n: int) -> SampledSeries:
     return y.with_values(out, start_time=y.start_time + (n - 1) * y.delta)
 
 
-@dataclass(frozen=True)
 class CrossingPass:
     """Crossings of y - moving_average(y, n) over a whole series, cut into spans by index.
 
     times: positions in y where the deviation's sign differs from its sign at
-    the previous nonzero deviation, which sits at previous[k].
+    the previous nonzero deviation, which sits at previous[k]. rule is how
+    the signs were settled, as -v prints it (see crossing_pass).
     """
 
-    n: int
-    times: np.ndarray
-    previous: np.ndarray
-    #: how the signs were settled, as -v prints it (see crossing_pass)
-    rule: str
+    __slots__ = ("n", "times", "previous", "rule")
+
+    def __init__(self, n: int, times: np.ndarray, previous: np.ndarray, rule: str):
+        self.n, self.times, self.previous, self.rule = n, times, previous, rule
 
     def distributions(self, spans: list[tuple[int, int]],
                       min_clusters: int = MIN_CLUSTERS

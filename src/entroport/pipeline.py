@@ -17,7 +17,6 @@ import logging
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +48,32 @@ CURVES_HEADER = "asset,horizon,T_s,n,tau,S"
 WEIGHTS_HEADER = "method,horizon,T_s,asset,weight"
 
 
-@dataclass
 class CellResult:
     """Entropy output for one (asset, horizon, window) cell."""
 
-    asset: str
-    horizon: int
-    window_s: int
-    curves: dict[int, EntropyCurve] = field(default_factory=dict)
-    indices: list[EntropyIndex] = field(default_factory=list)
-    aggregate: float = 0.0
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("asset", "horizon", "window_s", "curves", "indices", "aggregate", "warnings")
+
+    def __init__(self, asset: str, horizon: int, window_s: int,
+                 curves: dict[int, EntropyCurve] | None = None,
+                 indices: list[EntropyIndex] | None = None, aggregate: float = 0.0,
+                 warnings: list[str] | None = None):
+        self.asset, self.horizon, self.window_s, self.aggregate = (
+            asset, horizon, window_s, aggregate)
+        self.curves = {} if curves is None else curves
+        self.indices = [] if indices is None else indices
+        self.warnings = [] if warnings is None else warnings
 
 
-@dataclass
 class PipelineResult:
-    cells: dict[tuple[str, int, int], CellResult]
-    weights: list[tuple[str, int, int, str, float]]   # method, M, T_s, asset, w
-    diagnostics: list[tuple[str, int, int, float, float]]
-    warnings: list[str]
+    """What run_pipeline wrote; weights rows are (method, M, T_s, asset, w)."""
+
+    __slots__ = ("cells", "weights", "diagnostics", "warnings")
+
+    def __init__(self, cells: dict[tuple[str, int, int], CellResult],
+                 weights: list[tuple[str, int, int, str, float]],
+                 diagnostics: list[tuple[str, int, int, float, float]], warnings: list[str]):
+        self.cells, self.weights, self.diagnostics, self.warnings = (
+            cells, weights, diagnostics, warnings)
 
 
 @contextmanager
@@ -220,6 +226,11 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
             sharpe, no_tangency = None, exc
         for t_s in cfg.volatility_windows_s:
             aggs = [cells[(name, m, t_s)].aggregate for name in names]
+            bad = [f"asset {name!r} I={i!r}" for name, i in zip(names, aggs)
+                   if not 0 < i < math.inf]
+            if bad:  # e.g. 0 when every cluster of an asset has one duration
+                raise DataError(f"M={m} T={t_s}s: the cluster-entropy index must be "
+                                f"finite and positive, got {', '.join(bad)}")
             per_method: dict[str, WeightVector] = {
                 METHOD_HIGH: cluster_entropy_weights(aggs, names, RiskProfile.HIGH_RISK),
                 METHOD_LOW: cluster_entropy_weights(aggs, names, RiskProfile.LOW_RISK),

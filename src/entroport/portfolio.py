@@ -6,7 +6,6 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,17 +24,14 @@ class RiskProfile(Enum):
     LOW_RISK = "low"
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Long-only allocation over labeled assets; non-negative, unit sum."""
 
-    weights: np.ndarray
-    labels: tuple[str, ...]
+    __slots__ = ("weights", "labels")
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, weights: np.ndarray, labels: tuple[str, ...]):
+        w = np.asarray(weights, dtype=float)
+        self.weights, self.labels = w, tuple(labels)
         if len(w) != len(self.labels):
             raise DataError("weights and labels must have equal length")
         if not np.all(np.isfinite(w)):
@@ -49,18 +45,14 @@ class WeightVector:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
 class MomentEstimates:
     """Per-asset expected returns and return covariance (same period units)."""
 
-    mu: np.ndarray
-    sigma: np.ndarray
+    __slots__ = ("mu", "sigma")
 
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+    def __init__(self, mu: np.ndarray, sigma: np.ndarray):
+        mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+        self.mu, self.sigma = mu, sigma
         if not np.all(np.isfinite(mu)):
             raise DataError(f"expected returns mu must be finite, got {mu}")
         if not np.all(np.isfinite(sigma)):

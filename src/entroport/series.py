@@ -11,7 +11,6 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from datetime import date
 from typing import BinaryIO
 
@@ -32,7 +31,6 @@ _NUMPY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
-@dataclass(frozen=True)
 class SampledSeries:
     """Equally spaced series: values plus (start_time, delta) grid metadata.
 
@@ -40,23 +38,21 @@ class SampledSeries:
     'volatility'.
     """
 
-    values: np.ndarray
-    start_time: int
-    delta: int
-    kind: str = "price"
+    __slots__ = ("values", "start_time", "delta", "kind")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or len(self.values) < 1:
+    def __init__(self, values: np.ndarray, start_time: int, delta: int, kind: str = "price"):
+        values = np.asarray(values, dtype=float)
+        self.values, self.start_time, self.delta, self.kind = values, start_time, delta, kind
+        if values.ndim != 1 or len(values) < 1:
             raise DataError("series must be a non-empty 1-D sequence")
-        if self.delta <= 0:
+        if delta <= 0:
             raise DataError("delta must be a positive number of nanoseconds")
         # in Python ints, which cannot wrap as numpy's would
-        check_sample_times(int(self.start_time), int(self.delta), len(self.values),
+        check_sample_times(int(start_time), int(delta), len(values),
                            "the series' start_time and delta")
-        if self.kind not in SERIES_KINDS:
-            raise DataError(f"unknown series kind {self.kind!r}")
-        if not np.all(np.isfinite(self.values)):
+        if kind not in SERIES_KINDS:
+            raise DataError(f"unknown series kind {kind!r}")
+        if not np.all(np.isfinite(values)):
             raise DataError("series values must be finite")
 
     def __len__(self) -> int:

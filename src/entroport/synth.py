@@ -8,7 +8,6 @@ bit-identical series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +28,19 @@ def _rng(stream: str, seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([_STREAM_IDS[stream], seed]))
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
-    """Declarative description of a synthetic asset series."""
+    """Declarative description of a synthetic asset series.
 
-    kind: str                       # 'fbm' | 'arfima' | 'garch'
-    length: int
-    seed: int
-    hurst: float | None = None      # fbm
-    d: float | None = None          # arfima
-    omega: float | None = None      # garch
-    alpha: float | None = None
-    beta: float | None = None
+    kind is 'fbm' (which reads hurst), 'arfima' (d) or 'garch' (omega, alpha, beta).
+    """
+
+    __slots__ = ("kind", "length", "seed", "hurst", "d", "omega", "alpha", "beta")
+
+    def __init__(self, kind: str, length: int, seed: int, hurst: float | None = None,
+                 d: float | None = None, omega: float | None = None,
+                 alpha: float | None = None, beta: float | None = None):
+        self.kind, self.length, self.seed, self.hurst = kind, length, seed, hurst
+        self.d, self.omega, self.alpha, self.beta = d, omega, alpha, beta
 
     def generate(self, delta: int = 1, start_time: int = 0) -> SampledSeries:
         if self.kind not in _GENERATORS:

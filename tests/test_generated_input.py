@@ -1,10 +1,11 @@
 """Generated bad input: the CLI ends in a documented exit code, never a traceback.
 
 Hypothesis mutates small valid inputs of each subcommand:
-- `analyze`: a two-asset synthetic config (fields set to a pool of hostile
-  values, deleted, or joined by unknown keys) and one tick file of a
-  two-asset tick config (byte flips, deletions and insertions of `\\r`,
-  quotes, commas, non-UTF-8 bytes, huge numbers and repeated headers);
+- `analyze`: a two-asset synthetic config and a two-asset tick config
+  (fields set to a pool of hostile values, deleted, or joined by unknown
+  keys), and one tick file of the tick config (byte flips, deletions and
+  insertions of `\\r`, quotes, commas, non-UTF-8 bytes, huge numbers and
+  repeated headers);
 - `figures`: the `weights.csv` and `entropy_curves.csv` of a small finished
   run, with the same byte edits;
 - `synth`: its argv, with flag values set from a pool of strings, flags
@@ -20,9 +21,11 @@ MB. The synthetic assets are 2,048 samples long, and every length or grid
 size in the value pool (2**63, 1e300) puts sample times past int64 or the
 n grid past its 10,000-value limit, which the config check rejects before
 anything is built; a small delta_s only moves the horizons past the data.
-The tick config is not mutated, since a small delta_s there would grid two
-months of ticks into millions of samples. It samples daily, so a mutated
-tick anywhere in int64 time gives a grid of at most about 2.2e5 samples.
+The tick config samples daily, so a mutated tick anywhere in int64 time
+gives a grid of at most about 2.2e5 samples. Its delta_s is never set to a
+positive value under a day (1 and 0.5 in the pool), which would grid two
+months of ticks into millions of samples; every other value in the pool is
+rejected, and no other field of it sets the grid's size.
 Every `synth --length` in the argv pool is at most 2**12, or is refused
 before anything is allocated (2**63 and beyond, as sample times past int64;
 a fraction, by argparse); `--delta-s` only spaces those samples, so no
@@ -135,6 +138,14 @@ config_edits = st.lists(st.tuples(st.sampled_from(list(_paths(SYNTH_CONFIG))),
                                   st.sampled_from(["set", "set", "delete", "unknown"]),
                                   st.sampled_from(VALUES)), min_size=1, max_size=3)
 
+#: the pool without a positive delta_s under a day (see the module docstring)
+DAILY_DELTA_VALUES = [v for v in VALUES if not (type(v) in (int, float) and 0 < v < 86400)]
+
+tick_config_edits = st.lists(st.sampled_from(list(_paths(TICK_CONFIG))).flatmap(
+    lambda path: st.tuples(st.just(path), st.sampled_from(["set", "set", "delete", "unknown"]),
+                           st.sampled_from(DAILY_DELTA_VALUES if path == ("delta_s",)
+                                           else VALUES))), min_size=1, max_size=3)
+
 
 TOKENS = [b"\r", b"\r\n", b'"', b",", b"\xff", b"\xc3", b"\x00", b"\x1c", b" ", b"#",
           b"-", b"+", b"_", b"\n", b"nan", b"inf", b"1e300", b"9" * 18, b"9" * 20,
@@ -207,6 +218,12 @@ def test_the_unmutated_inputs_run():
 @given(config_edits)
 def test_mutated_synth_config_exits_with_a_documented_code(edits):
     _analyze(_mutated(SYNTH_CONFIG, edits))
+
+
+@settings(deadline=None, max_examples=300)
+@given(tick_config_edits)
+def test_mutated_tick_config_exits_with_a_documented_code(edits):
+    _analyze(_mutated(TICK_CONFIG, edits), {"a.csv": TICKS_A, "b.csv": TICKS_B})
 
 
 @settings(deadline=None, max_examples=200)

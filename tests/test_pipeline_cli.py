@@ -339,6 +339,22 @@ class TestTickIngestion:
         _exits_2_naming(cfg_path, caplog, f"asset 'A' ({tmp_path / 'a.csv'}){needle}")
         assert not (tmp_path / "out").exists()
 
+    def test_zero_cluster_entropy_index_exits_2_naming_the_cell(self, tmp_path, caplog):
+        """A price that alternates every step has returns whose clusters all last 1: I = 0."""
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        walk = 100 + np.cumsum(np.random.default_rng(5).choice([-0.01, 0.01], 44_700))
+        for name, prices in (("alt.csv", [100.0 + i % 2 for i in range(44_700)]),
+                             ("rw.csv", walk.tolist())):
+            rows = "".join(f"{t0 + i * 60 * 10 ** 9},{p!r}\n" for i, p in enumerate(prices))
+            (tmp_path / name).write_text("timestamp_ns,price\n" + rows)
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "ALT", "ticks": "alt.csv"}, {"name": "RW", "ticks": "rw.csv"}],
+            "entropy_source": "return", "n_grid_s": {"min": 120, "max": 600, "step": 120},
+            "volatility_windows_s": [180]})
+        _exits_2_naming(cfg_path, caplog, "M=1 T=180s: the cluster-entropy index must be "
+                                          "finite and positive, got asset 'ALT' I=0.0")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
     def test_tick_grids_with_different_starts_exit_2(self, tmp_path, caplog, mode):
         t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC

@@ -207,11 +207,20 @@ class TestFFTConvolution:
             assert got.tobytes() == expected.tobytes()
 
     def test_cli_import_loads_no_scipy(self):
-        src = str(Path(entroport.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, entroport.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert not any(m.split(".")[0] == "scipy" for m in _modules_after_cli_import())
+
+
+def _modules_after_cli_import() -> list[str]:
+    """The names in sys.modules after `import entroport.cli` in a fresh interpreter."""
+    src = str(Path(entroport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, entroport.cli; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.split()
+
+
+def test_cli_import_generates_no_dataclass():
+    """Records are plain __slots__ classes; @dataclass code generation was most of the import."""
+    assert "dataclasses" not in _modules_after_cli_import()
