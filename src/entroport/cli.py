@@ -1,11 +1,11 @@
-"""Command line interface: analyze / synth / figures subcommands.
+"""Command line interface: analyze / synth subcommands.
 
 Each subcommand handler only raises; main maps what it raises to an exit
 code: 0 success, 2 invalid config or data (including a delta that is not a
 finite whole number of nanoseconds >= 1, sample times outside int64
 nanoseconds, or an empty sweep), an output path that cannot be written, or
-running out of memory, 3 a missing or unreadable input file, 4 insufficient
-cluster statistics for a whole asset.
+running out of memory or address space, 3 a missing or unreadable input
+file, 4 insufficient cluster statistics for a whole asset.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import read_config
 from .errors import (ConfigError, DataError, EntroportError, InputFileError,
                      InsufficientClustersError)
-from .pipeline import FIGURE_KEYS, emit_figure_data, run_pipeline
+from .pipeline import run_pipeline
 from .series import check_sample_times, date_ns, seconds_to_ns, write_series_csv
 from .synth import GENERATOR_PARAMS, GeneratorSpec
 
@@ -57,11 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="UTC start date of the series (default 2018-01-01)")
     p_sy.add_argument("--out", required=True, type=Path, help="output CSV path")
     p_sy.set_defaults(run=_cmd_synth)
-
-    p_fig = sub.add_parser("figures", help="reshape a run directory into plot-ready CSVs")
-    p_fig.add_argument("run_dir", type=Path)
-    p_fig.add_argument("--figure", choices=list(FIGURE_KEYS) + ["all"], default="all")
-    p_fig.set_defaults(run=_cmd_figures)
     return parser
 
 
@@ -95,13 +90,6 @@ def _cmd_synth(args) -> None:
     logger.info("wrote %d samples to %s", len(series), args.out)
 
 
-def _cmd_figures(args) -> None:
-    args.out = args.run_dir / "figures"  # named by main if a write fails
-    for key in FIGURE_KEYS if args.figure == "all" else (args.figure,):
-        for path in emit_figure_data(args.run_dir, key):
-            logger.info("wrote %s", path)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -119,7 +107,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         logger.error("invalid config: %s", exc)
         return EXIT_CONFIG
-    except (EntroportError, ValueError) as exc:  # figures: ValueError for a malformed run
+    except (EntroportError, ValueError) as exc:  # numpy's ValueError: array too big to address
         logger.error("%s", exc)
         return EXIT_CONFIG
     except OSError as exc:  # inputs are read as InputFileError, so this is a write

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AssetInput, PipelineConfig, check_asset_name
+from .config import AssetInput, PipelineConfig
 from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
                           PrefixTables, aggregate_index, crossing_pass,
                           entropy_curve, entropy_index)
-from .errors import (ConfigError, DataError, EntroportError, InputFileError,
+from .errors import (DataError, EntroportError, InputFileError,
                      InsufficientClustersError, NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
@@ -42,10 +42,6 @@ METHOD_HIGH = "cluster_entropy_high"
 METHOD_LOW = "cluster_entropy_low"
 METHOD_SHARPE = "max_sharpe"
 METHOD_NAIVE = "naive_1_over_N"
-
-#: the headers of the run CSVs that `figures` reads
-CURVES_HEADER = "asset,horizon,T_s,n,tau,S"
-WEIGHTS_HEADER = "method,horizon,T_s,asset,weight"
 
 
 class CellResult:
@@ -81,7 +77,7 @@ def _naming(asset: AssetInput, what: str = ""):
     """Name the asset, its tick file or generator kind, and `what` in an error raised inside.
 
     An EntroportError keeps its class, an OSError becomes an InputFileError
-    and running out of memory a DataError.
+    and running out of memory or address space a DataError.
     """
     source = asset.ticks_path if asset.generator is None else f"synth {asset.generator.kind}"
     where = f"asset {asset.name!r} ({source}){what}"
@@ -94,13 +90,15 @@ def _naming(asset: AssetInput, what: str = ""):
         raise InputFileError(f"{where}: {exc.strerror}") from None
     except MemoryError as exc:  # e.g. a grid finer than memory can hold
         raise DataError(f"{where}: out of memory ({exc})") from None
+    except ValueError as exc:  # e.g. a grid longer than the address space
+        raise DataError(f"{where}: {exc}") from None
 
 
 def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
     """Materialize an asset's price series from ticks or a generator spec.
 
     An error keeps its class, and its message names the asset and its tick
-    file or generator kind; running out of memory is a DataError.
+    file or generator kind; running out of memory or address space is a DataError.
     """
     ticks, spec = asset.ticks_path, asset.generator
     with _naming(asset):
@@ -285,13 +283,13 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
     (out / "manifest.json").unlink(missing_ok=True)
 
     cells = [result.cells[key] for key in sorted(result.cells)]
-    _write_csv(out / "entropy_curves.csv", CURVES_HEADER, _curve_lines(cells))
+    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", _curve_lines(cells))
     _write_csv(out / "indices_by_n.csv", "asset,horizon,T_s,n,I_n", (
         f"{c.asset},{c.horizon},{c.window_s},{ix.n},{_fmt(ix.value)}\n"
         for c in cells for ix in sorted(c.indices, key=lambda i: i.n)))
     _write_csv(out / "indices_aggregated.csv", "asset,horizon,T_s,I", (
         f"{c.asset},{c.horizon},{c.window_s},{_fmt(c.aggregate)}\n" for c in cells))
-    _write_csv(out / "weights.csv", WEIGHTS_HEADER, (
+    _write_csv(out / "weights.csv", "method,horizon,T_s,asset,weight", (
         f"{method},{m},{t_s},{asset},{_fmt(w)}\n"
         for method, m, t_s, asset, w in sorted(result.weights)))
     _write_csv(out / "diagnostics.csv", "method,horizon,T_s,weight_entropy,kl_vs_uniform", (
@@ -312,82 +310,3 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-# --- figure-ready exports ----------------------------------------------------
-
-FIGURE_KEYS = ("entropy_curves", "weights_vs_horizon")
-
-
-def emit_figure_data(run_dir: str | Path, figure: str) -> list[Path]:
-    """Reshape a finished run's CSVs into plot-ready files under run_dir/figures."""
-    run_dir = Path(run_dir)
-    if figure not in FIGURE_KEYS:
-        raise ValueError(f"unknown figure key {figure!r}; expected one of {FIGURE_KEYS}")
-    fig_dir = run_dir / "figures"
-    written: list[Path] = []
-
-    if figure == "entropy_curves":
-        src = run_dir / "entropy_curves.csv"
-        rows = _read_csv_rows(src, CURVES_HEADER, asset=0, ints=(1, 2, 3, 4), floats=(5,))
-        if not rows:
-            raise ValueError(f"{src}: no entropy curves to export")
-        groups: dict[tuple[str, int, int], list] = {}
-        for asset, m, t_s, n, tau, s in rows:
-            groups.setdefault((asset, m, t_s), []).append((n, tau, s))
-        fig_dir.mkdir(parents=True, exist_ok=True)
-        for (asset, m, t_s) in sorted(groups):
-            path = fig_dir / f"fig_entropy_{asset}_M{m:02d}_T{t_s}.csv"
-            _write_csv(path, "n,tau,S", (f"{n},{tau},{s}\n" for n, tau, s
-                                         in sorted(groups[(asset, m, t_s)])))
-            written.append(path)
-    else:
-        src = run_dir / "weights.csv"
-        rows = _read_csv_rows(src, WEIGHTS_HEADER, asset=3, ints=(1, 2), floats=(4,))
-        if not rows:
-            raise ValueError(f"{src}: no weights to export")
-        fig_dir.mkdir(parents=True, exist_ok=True)
-        path = fig_dir / "fig_weights_vs_horizon.csv"
-        _write_csv(path, "method,T_s,M,asset,weight", (
-            f"{method},{t_s},{m},{asset},{w}\n" for method, m, t_s, asset, w
-            in sorted(rows, key=lambda r: (r[0], r[2], r[1], r[3]))))
-        written.append(path)
-    return written
-
-
-def _read_csv_rows(path: Path, header: str, asset: int, ints: tuple[int, ...],
-                   floats: tuple[int, ...]) -> list[list]:
-    """The data rows of a run CSV, with the fields at ints parsed as integers.
-
-    The field at asset must pass the config's asset name rule, and the fields
-    at floats must parse as finite floats, and keep their text. A first line
-    other than header, a row with another field count, or a field that fails
-    its check is a ValueError naming the file and the line; an undecodable
-    file is one naming the file.
-    """
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InputFileError(f"{path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if lines[:1] != [header]:
-        raise ValueError(f"{path}: line 1: expected the header {header!r}")
-    width = len(header.split(","))
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        row = line.split(",")
-        try:
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
-            check_asset_name(row[asset])
-            for i in ints:
-                row[i] = int(row[i])
-            for i in floats:
-                if not math.isfinite(float(row[i])):
-                    raise ValueError(f"{row[i]!r} is not a finite number")
-        except (ValueError, ConfigError) as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
-        rows.append(row)
-    return rows

@@ -6,15 +6,12 @@ Hypothesis mutates small valid inputs of each subcommand:
   keys), and one tick file of the tick config (byte flips, deletions and
   insertions of `\\r`, quotes, commas, non-UTF-8 bytes, huge numbers and
   repeated headers);
-- `figures`: the `weights.csv` and `entropy_curves.csv` of a small finished
-  run, with the same byte edits;
 - `synth`: its argv, with flag values set from a pool of strings, flags
   deleted, and flags or stray tokens added.
 The property: `cli.main` returns 0, 2, 3 or 4 (argparse's own exit 2
 included), no exception or warning escapes, and exit 0 leaves complete
-output: an `analyze` directory whose manifest lists every file in it,
-figure files whose numeric fields are all finite numbers, or a `synth` CSV
-of finite values.
+output: an `analyze` directory whose manifest lists every file in it, or a
+`synth` CSV of finite values.
 
 Sizes are bounded by construction, so no example allocates more than a few
 MB. The synthetic assets are 2,048 samples long, and every length or grid
@@ -33,7 +30,6 @@ value of it allocates more.
 """
 
 import copy
-import functools
 import itertools
 import json
 import math
@@ -210,7 +206,6 @@ def test_edits_leave_the_value_pool_alone():
 def test_the_unmutated_inputs_run():
     assert _analyze(SYNTH_CONFIG) == 0
     assert _analyze(TICK_CONFIG, {"a.csv": TICKS_A, "b.csv": TICKS_B}) == 0
-    assert _figures(_run_csvs()) == 0
     assert _synth(_mutated_argv([])) == 0
 
 
@@ -230,54 +225,6 @@ def test_mutated_tick_config_exits_with_a_documented_code(edits):
 @given(byte_edits)
 def test_mutated_tick_file_exits_with_a_documented_code(edits):
     _analyze(TICK_CONFIG, {"a.csv": _mutated_bytes(TICKS_A, edits), "b.csv": TICKS_B})
-
-
-def _figures(files) -> int:
-    """main(["figures", ...]) on a run directory holding files.
-
-    Asserts the property: a documented exit code, no warning, and on exit 0
-    figure files whose every numeric field is a finite number.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        run = Path(tmp)
-        for name, data in files.items():
-            (run / name).write_bytes(data)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["figures", str(run)])
-        assert code in DOCUMENTED_EXITS
-        assert not caught, [str(w.message) for w in caught]
-        if code == 0:
-            for path in (run / "figures").iterdir():
-                lines = path.read_text().splitlines()
-                # every column but method and asset is numeric
-                numeric = [i for i, col in enumerate(lines[0].split(","))
-                           if col not in ("method", "asset")]
-                for line in lines[1:]:
-                    row = line.split(",")
-                    assert all(math.isfinite(float(row[i])) for i in numeric), (path, line)
-    return code
-
-
-@functools.cache
-def _run_csvs() -> dict[str, bytes]:
-    """weights.csv (721 bytes) and entropy_curves.csv (3,154 bytes) of a SYNTH_CONFIG run."""
-    config = dict(SYNTH_CONFIG)
-    with tempfile.TemporaryDirectory() as tmp:
-        config["output_dir"] = str(Path(tmp, "out"))
-        path = Path(tmp, "config.json")
-        path.write_text(json.dumps(config))
-        assert main(["analyze", str(path)]) == 0
-        return {name: Path(tmp, "out", name).read_bytes()
-                for name in ("weights.csv", "entropy_curves.csv")}
-
-
-@settings(deadline=None, max_examples=200)
-@given(name=st.sampled_from(["weights.csv", "entropy_curves.csv"]), edits=byte_edits)
-def test_mutated_run_csv_exits_with_a_documented_code(name, edits):
-    files = dict(_run_csvs())
-    files[name] = _mutated_bytes(files[name], edits)
-    _figures(files)
 
 
 SYNTH_ARGV = {"--kind": "garch", "--omega": "1e-6", "--alpha": "0.05", "--beta": "0.9",

@@ -17,8 +17,7 @@ from entroport.config import MAX_N_GRID, load_config
 from entroport.dma_cluster import (EntropyCurve, PrefixTables, crossing_pass, entropy_curve,
                                    entropy_index)
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
-from entroport.pipeline import (CellResult, PipelineResult, emit_figure_data,
-                                load_asset_prices, run_pipeline)
+from entroport.pipeline import CellResult, PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
 from entroport.series import SampledSeries, slice_horizon, whole_samples
 
@@ -197,12 +196,18 @@ class TestAnalyze:
         assert (work_dir / "out" / "manifest.json").is_file()
         assert not (config_dir / "out").exists()
 
-    # each request exceeds a 47-bit address space, so numpy refuses it unallocated
-    @pytest.mark.parametrize("source", ["synth", "ticks"])
-    def test_out_of_memory_exits_2_naming_the_asset(self, tmp_path, caplog, source):
+    # 2**47 samples or a year of 1 ns grid points exceed a 47-bit address space, so
+    # numpy refuses them unallocated; 2**62 float64 samples exceed the largest size
+    # numpy can address, which it reports as a ValueError
+    @pytest.mark.parametrize("source, length, reason", [
+        ("synth", 2 ** 47, "out of memory (Unable to allocate"),
+        ("ticks", None, "out of memory (Unable to allocate"),
+        ("synth", 2 ** 62, "array is too big")], ids=["synth", "ticks", "synth-2**62"])
+    def test_out_of_memory_exits_2_naming_the_asset(self, tmp_path, caplog, source, length,
+                                                     reason):
         if source == "synth":
             asset = {"name": "BIG", "synth": {"kind": "fbm", "hurst": 0.5,
-                                              "length": 2 ** 47, "seed": 1}}
+                                              "length": length, "seed": 1}}
             where = "asset 'BIG' (synth fbm)"
         else:  # a year of 1 ns grid points
             (tmp_path / "two.csv").write_text(
@@ -214,7 +219,7 @@ class TestAnalyze:
                                             "seed": 2}}
         cfg_path = _write_config(tmp_path, overrides={"assets": [asset, small],
                                                       "delta_s": 1e-9})
-        _exits_2_naming(cfg_path, caplog, f"{where}: out of memory (Unable to allocate")
+        _exits_2_naming(cfg_path, caplog, f"{where}: {reason}")
         assert not (tmp_path / "out").exists()
 
     def test_n_longer_than_the_source_warns_series_too_short(self, tmp_path):
@@ -318,6 +323,51 @@ class TestTickIngestion:
                        {"name": "BAD", "ticks": "bad.csv"}]})
         _exits_2_naming(cfg_path, caplog,
                         f"asset 'BAD' ({tmp_path / 'bad.csv'}): line 3: not valid UTF-8")
+
+    def _exits_2_naming_tick_file(self, tmp_path, caplog, data, needle):
+        """analyze with asset X read from a tick file of `data` exits 2 naming the file."""
+        (tmp_path / "x.csv").write_bytes(data)
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [BASE_CONFIG["assets"][0], {"name": "X", "ticks": "x.csv"}]})
+        _exits_2_naming(cfg_path, caplog, f"asset 'X' ({tmp_path / 'x.csv'}): {needle}")
+        assert not (tmp_path / "out").exists()
+
+    # the bad row follows a good tick on line 2, so the record that fails starts on line 3
+    @pytest.mark.parametrize("row, needle", [
+        (b"1,2,3", "line 3: expected 2 fields, got 3"),
+        (b"1", "line 3: expected 2 fields, got 1"),
+        (b"x,1.0", "line 3: invalid literal for int()"),
+        (b"1,abc", "line 3: could not convert string to float: 'abc'"),
+        (b"1,-inf", "line 3: non-positive or non-finite price -inf"),
+        (b"1,nan", "line 3: non-positive or non-finite price nan"),
+        (b"1,0", "line 3: non-positive or non-finite price 0"),
+        (b"1,-5", "line 3: non-positive or non-finite price -5"),
+        (b"1,1.0 # note", "line 3: could not convert string to float: '1.0 # note'"),
+        (b"1,1\x1c", "line 3: could not convert string to float"),
+        (b'1,"' + b"9" * 200_000 + b'"', "line 3: field larger than field limit"),
+        (b'"1\n2",3', "line 3: invalid literal for int()"),
+    ], ids=["three-fields", "one-field", "timestamp", "price", "-inf", "nan", "zero",
+            "negative", "comment-tail", "numpy-space", "oversized-field", "quoted-newline"])
+    def test_malformed_tick_row_names_file_and_line(self, tmp_path, caplog, row, needle):
+        self._exits_2_naming_tick_file(
+            tmp_path, caplog, b"timestamp_ns,price\n1514764800000000000,100.0\n" + row + b"\n",
+            needle)
+
+    @pytest.mark.parametrize("data, needle", [
+        (b"", "tick source contains no records"),
+        (b"timestamp_ns,price\n", "tick source contains no records"),
+        (b"price,timestamp_ns\n100.0,1514764800000000000\n",
+         "line 1: bad header ['price', 'timestamp_ns']"),
+        (b"timestamp_ns,price,volume\n1514764800000000000,100.0,7\n",
+         "line 1: bad header ['timestamp_ns', 'price', 'volume']"),
+        (b"\n1514764800000000000,100.0\n", "line 1: bad header []"),
+        (b"timestamp_ns,pr\xffice\n1514764800000000000,100.0\n", "line 1: not valid UTF-8"),
+        (b"timestamp_ns,price\r\n1514764800000000000,100.0\r\n1,x\r\n",
+         "line 3: could not convert string to float: 'x'"),
+    ], ids=["empty", "header-only", "swapped-header", "extra-column", "blank-header",
+            "non-utf8-header", "crlf"])
+    def test_malformed_tick_file_names_file_and_line(self, tmp_path, caplog, data, needle):
+        self._exits_2_naming_tick_file(tmp_path, caplog, data, needle)
 
     # minute 1000 of asset A: a price near 0 gives a return near 1e302, whose
     # square overflows; followed by 1e10, the return itself overflows. Either
@@ -656,94 +706,30 @@ def test_no_tangency_warns_once_per_window(tmp_path, monkeypatch):
     assert not any(r[0] == "max_sharpe" for r in rows)
 
 
-class TestFigures:
-    def test_figure_exports(self, tmp_path):
-        cfg_path = _write_config(tmp_path)
-        assert main(["analyze", str(cfg_path)]) == 0
-        out = tmp_path / "out"
-        assert main(["figures", str(out)]) == 0
-        fig_dir = out / "figures"
-        entropy_files = sorted(fig_dir.glob("fig_entropy_*.csv"))
-        assert len(entropy_files) == 2  # one per (asset, M, T)
-        header, rows = _read_rows(entropy_files[0])
-        assert header == ["n", "tau", "S"]
-        assert rows
-        header, rows = _read_rows(fig_dir / "fig_weights_vs_horizon.csv")
-        assert header == ["method", "T_s", "M", "asset", "weight"]
+def test_readme_plotting_recipe_reads_a_finished_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    recipe = readme.split("The pipeline ends at these files", 1)[1]
+    recipe = recipe.split("```python\n", 1)[1].split("```", 1)[0]
+    assert main(["analyze", str(_write_config(tmp_path))]) == 0
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(recipe, names)
+    # one curve per (asset, M, T), each in file order: by n, then tau
+    assert sorted(names["curves"]) == [("SYN1", 1, 360), ("SYN2", 1, 360)]
+    for rows in names["curves"].values():
+        assert rows and rows == sorted(rows, key=lambda r: r[:2])
+    _, rows = _read_rows(tmp_path / "out" / "weights.csv")
+    assert len(names["weights"]) == len(rows)
+    keys = [(r["method"], int(r["T_s"]), int(r["horizon"]), r["asset"])
+            for r in names["weights"]]
+    assert keys == sorted(keys)
 
-    def test_unknown_figure_key(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_figure_data(tmp_path, "bogus")
 
-    def test_missing_run_dir_exits_3(self, tmp_path):
-        assert main(["figures", str(tmp_path / "nope")]) == 3
-
-    @pytest.mark.parametrize("name, row, reason", [
-        ("entropy_curves.csv", "A,1,360", "expected 6 fields, got 3"),
-        ("entropy_curves.csv", "A,1,360,x,2,0.5", "invalid literal for int()"),
-        ("weights.csv", "naive_1_over_N,1,360,A,0.5,9", "expected 5 fields, got 6"),
-        ("weights.csv", "naive_1_over_N,1,360,A,nope", "could not convert string to float"),
-        ("weights.csv", "naive_1_over_N,1,360,A,-inf", "'-inf' is not a finite number"),
-        ("entropy_curves.csv", "A,1,360,2,1,nan", "'nan' is not a finite number")])
-    def test_malformed_run_csv_names_file_and_line(self, tmp_path, caplog, name, row, reason):
-        header = {"entropy_curves.csv": "asset,horizon,T_s,n,tau,S\nA,1,360,2,1,0.5",
-                  "weights.csv": "method,horizon,T_s,asset,weight\nnaive_1_over_N,1,360,B,0.5"}
-        (tmp_path / name).write_text(f"{header[name]}\n\n{row}\n")
-        figure = "entropy_curves" if name == "entropy_curves.csv" else "weights_vs_horizon"
-        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
-                      f"{tmp_path / name}: line 4: {reason}")
-
-    @pytest.mark.parametrize("name, header, figure", [
-        ("entropy_curves.csv", "asset,horizon,T_s,n,tau,S", "entropy_curves"),
-        ("weights.csv", "method,horizon,T_s,asset,weight", "weights_vs_horizon")])
-    def test_non_utf8_run_csv_names_file_and_exits_2(self, tmp_path, caplog, name, header,
-                                                      figure):
-        (tmp_path / name).write_bytes(header.encode() + b"\nA\xff\n")
-        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
-                      f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff")
-        assert not (tmp_path / "figures").exists()
-
-    @pytest.mark.parametrize("name, header, figure", [
-        ("entropy_curves.csv", "asset,horizon,T_s,n,S,tau", "entropy_curves"),
-        ("weights.csv", "method,horizon,T_s,weight,asset", "weights_vs_horizon"),
-        ("weights.csv", "", "weights_vs_horizon")])
-    def test_foreign_header_names_file_and_exits_2(self, tmp_path, caplog, name, header,
-                                                    figure):
-        # columns analyze never writes in this order: the rows would be copied misread
-        row = "A,1,360,2,0.5,1" if name == "entropy_curves.csv" else "naive_1_over_N,1,360,0.5,A"
-        (tmp_path / name).write_text(f"{header}\n{row}\n")
-        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
-                      f"{tmp_path / name}: line 1: expected the header")
-        assert not (tmp_path / "figures").exists()
-
-    @pytest.mark.parametrize("name, header, figure", [
-        ("entropy_curves.csv", "asset,horizon,T_s,n,tau,S", "entropy_curves"),
-        ("weights.csv", "method,horizon,T_s,asset,weight", "weights_vs_horizon")])
-    def test_header_only_run_csv_exits_2(self, tmp_path, caplog, name, header, figure):
-        (tmp_path / name).write_text(header + "\n")
-        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
-                      f"{tmp_path / name}: no ")
-        assert not (tmp_path / "figures").exists()
-
-    @pytest.mark.parametrize("name, rows, needle", [
-        ("entropy_curves.csv", "A,1,360,2,1,0.5\nA/B,1,360,2,1,0.5", "line 3: asset 'A/B'"),
-        ("weights.csv", "naive_1_over_N,1,360,A/B,0.5", "line 2: asset 'A/B'"),
-        ("weights.csv", "naive_1_over_N,1,360,,0.5", "line 2: asset ''")])
-    def test_asset_outside_the_name_rule_names_file_and_line(self, tmp_path, caplog, name,
-                                                              rows, needle):
-        # a name analyze refuses in a config: 'A/B' would name a file in a subdirectory
-        header = {"entropy_curves.csv": "asset,horizon,T_s,n,tau,S",
-                  "weights.csv": "method,horizon,T_s,asset,weight"}
-        (tmp_path / name).write_text(f"{header[name]}\n{rows}\n")
-        figure = "entropy_curves" if name == "entropy_curves.csv" else "weights_vs_horizon"
-        _exits_naming(["figures", tmp_path, "--figure", figure], 2, caplog,
-                      f"{tmp_path / name}: {needle}: name must be a non-empty printable string")
-        assert not (tmp_path / "figures").exists()
-
-    def test_unreadable_curves_exit_3(self, tmp_path, caplog):
-        (tmp_path / "entropy_curves.csv").mkdir()
-        _exits_naming(["figures", tmp_path, "--figure", "entropy_curves"], 3, caplog,
-                      f"{tmp_path / 'entropy_curves.csv'}: Is a directory")
+def test_figures_is_not_a_subcommand(tmp_path):
+    # the pipeline ends at its run CSVs; README shows how to reshape them for plotting
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 class TestSynthCommand:
@@ -811,12 +797,17 @@ class TestSynthCommand:
                        "--out", tmp_path / "x.csv"], 2, caplog, "omega must be finite, got nan")
         assert not (tmp_path / "x.csv").exists()
 
-    def test_out_of_memory_exits_2(self, tmp_path, caplog):
-        # 2**47 samples exceed a 47-bit address space, so numpy refuses them unallocated
+    # 2**47 samples exceed a 47-bit address space, so numpy refuses them unallocated;
+    # 2**62 samples fit int64 nanoseconds from 1970 but exceed the largest size numpy
+    # can address, which it reports as a ValueError
+    @pytest.mark.parametrize("length, start, needle", [
+        (2 ** 47, "2018-01-01", "out of memory: Unable to allocate"),
+        (2 ** 62, "1970-01-01", "array is too big")], ids=["2**47", "2**62"])
+    def test_out_of_memory_exits_2(self, tmp_path, caplog, length, start, needle):
         _exits_naming(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.05",
-                       "--beta", "0.9", "--length", 2 ** 47, "--seed", "5",
-                       "--delta-s", "1e-9", "--out", tmp_path / "x.csv"], 2, caplog,
-                      "out of memory: Unable to allocate")
+                       "--beta", "0.9", "--length", length, "--seed", "5",
+                       "--delta-s", "1e-9", "--start", start, "--out", tmp_path / "x.csv"],
+                      2, caplog, needle)
         assert not (tmp_path / "x.csv").exists()
 
 
