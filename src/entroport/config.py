@@ -156,7 +156,7 @@ def _synth_fields(name: str, spec: dict) -> dict:
     return out
 
 
-def check_asset_name(name) -> None:
+def _check_asset_name(name) -> None:
     """A ConfigError unless name is a non-empty printable string without ',', '/' or '\\'."""
     if not (type(name) is str and name and name.isprintable()
             and not set(name) & set(",/\\")):
@@ -166,7 +166,7 @@ def check_asset_name(name) -> None:
 
 def _parse_asset(entry: dict, base: Path) -> AssetInput:
     name = entry["name"]
-    check_asset_name(name)
+    _check_asset_name(name)
     _check_keys(entry, _ASSET_KEYS, f"asset {name!r}")
     ticks, synth = entry.get("ticks"), entry.get("synth")
     # AssetInput rejects an entry with both or neither

@@ -15,8 +15,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import (DataError, EmptyInputError, EntroportError,
-                     InsufficientClustersError)
-from .series import SampledSeries
+                     InsufficientClustersError, check_finite)
 
 #: clusters required before a duration distribution counts as statistically valid
 MIN_CLUSTERS = 50
@@ -51,13 +50,12 @@ class EntropyCurve:
 
 
 class EntropyIndex:
-    """Scalar index for one window length, split at threshold m."""
+    """Scalar index for one window length, split at a threshold (see entropy_index)."""
 
-    __slots__ = ("n", "threshold", "value", "power_law_part", "linear_part")
+    __slots__ = ("n", "value", "power_law_part", "linear_part")
 
-    def __init__(self, n: int, threshold: int, value: float, power_law_part: float,
-                 linear_part: float):
-        self.n, self.threshold, self.value = n, threshold, value
+    def __init__(self, n: int, value: float, power_law_part: float, linear_part: float):
+        self.n, self.value = n, value
         self.power_law_part, self.linear_part = power_law_part, linear_part
 
 
@@ -71,13 +69,12 @@ def _too_few_clusters(n_clusters: int, n: int,
         f"{n_clusters} clusters at n={n}, need >= {min_clusters}")
 
 
-def moving_average(y: SampledSeries, n: int) -> SampledSeries:
-    """Trailing (causal) mean of the n most recent samples; len out = len - n + 1."""
-    v = y.values
-    if not 2 <= n <= len(v):
-        raise _window_error(n, len(v))
-    out = np.convolve(v, np.full(n, 1.0 / n), mode="valid")
-    return y.with_values(out, start_time=y.start_time + (n - 1) * y.delta)
+def moving_average(y: np.ndarray, n: int) -> np.ndarray:
+    """Trailing (causal) mean of the n most recent samples; out[k] is the mean of y[k:k+n]."""
+    if not 2 <= n <= len(y):
+        raise _window_error(n, len(y))
+    check_finite(y)
+    return np.convolve(y, np.full(n, 1.0 / n), mode="valid")
 
 
 class CrossingPass:
@@ -166,7 +163,7 @@ def _tables(v: np.ndarray) -> tuple[np.ndarray, float, float]:
     prefix = np.empty(len(v) + 1)
     prefix[0] = 0.0
     abs_v = np.abs(v)
-    with np.errstate(over="ignore"):  # an inf entry leaves the pass in doubt
+    with np.errstate(over="ignore"):  # an overflowing sum leaves the pass in doubt
         np.cumsum(v, out=prefix[1:])
         error = (np.abs(prefix).max() + _gamma(len(v) + 3) * abs_v.sum()) * (_U * _SLACK)
     return prefix, error + 2.0 ** -1021, abs_v.max()
@@ -184,22 +181,23 @@ def _filter(tables: tuple, v: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 
 
 class PrefixTables:
-    """One series, shared by its crossing passes at every n.
+    """One series, a finite array, shared by its crossing passes at every n.
 
     flat_run is its longest run of equal values; tables, its prefix sums and
     their error bound (see _tables), is built by the first pass that reads it.
     """
 
-    def __init__(self, y: SampledSeries):
+    def __init__(self, y: np.ndarray):
+        check_finite(y)
         self.series = y
         ties = np.zeros(len(y) + 1, dtype=bool)  # ties[i]: y[i-1] == y[i]; False at both ends
-        np.equal(y.values[1:], y.values[:-1], out=ties[1:-1])
+        np.equal(y[1:], y[:-1], out=ties[1:-1])
         edges = np.flatnonzero(ties[1:] != ties[:-1]) if ties.any() else np.zeros(0, int)
         self.flat_run = int((edges[1::2] - edges[::2]).max(initial=0)) + 1
 
     @cached_property
     def tables(self) -> tuple:
-        return _tables(self.series.values)
+        return _tables(self.series)
 
 
 def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
@@ -224,13 +222,13 @@ def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     roundings, and the one rounding of n max|y| falls within _SLACK. Because
     fl(a - b) has the sign of a - b, a certified sign is exact. If every sign
     is certified ("signs certified"), none is zero and the flips are read from
-    one boolean d~ > 0. Otherwise (a sign in doubt, NaN and inf included) the
-    full moving_average gives them all ("full convolve (signs in doubt)"), and
-    as it may hold exact zeros (or NaN), each sign is compared with the last
-    nonzero one's. The bound covers |d~ - d_exact| too, so where d_exact = 0,
-    as in a window of n equal values, no sign is certified: a pass with
-    n <= flat_run convolves without trying ("full convolve (flat run L >= n)"),
-    and the first pass past it builds the tables.
+    one boolean d~ > 0. Otherwise (a sign in doubt, or d~ NaN or inf where a
+    prefix sum overflows) the full moving_average gives them all ("full
+    convolve (signs in doubt)"), and as it may hold exact zeros, each sign is
+    compared with the last nonzero one's. The bound covers |d~ - d_exact|
+    too, so where d_exact = 0, as in a window of n equal values, no sign is
+    certified: a pass with n <= flat_run convolves without trying ("full
+    convolve (flat run L >= n)"), and the first pass past it builds the tables.
     """
     y = tables.series
     if n > len(y):  # no deviation, so every span is too short
@@ -238,13 +236,13 @@ def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     if n <= tables.flat_run:
         why = f"flat run {tables.flat_run} >= n"
     else:
-        d, bound = _filter(tables.tables, y.values, n)
+        d, bound = _filter(tables.tables, y, n)
         if np.abs(d).min() > bound:  # False for NaN: not certified
             pos = d > 0
             flip = np.flatnonzero(pos[1:] != pos[:-1])
             return CrossingPass(n, flip + n, flip + (n - 1), "signs certified")
         why = "signs in doubt"
-    sign = np.sign(y.values[n - 1:] - moving_average(y, n).values)
+    sign = np.sign(y[n - 1:] - moving_average(y, n))
     nonzero = np.flatnonzero(sign)
     sv = sign[nonzero]
     flip = np.flatnonzero(sv[1:] != sv[:-1])
@@ -295,8 +293,8 @@ def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
     k = int(np.searchsorted(curve.taus, m, "right"))
     power = _sum_in_order(curve.values[:k].tolist())
     linear = _sum_in_order(curve.values[k:].tolist())
-    return EntropyIndex(n=curve.n, threshold=m, value=power + linear,
-                        power_law_part=power, linear_part=linear)
+    return EntropyIndex(n=curve.n, value=power + linear, power_law_part=power,
+                        linear_part=linear)
 
 
 def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:

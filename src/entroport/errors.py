@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the finite check that raises one."""
+
+import numpy as np
 
 
 class EntroportError(Exception):
@@ -6,11 +8,10 @@ class EntroportError(Exception):
 
 
 class TickParseError(EntroportError):
-    """A tick CSV row could not be parsed; carries the 1-based line number."""
+    """A tick CSV row could not be parsed; the message starts with its 1-based line."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class InputFileError(EntroportError):
@@ -23,6 +24,12 @@ class EmptyInputError(EntroportError):
 
 class DataError(EntroportError):
     """A value violates a data invariant (e.g. non-positive price)."""
+
+
+def check_finite(values: np.ndarray) -> None:
+    """A DataError unless every value is finite (no NaN, no +-inf)."""
+    if not np.isfinite(values).all():
+        raise DataError("series values must be finite")
 
 
 class HorizonError(EntroportError):

@@ -144,7 +144,7 @@ def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
                      len(cpass.times), kept, dropped, per_span * len(dists) - kept - dropped)
 
 
-def _asset_cells(asset: AssetInput, returns: SampledSeries, ranges: dict[int, slice],
+def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice],
                  cfg: PipelineConfig) -> list[CellResult]:
     """One asset's cells at every window and horizon.
 
@@ -200,7 +200,7 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
     returns = []
     for asset, p in zip(cfg.assets, prices):
         with _naming(asset):
-            returns.append(to_returns(p.with_values(p.values[:end])))
+            returns.append(to_returns(p.values[:end]))
 
     warnings: list[str] = []
     cells: dict[tuple[str, int, int], CellResult] = {}
@@ -214,7 +214,7 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
 
     uniform = naive_weights(names)
     for m, rng in ranges.items():
-        ret_matrix = np.vstack([r.values[rng.start:rng.stop - 1] for r in returns])
+        ret_matrix = np.vstack([r[rng.start:rng.stop - 1] for r in returns])
         moments = MomentEstimates(mu=ret_matrix.mean(axis=1),
                                   sigma=np.cov(ret_matrix, ddof=1))
         # the moments depend on the horizon only, so every window shares one solve

@@ -8,25 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
-from .series import SampledSeries
+from .errors import DataError, check_finite
 
 #: windows per block in rolling_volatility, whatever their length: a block's
 #: temporaries are about ten arrays of _VOL_BLOCK floats
 _VOL_BLOCK = 2 ** 13
 
 
-def _checked_prices(prices: SampledSeries) -> np.ndarray:
-    """The values of prices, which must hold at least 2 strictly positive prices."""
-    y = prices.values
+def _checked_prices(y: np.ndarray) -> np.ndarray:
+    """y, which must hold at least 2 finite, strictly positive prices."""
     if len(y) < 2:
         raise DataError("need at least 2 prices to compute returns")
+    check_finite(y)
     if np.any(y <= 0):
         raise DataError("prices must be strictly positive")
     return y
 
 
-def linear_returns(prices: SampledSeries) -> SampledSeries:
+def linear_returns(prices: np.ndarray) -> np.ndarray:
     """Simple returns r_t = (y_t - y_{t-1}) / y_{t-1}; length shrinks by one.
 
     A return that overflows float64 (a price near 0 before a larger one) is a DataError.
@@ -36,22 +35,18 @@ def linear_returns(prices: SampledSeries) -> SampledSeries:
         r = np.diff(y) / y[:-1]
     if not np.isfinite(r).all():
         raise DataError("a simple return overflows float64")
-    return SampledSeries(values=r, start_time=prices.start_time + prices.delta,
-                         delta=prices.delta, kind="return")
+    return r
 
 
-def log_returns(prices: SampledSeries) -> SampledSeries:
+def log_returns(prices: np.ndarray) -> np.ndarray:
     """Log returns; config alternative to linear_returns."""
-    r = np.diff(np.log(_checked_prices(prices)))
-    return SampledSeries(values=r, start_time=prices.start_time + prices.delta,
-                         delta=prices.delta, kind="return")
+    return np.diff(np.log(_checked_prices(prices)))
 
 
-def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
+def rolling_volatility(r: np.ndarray, w: int) -> np.ndarray:
     """Sample standard deviation (ddof=1) of each fully contained window of w returns.
 
-    vol[k] is stamped at its window's last return, as moving_average stamps a
-    mean, so the series starts w - 1 steps after the returns.
+    vol[k] is the std of r[k:k+w], so len(vol) = len(r) - w + 1.
 
     Each window's std is formed as np.std forms it, with both of its sums
     added in numpy's pairwise order, so the bytes equal
@@ -60,11 +55,11 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     about 4 * w numpy calls per block, however few windows it holds. A
     volatility that overflows float64 is a DataError.
     """
-    r = returns.values
     if w < 2:
         raise DataError("volatility window must span >= 2 samples")
     if w > len(r):
         raise DataError(f"window ({w}) longer than series ({len(r)})")
+    check_finite(r)
     out = np.empty(len(r) - w + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
         for lo in range(0, len(out), _VOL_BLOCK):
@@ -83,8 +78,7 @@ def rolling_volatility(returns: SampledSeries, w: int) -> SampledSeries:
     out[_constant_windows(r, w)] = 0.0
     if not np.isfinite(out).all():
         raise DataError(f"the volatility of a {w}-sample window overflows float64")
-    return returns.with_values(out, kind="volatility",
-                               start_time=returns.start_time + (w - 1) * returns.delta)
+    return out
 
 
 def _pairwise_sum(term, n: int, lo: int = 0) -> np.ndarray:

@@ -16,11 +16,11 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, HorizonError, TickParseError
+from .errors import DataError, EmptyInputError, HorizonError, TickParseError, check_finite
 
 NS_PER_S = 1_000_000_000
 
-SERIES_KINDS = ("price", "return", "volatility")
+SERIES_KINDS = ("price", "return")
 
 #: one raw trade per row: timestamp in ns since epoch and a positive price
 TICK_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
@@ -34,8 +34,8 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 class SampledSeries:
     """Equally spaced series: values plus (start_time, delta) grid metadata.
 
-    delta is the sampling interval in ns; kind is one of 'price', 'return',
-    'volatility'.
+    delta is the sampling interval in ns; kind is 'price' or 'return' (a
+    generator's return path before to_price_series).
     """
 
     __slots__ = ("values", "start_time", "delta", "kind")
@@ -52,8 +52,7 @@ class SampledSeries:
                            "the series' start_time and delta")
         if kind not in SERIES_KINDS:
             raise DataError(f"unknown series kind {kind!r}")
-        if not np.all(np.isfinite(values)):
-            raise DataError("series values must be finite")
+        check_finite(values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -66,14 +65,9 @@ class SampledSeries:
     def times(self) -> np.ndarray:
         return self.start_time + self.delta * np.arange(len(self.values), dtype=np.int64)
 
-    def with_values(self, values: np.ndarray, kind: str | None = None,
-                    start_time: int | None = None) -> "SampledSeries":
-        return SampledSeries(
-            values=values,
-            start_time=self.start_time if start_time is None else start_time,
-            delta=self.delta,
-            kind=self.kind if kind is None else kind,
-        )
+    def with_values(self, values: np.ndarray, kind: str | None = None) -> "SampledSeries":
+        return SampledSeries(values=values, start_time=self.start_time, delta=self.delta,
+                             kind=self.kind if kind is None else kind)
 
 
 def seconds_to_ns(seconds: float, what: str) -> int:

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from entroport import (ClusterDistribution, DataError, EmptyInputError, EntropyCurve,
-                       EntropyIndex, InsufficientClustersError, SampledSeries, aggregate_index,
+                       EntropyIndex, InsufficientClustersError, aggregate_index,
                        entropy_curve, entropy_index, moving_average)
 from entroport import dma_cluster
 from entroport.dma_cluster import (PrefixTables, _filter, _pass_histogram, _tables,
                                    crossing_pass)
 
 
-def _series(values, delta=1):
-    return SampledSeries(np.asarray(values, dtype=float), start_time=0, delta=delta)
+def _series(values):
+    return np.asarray(values, dtype=float)
 
 
 def _durations(y, n):
@@ -35,24 +35,30 @@ def _model(n, taus, weights):
 class TestMovingAverage:
     def test_constant_series(self):
         out = moving_average(_series([5.0] * 6), 3)
-        assert np.allclose(out.values, 5.0)
+        assert np.allclose(out, 5.0)
         assert len(out) == 4
 
     def test_hand_arithmetic(self):
-        out = moving_average(_series([1, 2, 3, 4]), 2)
-        assert out.values.tolist() == [1.5, 2.5, 3.5]
-        assert out.start_time == 1
+        assert moving_average(_series([1, 2, 3, 4]), 2).tolist() == [1.5, 2.5, 3.5]
 
     def test_full_window_is_series_mean(self):
         v = [1.0, 2.0, 4.0, 9.0]
-        out = moving_average(_series(v), 4)
-        assert out.values.tolist() == [np.mean(v)]
+        assert moving_average(_series(v), 4).tolist() == [np.mean(v)]
 
     def test_out_of_range_n(self):
         with pytest.raises(DataError):
             moving_average(_series([1, 2, 3]), 1)
         with pytest.raises(DataError):
             moving_average(_series([1, 2, 3]), 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [lambda y: moving_average(y, 2), PrefixTables],
+                         ids=["moving_average", "PrefixTables"])
+def test_non_finite_series_is_an_error(entry, bad):
+    # unchecked, a NaN would read as sign changes and give crossings
+    with pytest.raises(DataError, match="^series values must be finite$"):
+        entry(_series([0.0, 1.0, bad, 1.0, 0.0]))
 
 
 def _convolve_pass(values, n):
@@ -316,7 +322,7 @@ def test_index_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
 
     values = [1.0] + [1e-16] * 10
     curve = EntropyCurve(n=4, taus=np.arange(1, 12), values=np.array(values))
-    ixs = [EntropyIndex(n=n, threshold=n, value=v, power_law_part=v, linear_part=0.0)
+    ixs = [EntropyIndex(n=n, value=v, power_law_part=v, linear_part=0.0)
            for n, v in enumerate(values, start=2)]
     monkeypatch.setattr(builtins, "sum", _neumaier_sum)
     assert sum(values) == 1.000000000000001 != in_order(values) == 1.0
@@ -332,8 +338,7 @@ def test_index_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
 class TestAggregateIndex:
     def _index(self, n, v):
         from entroport import EntropyIndex
-        return EntropyIndex(n=n, threshold=n, value=v, power_law_part=v,
-                            linear_part=0.0)
+        return EntropyIndex(n=n, value=v, power_law_part=v, linear_part=0.0)
 
     def test_single_grid_point_identity(self):
         assert aggregate_index([self._index(4, 2.5)]) == 2.5

@@ -19,7 +19,7 @@ from entroport.dma_cluster import (EntropyCurve, PrefixTables, crossing_pass, en
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
 from entroport.pipeline import CellResult, PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
-from entroport.series import SampledSeries, slice_horizon, whole_samples
+from entroport.series import slice_horizon, whole_samples
 
 BASE_CONFIG = {
     "assets": [
@@ -440,7 +440,7 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
         prices = load_asset_prices(asset, cfg)
         for m in cfg.horizons:
             span = slice_horizon(prices, cfg.year_start, m, mode=mode)
-            rets = linear_returns(prices.with_values(prices.values[span]))
+            rets = linear_returns(prices.values[span])
             for t_s in cfg.volatility_windows_s:
                 w = whole_samples(t_s, cfg.delta_ns, "volatility window")
                 y = rets if source == "return" else rolling_volatility(rets, w)
@@ -564,8 +564,8 @@ def test_exact_zero_deviations_keep_their_bytes(tmp_path):
     cfg = load_config(_write_config(tmp_path, overrides={
         "assets": [{"name": f"T{seed}", "ticks": f"t{seed}.csv"} for seed in (1, 2)]}))
     prices = load_asset_prices(cfg.assets[0], cfg)
-    y = rolling_volatility(linear_returns(prices),
-                           whole_samples(360, cfg.delta_ns, "volatility window")).values
+    y = rolling_volatility(linear_returns(prices.values),
+                           whole_samples(360, cfg.delta_ns, "volatility window"))
     n = min(cfg.n_grid_samples())
     assert np.any(y[n - 1:] == np.convolve(y, np.full(n, 1.0 / n), mode="valid"))
     run_pipeline(cfg, config_bytes=b"")
@@ -639,7 +639,7 @@ def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
     caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
     values = np.random.default_rng(7).standard_normal(2 ** 14)
     values[10000:10000 + len(run)] = values[10000] + np.spacing(values[10000]) * run
-    tables = PrefixTables(SampledSeries(values, start_time=0, delta=1))
+    tables = PrefixTables(values)
     cells = [CellResult(asset="A", horizon=1, window_s=360)]
     pipeline._add_n([cells], [(0, len(values))], tables, 8,
                     load_config(_write_config(tmp_path, overrides={"min_clusters": 1})))

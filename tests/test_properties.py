@@ -1,4 +1,4 @@
-"""Property tests for the histogram, crossing, tick, volatility, simplex and ascent invariants
+"""Property tests for the histogram, crossing, tick, return, volatility, simplex and ascent invariants
 the pipeline relies on."""
 
 import itertools
@@ -17,8 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from entroport import (ClusterDistribution, DataError, HorizonError, InsufficientClustersError,
                        SampledSeries, date_ns, month_start_ns, slice_horizon,
-                       WeightVector, entropy_curve, entropy_index, parse_ticks, resample,
-                       weight_entropy)
+                       WeightVector, entropy_curve, entropy_index, linear_returns, log_returns,
+                       parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import (MomentEstimates, _ascend, _grid_start, _project_simplex,
@@ -242,7 +242,6 @@ level_runs = st.lists(st.tuples(levels, st.integers(min_value=1, max_value=6)),
 @given(runs=level_runs, data=st.data())
 def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
     values = np.repeat([float(v) for v, _ in runs], [k for _, k in runs])
-    y = SampledSeries(values, start_time=0, delta=1)
     length = len(values)
     n = data.draw(st.integers(2, length), label="n")
     min_clusters = data.draw(st.integers(1, 8), label="min_clusters")
@@ -254,7 +253,7 @@ def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
     overlaps = [(s, data.draw(st.integers(s + 1, length))) for s in starts]
     spans = data.draw(st.permutations(months + expanding + overlaps), label="spans")
 
-    got = crossing_pass(PrefixTables(y), n).distributions(spans, min_clusters)
+    got = crossing_pass(PrefixTables(values), n).distributions(spans, min_clusters)
     for (start, stop), result in zip(spans, got):
         if stop - start < n:
             assert type(result) is DataError
@@ -312,7 +311,7 @@ def _mixed_runs(draw):
 def test_crossing_pass_equals_sign_rule(make, data):
     values = make(data.draw)
     n = data.draw(st.integers(2, len(values)), label="n")
-    got = crossing_pass(PrefixTables(SampledSeries(values, start_time=0, delta=1)), n)
+    got = crossing_pass(PrefixTables(values), n)
     times, previous = _sign_rule_pass(values, n)
     assert got.times.dtype == times.dtype and got.previous.dtype == previous.dtype
     assert got.times.tobytes() == times.tobytes()
@@ -326,7 +325,7 @@ def test_pass_histograms_meet_the_distribution_invariants(make, data):
     values = make(data.draw)
     n = data.draw(st.integers(2, len(values)), label="n")
     stops = data.draw(st.lists(st.integers(n, len(values)), min_size=1, max_size=4))
-    cpass = crossing_pass(PrefixTables(SampledSeries(values, start_time=0, delta=1)), n)
+    cpass = crossing_pass(PrefixTables(values), n)
     for dist in cpass.distributions([(0, stop) for stop in stops], 1):
         if not isinstance(dist, ClusterDistribution):
             continue
@@ -406,7 +405,7 @@ def _check_pass(tables: PrefixTables, n: int) -> str:
     exactly when n <= flat_run, and "signs certified" only where the oracle
     has no zero or NaN sign, since certified signs are never zero.
     """
-    values = tables.series.values
+    values = tables.series
     with np.errstate(over="ignore", invalid="ignore"):
         cpass = crossing_pass(tables, n)
         times, previous = _sign_rule_pass(values, n)
@@ -426,10 +425,9 @@ def _check_pass(tables: PrefixTables, n: int) -> str:
 @given(make=SIGN_SOURCES, data=st.data())
 def test_certified_signs_equal_convolve_signs(make, data):
     values = make(data.draw)
-    y = SampledSeries(values, start_time=0, delta=1)
-    shared = PrefixTables(y)  # as in the pipeline: one table for every n
+    shared = PrefixTables(values)  # as in the pipeline: one table for every n
     for n in [n for n in N_GRID if n <= len(values)]:
-        for tables in (PrefixTables(y), shared):
+        for tables in (PrefixTables(values), shared):
             _check_pass(tables, n)
 
 
@@ -454,7 +452,7 @@ def test_one_bound_covers_every_window(make, data):
     small fails here even where it flips no certified sign.
     """
     values = make(data.draw)
-    tables = PrefixTables(SampledSeries(values, start_time=0, delta=1)).tables
+    tables = PrefixTables(values).tables
     for n in [n for n in N_GRID if n <= len(values)]:
         d, bound = _filter(tables, values, n)
         m = np.convolve(values, np.full(n, 1 / n), "valid")
@@ -482,7 +480,7 @@ tie_runs = st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1.7
 @given(runs=tie_runs)
 def test_flat_run_equals_longest_run_loop(runs):
     values = np.repeat([v for v, _ in runs], [k for _, k in runs])
-    flat_run = PrefixTables(SampledSeries(values, start_time=0, delta=1)).flat_run
+    flat_run = PrefixTables(values).flat_run
     assert flat_run == _longest_run(values.tolist())
 
 
@@ -494,7 +492,7 @@ def test_no_pass_within_the_flat_run_is_certified(make, data):
     at = data.draw(st.integers(0, len(values) - 1), label="at")
     run = data.draw(st.integers(2, 60), label="run")
     values = np.insert(values, at, np.full(run - 1, values[at]))  # a run at least this long
-    tables = PrefixTables(SampledSeries(values, start_time=0, delta=1))
+    tables = PrefixTables(values)
     assert tables.flat_run >= run
     for n in range(2, min(tables.flat_run, len(values)) + 1):
         d, bound = _filter(tables.tables, values, n)
@@ -506,10 +504,9 @@ def test_no_pass_within_the_flat_run_is_certified(make, data):
 def test_shared_tables_answer_each_n_as_fresh_ones(make, data):
     """A pass leaves no state behind but the tables, so the order of n cannot matter."""
     values = make(data.draw)
-    y = SampledSeries(values, start_time=0, delta=1)
-    shared = PrefixTables(y)
+    shared = PrefixTables(values)
     for n in data.draw(st.permutations([n for n in N_GRID if n <= len(values)]), label="order"):
-        assert _check_pass(shared, n) == _check_pass(PrefixTables(y), n), n
+        assert _check_pass(shared, n) == _check_pass(PrefixTables(values), n), n
 
 
 # runs of repeated values, signed zeros, infinities and NaN
@@ -538,15 +535,13 @@ window_counts = st.one_of(st.integers(1, 40),
                                            2 * _VOL_BLOCK - 1, 2 * _VOL_BLOCK + 1]))
 
 
-@settings(deadline=None, max_examples=300)
-@given(w=st.integers(2, 300), count=window_counts, seed=st.integers(0, 2**32 - 1),
-       exponents=st.tuples(st.integers(-300, 150), st.integers(-300, 150)),
-       odd_share=st.sampled_from([0.0, 0.1, 0.5, 0.9]))
-def test_rolling_volatility_equals_std_bit_for_bit(w, count, seed, exponents, odd_share):
-    # w up to 300 takes all three branches of the pairwise sum (< 8, <= 128, split);
-    # magnitudes 1e-300..1e150 keep every sum of squares finite
-    rng = np.random.default_rng(seed)
-    length = count + w - 1
+# magnitudes 1e-300..1e150 keep every sum of squares finite
+exponent_ranges = st.tuples(st.integers(-300, 150), st.integers(-300, 150))
+odd_shares = st.sampled_from([0.0, 0.1, 0.5, 0.9])
+
+
+def _odd_returns(rng, length, exponents, odd_share):
+    """Returns at magnitudes 10**exponents, odd_share of them +-0, subnormal or a tie."""
     r = rng.standard_normal(length) * 10.0 ** rng.integers(min(exponents),
                                                           max(exponents) + 1, length)
     odd = np.flatnonzero(rng.random(length) < odd_share)
@@ -555,12 +550,58 @@ def test_rolling_volatility_equals_std_bit_for_bit(w, count, seed, exponents, od
     r[odd[kinds == 1]] = rng.integers(-2**20, 2**20, np.count_nonzero(kinds == 1)) * 5e-324
     source = np.arange(length)
     source[odd[kinds == 2]] = 0
-    r = r[np.maximum.accumulate(source)]  # a tie repeats the last value before it
+    return r[np.maximum.accumulate(source)]  # a tie repeats the last value before it
+
+
+@settings(deadline=None, max_examples=300)
+@given(w=st.integers(2, 300), count=window_counts, seed=st.integers(0, 2**32 - 1),
+       exponents=exponent_ranges, odd_share=odd_shares)
+def test_rolling_volatility_equals_std_bit_for_bit(w, count, seed, exponents, odd_share):
+    # w up to 300 takes all three branches of the pairwise sum (< 8, <= 128, split)
+    r = _odd_returns(np.random.default_rng(seed), count + w - 1, exponents, odd_share)
     windows = sliding_window_view(r, w)
     expected = windows.std(axis=-1, ddof=1)
     expected[windows.max(axis=-1) == windows.min(axis=-1)] = 0.0
-    got = rolling_volatility(SampledSeries(r, start_time=0, delta=1), w).values
+    got = rolling_volatility(r, w)
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(w=st.integers(2, 300), count=window_counts, seed=st.integers(0, 2**32 - 1),
+       exponents=exponent_ranges, odd_share=odd_shares, data=st.data())
+def test_a_price_range_takes_its_volatility_by_index(w, count, seed, exponents, odd_share,
+                                                     data):
+    """Prices [lo, hi) have returns r[lo:hi-1], whose volatility is vol[lo:hi-w] bit for bit.
+
+    lo shifts the range's block edges off those of the whole series.
+    """
+    lo = data.draw(st.integers(0, _VOL_BLOCK + 1), label="lo")
+    hi = lo + count + w  # the range's returns hold count windows
+    r = _odd_returns(np.random.default_rng(seed), hi - 1 + data.draw(st.integers(0, 3)),
+                     exponents, odd_share)
+    assert rolling_volatility(r, w)[lo:hi - w].tobytes() == \
+        rolling_volatility(r[lo:hi - 1], w).tobytes()
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(2, 300),
+       exponents=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+       tie_share=st.sampled_from([0.0, 0.1, 0.5, 0.9]), data=st.data())
+def test_a_price_range_takes_its_returns_by_index(seed, length, exponents, tie_share, data):
+    """Prices [lo, hi) have returns r[lo:hi-1] bit for bit, simple and log.
+
+    Prices of 1e-150..1e150 keep every simple return finite; a tie gives a 0 return.
+    """
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(1, 10, length) * 10.0 ** rng.integers(min(exponents),
+                                                         max(exponents) + 1, length)
+    source = np.arange(length)
+    source[rng.random(length) < tie_share] = 0
+    p = p[np.maximum.accumulate(source)]
+    lo = data.draw(st.integers(0, length - 2), label="lo")
+    hi = data.draw(st.integers(lo + 2, length), label="hi")
+    for to_returns in (linear_returns, log_returns):
+        assert to_returns(p)[lo:hi - 1].tobytes() == to_returns(p[lo:hi]).tobytes()
 
 
 vectors = st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=8)

@@ -32,7 +32,8 @@ class TestSampledSeries:
         ({"values": np.ones(490), "start_time": 1483228800000000000,
           "delta": 31463996897783642}, "do not fit int64"),
         ({"values": np.ones(3), "start_time": np.int64(2**63 - 2), "delta": np.int64(1)},
-         "do not fit int64")])
+         "do not fit int64"),
+        ({"kind": "volatility"}, "unknown series kind 'volatility'")])
     def test_rejects_malformed_series(self, fields, message):
         with pytest.raises(DataError, match=message):
             SampledSeries(**{"values": [1.0, 2.0], "start_time": 0, "delta": 1, **fields})
@@ -244,8 +245,8 @@ class TestSliceHorizon:
     def test_expanding_horizon_starts_at_year_start(self):
         # daily samples from 2017-12-01: December belongs to no 2018 horizon
         s = self._year_series()
-        early = s.with_values(np.arange(365.0 + 31),
-                              start_time=date_ns(date(2017, 12, 1)))
+        early = SampledSeries(np.arange(365.0 + 31), start_time=date_ns(date(2017, 12, 1)),
+                              delta=s.delta)
         jan = (date(2018, 1, 1), 1)
         assert slice_horizon(early, *jan) == slice_horizon(early, *jan, mode="monthly")
         assert slice_horizon(early, *jan) == slice(31, 62)
@@ -254,7 +255,7 @@ class TestSliceHorizon:
     def test_horizon_with_no_samples_is_an_error(self, mode):
         # a series that starts after January has no sample in M=1
         s = self._year_series()
-        march = s.with_values(s.values, start_time=date_ns(date(2018, 3, 1)))
+        march = SampledSeries(s.values, start_time=date_ns(date(2018, 3, 1)), delta=s.delta)
         with pytest.raises(HorizonError, match="no samples fall inside the requested horizon"):
             slice_horizon(march, date(2018, 1, 1), 1, mode=mode)
 
@@ -266,11 +267,11 @@ class TestSliceHorizon:
 
 def test_series_cache_roundtrip(tmp_path):
     s = SampledSeries(np.array([1.5, 2.25, 3.125]), start_time=1000,
-                      delta=500, kind="volatility")
+                      delta=500, kind="return")
     path = tmp_path / "cache.csv"
     write_series_csv(s, path)
     lines = path.read_text().splitlines()
-    assert lines[:2] == ["# kind=volatility delta_ns=500", "t_ns,value"]
+    assert lines[:2] == ["# kind=return delta_ns=500", "t_ns,value"]
     rows = [line.split(",") for line in lines[2:]]
     assert [int(t) for t, _ in rows] == s.times().tolist()
     assert np.array_equal([float(v) for _, v in rows], s.values)
