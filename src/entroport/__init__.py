@@ -15,4 +15,4 @@ from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
 from .synth import (GeneratorSpec, arfima_series, arfima_theoretical_acf,
-                    fbm_series, garch_series, to_price_series)
+                    fbm_series, garch_series)

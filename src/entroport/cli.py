@@ -20,8 +20,8 @@ from .config import read_config
 from .errors import (ConfigError, DataError, EntroportError, InputFileError,
                      InsufficientClustersError)
 from .pipeline import run_pipeline
-from .series import check_sample_times, date_ns, seconds_to_ns, write_series_csv
-from .synth import GENERATOR_PARAMS, GeneratorSpec
+from .series import check_sample_times, date_ns, seconds_to_ns
+from .synth import GENERATOR_PARAMS, LEVEL_KINDS, GeneratorSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,10 +84,13 @@ def _cmd_synth(args) -> None:
     delta = seconds_to_ns(args.delta_s, "--delta-s")
     check_sample_times(start_ns, delta, args.length,
                        f"--start {args.start} at --delta-s {args.delta_s}")
-    series = spec.generate(delta=delta, start_time=start_ns)
+    samples = spec.generate()
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_series_csv(series, args.out)
-    logger.info("wrote %d samples to %s", len(series), args.out)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# kind={'price' if args.kind in LEVEL_KINDS else 'return'} "
+                 f"delta_ns={delta}\nt_ns,value\n")
+        fh.writelines(f"{start_ns + k * delta},{v!r}\n" for k, v in enumerate(samples.tolist()))
+    logger.info("wrote %d samples to %s", len(samples), args.out)
 
 
 def main(argv=None) -> int:

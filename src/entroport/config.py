@@ -38,12 +38,11 @@ CHOICES = {"entropy_estimator": ("surprisal", "shannon_term"),
 class AssetInput:
     """One asset: either a tick CSV path or a synthetic generator spec."""
 
-    __slots__ = ("name", "ticks_path", "generator", "price_scale")
+    __slots__ = ("name", "ticks_path", "generator")
 
     def __init__(self, name: str, ticks_path: Path | None = None,
-                 generator: GeneratorSpec | None = None, price_scale: float = 0.001):
-        self.name, self.ticks_path, self.generator, self.price_scale = (
-            name, ticks_path, generator, price_scale)
+                 generator: GeneratorSpec | None = None):
+        self.name, self.ticks_path, self.generator = name, ticks_path, generator
         if (ticks_path is None) == (generator is None):
             raise ConfigError(f"asset {name!r}: exactly one of 'ticks' or "
                               f"'synth' must be given")
@@ -129,8 +128,8 @@ def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _synth_fields(name: str, spec: dict) -> dict:
-    """AssetInput fields of a synth spec: its generator, and price_scale if given."""
+def _synth_spec(name: str, spec: dict) -> GeneratorSpec:
+    """The GeneratorSpec of an asset's synth entry, with its price_scale if given."""
     try:
         kind = spec["kind"]
         length = _int(spec["length"], f"asset {name!r} synth length")
@@ -147,13 +146,12 @@ def _synth_fields(name: str, spec: dict) -> dict:
     if missing:
         raise ConfigError(f"asset {name!r}: synth spec missing {missing[0]!r}")
     where = f"asset {name!r} synth"
-    out = {"generator": GeneratorSpec(kind=kind, length=length, seed=seed, **{
-        p: _float(spec[p], f"{where} {p}") for p in params})}
+    fields = {p: _float(spec[p], f"{where} {p}") for p in params}
     if "price_scale" in spec:
-        scale = out["price_scale"] = _float(spec["price_scale"], f"{where} price_scale")
+        scale = fields["price_scale"] = _float(spec["price_scale"], f"{where} price_scale")
         if not 0 < scale < math.inf:
             raise ConfigError(f"{where} price_scale: must be finite and > 0, got {scale!r}")
-    return out
+    return GeneratorSpec(kind=kind, length=length, seed=seed, **fields)
 
 
 def _check_asset_name(name) -> None:
@@ -171,7 +169,7 @@ def _parse_asset(entry: dict, base: Path) -> AssetInput:
     ticks, synth = entry.get("ticks"), entry.get("synth")
     # AssetInput rejects an entry with both or neither
     return AssetInput(name=name, ticks_path=None if ticks is None else base / ticks,
-                      **({} if synth is None else _synth_fields(name, synth)))
+                      generator=None if synth is None else _synth_spec(name, synth))
 
 
 def _int(value, key: str) -> int:

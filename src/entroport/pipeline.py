@@ -34,7 +34,6 @@ from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
 from .returns_vol import linear_returns, log_returns, rolling_volatility
 from .series import (SampledSeries, align_lengths, month_start_ns, parse_ticks,
                      resample, slice_horizon, whole_samples)
-from .synth import to_price_series
 
 logger = logging.getLogger(__name__)
 
@@ -104,8 +103,8 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
     with _naming(asset):
         if spec is None:
             return resample(parse_ticks(ticks.read_bytes()), cfg.delta_ns)
-        raw = spec.generate(delta=cfg.delta_ns, start_time=month_start_ns(cfg.year_start, 0))
-        return to_price_series(raw, scale=asset.price_scale)
+        return SampledSeries(spec.prices(), start_time=month_start_ns(cfg.year_start, 0),
+                             delta=cfg.delta_ns)
 
 
 def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],

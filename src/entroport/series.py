@@ -20,8 +20,6 @@ from .errors import DataError, EmptyInputError, HorizonError, TickParseError, ch
 
 NS_PER_S = 1_000_000_000
 
-SERIES_KINDS = ("price", "return")
-
 #: one raw trade per row: timestamp in ns since epoch and a positive price
 TICK_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
 
@@ -32,17 +30,16 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class SampledSeries:
-    """Equally spaced series: values plus (start_time, delta) grid metadata.
+    """Equally spaced prices: values plus (start_time, delta) grid metadata.
 
-    delta is the sampling interval in ns; kind is 'price' or 'return' (a
-    generator's return path before to_price_series).
+    delta is the sampling interval in ns.
     """
 
-    __slots__ = ("values", "start_time", "delta", "kind")
+    __slots__ = ("values", "start_time", "delta")
 
-    def __init__(self, values: np.ndarray, start_time: int, delta: int, kind: str = "price"):
+    def __init__(self, values: np.ndarray, start_time: int, delta: int):
         values = np.asarray(values, dtype=float)
-        self.values, self.start_time, self.delta, self.kind = values, start_time, delta, kind
+        self.values, self.start_time, self.delta = values, start_time, delta
         if values.ndim != 1 or len(values) < 1:
             raise DataError("series must be a non-empty 1-D sequence")
         if delta <= 0:
@@ -50,8 +47,6 @@ class SampledSeries:
         # in Python ints, which cannot wrap as numpy's would
         check_sample_times(int(start_time), int(delta), len(values),
                            "the series' start_time and delta")
-        if kind not in SERIES_KINDS:
-            raise DataError(f"unknown series kind {kind!r}")
         check_finite(values)
 
     def __len__(self) -> int:
@@ -64,10 +59,6 @@ class SampledSeries:
 
     def times(self) -> np.ndarray:
         return self.start_time + self.delta * np.arange(len(self.values), dtype=np.int64)
-
-    def with_values(self, values: np.ndarray, kind: str | None = None) -> "SampledSeries":
-        return SampledSeries(values=values, start_time=self.start_time, delta=self.delta,
-                             kind=self.kind if kind is None else kind)
 
 
 def seconds_to_ns(seconds: float, what: str) -> int:
@@ -208,8 +199,7 @@ def resample(ticks: np.ndarray, delta: int) -> SampledSeries:
     # searchsorted 'right' - 1 picks the last tick at or before each grid time;
     # for equal timestamps the last one in (stable-sorted) file order wins.
     idx = np.searchsorted(ts, grid, side="right") - 1
-    return SampledSeries(values=ticks["price"][idx], start_time=t0, delta=int(delta),
-                         kind="price")
+    return SampledSeries(values=ticks["price"][idx], start_time=t0, delta=int(delta))
 
 
 def align_lengths(series: list[SampledSeries]) -> list[SampledSeries]:
@@ -224,7 +214,7 @@ def align_lengths(series: list[SampledSeries]) -> list[SampledSeries]:
         raise DataError(f"all series must start at the same time, got start times "
                         f"{sorted(starts)} ns")
     n_min = min(len(s) for s in series)
-    return [s.with_values(s.values[:n_min]) for s in series]
+    return [SampledSeries(s.values[:n_min], s.start_time, s.delta) for s in series]
 
 
 def slice_horizon(series: SampledSeries, year_start: date, months: int,
@@ -258,14 +248,3 @@ def _first_sample_at(series: SampledSeries, t_ns: int) -> int:
     That is ceil((t_ns - start_time) / delta) clamped to [0, len], in integers.
     """
     return min(max(-((series.start_time - t_ns) // series.delta), 0), len(series))
-
-
-# --- sampled-series cache CSV ------------------------------------------------
-
-def write_series_csv(series: SampledSeries, path) -> None:
-    """Write the cache format: comment header with kind/delta, then t_ns,value rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# kind={series.kind} delta_ns={series.delta}\n")
-        fh.write("t_ns,value\n")
-        for t, v in zip(series.times(), series.values):
-            fh.write(f"{t},{float(v)!r}\n")

@@ -2,7 +2,7 @@
 
 Every generator draws from its own named random stream, so adding a
 generator never perturbs the draws of another, and identical specs yield
-bit-identical series.
+bit-identical samples; GeneratorSpec.prices maps them to prices.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .series import SampledSeries
 
 #: MA(infinity) truncation for fractional differencing. The neglected weight
 #: mass is O(K^(d-1)) ~ 1e-4 .. 1e-2 of psi_K for |d| < 0.5, negligible next
 #: to Monte Carlo noise at the series lengths used here.
 ARFIMA_TRUNCATION = 10_000
-#: the price at the start of every synthetic path (to_price_series)
+#: the price at the start of every synthetic path (GeneratorSpec.prices)
 BASE_PRICE = 100.0
+#: generator kinds whose samples are price levels; the others' are returns
+LEVEL_KINDS = frozenset({"fbm"})
 
 _STREAM_IDS = {"fbm": 1, "arfima": 2, "garch": 3}
 
@@ -29,28 +30,52 @@ def _rng(stream: str, seed: int) -> np.random.Generator:
 
 
 class GeneratorSpec:
-    """Declarative description of a synthetic asset series.
+    """Declarative description of a synthetic asset.
 
-    kind is 'fbm' (which reads hurst), 'arfima' (d) or 'garch' (omega, alpha, beta).
+    kind is 'fbm' (which reads hurst), 'arfima' (d) or 'garch' (omega, alpha,
+    beta); price_scale scales the samples before they map to prices.
     """
 
-    __slots__ = ("kind", "length", "seed", "hurst", "d", "omega", "alpha", "beta")
+    __slots__ = ("kind", "length", "seed", "hurst", "d", "omega", "alpha", "beta",
+                 "price_scale")
 
     def __init__(self, kind: str, length: int, seed: int, hurst: float | None = None,
                  d: float | None = None, omega: float | None = None,
-                 alpha: float | None = None, beta: float | None = None):
+                 alpha: float | None = None, beta: float | None = None,
+                 price_scale: float = 0.001):
         self.kind, self.length, self.seed, self.hurst = kind, length, seed, hurst
         self.d, self.omega, self.alpha, self.beta = d, omega, alpha, beta
+        self.price_scale = price_scale
 
-    def generate(self, delta: int = 1, start_time: int = 0) -> SampledSeries:
+    def generate(self) -> np.ndarray:
+        """The generator's samples; a DataError naming the kind unless all are finite."""
         if self.kind not in _GENERATORS:
             raise DataError(f"unknown generator kind {self.kind!r}")
-        return _GENERATORS[self.kind](*(getattr(self, p) for p in GENERATOR_PARAMS[self.kind]),
-                                      self.length, self.seed, delta=delta, start_time=start_time)
+        x = _GENERATORS[self.kind](*(getattr(self, p) for p in GENERATOR_PARAMS[self.kind]),
+                                   self.length, self.seed)
+        if not np.isfinite(x).all():
+            raise DataError(f"{self.kind} samples are not all finite")
+        return x
+
+    def prices(self) -> np.ndarray:
+        """The samples as positive prices from BASE_PRICE.
+
+        Level paths become BASE_PRICE * exp(scale * x); return paths compound
+        as BASE_PRICE * prod(1 + scale * r), floored away from zero. A price
+        that overflows to inf or underflows to 0 is a DataError naming the scale.
+        """
+        x, scale = self.generate(), self.price_scale
+        with np.errstate(over="ignore"):  # reported below, not warned
+            if self.kind in LEVEL_KINDS:
+                values = BASE_PRICE * np.exp(scale * x)
+            else:
+                values = BASE_PRICE * np.cumprod(np.maximum(1.0 + scale * x, 1e-8))
+        if not ((values > 0) & (values < np.inf)).all():
+            raise DataError(f"price_scale {scale} takes prices outside (0, inf)")
+        return values
 
 
-def fbm_series(hurst: float, length: int, seed: int, *,
-               delta: int = 1, start_time: int = 0) -> SampledSeries:
+def fbm_series(hurst: float, length: int, seed: int) -> np.ndarray:
     """Fractional Brownian motion path with exact covariance.
 
     Uses circulant embedding of the fractional Gaussian noise covariance
@@ -61,9 +86,7 @@ def fbm_series(hurst: float, length: int, seed: int, *,
         raise DataError(f"Hurst exponent must be in (0, 1), got {hurst}")
     if length < 2 or length & (length - 1):
         raise DataError(f"length must be a power of two >= 2, got {length}")
-    fgn = _fgn_davies_harte(hurst, length, _rng("fbm", seed))
-    return SampledSeries(values=np.cumsum(fgn), start_time=start_time,
-                         delta=delta, kind="price")
+    return np.cumsum(_fgn_davies_harte(hurst, length, _rng("fbm", seed)))
 
 
 def _fgn_davies_harte(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,8 +129,7 @@ def fractional_weights(d: float, count: int) -> np.ndarray:
     return psi
 
 
-def arfima_series(d: float, length: int, seed: int, *,
-                  delta: int = 1, start_time: int = 0) -> SampledSeries:
+def arfima_series(d: float, length: int, seed: int) -> np.ndarray:
     """ARFIMA(0, d, 0) noise via truncated fractional-differencing weights."""
     if not abs(d) < 0.5:
         raise DataError(f"fractional order must satisfy |d| < 0.5, got {d}")
@@ -116,9 +138,7 @@ def arfima_series(d: float, length: int, seed: int, *,
     rng = _rng("arfima", seed)
     psi = fractional_weights(d, ARFIMA_TRUNCATION + 1)
     eps = rng.standard_normal(length + ARFIMA_TRUNCATION)
-    x = _fft_convolve_valid(eps, psi)
-    return SampledSeries(values=x[:length], start_time=start_time,
-                         delta=delta, kind="return")
+    return _fft_convolve_valid(eps, psi)[:length]
 
 
 def _next_fast_len(n: int) -> int:
@@ -157,8 +177,8 @@ def arfima_theoretical_acf(d: float, max_lag: int) -> np.ndarray:
     return rho
 
 
-def garch_series(omega: float, alpha: float, beta: float, length: int, seed: int, *,
-                 delta: int = 1, start_time: int = 0) -> SampledSeries:
+def garch_series(omega: float, alpha: float, beta: float, length: int,
+                 seed: int) -> np.ndarray:
     """GARCH(1,1) return path with unconditional variance omega / (1 - alpha - beta)."""
     for name, value in (("omega", omega), ("alpha", alpha), ("beta", beta)):
         if not math.isfinite(value):
@@ -178,31 +198,10 @@ def garch_series(omega: float, alpha: float, beta: float, length: int, seed: int
     for t, z in enumerate(r):
         rt = r[t] = math.sqrt(var) * z
         var = omega + alpha * rt * rt + beta * var
-    return SampledSeries(values=np.array(r), start_time=start_time, delta=delta,
-                         kind="return")
+    return np.array(r)
 
 
 #: generator kind -> its float GeneratorSpec fields, which are also its config keys and CLI flags
 GENERATOR_PARAMS = {"fbm": ("hurst",), "arfima": ("d",), "garch": ("omega", "alpha", "beta")}
 #: generator kind -> its series function, which takes GENERATOR_PARAMS[kind], length and seed
 _GENERATORS = {"fbm": fbm_series, "arfima": arfima_series, "garch": garch_series}
-
-
-def to_price_series(series: SampledSeries, *, scale: float = 1.0) -> SampledSeries:
-    """Map a synthetic path onto a positive price series.
-
-    Level paths ('price' kind, e.g. FBM) become BASE_PRICE * exp(scale * x);
-    return-like paths compound as BASE_PRICE * prod(1 + scale * r), floored away
-    from zero. A price that overflows to inf or underflows to 0 is a
-    DataError naming the scale.
-    """
-    x = series.values
-    with np.errstate(over="ignore"):  # reported below, not warned
-        if series.kind == "price":
-            values = BASE_PRICE * np.exp(scale * x)
-        else:
-            growth = np.maximum(1.0 + scale * x, 1e-8)
-            values = BASE_PRICE * np.cumprod(growth)
-    if not ((values > 0) & (values < np.inf)).all():
-        raise DataError(f"price_scale {scale} takes prices outside (0, inf)")
-    return series.with_values(values, kind="price")

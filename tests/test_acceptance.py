@@ -56,7 +56,7 @@ def test_criterion_2_scaling_law_recovery(hurst):
     target = 2.0 - hurst
     fitted = []
     for seed in range(20):
-        _, dist = _distribution(ep.fbm_series(hurst, 2 ** 17, seed).values, 100)
+        _, dist = _distribution(ep.fbm_series(hurst, 2 ** 17, seed), 100)
         fit = (dist.taus >= 3) & (dist.taus <= 50)
         assert fit.sum() >= 3
         slope = np.polyfit(np.log(dist.taus[fit]), np.log(dist.probabilities[fit]), 1)[0]
@@ -71,7 +71,7 @@ def test_criterion_2_scaling_law_recovery(hurst):
 def test_criterion_3_entropy_curve_linear_slope(n):
     # pooled 20-seed ensemble of FBM H=0.5; linear fit of S(tau, n) over
     # tau in (2n, 5n] against the predicted 1/n slope
-    durations = [np.diff(crossing_pass(PrefixTables(ep.fbm_series(0.5, 2 ** 17, seed).values),
+    durations = [np.diff(crossing_pass(PrefixTables(ep.fbm_series(0.5, 2 ** 17, seed)),
                                        n).times) for seed in range(20)]
     curve = ep.entropy_curve(_pass_histogram(n, np.bincount(np.concatenate(durations))))
     taus, svals = curve.taus, curve.values
@@ -116,9 +116,9 @@ def test_criterion_5_uniformity_limit():
     for rep in range(reps):
         aggregates = []
         for asset in range(5):
-            path = ep.fbm_series(0.5, 2 ** 17, 1000 * rep + asset)
-            prices = ep.to_price_series(path, scale=1e-3)
-            returns = ep.linear_returns(prices.values)
+            prices = ep.GeneratorSpec("fbm", 2 ** 17, 1000 * rep + asset, hurst=0.5,
+                                      price_scale=1e-3).prices()
+            returns = ep.linear_returns(prices)
             vol = ep.rolling_volatility(returns, window_samples)
             indices = [_index(vol, n) for n in n_grid]
             aggregates.append(ep.aggregate_index(indices))
@@ -174,8 +174,8 @@ def test_criterion_8_aggregation_invariance():
     sums, means = [], []
     for asset in range(4):
         vol = ep.rolling_volatility(
-            ep.linear_returns(ep.to_price_series(
-                ep.fbm_series(0.5, 2 ** 15, 300 + asset), scale=1e-3).values),
+            ep.linear_returns(ep.GeneratorSpec("fbm", 2 ** 15, 300 + asset, hurst=0.5,
+                                               price_scale=1e-3).prices()),
             36)
         indices = [_index(vol, n) for n in n_grid]
         sums.append(ep.aggregate_index(indices, how="sum"))

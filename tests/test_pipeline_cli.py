@@ -20,6 +20,7 @@ from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyE
 from entroport.pipeline import CellResult, PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
 from entroport.series import slice_horizon, whole_samples
+from entroport.synth import GeneratorSpec
 
 BASE_CONFIG = {
     "assets": [
@@ -743,6 +744,33 @@ class TestSynthCommand:
         assert text[1] == "t_ns,value"
         assert len(text) == 2 + 1024
 
+    # sha256 of the CSV bytes, recorded before the cache writer moved into the command
+    @pytest.mark.parametrize("kind, flags, digest", [
+        ("fbm", ["--hurst", "0.6"],
+         "026d4a3262f612c3749dc9fca4c54bf8a62da23912cf0d971794d29483aa22c3"),
+        ("arfima", ["--d", "0.2"],
+         "2a987bdcd0a517495f28d4be250927b03029323e75ff6b116d49e688d9c07fd1"),
+        ("garch", ["--omega", "1e-6", "--alpha", "0.05", "--beta", "0.9"],
+         "bd259820e4aa4ec4ef89c3ce085cc9e78c8c12b7dc8b2a62fc10dded3c71c654"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, kind, flags, digest):
+        out = tmp_path / "series.csv"
+        assert main(["synth", "--kind", kind, *flags, "--length", "256", "--seed", "3",
+                     "--delta-s", "0.25", "--start", "2019-07-13", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_series_cache_roundtrip(self, tmp_path):
+        out = tmp_path / "series.csv"
+        assert main(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.05",
+                     "--beta", "0.9", "--length", "3", "--seed", "5", "--delta-s", "5e-7",
+                     "--start", "1970-01-01", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# kind=return delta_ns=500", "t_ns,value"]
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(t) for t, _ in rows] == [0, 500, 1000]
+        samples = GeneratorSpec("garch", 3, 5, omega=1e-6, alpha=0.05, beta=0.9).generate()
+        assert np.array_equal([float(v) for _, v in rows], samples)
+
     def test_start_date_is_midnight_utc(self, tmp_path):
         out = tmp_path / "series.csv"
         assert main(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "4",
@@ -795,6 +823,12 @@ class TestSynthCommand:
         _exits_naming(["synth", "--kind", "garch", "--omega", "nan", "--alpha", "0.05",
                        "--beta", "0.9", "--length", "16", "--seed", "5",
                        "--out", tmp_path / "x.csv"], 2, caplog, "omega must be finite, got nan")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_overflowing_garch_exits_2_naming_the_generator(self, tmp_path, caplog):
+        _exits_naming(["synth", "--kind", "garch", "--omega", "1e307", "--alpha", "0.05",
+                       "--beta", "0.9", "--length", "100", "--seed", "3",
+                       "--out", tmp_path / "x.csv"], 2, caplog, "garch")
         assert not (tmp_path / "x.csv").exists()
 
     # 2**47 samples exceed a 47-bit address space, so numpy refuses them unallocated;
@@ -1028,6 +1062,15 @@ class TestConfigValidation:
         _exits_2_naming(cfg_path, caplog, "asset 'G' (synth garch): omega must be finite, "
                                           "got nan")
 
+    def test_overflowing_garch_exits_2_naming_the_asset(self, tmp_path, caplog):
+        asset = {"name": "G", "synth": {"kind": "garch", "omega": 1e307, "alpha": 0.05,
+                                        "beta": 0.9, "length": 100, "seed": 3}}
+        small = {"name": "F", "synth": {"kind": "fbm", "hurst": 0.5, "length": 1024,
+                                        "seed": 1}}
+        cfg_path = _write_config(tmp_path, overrides={"assets": [small, asset]})
+        _exits_2_naming(cfg_path, caplog, "asset 'G' (synth garch)")
+        assert not (tmp_path / "out").exists()
+
     def test_generator_error_names_the_asset(self, tmp_path, caplog):
         asset = json.loads(json.dumps(BASE_CONFIG["assets"][0]))
         asset["synth"]["hurst"] = 1.5
@@ -1057,8 +1100,9 @@ class TestConfigValidation:
         asset["synth"]["price_scale"] = 2
         cfg = load_config(_write_config(tmp_path, overrides={
             "delta_s": 60, "assets": [asset, BASE_CONFIG["assets"][1]]}))
-        assert (cfg.delta_s, cfg.assets[0].price_scale) == (60.0, 2.0)
-        assert type(cfg.delta_s) is float and type(cfg.assets[0].price_scale) is float
+        scale = cfg.assets[0].generator.price_scale
+        assert (cfg.delta_s, scale) == (60.0, 2.0)
+        assert type(cfg.delta_s) is float and type(scale) is float
 
     def test_threshold_m_accepts_integer(self, tmp_path):
         for value in (7, 7.0):

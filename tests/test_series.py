@@ -8,7 +8,7 @@ from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError,
                        SampledSeries, align_lengths, date_ns, month_start_ns,
                        parse_ticks, resample, slice_horizon)
 from entroport.errors import TickParseError
-from entroport.series import NS_PER_S, _parse_ticks_fast, write_series_csv
+from entroport.series import NS_PER_S, _parse_ticks_fast
 
 
 def _csv(rows):
@@ -26,14 +26,13 @@ class TestSampledSeries:
         ({"values": []}, "non-empty 1-D"),
         ({"delta": 0}, "delta must be a positive"),
         ({"delta": -1}, "delta must be a positive"),
-        ({"kind": "ohlc"}, "unknown series kind 'ohlc'"),
+        ({"values": [1.0, np.inf]}, "must be finite"),
         ({"values": [1.0, np.nan]}, "must be finite"),
         # sample times past int64, where times() would wrap
         ({"values": np.ones(490), "start_time": 1483228800000000000,
           "delta": 31463996897783642}, "do not fit int64"),
         ({"values": np.ones(3), "start_time": np.int64(2**63 - 2), "delta": np.int64(1)},
-         "do not fit int64"),
-        ({"kind": "volatility"}, "unknown series kind 'volatility'")])
+         "do not fit int64")])
     def test_rejects_malformed_series(self, fields, message):
         with pytest.raises(DataError, match=message):
             SampledSeries(**{"values": [1.0, 2.0], "start_time": 0, "delta": 1, **fields})
@@ -118,7 +117,7 @@ class TestResample:
         ticks = _ticks([(0, 10.0), (int(2.5 * NS_PER_S), 11.0)])
         s = resample(ticks, NS_PER_S)
         assert s.values.tolist() == [10.0, 10.0, 10.0]
-        assert s.start_time == 0 and s.delta == NS_PER_S and s.kind == "price"
+        assert s.start_time == 0 and s.delta == NS_PER_S
 
     def test_single_tick(self):
         s = resample(_ticks([(5, 2.0)]), 10)
@@ -223,7 +222,7 @@ class TestSliceHorizon:
 
     def test_short_series_is_an_error(self):
         s = self._year_series()
-        short = s.with_values(s.values[:40])
+        short = SampledSeries(s.values[:40], s.start_time, s.delta)
         with pytest.raises(HorizonError):
             slice_horizon(short, date(2018, 1, 1), 3)
 
@@ -263,15 +262,3 @@ class TestSliceHorizon:
         with pytest.raises(ValueError, match="unknown horizon mode 'weekly'"):
             slice_horizon(self._year_series(), date(2018, 1, 1), 1,
                           mode="weekly")
-
-
-def test_series_cache_roundtrip(tmp_path):
-    s = SampledSeries(np.array([1.5, 2.25, 3.125]), start_time=1000,
-                      delta=500, kind="return")
-    path = tmp_path / "cache.csv"
-    write_series_csv(s, path)
-    lines = path.read_text().splitlines()
-    assert lines[:2] == ["# kind=return delta_ns=500", "t_ns,value"]
-    rows = [line.split(",") for line in lines[2:]]
-    assert [int(t) for t, _ in rows] == s.times().tolist()
-    assert np.array_equal([float(v) for _, v in rows], s.values)

@@ -12,8 +12,7 @@ import pytest
 
 import entroport
 from entroport import (DataError, GeneratorSpec, arfima_series,
-                       arfima_theoretical_acf, fbm_series, garch_series,
-                       to_price_series)
+                       arfima_theoretical_acf, fbm_series, garch_series)
 from entroport.synth import _fft_convolve_valid, _next_fast_len, fractional_weights
 
 
@@ -33,7 +32,7 @@ class TestFBM:
 
     def test_h_half_increments_uncorrelated(self):
         n = 2 ** 14
-        acfs = [_acf(np.diff(fbm_series(0.5, n, seed).values), 1)
+        acfs = [_acf(np.diff(fbm_series(0.5, n, seed)), 1)
                 for seed in range(20)]
         assert abs(np.mean(acfs)) < 3 / np.sqrt(n)
 
@@ -42,7 +41,7 @@ class TestFBM:
         for k in (1, 5, 20):
             vs = []
             for seed in range(20):
-                x = fbm_series(0.5, 2 ** 14, seed).values
+                x = fbm_series(0.5, 2 ** 14, seed)
                 vs.append(np.var(x[k:] - x[:-k]))
             assert np.mean(vs) == pytest.approx(k, rel=0.05)
 
@@ -50,7 +49,7 @@ class TestFBM:
         for hurst in (0.3, 0.7):
             for k in (2, 8):
                 vs = [np.var(np.subtract(x[k:], x[:-k]))
-                      for x in (fbm_series(hurst, 2 ** 14, s).values
+                      for x in (fbm_series(hurst, 2 ** 14, s)
                                 for s in range(10))]
                 assert np.mean(vs) == pytest.approx(k ** (2 * hurst), rel=0.07)
 
@@ -64,7 +63,7 @@ class TestARFIMA:
 
     def test_d_zero_is_white_noise(self):
         n = 20_000
-        acfs = [_acf(arfima_series(0.0, n, seed).values, 1) for seed in range(10)]
+        acfs = [_acf(arfima_series(0.0, n, seed), 1) for seed in range(10)]
         assert abs(np.mean(acfs)) < 3 / np.sqrt(n)
 
     def test_positive_memory_matches_theoretical_acf(self):
@@ -73,7 +72,7 @@ class TestARFIMA:
         n = 2 ** 15
         emp = np.zeros(10)
         for seed in range(10):
-            x = arfima_series(d, n, seed).values
+            x = arfima_series(d, n, seed)
             emp += np.array([_acf(x, k) for k in range(1, 11)])
         emp /= 10
         assert np.all(emp > 0)
@@ -104,11 +103,11 @@ class TestGARCH:
 
     def test_degenerate_iid_case(self):
         omega = 4e-4
-        x = garch_series(omega, 0.0, 0.0, 100_000, 1).values
+        x = garch_series(omega, 0.0, 0.0, 100_000, 1)
         assert np.var(x) == pytest.approx(omega, rel=0.05)
 
     def test_unconditional_variance(self):
-        x = garch_series(1e-5, 0.1, 0.85, 100_000, 2).values
+        x = garch_series(1e-5, 0.1, 0.85, 100_000, 2)
         assert np.var(x) == pytest.approx(2e-4, rel=0.10)
 
 
@@ -120,26 +119,29 @@ class TestReproducibility:
                                    beta=0.8)):
             a = spec.generate()
             b = spec.generate()
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
 
     def test_spec_passes_its_parameters_in_order(self):
         spec = GeneratorSpec("garch", 500, 7, omega=1e-5, alpha=0.1, beta=0.8)
-        got = spec.generate(delta=5, start_time=3)
-        assert (got.delta, got.start_time) == (5, 3)
-        assert np.array_equal(got.values, garch_series(1e-5, 0.1, 0.8, 500, 7).values)
+        assert np.array_equal(spec.generate(), garch_series(1e-5, 0.1, 0.8, 500, 7))
 
     def test_unknown_kind_is_a_data_error(self):
         with pytest.raises(DataError, match="^unknown generator kind 'brownian'$"):
             GeneratorSpec("brownian", 1024, 7).generate()
 
+    def test_non_finite_samples_name_the_generator(self):
+        spec = GeneratorSpec("garch", 100, 3, omega=1e307, alpha=0.05, beta=0.9)
+        with pytest.raises(DataError, match="^garch samples are not all finite$"):
+            spec.generate()
+
     def test_distinct_seeds_differ(self):
-        a = fbm_series(0.5, 1024, 1).values
-        b = fbm_series(0.5, 1024, 2).values
+        a = fbm_series(0.5, 1024, 1)
+        b = fbm_series(0.5, 1024, 2)
         assert not np.array_equal(a, b)
 
     def test_streams_are_independent_of_each_other(self):
-        a = arfima_series(0.0, 100, 5).values
-        g = garch_series(1.0, 0.0, 0.0, 100, 5).values
+        a = arfima_series(0.0, 100, 5)
+        g = garch_series(1.0, 0.0, 0.0, 100, 5)
         assert not np.allclose(a, g)
 
     # sha256 of the values' bytes, recorded before the FBM temporaries were
@@ -150,7 +152,7 @@ class TestReproducibility:
         ((0.7, 4096, 7), "13caa22be4a8b5cf80704c0a057f99687e5098502b2bec320a95ae66a5369c2c"),
     ])
     def test_fbm_output_is_pinned(self, args, digest):
-        assert hashlib.sha256(fbm_series(*args).values.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(fbm_series(*args).tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("args, digest", [
         ((1e-6, 0.05, 0.9, 1000, 4),
@@ -161,31 +163,54 @@ class TestReproducibility:
          "527110726486685e6f44836c4a30cc2665b288df4dc407a7de71e3c2ab154772"),
     ])
     def test_garch_output_is_pinned(self, args, digest):
-        assert hashlib.sha256(garch_series(*args).values.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(garch_series(*args).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        ((0.2, 1000, 3), "49024c7e1beb6f688aea84c311c008937e40de98ff430d6b7955a23fdd0161a2"),
+        ((0.2, 2 ** 16, 3), "4becc358380995ca047a8f676a70bb87ac53b0c7d787f822868cb4663baed5fd"),
+        ((-0.3, 4096, 0), "0015ecc6bd24609c94e0fc8a0c456e112c94f31abd23a20c31c50f8c53a70c81"),
+    ])
+    def test_arfima_output_is_pinned(self, args, digest):
+        assert hashlib.sha256(arfima_series(*args).tobytes()).hexdigest() == digest
 
 
 class TestToPriceSeries:
     def test_level_path_exponentiates(self):
-        s = fbm_series(0.5, 256, 3)
-        p = to_price_series(s, scale=1e-3)
-        assert np.all(p.values > 0)
-        assert p.kind == "price"
-        assert np.allclose(p.values, 100.0 * np.exp(1e-3 * s.values))
+        spec = GeneratorSpec("fbm", 256, 3, hurst=0.5, price_scale=1e-3)
+        p = spec.prices()
+        assert np.all(p > 0)
+        assert np.allclose(p, 100.0 * np.exp(1e-3 * spec.generate()))
 
     def test_return_path_compounds(self):
-        g = garch_series(1e-5, 0.0, 0.0, 100, 4)
-        p = to_price_series(g)
-        assert np.all(p.values > 0)
-        assert p.values[0] == pytest.approx(100.0 * (1 + g.values[0]))
+        spec = GeneratorSpec("garch", 100, 4, omega=1e-5, alpha=0.0, beta=0.0, price_scale=1.0)
+        p = spec.prices()
+        assert np.all(p > 0)
+        assert p[0] == pytest.approx(100.0 * (1 + spec.generate()[0]))
 
     @pytest.mark.parametrize("scale", [1e6, -1e6])
     def test_prices_outside_the_positive_floats_are_a_data_error(self, scale):
-        s = fbm_series(0.5, 256, 3)
+        spec = GeneratorSpec("fbm", 256, 3, hurst=0.5, price_scale=scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=re.escape(
                     f"price_scale {scale} takes prices outside (0, inf)")):
-                to_price_series(s, scale=scale)
+                spec.prices()
+
+    # sha256 of the price bytes, recorded before price_scale moved onto GeneratorSpec
+    @pytest.mark.parametrize("kind, scale, digest", [
+        ("fbm", 0.001, "60c52e985ead60cc1acb60d5ef4ea80ec33beedeab4dacb843e7b18cf2dfb93f"),
+        ("fbm", 0.05, "85c954feb183d851411147bb14b628536acf61058cc88992a665a093d60735a4"),
+        ("arfima", 0.001, "e5c18b660cffcadd0e55c6d0c174308c97712088c0f20c2d656652ee2be8bfb7"),
+        ("arfima", 0.05, "91befdd07eabcf10b5b64f7f3746dc474c6b075dcd7834b9a3939f55aeef3c42"),
+        ("garch", 0.001, "bc01310ee96b6ce8cbea798cd7076e1cc2829c486ec9ed76899bcdd228c8c396"),
+        ("garch", 0.05, "66d884d9f78076509be51c71f39f2bd30ec3cad46451facda43985c2583fd15f"),
+    ])
+    def test_prices_are_pinned(self, kind, scale, digest):
+        spec = {"fbm": GeneratorSpec("fbm", 1024, 1, hurst=0.6, price_scale=scale),
+                "arfima": GeneratorSpec("arfima", 1000, 3, d=0.2, price_scale=scale),
+                "garch": GeneratorSpec("garch", 1000, 4, omega=1e-6, alpha=0.05, beta=0.9,
+                                       price_scale=scale)}[kind]
+        assert hashlib.sha256(spec.prices().tobytes()).hexdigest() == digest
 
 
 class TestFFTConvolution:
