@@ -52,20 +52,20 @@ class PipelineConfig:
     """A run's assets, grids and choices; __slots__ are the keys a config file may give."""
 
     __slots__ = ("assets", "delta_s", "year_start", "n_grid_s", "volatility_windows_s",
-                 "horizons", "entropy_estimator", "entropy_source", "threshold_m",
-                 "aggregation", "min_clusters", "horizon_mode", "return_kind", "output_dir")
+                 "horizons", "entropy_estimator", "entropy_source", "aggregation",
+                 "min_clusters", "horizon_mode", "return_kind", "output_dir")
 
     def __init__(self, assets: tuple[AssetInput, ...], delta_s: float, year_start: date,
                  n_grid_s: tuple[int, ...] = tuple(range(25, 201, 25)),
                  volatility_windows_s: tuple[int, ...] = (180, 360, 720),
                  horizons: tuple[int, ...] = tuple(range(1, 13)),
                  entropy_estimator: str = "surprisal", entropy_source: str = "volatility",
-                 threshold_m: str | int = "n", aggregation: str = "sum",
-                 min_clusters: int = MIN_CLUSTERS, horizon_mode: str = "expanding",
-                 return_kind: str = "simple", output_dir: Path = Path("out")):
+                 aggregation: str = "sum", min_clusters: int = MIN_CLUSTERS,
+                 horizon_mode: str = "expanding", return_kind: str = "simple",
+                 output_dir: Path = Path("out")):
         self.assets, self.delta_s, self.year_start = assets, delta_s, year_start
         self.n_grid_s, self.volatility_windows_s = n_grid_s, volatility_windows_s
-        self.horizons, self.threshold_m, self.min_clusters = horizons, threshold_m, min_clusters
+        self.horizons, self.min_clusters = horizons, min_clusters
         self.entropy_estimator, self.entropy_source = entropy_estimator, entropy_source
         self.aggregation, self.horizon_mode = aggregation, horizon_mode
         self.return_kind, self.output_dir = return_kind, output_dir
@@ -111,15 +111,8 @@ class PipelineConfig:
         for key, names in CHOICES.items():
             if (value := getattr(self, key)) not in names:
                 raise ConfigError(f"unknown {key} {value!r}")
-        if not (self.threshold_m == "n"
-                or (type(self.threshold_m) is int and self.threshold_m >= 1)):
-            raise ConfigError(f"threshold_m must be 'n' or a positive integer, "
-                              f"got {self.threshold_m!r}")
         if self.min_clusters < 1:
             raise ConfigError("min_clusters must be >= 1")
-
-    def threshold_for(self, n: int) -> int:
-        return n if self.threshold_m == "n" else int(self.threshold_m)
 
 
 def _check_keys(entry: dict, allowed: set[str], where: str) -> None:
@@ -186,11 +179,6 @@ def _float(value, key: str) -> float:
     raise ConfigError(f"{key}: expected a number, got {value!r}")
 
 
-def _threshold(value) -> str | int:
-    """threshold_m: "n", or an integer parsed as _int parses one."""
-    return value if value == "n" else _int(value, "threshold_m")
-
-
 def _n_grid(grid: dict) -> tuple[int, ...]:
     """The grid min, min + step, ... <= max; counted before it is built."""
     _check_keys(grid, _N_GRID_KEYS, "n_grid_s")
@@ -214,7 +202,7 @@ _PARSERS = {"delta_s": partial(_float, key="delta_s"), "year_start": date.fromis
             "n_grid_s": _n_grid,
             "volatility_windows_s": partial(_int_tuple, key="volatility_windows_s"),
             "horizons": partial(_int_tuple, key="horizons"),
-            "min_clusters": partial(_int, key="min_clusters"), "threshold_m": _threshold,
+            "min_clusters": partial(_int, key="min_clusters"),
             "output_dir": Path}
 
 

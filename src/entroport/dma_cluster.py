@@ -3,8 +3,8 @@
 A cluster is the stretch of a series between two consecutive intersections
 with its trailing moving average. Durations are counted in sampling units,
 binned into an empirical distribution, turned into a per-bin entropy curve
-(surprisal by default) and summed into a scalar index per moving-average
-window, reported split at a threshold between the power-law and linear regimes.
+(surprisal by default) and summed over every bin into a scalar index per
+moving-average window.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ class EntropyCurve:
 
 
 class EntropyIndex:
-    """Scalar index for one window length, split at a threshold (see entropy_index)."""
+    """Scalar index I(n) for one window length n (see entropy_index)."""
 
-    __slots__ = ("n", "value", "power_law_part", "linear_part")
+    __slots__ = ("n", "value")
 
-    def __init__(self, n: int, value: float, power_law_part: float, linear_part: float):
+    def __init__(self, n: int, value: float):
         self.n, self.value = n, value
-        self.power_law_part, self.linear_part = power_law_part, linear_part
 
 
 def _window_error(n: int, length: int) -> DataError:
@@ -278,23 +277,11 @@ def _sum_in_order(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def entropy_index(curve: EntropyCurve, m: int) -> EntropyIndex:
-    """Sum the whole entropy curve, reported split at threshold m.
-
-    Bins with tau <= m feed the power-law part, tau > m the linear part;
-    the shared endpoint tau = m is counted once, in the power-law part. value
-    is power_law_part + linear_part, every observed bin, so m moves only the
-    split (and value by the rounding of two partial sums at most).
-    """
-    if m < 1:
-        raise DataError(f"threshold m must be >= 1, got {m}")
+def entropy_index(curve: EntropyCurve) -> EntropyIndex:
+    """I(n): the curve's values over every observed bin, added left to right in ascending tau."""
     if len(curve.taus) == 0:
         raise EmptyInputError("entropy curve has no points")
-    k = int(np.searchsorted(curve.taus, m, "right"))
-    power = _sum_in_order(curve.values[:k].tolist())
-    linear = _sum_in_order(curve.values[k:].tolist())
-    return EntropyIndex(n=curve.n, value=power + linear, power_law_part=power,
-                        linear_part=linear)
+    return EntropyIndex(n=curve.n, value=_sum_in_order(curve.values.tolist()))
 
 
 def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:

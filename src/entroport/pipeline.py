@@ -123,7 +123,7 @@ def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
     for span_cells, dist in zip(cells, dists):
         if isinstance(dist, ClusterDistribution):
             curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
-            index = entropy_index(curve, cfg.threshold_for(n))
+            index = entropy_index(curve)
         for cell in span_cells:
             label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
             if isinstance(dist, InsufficientClustersError):

@@ -37,7 +37,7 @@ def _distribution(y, n):
 
 
 def _index(y, n):
-    return ep.entropy_index(ep.entropy_curve(_distribution(y, n)[1]), n)
+    return ep.entropy_index(ep.entropy_curve(_distribution(y, n)[1]))
 
 
 def test_criterion_1_substitute_oracles():

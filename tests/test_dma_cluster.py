@@ -270,37 +270,25 @@ class TestEntropyCurve:
 
 class TestEntropyIndex:
     def test_single_zero_bin(self):
-        ix = entropy_index(entropy_curve(_histogram(5, [2] * 60)), 5)
+        ix = entropy_index(entropy_curve(_histogram(5, [2] * 60)))
         assert ix.value == 0.0
 
     def test_two_uniform_bins_split(self):
-        ix = entropy_index(entropy_curve(_histogram(4, [2] * 5 + [6] * 5)), 4)
-        assert ix.power_law_part == pytest.approx(np.log(2))
-        assert ix.linear_part == pytest.approx(np.log(2))
+        ix = entropy_index(entropy_curve(_histogram(4, [2] * 5 + [6] * 5)))
         assert ix.value == pytest.approx(2 * np.log(2))
-
-    def test_threshold_bin_counted_once_in_power_part(self):
-        ix = entropy_index(entropy_curve(_histogram(4, [3, 4, 5] * 5)), 4)
-        assert ix.power_law_part == pytest.approx(2 * np.log(3))
-        assert ix.linear_part == pytest.approx(np.log(3))
-        assert ix.value == pytest.approx(ix.power_law_part + ix.linear_part)
 
     def test_model_curve_matches_brute_force_sum(self):
         taus = np.arange(1, 11)
         curve = entropy_curve(_model(5, taus, taus ** -1.5 * np.exp(-taus / 5.0)))
-        ix = entropy_index(curve, 5)
+        ix = entropy_index(curve)
         # independent summation oracle over the curve points
         brute = sum(curve.values.tolist())
         assert ix.value == pytest.approx(brute, rel=1e-14)
 
-    def test_bad_threshold(self):
-        with pytest.raises(DataError):
-            entropy_index(entropy_curve(_histogram(4, [1] * 5)), 0)
-
     def test_empty_curve(self):
         empty = EntropyCurve(n=4, taus=np.zeros(0, dtype=np.int64), values=np.zeros(0))
         with pytest.raises(EmptyInputError, match="no points"):
-            entropy_index(empty, 4)
+            entropy_index(empty)
 
 
 def _neumaier_sum(values, start=0):
@@ -322,23 +310,19 @@ def test_index_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
 
     values = [1.0] + [1e-16] * 10
     curve = EntropyCurve(n=4, taus=np.arange(1, 12), values=np.array(values))
-    ixs = [EntropyIndex(n=n, value=v, power_law_part=v, linear_part=0.0)
-           for n, v in enumerate(values, start=2)]
+    ixs = [EntropyIndex(n=n, value=v) for n, v in enumerate(values, start=2)]
     monkeypatch.setattr(builtins, "sum", _neumaier_sum)
     assert sum(values) == 1.000000000000001 != in_order(values) == 1.0
-    parts = [(ix.power_law_part, ix.linear_part, ix.value)
-             for ix in (entropy_index(curve, 11), entropy_index(curve, 4))]
+    value = entropy_index(curve).value
     total = aggregate_index(ixs)
     monkeypatch.undo()
-    power, linear = in_order(values[:4]), in_order(values[4:])
-    assert parts == [(1.0, 0.0, 1.0), (power, linear, power + linear)]
-    assert total == 1.0
+    assert value == total == 1.0
 
 
 class TestAggregateIndex:
     def _index(self, n, v):
         from entroport import EntropyIndex
-        return EntropyIndex(n=n, value=v, power_law_part=v, linear_part=0.0)
+        return EntropyIndex(n=n, value=v)
 
     def test_single_grid_point_identity(self):
         assert aggregate_index([self._index(4, 2.5)]) == 2.5

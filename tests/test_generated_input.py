@@ -59,7 +59,7 @@ SYNTH_CONFIG = {
     "min_clusters": 10,
     "output_dir": "out",
     # the defaults, written out so that they are mutated too
-    "entropy_estimator": "surprisal", "entropy_source": "volatility", "threshold_m": "n",
+    "entropy_estimator": "surprisal", "entropy_source": "volatility",
     "aggregation": "sum", "horizon_mode": "expanding", "return_kind": "simple",
 }
 SYNTH_CONFIG["assets"][0]["synth"]["price_scale"] = 0.001

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import logging
+import operator
 import re
 import subprocess
 import sys
@@ -450,10 +452,39 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
                         [(0, len(y))], cfg.min_clusters)
                     if isinstance(dist, Exception):
                         raise dist
-                    ix = entropy_index(entropy_curve(dist, cfg.entropy_estimator),
-                                       cfg.threshold_for(n))
+                    ix = entropy_index(entropy_curve(dist, cfg.entropy_estimator))
                     expected[(asset.name, m, t_s, n)] = repr(ix.value)
     assert got == expected
+
+
+def _in_order(values) -> float:
+    """0.0 + v0 + v1 + ..., rounded left to right."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+def test_written_indices_are_left_to_right_sums_of_written_rows(tmp_path, aggregation):
+    """Each I_n is its curve's S summed over every bin, and each I its cell's I_n in n order.
+
+    Every file writes repr, so the sums of the parsed rows must match bit for bit.
+    """
+    cfg_path = _write_config(tmp_path, overrides={
+        "assets": TWO_MONTHS, "horizons": [1, 2], "volatility_windows_s": [360, 720],
+        "aggregation": aggregation})
+    assert main(["analyze", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    curves = {}
+    for *block, _, s in _read_rows(out / "entropy_curves.csv")[1]:
+        curves.setdefault(tuple(block), []).append(float(s))
+    by_n = {tuple(block): float(i_n) for *block, i_n in _read_rows(out / "indices_by_n.csv")[1]}
+    assert by_n.keys() == curves.keys()
+    assert {k: _in_order(v) for k, v in curves.items()} == by_n
+    cells = {}
+    for (*cell, n), i_n in sorted(by_n.items(), key=lambda kv: int(kv[0][3])):
+        cells.setdefault(tuple(cell), []).append(i_n)
+    got = {tuple(cell): float(i) for *cell, i in _read_rows(out / "indices_aggregated.csv")[1]}
+    assert got == {cell: _in_order(v) / (len(v) if aggregation == "mean" else 1)
+                   for cell, v in cells.items()}
 
 
 # hourly grid: a month is ~740 volatility samples, so at min_clusters=250 the
@@ -479,12 +510,13 @@ def test_running_histogram_across_dropped_and_short_horizons(tmp_path, caplog):
     warnings = json.loads((out / "manifest.json").read_text())["warnings"]
     assert "SYN1 M=1 T=10800s n=802: series too short" in warnings
     assert "SYN1 M=2 T=10800s n=802: dropped (183 clusters at n=802, need >= 250)" in warnings
-    # digests of the outputs of per-cell histograms, before the running bincount
+    # digests of the outputs of per-cell histograms, before the running bincount;
+    # indices_by_n.csv's since I(n) is one sum over every bin
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("manifest.json", "indices_by_n.csv", "entropy_curves.csv")}
     assert digests == {
         "manifest.json": "f08f4d5bf0fa021d352df6a9f7cc83ea553270b13fa2787a359e377f703b99f8",
-        "indices_by_n.csv": "f694448e56a45ce9ef9895a27dafb61d39a48d851dcbc6f3267f77e9c1efc469",
+        "indices_by_n.csv": "608d5742489e7bb9b486c15c90a735073ee2250f389566dcc9e6589e7cd0f22a",
         "entropy_curves.csv": "0c795a339c3403c878cc61836e81a5d19fd99f4ef88e3b9156a204670cf80c01",
     }
     passes = [r.getMessage() for r in caplog.records
@@ -571,11 +603,12 @@ def test_exact_zero_deviations_keep_their_bytes(tmp_path):
     assert np.any(y[n - 1:] == np.convolve(y, np.full(n, 1.0 / n), mode="valid"))
     run_pipeline(cfg, config_bytes=b"")
     out = tmp_path / "out"
-    # digests of the outputs before crossings were read from boolean flips
+    # digests of the outputs before crossings were read from boolean flips;
+    # indices_by_n.csv's since I(n) is one sum over every bin
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("indices_by_n.csv", "entropy_curves.csv")}
     assert digests == {
-        "indices_by_n.csv": "6418fbbb6959d09a0cb2ce92f6e2bd0ad1ba77de9da5fe261069114f138c2f58",
+        "indices_by_n.csv": "332fb43abe6ecfa37d44bbae9f8880b770781e15577e4ef53b8603e865b3f2ca",
         "entropy_curves.csv": "5bedc4c5f01dcd5b09c3a085f85771f9c86c3f68288d7c9da17702ad92c6f671",
     }
 
@@ -597,10 +630,10 @@ FLOAT_SOURCE_CONFIG = {
 
 @pytest.mark.parametrize("source, digests", [
     ("volatility", {
-        "indices_by_n.csv": "9e3685b1f36b807dbace1edad60032759472b52d9b464fc0fca59766446a3366",
+        "indices_by_n.csv": "bf2a9b5a9b3119121cf8741ccf4c1253fd0b7cb8756c0f4aa67ed1617f297353",
         "entropy_curves.csv": "edf0e000987747545fb822f6215b50c622df370f0282ca4c1d698b1e86565b22"}),
     ("return", {
-        "indices_by_n.csv": "17316f599c94ea89a6aada2446830b0ed58298ffe6c8f882cb723db56ca04d82",
+        "indices_by_n.csv": "e418f39c92134ff6ac9bb8c097c02fdca092a4f99b11e16769f7d718c354432a",
         "entropy_curves.csv": "bd2260b46e2f9942353c538fc5b3fa605a004efc0f3b4e7ca80e4b4013960547"}),
 ])
 def test_float_sources_keep_their_bytes(tmp_path, source, digests):
@@ -608,7 +641,8 @@ def test_float_sources_keep_their_bytes(tmp_path, source, digests):
     cfg = load_config(_write_config(tmp_path, overrides=dict(FLOAT_SOURCE_CONFIG,
                                                              entropy_source=source)))
     run_pipeline(cfg, config_bytes=b"")
-    # digests of the outputs while every pass called np.convolve in full
+    # digests of the outputs while every pass called np.convolve in full;
+    # indices_by_n.csv's since I(n) is one sum over every bin
     assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in digests} == digests
 
@@ -895,7 +929,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("volatility_windows_s", []), ("horizons", []),
-        ("n_grid_s", {"min": 480, "max": 120, "step": 120}), ("threshold_m", True),
+        ("n_grid_s", {"min": 480, "max": 120, "step": 120}),
         ("n_grid_s", {"min": 120, "max": 480, "step": 0})])
     def test_empty_sweep_or_boolean_threshold_exits_2(self, tmp_path, caplog, key, value):
         _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, key)
@@ -927,8 +961,6 @@ class TestConfigValidation:
         ("n_grid_s", {"min": 120.5, "max": 480, "step": 120}, "n_grid_s.min: expected"),
         ("n_grid_s", {"min": 120, "max": False, "step": 120}, "n_grid_s.max: expected"),
         ("n_grid_s", {"min": 120, "max": 480, "step": True}, "n_grid_s.step: expected"),
-        ("threshold_m", 5.5, "threshold_m: expected an integer, got 5.5"),
-        ("threshold_m", "5", "threshold_m: expected an integer, got '5'"),
         ("delta_s", "60", "delta_s: expected a number, got '60'"),
         ("delta_s", True, "delta_s: expected a number, got True")])
     def test_non_integer_fields_exit_2(self, tmp_path, caplog, key, value, needle):
@@ -952,7 +984,7 @@ class TestConfigValidation:
         ({"horizon_mode": "weekly"}, "unknown horizon_mode 'weekly'"),
         ({"return_kind": "linear"}, "unknown return_kind 'linear'"),
         ({"return_kind": "linear", "aggregation": "max"}, "unknown aggregation 'max'"),
-        ({"threshold_m": 0}, "threshold_m must be 'n' or a positive integer, got 0"),
+        ({"threshold_m": "n"}, "top level: unknown key(s) 'threshold_m'"),
         ({"min_clusters": 0}, "min_clusters must be >= 1"),
         ({"assets": []}, "at least 2 assets are required, got 0"),
         ({"assets": 5}, "bad config: TypeError(\"'int' object is not iterable\")")])
@@ -1103,13 +1135,6 @@ class TestConfigValidation:
         scale = cfg.assets[0].generator.price_scale
         assert (cfg.delta_s, scale) == (60.0, 2.0)
         assert type(cfg.delta_s) is float and type(scale) is float
-
-    def test_threshold_m_accepts_integer(self, tmp_path):
-        for value in (7, 7.0):
-            cfg = load_config(_write_config(tmp_path, overrides={"threshold_m": value}))
-            assert type(cfg.threshold_m) is int and cfg.threshold_for(4) == 7
-        cfg_path = _write_config(tmp_path, overrides={"threshold_m": "n"})
-        assert load_config(cfg_path).threshold_for(4) == 4
 
 
 def test_cli_import_loads_only_numpy_and_the_standard_library():

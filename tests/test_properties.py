@@ -1,8 +1,10 @@
 """Property tests for the histogram, crossing, tick, return, volatility, simplex and ascent invariants
 the pipeline relies on."""
 
+import functools
 import itertools
 import math
+import operator
 import subprocess
 import sys
 from collections import Counter
@@ -15,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, DataError, HorizonError, InsufficientClustersError,
-                       SampledSeries, date_ns, month_start_ns, slice_horizon,
-                       WeightVector, entropy_curve, entropy_index, linear_returns, log_returns,
-                       parse_ticks, resample, weight_entropy)
+from entroport import (ClusterDistribution, DataError, EntropyCurve, HorizonError,
+                       InsufficientClustersError, SampledSeries, date_ns, month_start_ns,
+                       slice_horizon, WeightVector, entropy_curve, entropy_index,
+                       linear_returns, log_returns, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import (MomentEstimates, _ascend, _grid_start, _project_simplex,
@@ -42,21 +44,21 @@ def test_cluster_distribution_conserves_clusters_and_duration(taus_in):
 
 
 @settings(deadline=None)
-@given(durations, st.integers(min_value=1, max_value=500),
-       st.sampled_from(["surprisal", "shannon_term"]))
-def test_entropy_index_parts_add_up(taus_in, m, estimator):
+@given(durations, st.sampled_from(["surprisal", "shannon_term"]))
+def test_entropy_curve_equals_per_bin_loop(taus_in, estimator):
     dist = _pass_histogram(10, np.bincount(taus_in))
     curve = entropy_curve(dist, estimator)
-    ix = entropy_index(curve, m)
-    assert ix.power_law_part + ix.linear_part == ix.value
-    # per-bin loop reference: the vectorised curve and split change no bit
     probs = dist.probabilities.tolist()
     per_bin = [float(-np.log(p)) if estimator == "surprisal" else float(-p * np.log(p))
                for p in probs]
-    assert curve.values.tolist() == per_bin
-    pairs = list(zip(dist.taus.tolist(), per_bin))
-    assert ix.power_law_part == sum(s for t, s in pairs if t <= m)
-    assert ix.linear_part == sum(s for t, s in pairs if t > m)
+    assert curve.values.tolist() == per_bin  # the vectorised curve changes no bit
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=200))
+def test_entropy_index_sums_every_bin_left_to_right(values):
+    curve = EntropyCurve(n=10, taus=np.arange(1, len(values) + 1), values=np.array(values))
+    assert entropy_index(curve).value == functools.reduce(operator.add, values, 0.0)
 
 
 def _previous_tick_oracle(rows, delta):
