@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, DataError, EmptyInputError, EntroportError,
                      HorizonError, InputFileError, InsufficientClustersError,
                      NoTangencyError, TickParseError)
-from .series import (TICK_DTYPE, SampledSeries, align_lengths, date_ns,
-                     month_start_ns, parse_ticks, resample, slice_horizon)
+from .series import (TICK_DTYPE, date_ns, month_start_ns, parse_ticks, resample,
+                     slice_horizon)
 from .returns_vol import linear_returns, log_returns, rolling_volatility
 from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
                           aggregate_index, entropy_curve, entropy_index,

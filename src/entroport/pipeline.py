@@ -15,6 +15,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,8 +33,8 @@ from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
                         cluster_entropy_weights, kl_cross_entropy,
                         max_sharpe_weights, naive_weights, weight_entropy)
 from .returns_vol import linear_returns, log_returns, rolling_volatility
-from .series import (SampledSeries, align_lengths, month_start_ns, parse_ticks,
-                     resample, slice_horizon, whole_samples)
+from .series import (iso_utc, month_start_ns, parse_ticks, resample, slice_horizon,
+                     whole_samples)
 
 logger = logging.getLogger(__name__)
 
@@ -93,18 +94,20 @@ def _naming(asset: AssetInput, what: str = ""):
         raise DataError(f"{where}: {exc}") from None
 
 
-def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> SampledSeries:
-    """Materialize an asset's price series from ticks or a generator spec.
+def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> tuple[int, np.ndarray]:
+    """An asset's first index k on the run grid and its prices from there.
 
-    An error keeps its class, and its message names the asset and its tick
-    file or generator kind; running out of memory or address space is a DataError.
+    The run grid is month_start_ns(year_start, 0) + k * delta; a synthetic
+    asset starts at k = 0. An error keeps its class, and its message names
+    the asset and its tick file or generator kind; running out of memory or
+    address space is a DataError.
     """
     ticks, spec = asset.ticks_path, asset.generator
     with _naming(asset):
         if spec is None:
-            return resample(parse_ticks(ticks.read_bytes()), cfg.delta_ns)
-        return SampledSeries(spec.prices(), start_time=month_start_ns(cfg.year_start, 0),
-                             delta=cfg.delta_ns)
+            return resample(parse_ticks(ticks.read_bytes()),
+                            month_start_ns(cfg.year_start, 0), cfg.delta_ns)
+        return 0, spec.prices()
 
 
 def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
@@ -186,12 +189,24 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
     """Run the full sweep and write all output files under cfg.output_dir."""
     t_start = time.monotonic()
     names = tuple(a.name for a in cfg.assets)
-    prices = align_lengths([load_asset_prices(a, cfg) for a in cfg.assets])
-    logger.info("loaded %d assets, %d samples each", len(prices), len(prices[0]))
+    origin, delta = month_start_ns(cfg.year_start, 0), cfg.delta_ns
+    loaded = [load_asset_prices(a, cfg) for a in cfg.assets]
+    firsts = [first for first, _ in loaded]
+    ends = [first + len(p) for first, p in loaded]
+    lo, hi = max(firsts), min(ends)  # the grid indices every asset covers
+    if lo >= hi:
+        raise DataError("the assets share no grid point: " + ", ".join(
+            f"asset {name!r} covers " + (f"{iso_utc(origin + first * delta)} to "
+                                         f"{iso_utc(origin + (end - 1) * delta)}"
+                                         if first < end else "none")
+            for name, first, end in zip(names, firsts, ends)))
+    prices = [p[lo - first:hi - first] for first, p in loaded]
+    logger.info("loaded %d assets, %d samples each", len(prices), hi - lo)
 
-    # one price index range per horizon: all assets share the grid of prices[0]
-    ranges = {m: slice_horizon(prices[0], cfg.year_start, m, mode=cfg.horizon_mode)
-              for m in cfg.horizons}
+    # one price index range per horizon, on the grid every asset covers
+    with _naming(cfg.assets[ends.index(hi)], ", which ends the grid every asset covers"):
+        ranges = {m: slice_horizon(origin + lo * delta, delta, hi - lo, cfg.year_start, m,
+                                   mode=cfg.horizon_mode) for m in cfg.horizons}
     if any(rng.stop - rng.start < 2 for rng in ranges.values()):
         raise DataError("need at least 2 prices to compute returns")
     end = max(rng.stop for rng in ranges.values())  # later samples feed no cell
@@ -199,7 +214,7 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
     returns = []
     for asset, p in zip(cfg.assets, prices):
         with _naming(asset):
-            returns.append(to_returns(p.values[:end]))
+            returns.append(to_returns(p[:end]))
 
     warnings: list[str] = []
     cells: dict[tuple[str, int, int], CellResult] = {}
@@ -303,9 +318,11 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
         "outputs": ["entropy_curves.csv", "indices_by_n.csv",
                     "indices_aggregated.csv", "weights.csv", "diagnostics.csv"],
     }
-    # written last; wall-clock timings go to the log, not here, so that a
-    # rerun with the same config stays byte-identical
-    with open(out / "manifest.json", "w", newline="\n") as fh:
+    # written last, and whole or not at all; wall-clock timings go to the
+    # log, not here, so that a rerun with the same config stays byte-identical
+    tmp = out / "manifest.json.tmp"
+    with open(tmp, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, out / "manifest.json")
 

@@ -1,7 +1,9 @@
-"""Tick ingestion, previous-tick resampling, length alignment and calendar-horizon slicing.
+"""Tick ingestion, previous-tick resampling onto the run grid, and calendar-horizon slicing.
 
 Timestamps are integer nanoseconds since the Unix epoch, UTC. All month
-boundaries are calendar-UTC.
+boundaries are calendar-UTC. A run samples every asset on one grid,
+month_start_ns(year_start, 0) + k * delta, where k may be negative; an asset
+is its first k and its prices from there.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ import io
 import math
 import re
 import warnings
-from datetime import date
+from datetime import date, datetime, timedelta
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, HorizonError, TickParseError, check_finite
+from .errors import DataError, EmptyInputError, HorizonError, TickParseError
 
 NS_PER_S = 1_000_000_000
 
@@ -27,38 +29,6 @@ TICK_DTYPE = np.dtype([("timestamp", np.int64), ("price", np.float64)])
 _NUMPY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 #: the lone surrogates that errors="surrogateescape" decodes undecodable bytes to
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
-
-
-class SampledSeries:
-    """Equally spaced prices: values plus (start_time, delta) grid metadata.
-
-    delta is the sampling interval in ns.
-    """
-
-    __slots__ = ("values", "start_time", "delta")
-
-    def __init__(self, values: np.ndarray, start_time: int, delta: int):
-        values = np.asarray(values, dtype=float)
-        self.values, self.start_time, self.delta = values, start_time, delta
-        if values.ndim != 1 or len(values) < 1:
-            raise DataError("series must be a non-empty 1-D sequence")
-        if delta <= 0:
-            raise DataError("delta must be a positive number of nanoseconds")
-        # in Python ints, which cannot wrap as numpy's would
-        check_sample_times(int(start_time), int(delta), len(values),
-                           "the series' start_time and delta")
-        check_finite(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def end_time(self) -> int:
-        """Timestamp of the last sample."""
-        return self.start_time + (len(self.values) - 1) * self.delta
-
-    def times(self) -> np.ndarray:
-        return self.start_time + self.delta * np.arange(len(self.values), dtype=np.int64)
 
 
 def seconds_to_ns(seconds: float, what: str) -> int:
@@ -96,6 +66,13 @@ def month_start_ns(year_start: date, months: int) -> int:
     """Midnight UTC on the first of the month `months` after year_start's, in ns."""
     month0 = year_start.year * 12 + (year_start.month - 1) + months
     return date_ns(date(month0 // 12, month0 % 12 + 1, 1))
+
+
+def iso_utc(t_ns: int) -> str:
+    """t_ns as a UTC ISO 8601 time, with nanoseconds only when it has any."""
+    seconds, ns = divmod(t_ns, NS_PER_S)
+    text = (datetime(1970, 1, 1) + timedelta(seconds=seconds)).isoformat()
+    return f"{text}.{ns:09d}Z" if ns else f"{text}Z"
 
 
 def parse_ticks(source: BinaryIO | bytes) -> np.ndarray:
@@ -182,44 +159,33 @@ def _parse_ticks_lines(data: bytes) -> np.ndarray:
     return ticks
 
 
-def resample(ticks: np.ndarray, delta: int) -> SampledSeries:
-    """Previous-tick resampling of sorted TICK_DTYPE ticks onto a grid from the first tick.
+def resample(ticks: np.ndarray, origin: int, delta: int) -> tuple[int, np.ndarray]:
+    """Previous-tick resampling of sorted TICK_DTYPE ticks onto the grid origin + k * delta.
 
-    Grid point t takes the price of the latest tick with timestamp <= t; the
-    grid ends at the last grid point not beyond the last tick.
+    Returns the first k whose grid time is at or after the first tick, and
+    the prices from that grid time to the last one not beyond the last tick
+    (none when the ticks span no grid time). Grid time t takes the price of
+    the latest tick with timestamp <= t.
     """
     if len(ticks) == 0:
         raise EmptyInputError("cannot resample an empty tick sequence")
     if delta <= 0:
         raise DataError("delta must be positive")
     ts = ticks["timestamp"]
-    t0 = int(ts[0])
-    n_grid = int((int(ts[-1]) - t0) // delta) + 1
-    grid = t0 + delta * np.arange(n_grid, dtype=np.int64)
+    # in Python ints, which cannot wrap as numpy's would
+    first = -((origin - int(ts[0])) // delta)
+    stop = (int(ts[-1]) - origin) // delta + 1
+    if stop <= first:
+        return first, np.empty(0)
+    grid = (origin + first * delta) + delta * np.arange(stop - first, dtype=np.int64)
     # searchsorted 'right' - 1 picks the last tick at or before each grid time;
     # for equal timestamps the last one in (stable-sorted) file order wins.
-    idx = np.searchsorted(ts, grid, side="right") - 1
-    return SampledSeries(values=ticks["price"][idx], start_time=t0, delta=int(delta))
+    return first, ticks["price"][np.searchsorted(ts, grid, side="right") - 1]
 
 
-def align_lengths(series: list[SampledSeries]) -> list[SampledSeries]:
-    """Truncate series on one grid (same delta and start) to the shortest; order kept."""
-    if not series:
-        raise EmptyInputError("align_lengths requires a non-empty list")
-    deltas = {s.delta for s in series}
-    if len(deltas) != 1:
-        raise DataError(f"all series must share delta, got {sorted(deltas)}")
-    starts = {s.start_time for s in series}
-    if len(starts) != 1:
-        raise DataError(f"all series must start at the same time, got start times "
-                        f"{sorted(starts)} ns")
-    n_min = min(len(s) for s in series)
-    return [SampledSeries(s.values[:n_min], s.start_time, s.delta) for s in series]
-
-
-def slice_horizon(series: SampledSeries, year_start: date, months: int,
+def slice_horizon(start_ns: int, delta_ns: int, length: int, year_start: date, months: int,
                   mode: str = "expanding") -> slice:
-    """Index range of a series' samples that fall in the calendar horizon of M = months.
+    """Index range of the samples start_ns + k * delta_ns, k < length, in the horizon M = months.
 
     mode='expanding' (default): months 1..M, from year_start on; samples
     before year_start belong to no horizon.
@@ -230,21 +196,13 @@ def slice_horizon(series: SampledSeries, year_start: date, months: int,
     if mode not in ("expanding", "monthly"):
         raise ValueError(f"unknown horizon mode {mode!r}")
     end_ns = month_start_ns(year_start, months)
-    if series.end_time < end_ns - series.delta:
-        raise HorizonError(
-            f"series ends at {series.end_time} ns, before the {months}-month "
-            f"horizon boundary {end_ns} ns"
-        )
+    last_ns = start_ns + (length - 1) * delta_ns
+    if last_ns < end_ns - delta_ns:
+        raise HorizonError(f"the grid ends at {iso_utc(last_ns)}, before the {months}-month "
+                           f"horizon boundary {iso_utc(end_ns)}")
     lo_ns = month_start_ns(year_start, months - 1 if mode == "monthly" else 0)
-    lo, hi = _first_sample_at(series, lo_ns), _first_sample_at(series, end_ns)
+    # the first sample at or after t is ceil((t - start_ns) / delta_ns), clamped to [0, length]
+    lo, hi = (min(max(-((start_ns - t) // delta_ns), 0), length) for t in (lo_ns, end_ns))
     if lo >= hi:
         raise HorizonError("no samples fall inside the requested horizon")
     return slice(lo, hi)
-
-
-def _first_sample_at(series: SampledSeries, t_ns: int) -> int:
-    """Index of the first sample at or after t_ns, as searchsorted(series.times(), t_ns).
-
-    That is ceil((t_ns - start_time) / delta) clamped to [0, len], in integers.
-    """
-    return min(max(-((series.start_time - t_ns) // series.delta), 0), len(series))

@@ -1,8 +1,10 @@
+import errno
 import functools
 import hashlib
 import json
 import logging
 import operator
+import os
 import re
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from entroport.dma_cluster import (EntropyCurve, PrefixTables, crossing_pass, en
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
 from entroport.pipeline import CellResult, PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
-from entroport.series import slice_horizon, whole_samples
+from entroport.series import month_start_ns, slice_horizon, whole_samples
 from entroport.synth import GeneratorSpec
 
 BASE_CONFIG = {
@@ -184,6 +186,18 @@ class TestAnalyze:
             run_pipeline(cfg, config_bytes=b"")
         assert written == ["entropy_curves.csv"]
         assert not (out / "manifest.json").exists()
+
+    def test_manifest_that_fails_to_write_is_not_left_behind(self, tmp_path, monkeypatch,
+                                                              caplog):
+        """A disk that fills mid-manifest exits 2 and leaves no manifest.json."""
+        def dump_then_fill_the_disk(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:40])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(pipeline.json, "dump", dump_then_fill_the_disk)
+        _exits_2_naming(_write_config(tmp_path), caplog, "No space left on device")
+        assert (tmp_path / "out" / "weights.csv").is_file()
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_relative_paths_resolve_as_documented(self, tmp_path, monkeypatch):
         """A relative output_dir is under the working directory, a ticks path by the config."""
@@ -409,16 +423,61 @@ class TestTickIngestion:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
-    def test_tick_grids_with_different_starts_exit_2(self, tmp_path, caplog, mode):
+    def test_tick_grids_with_different_starts_share_one_grid(self, tmp_path, caplog, mode):
+        """First ticks 1 s apart: both assets take the year_start grid from its second point."""
         t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
-        shift = (3 * 3600 + 17) * 10 ** 9
-        for name, first in (("a.csv", t0), ("b.csv", t0 + shift)):
-            rows = "".join(f"{first + i * 60 * 10 ** 9},{100.0 + i}\n" for i in range(50))
+        for seed, (name, first) in enumerate((("a.csv", t0), ("b.csv", t0 + 10 ** 9))):
+            walk = 100 * np.exp(np.cumsum(np.random.default_rng(seed).standard_normal(44_700))
+                                * 1e-3)
+            rows = "".join(f"{first + i * 60 * 10 ** 9},{p:.6f}\n"
+                           for i, p in enumerate(walk.tolist()))
             (tmp_path / name).write_text("timestamp_ns,price\n" + rows)
         cfg_path = _write_config(tmp_path, overrides={
             "assets": [{"name": "A", "ticks": "a.csv"}, {"name": "B", "ticks": "b.csv"}],
             "horizon_mode": mode})
-        _exits_2_naming(cfg_path, caplog, f"[{t0}, {t0 + shift}]")
+        with caplog.at_level(logging.INFO):
+            assert main(["analyze", str(cfg_path)]) == 0
+        # A covers grid points 0..44,699 and B, from 00:01, 1..44,699
+        assert "loaded 2 assets, 44699 samples each" in caplog.text
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+    def test_assets_sharing_no_grid_point_exit_2_naming_each_range(self, tmp_path, caplog):
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        for name, first in (("a.csv", t0), ("b.csv", t0 + (3 * 3600 + 17) * 10 ** 9)):
+            rows = "".join(f"{first + i * 60 * 10 ** 9},{100.0 + i}\n" for i in range(50))
+            (tmp_path / name).write_text("timestamp_ns,price\n" + rows)
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "A", "ticks": "a.csv"}, {"name": "B", "ticks": "b.csv"}]})
+        _exits_2_naming(cfg_path, caplog, "the assets share no grid point: asset 'A' covers "
+                        "2018-01-01T00:00:00Z to 2018-01-01T00:49:00Z, asset 'B' covers "
+                        "2018-01-01T03:01:00Z to 2018-01-01T03:49:00Z")
+        assert not (tmp_path / "out").exists()
+
+    def test_tick_file_spanning_no_grid_point_exits_2(self, tmp_path, caplog):
+        # ticks at 00:00:10 and 00:00:50 hold no point of the 60 s grid from midnight
+        (tmp_path / "b.csv").write_text(
+            "timestamp_ns,price\n1514764810000000000,100.0\n1514764850000000000,101.0\n")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [BASE_CONFIG["assets"][0], {"name": "B", "ticks": "b.csv"}]})
+        # 65,536 one-minute samples from 2018-01-01 end on 2018-02-15 at 12:15
+        _exits_2_naming(cfg_path, caplog, "the assets share no grid point: asset 'SYN1' covers "
+                        "2018-01-01T00:00:00Z to 2018-02-15T12:15:00Z, asset 'B' covers none")
+
+    @pytest.mark.parametrize("mode", ["expanding", "monthly"])
+    def test_horizon_past_the_shortest_asset_exits_2_naming_it(self, tmp_path, caplog, mode):
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        # previous-tick prices fill the grid between two ticks; B ends a month before A
+        for name, last in (("a.csv", 1520208000), ("b.csv", 1518307140)):  # 03-05, 02-10 23:59
+            (tmp_path / name).write_text(f"timestamp_ns,price\n{t0},100.0\n"
+                                         f"{last * 10 ** 9},101.0\n")
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "A", "ticks": "a.csv"}, {"name": "B", "ticks": "b.csv"}],
+            "horizons": [1, 2], "horizon_mode": mode})
+        _exits_2_naming(cfg_path, caplog,
+                        f"asset 'B' ({tmp_path / 'b.csv'}), which ends the grid every asset "
+                        "covers: the grid ends at 2018-02-10T23:59:00Z, before the 2-month "
+                        "horizon boundary 2018-03-01T00:00:00Z")
+        assert not (tmp_path / "out").exists()
 
 
 # 2^17 one-minute samples span January and February 2018
@@ -440,10 +499,12 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
 
     expected = {}
     for asset in cfg.assets:
-        prices = load_asset_prices(asset, cfg)
+        first, prices = load_asset_prices(asset, cfg)
+        start_ns = month_start_ns(cfg.year_start, 0) + first * cfg.delta_ns
         for m in cfg.horizons:
-            span = slice_horizon(prices, cfg.year_start, m, mode=mode)
-            rets = linear_returns(prices.values[span])
+            span = slice_horizon(start_ns, cfg.delta_ns, len(prices), cfg.year_start, m,
+                                 mode=mode)
+            rets = linear_returns(prices[span])
             for t_s in cfg.volatility_windows_s:
                 w = whole_samples(t_s, cfg.delta_ns, "volatility window")
                 y = rets if source == "return" else rolling_volatility(rets, w)
@@ -596,8 +657,8 @@ def test_exact_zero_deviations_keep_their_bytes(tmp_path):
         _sticky_tick_file(tmp_path / f"t{seed}.csv", seed)
     cfg = load_config(_write_config(tmp_path, overrides={
         "assets": [{"name": f"T{seed}", "ticks": f"t{seed}.csv"} for seed in (1, 2)]}))
-    prices = load_asset_prices(cfg.assets[0], cfg)
-    y = rolling_volatility(linear_returns(prices.values),
+    _, prices = load_asset_prices(cfg.assets[0], cfg)
+    y = rolling_volatility(linear_returns(prices),
                            whole_samples(360, cfg.delta_ns, "volatility window"))
     n = min(cfg.n_grid_samples())
     assert np.any(y[n - 1:] == np.convolve(y, np.full(n, 1.0 / n), mode="valid"))

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (ClusterDistribution, DataError, EntropyCurve, HorizonError,
-                       InsufficientClustersError, SampledSeries, date_ns, month_start_ns,
+from entroport import (TICK_DTYPE, ClusterDistribution, DataError, EntropyCurve,
+                       HorizonError, InsufficientClustersError, date_ns, month_start_ns,
                        slice_horizon, WeightVector, entropy_curve, entropy_index,
                        linear_returns, log_returns, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
@@ -26,7 +26,7 @@ from entroport.errors import EntroportError
 from entroport.portfolio import (MomentEstimates, _ascend, _grid_start, _project_simplex,
                                  _sharpe, max_sharpe_weights)
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
-from entroport.series import _first_sample_at, _parse_ticks_lines
+from entroport.series import _parse_ticks_lines
 
 durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=300)
 
@@ -61,17 +61,21 @@ def test_entropy_index_sums_every_bin_left_to_right(values):
     assert entropy_index(curve).value == functools.reduce(operator.add, values, 0.0)
 
 
-def _previous_tick_oracle(rows, delta):
-    """Price of the latest tick at or before each grid time; file order breaks ties."""
-    t0 = min(t for t, _ in rows)
+def _previous_tick_oracle(rows, origin, delta):
+    """First k with origin + k * delta at or after the first tick, and the price of the
+    latest tick at or before each grid time from there to the last tick; file order
+    breaks ties."""
+    t_min, t_max = min(t for t, _ in rows), max(t for t, _ in rows)
+    first = next(k for k in itertools.count((t_min - origin) // delta)
+                 if origin + k * delta >= t_min)
     out = []
-    for g in range(t0, max(t for t, _ in rows) + 1, delta):
+    for g in range(origin + first * delta, t_max + 1, delta):
         best = None
         for t, p in rows:
             if t <= g and (best is None or t >= best[0]):
                 best = (t, p)
         out.append(best[1])
-    return t0, out
+    return first, out
 
 
 # a narrow timestamp range makes duplicate timestamps common
@@ -84,10 +88,34 @@ ticks = st.lists(st.tuples(st.integers(min_value=-50, max_value=50),
 @given(ticks, st.integers(min_value=1, max_value=30))
 def test_parse_then_resample_matches_previous_tick_oracle(rows, delta):
     body = "timestamp_ns,price\n" + "".join(f"{t},{p!r}\n" for t, p in rows)
-    series = resample(parse_ticks(body.encode()), delta)
-    t0, expected = _previous_tick_oracle(rows, delta)
-    assert series.start_time == t0
-    assert series.values.tolist() == expected
+    # the grid from 0 often starts after the first tick, or misses the ticks' span
+    first, prices = resample(parse_ticks(body.encode()), 0, delta)
+    assert (first, prices.tolist()) == _previous_tick_oracle(rows, 0, delta)
+
+
+int64s = st.one_of(st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from([-2**63, -2**63 + 1, 0, 2**63 - 2, 2**63 - 1]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(origin=int64s, delta=st.one_of(st.integers(1, 1000), st.integers(1, 2**63 - 1)),
+       data=st.data())
+def test_resample_on_any_grid_matches_searchsorted_oracle(origin, delta, data):
+    """Grid times origin + k * delta, in Python ints; every kept one takes the latest tick."""
+    base = data.draw(int64s, label="base")
+    stamps = sorted(data.draw(st.lists(st.integers(base, min(base + 600 * delta, 2**63 - 1)),
+                                       min_size=1, max_size=30), label="stamps"))
+    ticks = np.array([(t, 1.0 + i) for i, t in enumerate(stamps)], dtype=TICK_DTYPE)
+    first, prices = resample(ticks, origin, delta)
+    ks = range((stamps[0] - origin) // delta, (stamps[-1] - origin) // delta + 2)
+    times = np.array([origin + k * delta for k in ks], dtype=object)  # may pass int64
+    # the grid times at or after the first tick and not beyond the last
+    lo = int(np.searchsorted(times, stamps[0]))
+    hi = int(np.searchsorted(times, stamps[-1], side="right"))
+    assert first == ks[lo]
+    kept = np.array(times[lo:hi].tolist(), dtype=np.int64)
+    expected = ticks["price"][np.searchsorted(ticks["timestamp"], kept, side="right") - 1]
+    assert prices.tolist() == expected.tolist()
 
 
 # each changes one field of a plain row; int()/float() and loadtxt may read it apart
@@ -191,21 +219,24 @@ def test_each_odd_line_parses_as_in_line_loop(line):
 @given(start=st.integers(-10**15, 10**15), delta=st.integers(1, 10**12),
        length=st.integers(1, 400), data=st.data())
 def test_first_sample_at_equals_searchsorted_over_times(start, delta, length, data):
-    series = SampledSeries(np.ones(length), start_time=start, delta=delta)
+    """resample's first index is the first grid time at or after a tick at t."""
+    times = start + delta * np.arange(length, dtype=np.int64)
     span = delta * length
     # anywhere from well before the first sample to well after the last, or next to a sample
     t = data.draw(st.one_of(
         st.integers(start - 2 * span, start + 2 * span),
         st.builds(lambda k, off: start + k * delta + off, st.integers(-2, length + 1),
                   st.integers(-1, 1))), label="t")
-    assert _first_sample_at(series, t) == int(np.searchsorted(series.times(), t))
+    first, _ = resample(np.array([(t, 1.0)], dtype=TICK_DTYPE), start, delta)
+    assert min(max(first, 0), length) == int(np.searchsorted(times, t))
 
 
-def _slice_by_times(series, lo_ns, end_ns):
+def _slice_by_times(start, delta, length, lo_ns, end_ns):
     """slice_horizon's range as a search over the sample times gives it, or HorizonError."""
-    if series.end_time < end_ns - series.delta:
+    times = np.array([start + k * delta for k in range(length)], dtype=object)  # may pass int64
+    if times[-1] < end_ns - delta:
         return HorizonError
-    lo, hi = np.searchsorted(series.times(), [lo_ns, end_ns]).tolist()
+    lo, hi = np.searchsorted(times, [lo_ns, end_ns]).tolist()
     return HorizonError if lo >= hi else slice(lo, hi)
 
 
@@ -219,18 +250,13 @@ def test_slice_horizon_equals_searchsorted_over_times(months, mode, data):
     delta = data.draw(st.integers(year // 200, year), label="delta")
     start = data.draw(st.integers(start_ns - year, end_ns), label="start")
     length = data.draw(st.integers(1, 603), label="length")
-    if start + (length - 1) * delta >= 2**63:  # the grid passes int64
-        with pytest.raises(DataError, match="do not fit int64"):
-            SampledSeries(np.ones(length), start_time=start, delta=delta)
-        return
-    series = SampledSeries(np.ones(length), start_time=start, delta=delta)
     lo_ns = (month_start_ns(year_start, months - 1)
              if mode == "monthly" and months > 1 else start_ns)
     try:
-        got = slice_horizon(series, year_start, months, mode=mode)
+        got = slice_horizon(start, delta, length, year_start, months, mode=mode)
     except HorizonError:
         got = HorizonError
-    assert got == _slice_by_times(series, lo_ns, end_ns)
+    assert got == _slice_by_times(start, delta, length, lo_ns, end_ns)
 
 
 # flat runs of integers give exact-zero deviations; floats give generic ones

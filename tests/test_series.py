@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from datetime import date
 
-from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError,
-                       SampledSeries, align_lengths, date_ns, month_start_ns,
-                       parse_ticks, resample, slice_horizon)
+from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError, date_ns,
+                       month_start_ns, parse_ticks, resample, slice_horizon)
 from entroport.errors import TickParseError
-from entroport.series import NS_PER_S, _parse_ticks_fast
+from entroport.series import NS_PER_S, _parse_ticks_fast, iso_utc
 
 
 def _csv(rows):
@@ -18,24 +17,6 @@ def _csv(rows):
 
 def _ticks(rows):
     return np.array(rows, dtype=TICK_DTYPE)
-
-
-class TestSampledSeries:
-    @pytest.mark.parametrize("fields, message", [
-        ({"values": [[1.0, 2.0]]}, "non-empty 1-D"),
-        ({"values": []}, "non-empty 1-D"),
-        ({"delta": 0}, "delta must be a positive"),
-        ({"delta": -1}, "delta must be a positive"),
-        ({"values": [1.0, np.inf]}, "must be finite"),
-        ({"values": [1.0, np.nan]}, "must be finite"),
-        # sample times past int64, where times() would wrap
-        ({"values": np.ones(490), "start_time": 1483228800000000000,
-          "delta": 31463996897783642}, "do not fit int64"),
-        ({"values": np.ones(3), "start_time": np.int64(2**63 - 2), "delta": np.int64(1)},
-         "do not fit int64")])
-    def test_rejects_malformed_series(self, fields, message):
-        with pytest.raises(DataError, match=message):
-            SampledSeries(**{"values": [1.0, 2.0], "start_time": 0, "delta": 1, **fields})
 
 
 class TestParseTicks:
@@ -115,30 +96,39 @@ class TestResample:
     def test_previous_tick_rule(self):
         # tick at 0s and 2.5s, 1s grid: grid ends at 2s, all values carry 10
         ticks = _ticks([(0, 10.0), (int(2.5 * NS_PER_S), 11.0)])
-        s = resample(ticks, NS_PER_S)
-        assert s.values.tolist() == [10.0, 10.0, 10.0]
-        assert s.start_time == 0 and s.delta == NS_PER_S
+        first, prices = resample(ticks, 0, NS_PER_S)
+        assert first == 0 and prices.tolist() == [10.0, 10.0, 10.0]
 
     def test_single_tick(self):
-        s = resample(_ticks([(5, 2.0)]), 10)
-        assert s.values.tolist() == [2.0]
+        first, prices = resample(_ticks([(5, 2.0)]), 5, 10)
+        assert first == 0 and prices.tolist() == [2.0]
 
     def test_delta_larger_than_span(self):
-        s = resample(_ticks([(0, 1.0), (5, 2.0)]), 100)
-        assert s.values.tolist() == [1.0]
+        first, prices = resample(_ticks([(0, 1.0), (5, 2.0)]), 0, 100)
+        assert first == 0 and prices.tolist() == [1.0]
+
+    def test_span_without_a_grid_time_has_no_prices(self):
+        first, prices = resample(_ticks([(5, 1.0), (9, 2.0)]), 0, 10)
+        assert first == 1 and len(prices) == 0
+
+    def test_grid_phase_is_the_origin_not_the_first_tick(self):
+        # ticks from 1s on a 2s grid from -4s: grid times 2s and 4s, k = 3 and 4
+        ticks = _ticks([(NS_PER_S, 1.0), (3 * NS_PER_S, 2.0), (5 * NS_PER_S, 3.0)])
+        first, prices = resample(ticks, -4 * NS_PER_S, 2 * NS_PER_S)
+        assert first == 3 and prices.tolist() == [1.0, 2.0]
 
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
-            resample(_ticks([]), 10)
+            resample(_ticks([]), 0, 10)
 
     @pytest.mark.parametrize("delta", [0, -10])
     def test_non_positive_delta(self, delta):
         with pytest.raises(DataError, match="delta must be positive"):
-            resample(_ticks([(0, 1.0), (20, 2.0)]), delta)
+            resample(_ticks([(0, 1.0), (20, 2.0)]), 0, delta)
 
     def test_last_tick_wins_on_shared_timestamp(self):
         ticks = _ticks([(0, 1.0), (0, 9.0), (10, 2.0)])
-        assert resample(ticks, 10).values[0] == 9.0
+        assert resample(ticks, 0, 10)[1][0] == 9.0
 
     def test_length_formula(self):
         rng = np.random.default_rng(11)
@@ -146,44 +136,19 @@ class TestResample:
             ts = np.sort(rng.integers(0, 10_000, size=rng.integers(1, 40)))
             ticks = _ticks([(int(t), 1.0 + i) for i, t in enumerate(ts)])
             delta = int(rng.integers(1, 500))
-            s = resample(ticks, delta)
-            assert len(s) == (ts[-1] - ts[0]) // delta + 1
+            # an origin 7 steps before the first tick, on its phase
+            first, prices = resample(ticks, int(ts[0]) - 7 * delta, delta)
+            assert first == 7
+            assert len(prices) == (ts[-1] - ts[0]) // delta + 1
 
     def test_idempotent_on_equally_spaced_input(self):
         values = [3.0, 4.0, 5.0, 6.0]
         ticks = _ticks([(100 * i, v) for i, v in enumerate(values)])
-        once = resample(ticks, 100)
-        again = resample(_ticks(list(zip(once.times().tolist(), once.values.tolist()))),
-                         100)
-        assert np.array_equal(once.values, again.values)
-        assert once.start_time == again.start_time
-
-
-class TestAlignLengths:
-    def _series(self, n, delta=10):
-        return SampledSeries(np.arange(1.0, n + 1), start_time=0, delta=delta)
-
-    def test_truncates_to_minimum(self):
-        out = align_lengths([self._series(5), self._series(7)])
-        assert [len(s) for s in out] == [5, 5]
-        assert out[1].values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_equal_lengths_unchanged(self):
-        out = align_lengths([self._series(4), self._series(4)])
-        assert all(len(s) == 4 for s in out)
-
-    def test_empty_list(self):
-        with pytest.raises(EmptyInputError):
-            align_lengths([])
-
-    def test_mismatched_delta(self):
-        with pytest.raises(DataError):
-            align_lengths([self._series(4, delta=10), self._series(4, delta=20)])
-
-    def test_mismatched_start_time(self):
-        shifted = SampledSeries(np.arange(1.0, 5.0), start_time=30, delta=10)
-        with pytest.raises(DataError, match=r"\[0, 30\]"):
-            align_lengths([self._series(4), shifted])
+        first, once = resample(ticks, 0, 100)
+        again = resample(_ticks([(100 * (first + k), v) for k, v in enumerate(once.tolist())]),
+                         0, 100)
+        assert again[0] == first
+        assert np.array_equal(once, again[1])
 
 
 class TestCalendar:
@@ -197,68 +162,64 @@ class TestCalendar:
         assert month_start_ns(date(2018, 11, 1), 2) == date_ns(date(2019, 1, 1))
         assert month_start_ns(date(2018, 1, 1), 12) == 1_546_300_800 * NS_PER_S
 
+    def test_iso_utc_shows_nanoseconds_only_when_present(self):
+        assert iso_utc(1_518_307_140 * NS_PER_S) == "2018-02-10T23:59:00Z"
+        assert iso_utc(-1) == "1969-12-31T23:59:59.999999999Z"
+        assert iso_utc(-2**63) == "1677-09-21T00:12:43.145224192Z"
+
 
 class TestSliceHorizon:
-    def _year_series(self, delta_s=86400):
-        # daily samples across the whole of 2018
-        start = date_ns(date(2018, 1, 1))
-        n = 365
-        return SampledSeries(np.arange(float(n)), start_time=start,
-                             delta=delta_s * NS_PER_S)
+    # daily samples across the whole of 2018: (start_ns, delta_ns, length)
+    YEAR = (date_ns(date(2018, 1, 1)), 86400 * NS_PER_S, 365)
 
     def test_full_year_m12_returns_everything(self):
-        s = self._year_series()
-        out = slice_horizon(s, date(2018, 1, 1), 12)
-        assert out == slice(0, len(s))
+        out = slice_horizon(*self.YEAR, date(2018, 1, 1), 12)
+        assert out == slice(0, self.YEAR[2])
 
     def test_m1_keeps_january_only(self):
-        s = self._year_series()
-        out = slice_horizon(s, date(2018, 1, 1), 1)
-        assert len(s.values[out]) == 31
+        out = slice_horizon(*self.YEAR, date(2018, 1, 1), 1)
+        assert len(np.arange(365.0)[out]) == 31
 
     def test_m13_is_rejected(self):
         with pytest.raises(HorizonError, match=r"months must be in \[1, 12\], got 13"):
-            slice_horizon(self._year_series(), date(2018, 1, 1), 13)
+            slice_horizon(*self.YEAR, date(2018, 1, 1), 13)
 
     def test_short_series_is_an_error(self):
-        s = self._year_series()
-        short = SampledSeries(s.values[:40], s.start_time, s.delta)
-        with pytest.raises(HorizonError):
-            slice_horizon(short, date(2018, 1, 1), 3)
+        start, delta, _ = self.YEAR
+        with pytest.raises(HorizonError, match="the grid ends at 2018-02-09T00:00:00Z, "
+                                               "before the 3-month horizon boundary "
+                                               "2018-04-01T00:00:00Z"):
+            slice_horizon(start, delta, 40, date(2018, 1, 1), 3)
 
     def test_expanding_prefix_property(self):
-        s = self._year_series()
+        values = np.arange(365.0)
         for m in range(1, 12):
-            a = s.values[slice_horizon(s, date(2018, 1, 1), m)]
-            b = s.values[slice_horizon(s, date(2018, 1, 1), m + 1)]
+            a = values[slice_horizon(*self.YEAR, date(2018, 1, 1), m)]
+            b = values[slice_horizon(*self.YEAR, date(2018, 1, 1), m + 1)]
             assert len(a) < len(b)
             assert np.array_equal(a, b[:len(a)])
 
     def test_monthly_mode_is_disjoint(self):
-        s = self._year_series()
-        feb = s.values[slice_horizon(s, date(2018, 1, 1), 2, mode="monthly")]
+        values = np.arange(365.0)
+        feb = values[slice_horizon(*self.YEAR, date(2018, 1, 1), 2, mode="monthly")]
         assert len(feb) == 28
-        jan = s.values[slice_horizon(s, date(2018, 1, 1), 1, mode="monthly")]
+        jan = values[slice_horizon(*self.YEAR, date(2018, 1, 1), 1, mode="monthly")]
         assert jan[-1] < feb[0]
 
     def test_expanding_horizon_starts_at_year_start(self):
         # daily samples from 2017-12-01: December belongs to no 2018 horizon
-        s = self._year_series()
-        early = SampledSeries(np.arange(365.0 + 31), start_time=date_ns(date(2017, 12, 1)),
-                              delta=s.delta)
+        early = (date_ns(date(2017, 12, 1)), self.YEAR[1], 365 + 31)
         jan = (date(2018, 1, 1), 1)
-        assert slice_horizon(early, *jan) == slice_horizon(early, *jan, mode="monthly")
-        assert slice_horizon(early, *jan) == slice(31, 62)
+        assert slice_horizon(*early, *jan) == slice_horizon(*early, *jan, mode="monthly")
+        assert slice_horizon(*early, *jan) == slice(31, 62)
 
     @pytest.mark.parametrize("mode", ["expanding", "monthly"])
     def test_horizon_with_no_samples_is_an_error(self, mode):
         # a series that starts after January has no sample in M=1
-        s = self._year_series()
-        march = SampledSeries(s.values, start_time=date_ns(date(2018, 3, 1)), delta=s.delta)
+        march = (date_ns(date(2018, 3, 1)),) + self.YEAR[1:]
         with pytest.raises(HorizonError, match="no samples fall inside the requested horizon"):
-            slice_horizon(march, date(2018, 1, 1), 1, mode=mode)
+            slice_horizon(*march, date(2018, 1, 1), 1, mode=mode)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown horizon mode 'weekly'"):
-            slice_horizon(self._year_series(), date(2018, 1, 1), 1,
-                          mode="weekly")
+            slice_horizon(*self.YEAR, date(2018, 1, 1), 1, mode="weekly")
