@@ -94,6 +94,8 @@ class PipelineConfig:
         if self.year_start.day != 1:
             raise ConfigError(f"year_start {self.year_start} must be the first of a month")
         delta_ns = self.delta_ns
+        if delta_ns >= 2**63:  # the grid steps in int64; a horizon would hold <= 1 price
+            raise ConfigError(f"delta_s {self.delta_s} must be under 2**63 ns")
         start_ns = date_ns(self.year_start)
         grid = f"year_start {self.year_start} at delta_s {self.delta_s}"
         # the first step before the end boundary, which for a year_start past

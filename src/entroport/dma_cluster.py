@@ -2,9 +2,9 @@
 
 A cluster is the stretch of a series between two consecutive intersections
 with its trailing moving average. Durations are counted in sampling units,
-binned into an empirical distribution, turned into a per-bin entropy curve
-(surprisal by default) and summed over every bin into a scalar index per
-moving-average window.
+binned into an empirical distribution (a ClusterDistribution), turned into
+a per-bin entropy curve, a float64 array (surprisal by default), and summed
+over every bin into one float I(n) per moving-average window.
 """
 
 from __future__ import annotations
@@ -35,27 +35,6 @@ class ClusterDistribution:
     def __init__(self, n: int, taus: np.ndarray, counts: np.ndarray,
                  probabilities: np.ndarray):
         self.n, self.taus, self.counts, self.probabilities = n, taus, counts, probabilities
-
-
-class EntropyCurve:
-    """Per-duration entropy values S(tau, n) >= 0 in nats, observed bins only.
-
-    taus are the distribution's, strictly ascending.
-    """
-
-    __slots__ = ("n", "taus", "values")
-
-    def __init__(self, n: int, taus: np.ndarray, values: np.ndarray):
-        self.n, self.taus, self.values = n, taus, values
-
-
-class EntropyIndex:
-    """Scalar index I(n) for one window length n (see entropy_index)."""
-
-    __slots__ = ("n", "value")
-
-    def __init__(self, n: int, value: float):
-        self.n, self.value = n, value
 
 
 def _window_error(n: int, length: int) -> DataError:
@@ -250,8 +229,8 @@ def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
 
 
 def entropy_curve(dist: ClusterDistribution,
-                  estimator: str = "surprisal") -> EntropyCurve:
-    """Entropy per observed duration bin.
+                  estimator: str = "surprisal") -> np.ndarray:
+    """Entropy S(tau, n) >= 0 in nats per observed bin, aligned with dist.taus.
 
     estimator='surprisal' (default): S = -ln P(tau, n), which grows
     logarithmically in the power-law regime and linearly past the cutoff.
@@ -260,12 +239,10 @@ def entropy_curve(dist: ClusterDistribution,
     """
     p = dist.probabilities
     if estimator == "surprisal":
-        values = -np.log(p)
-    elif estimator == "shannon_term":
-        values = -p * np.log(p)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return EntropyCurve(n=dist.n, taus=dist.taus, values=values)
+        return -np.log(p)
+    if estimator == "shannon_term":
+        return -p * np.log(p)
+    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def _sum_in_order(values) -> float:
@@ -277,14 +254,14 @@ def _sum_in_order(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def entropy_index(curve: EntropyCurve) -> EntropyIndex:
+def entropy_index(curve: np.ndarray) -> float:
     """I(n): the curve's values over every observed bin, added left to right in ascending tau."""
-    if len(curve.taus) == 0:
+    if len(curve) == 0:
         raise EmptyInputError("entropy curve has no points")
-    return EntropyIndex(n=curve.n, value=_sum_in_order(curve.values.tolist()))
+    return _sum_in_order(curve.tolist())
 
 
-def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:
+def aggregate_index(indices: list[float], how: str = "sum") -> float:
     """Combine per-window indices over the grid; sum by default.
 
     The arithmetic mean divides by the count of indices given. It leaves
@@ -296,5 +273,5 @@ def aggregate_index(indices: list[EntropyIndex], how: str = "sum") -> float:
         raise EmptyInputError("no entropy indices to aggregate")
     if how not in ("sum", "mean"):
         raise ValueError(f"unknown aggregation {how!r}")
-    total = float(_sum_in_order(ix.value for ix in indices))
+    total = float(_sum_in_order(indices))
     return total / len(indices) if how == "mean" else total

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from .config import AssetInput, PipelineConfig
-from .dma_cluster import (ClusterDistribution, EntropyCurve, EntropyIndex,
-                          PrefixTables, aggregate_index, crossing_pass,
-                          entropy_curve, entropy_index)
+from .dma_cluster import (ClusterDistribution, PrefixTables, aggregate_index,
+                          crossing_pass, entropy_curve, entropy_index)
 from .errors import (DataError, EntroportError, InputFileError,
                      InsufficientClustersError, NoTangencyError)
 from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
@@ -45,18 +44,21 @@ METHOD_NAIVE = "naive_1_over_N"
 
 
 class CellResult:
-    """Entropy output for one (asset, horizon, window) cell."""
+    """Entropy output for one (asset, horizon, window) cell.
+
+    curves[n] is (taus, S) and indices[n] is I(n), for each kept n in n-grid order.
+    """
 
     __slots__ = ("asset", "horizon", "window_s", "curves", "indices", "aggregate", "warnings")
 
     def __init__(self, asset: str, horizon: int, window_s: int,
-                 curves: dict[int, EntropyCurve] | None = None,
-                 indices: list[EntropyIndex] | None = None, aggregate: float = 0.0,
+                 curves: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
+                 indices: dict[int, float] | None = None, aggregate: float = 0.0,
                  warnings: list[str] | None = None):
         self.asset, self.horizon, self.window_s, self.aggregate = (
             asset, horizon, window_s, aggregate)
         self.curves = {} if curves is None else curves
-        self.indices = [] if indices is None else indices
+        self.indices = {} if indices is None else indices
         self.warnings = [] if warnings is None else warnings
 
 
@@ -134,8 +136,8 @@ def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
             elif not isinstance(dist, ClusterDistribution):
                 cell.warnings.append(f"{label}: series too short")
             else:
-                cell.curves[n] = curve
-                cell.indices.append(index)
+                cell.curves[n] = (dist.taus, curve)
+                cell.indices[n] = index
     if logger.isEnabledFor(logging.DEBUG):
         per_span = len(cells[0])  # one cell per window
         dropped = per_span * sum(isinstance(d, InsufficientClustersError) for d in dists)
@@ -180,7 +182,7 @@ def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice
             if not cell.indices:
                 raise InsufficientClustersError(f"asset {asset.name!r} has no valid n point "
                                                 f"at M={cell.horizon}, T={cell.window_s}s")
-            cell.aggregate = aggregate_index(cell.indices, how=cfg.aggregation)
+            cell.aggregate = aggregate_index(list(cell.indices.values()), how=cfg.aggregation)
             out.append(cell)
     return out
 
@@ -284,9 +286,9 @@ def _curve_lines(cells: list[CellResult]):
     for c in cells:
         for n in sorted(c.curves):
             prefix = f"{c.asset},{c.horizon},{c.window_s},{n},"
-            curve = c.curves[n]
+            taus, s = c.curves[n]
             yield prefix + ("\n" + prefix).join(
-                map("{},{!r}".format, curve.taus.tolist(), curve.values.tolist())) + "\n"
+                map("{},{!r}".format, taus.tolist(), s.tolist())) + "\n"
 
 
 def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
@@ -299,8 +301,8 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
     cells = [result.cells[key] for key in sorted(result.cells)]
     _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", _curve_lines(cells))
     _write_csv(out / "indices_by_n.csv", "asset,horizon,T_s,n,I_n", (
-        f"{c.asset},{c.horizon},{c.window_s},{ix.n},{_fmt(ix.value)}\n"
-        for c in cells for ix in sorted(c.indices, key=lambda i: i.n)))
+        f"{c.asset},{c.horizon},{c.window_s},{n},{_fmt(i_n)}\n"
+        for c in cells for n, i_n in sorted(c.indices.items())))
     _write_csv(out / "indices_aggregated.csv", "asset,horizon,T_s,I", (
         f"{c.asset},{c.horizon},{c.window_s},{_fmt(c.aggregate)}\n" for c in cells))
     _write_csv(out / "weights.csv", "method,horizon,T_s,asset,weight", (

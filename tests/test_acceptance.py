@@ -73,8 +73,8 @@ def test_criterion_3_entropy_curve_linear_slope(n):
     # tau in (2n, 5n] against the predicted 1/n slope
     durations = [np.diff(crossing_pass(PrefixTables(ep.fbm_series(0.5, 2 ** 17, seed)),
                                        n).times) for seed in range(20)]
-    curve = ep.entropy_curve(_pass_histogram(n, np.bincount(np.concatenate(durations))))
-    taus, svals = curve.taus, curve.values
+    dist = _pass_histogram(n, np.bincount(np.concatenate(durations)))
+    taus, svals = dist.taus, ep.entropy_curve(dist)
     mask = (taus > 2 * n) & (taus <= 5 * n)
     assert mask.sum() >= 3
     slope = float(np.polyfit(taus[mask], svals[mask], 1)[0])

@@ -5,9 +5,9 @@ import operator
 import numpy as np
 import pytest
 
-from entroport import (ClusterDistribution, DataError, EmptyInputError, EntropyCurve,
-                       EntropyIndex, InsufficientClustersError, aggregate_index,
-                       entropy_curve, entropy_index, moving_average)
+from entroport import (ClusterDistribution, DataError, EmptyInputError,
+                       InsufficientClustersError, aggregate_index, entropy_curve,
+                       entropy_index, moving_average)
 from entroport import dma_cluster
 from entroport.dma_cluster import (PrefixTables, _filter, _pass_histogram, _tables,
                                    crossing_pass)
@@ -230,12 +230,12 @@ class TestClusterDistribution:
 
 class TestEntropyCurve:
     def test_single_bin_is_zero(self):
-        curve = entropy_curve(_histogram(5, [4] * 60))
-        assert curve.taus.tolist() == [4] and curve.values.tolist() == [0.0]
+        dist = _histogram(5, [4] * 60)
+        assert dist.taus.tolist() == [4] and entropy_curve(dist).tolist() == [0.0]
 
     def test_uniform_bins_give_log_k(self):
         curve = entropy_curve(_histogram(5, np.repeat(np.arange(1, 7), 10)))
-        assert all(s == pytest.approx(np.log(6)) for s in curve.values)
+        assert all(s == pytest.approx(np.log(6)) for s in curve)
 
     def test_model_distribution_matches_surprisal_form(self):
         # P ~ tau^-1.5 exp(-tau/5) on 1..10: S must equal C + 1.5 ln tau + tau/5
@@ -244,7 +244,7 @@ class TestEntropyCurve:
         weights = taus ** -1.5 * np.exp(-taus / 5.0)
         c = np.log(weights.sum())
         curve = entropy_curve(_model(5, taus, weights))
-        for t, s in zip(taus, curve.values):
+        for t, s in zip(taus, curve):
             expected = c + 1.5 * np.log(t) + t / 5.0
             assert s == pytest.approx(expected, rel=1e-12)
 
@@ -253,15 +253,16 @@ class TestEntropyCurve:
         # criterion 3 fits it, is exactly 1/n
         n = 10
         taus = np.arange(1, 6 * n)
-        curve = entropy_curve(_model(n, taus, np.exp(-taus / n)))
-        tail = (curve.taus > 2 * n) & (curve.taus <= 5 * n)
-        slope = np.polyfit(curve.taus[tail].astype(float), curve.values[tail], 1)[0]
+        dist = _model(n, taus, np.exp(-taus / n))
+        curve = entropy_curve(dist)
+        tail = (dist.taus > 2 * n) & (dist.taus <= 5 * n)
+        slope = np.polyfit(dist.taus[tail].astype(float), curve[tail], 1)[0]
         assert slope == pytest.approx(1.0 / n, rel=1e-6)
 
     def test_shannon_term_estimator(self):
         curve = entropy_curve(_histogram(5, [1, 1, 1, 2]), estimator="shannon_term")
-        assert curve.values[0] == pytest.approx(-0.75 * np.log(0.75))
-        assert curve.values[1] == pytest.approx(-0.25 * np.log(0.25))
+        assert curve[0] == pytest.approx(-0.75 * np.log(0.75))
+        assert curve[1] == pytest.approx(-0.25 * np.log(0.25))
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
@@ -270,25 +271,23 @@ class TestEntropyCurve:
 
 class TestEntropyIndex:
     def test_single_zero_bin(self):
-        ix = entropy_index(entropy_curve(_histogram(5, [2] * 60)))
-        assert ix.value == 0.0
+        assert entropy_index(entropy_curve(_histogram(5, [2] * 60))) == 0.0
 
     def test_two_uniform_bins_split(self):
-        ix = entropy_index(entropy_curve(_histogram(4, [2] * 5 + [6] * 5)))
-        assert ix.value == pytest.approx(2 * np.log(2))
+        i_n = entropy_index(entropy_curve(_histogram(4, [2] * 5 + [6] * 5)))
+        assert i_n == pytest.approx(2 * np.log(2))
 
     def test_model_curve_matches_brute_force_sum(self):
         taus = np.arange(1, 11)
         curve = entropy_curve(_model(5, taus, taus ** -1.5 * np.exp(-taus / 5.0)))
-        ix = entropy_index(curve)
+        i_n = entropy_index(curve)
         # independent summation oracle over the curve points
-        brute = sum(curve.values.tolist())
-        assert ix.value == pytest.approx(brute, rel=1e-14)
+        brute = sum(curve.tolist())
+        assert i_n == pytest.approx(brute, rel=1e-14)
 
     def test_empty_curve(self):
-        empty = EntropyCurve(n=4, taus=np.zeros(0, dtype=np.int64), values=np.zeros(0))
         with pytest.raises(EmptyInputError, match="no points"):
-            entropy_index(empty)
+            entropy_index(np.zeros(0))
 
 
 def _neumaier_sum(values, start=0):
@@ -309,26 +308,20 @@ def test_index_sums_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
         return functools.reduce(operator.add, values, 0.0)
 
     values = [1.0] + [1e-16] * 10
-    curve = EntropyCurve(n=4, taus=np.arange(1, 12), values=np.array(values))
-    ixs = [EntropyIndex(n=n, value=v) for n, v in enumerate(values, start=2)]
     monkeypatch.setattr(builtins, "sum", _neumaier_sum)
     assert sum(values) == 1.000000000000001 != in_order(values) == 1.0
-    value = entropy_index(curve).value
-    total = aggregate_index(ixs)
+    value = entropy_index(np.array(values))
+    total = aggregate_index(values)
     monkeypatch.undo()
     assert value == total == 1.0
 
 
 class TestAggregateIndex:
-    def _index(self, n, v):
-        from entroport import EntropyIndex
-        return EntropyIndex(n=n, value=v)
-
     def test_single_grid_point_identity(self):
-        assert aggregate_index([self._index(4, 2.5)]) == 2.5
+        assert aggregate_index([2.5]) == 2.5
 
     def test_equal_values_sum(self):
-        ixs = [self._index(n, 1.5) for n in (4, 8, 12)]
+        ixs = [1.5, 1.5, 1.5]
         assert aggregate_index(ixs) == pytest.approx(4.5)
         assert aggregate_index(ixs, how="mean") == pytest.approx(1.5)
 
@@ -338,4 +331,4 @@ class TestAggregateIndex:
 
     def test_unknown_aggregation(self):
         with pytest.raises(ValueError, match="unknown aggregation 'median'"):
-            aggregate_index([self._index(4, 2.5)], how="median")
+            aggregate_index([2.5], how="median")

@@ -18,8 +18,7 @@ import entroport
 from entroport import config, pipeline
 from entroport.cli import main
 from entroport.config import MAX_N_GRID, load_config
-from entroport.dma_cluster import (EntropyCurve, PrefixTables, crossing_pass, entropy_curve,
-                                   entropy_index)
+from entroport.dma_cluster import PrefixTables, crossing_pass, entropy_curve, entropy_index
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
 from entroport.pipeline import CellResult, PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
@@ -513,8 +512,8 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
                         [(0, len(y))], cfg.min_clusters)
                     if isinstance(dist, Exception):
                         raise dist
-                    ix = entropy_index(entropy_curve(dist, cfg.entropy_estimator))
-                    expected[(asset.name, m, t_s, n)] = repr(ix.value)
+                    i_n = entropy_index(entropy_curve(dist, cfg.entropy_estimator))
+                    expected[(asset.name, m, t_s, n)] = repr(i_n)
     assert got == expected
 
 
@@ -745,9 +744,8 @@ def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
 
 
 def test_curve_rows_equal_per_row_format(tmp_path):
-    curve = EntropyCurve(n=5, taus=np.array([1, 2, 7, 10 ** 6]),
-                         values=np.array([0.0, -0.0, 0.1 + 0.2, 1e-300]))
-    other = EntropyCurve(n=3, taus=np.array([4]), values=np.array([123456789.125]))
+    curve = (np.array([1, 2, 7, 10 ** 6]), np.array([0.0, -0.0, 0.1 + 0.2, 1e-300]))
+    other = (np.array([4]), np.array([123456789.125]))
     cells = {("B", 2, 360): CellResult("B", 2, 360, curves={5: curve, 3: other}),
              ("A", 12, 60): CellResult("A", 12, 60, curves={3: other})}
     result = PipelineResult(cells=cells, weights=[], diagnostics=[], warnings=[])
@@ -756,7 +754,7 @@ def test_curve_rows_equal_per_row_format(tmp_path):
     per_row = "asset,horizon,T_s,n,tau,S\n" + "".join(
         f"{c.asset},{c.horizon},{c.window_s},{n},{tau},{repr(float(s))}\n"
         for c in (cells[k] for k in sorted(cells)) for n in sorted(c.curves)
-        for tau, s in zip(c.curves[n].taus.tolist(), c.curves[n].values.tolist()))
+        for tau, s in zip(c.curves[n][0].tolist(), c.curves[n][1].tolist()))
     assert (tmp_path / "out" / "entropy_curves.csv").read_text() == per_row
 
 
@@ -986,6 +984,19 @@ class TestConfigValidation:
         ("year_start", "9999-12-01")])
     def test_time_grid_outside_int64_nanoseconds_exits_2(self, tmp_path, caplog, key, value):
         _exits_2_naming(_write_config(tmp_path, overrides={key: value}), caplog, key)
+        assert not (tmp_path / "out").exists()
+
+    def test_delta_of_2_63_ns_or_more_exits_2(self, tmp_path, caplog):
+        """From 1678, year_start + delta fits int64 though delta does not."""
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text(
+                "timestamp_ns,price\n0,100.0\n1000000000000000000,101.0\n")
+        span = 18_600_000_000  # 2 delta
+        cfg_path = _write_config(tmp_path, overrides={
+            "assets": [{"name": "A", "ticks": "a.csv"}, {"name": "B", "ticks": "b.csv"}],
+            "year_start": "1678-01-01", "delta_s": 9.3e9,
+            "n_grid_s": {"min": span, "max": span, "step": 1}, "volatility_windows_s": [span]})
+        _exits_2_naming(cfg_path, caplog, "delta_s 9300000000.0 must be under 2**63 ns")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (TICK_DTYPE, ClusterDistribution, DataError, EntropyCurve,
-                       HorizonError, InsufficientClustersError, date_ns, month_start_ns,
-                       slice_horizon, WeightVector, entropy_curve, entropy_index,
-                       linear_returns, log_returns, parse_ticks, resample, weight_entropy)
+from entroport import (TICK_DTYPE, ClusterDistribution, DataError, HorizonError,
+                       InsufficientClustersError, date_ns, month_start_ns, slice_horizon,
+                       WeightVector, entropy_curve, entropy_index, linear_returns,
+                       log_returns, parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
 from entroport.errors import EntroportError
 from entroport.portfolio import (MomentEstimates, _ascend, _grid_start, _project_simplex,
@@ -51,14 +51,13 @@ def test_entropy_curve_equals_per_bin_loop(taus_in, estimator):
     probs = dist.probabilities.tolist()
     per_bin = [float(-np.log(p)) if estimator == "surprisal" else float(-p * np.log(p))
                for p in probs]
-    assert curve.values.tolist() == per_bin  # the vectorised curve changes no bit
+    assert curve.tolist() == per_bin  # the vectorised curve changes no bit
 
 
 @settings(deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=200))
 def test_entropy_index_sums_every_bin_left_to_right(values):
-    curve = EntropyCurve(n=10, taus=np.arange(1, len(values) + 1), values=np.array(values))
-    assert entropy_index(curve).value == functools.reduce(operator.add, values, 0.0)
+    assert entropy_index(np.array(values)) == functools.reduce(operator.add, values, 0.0)
 
 
 def _previous_tick_oracle(rows, origin, delta):
@@ -365,8 +364,15 @@ def test_pass_histograms_meet_the_distribution_invariants(make, data):
         want = dist.counts / dist.counts.sum()
         assert dist.probabilities.dtype == want.dtype
         assert dist.probabilities.tobytes() == want.tobytes()
-        for estimator in ("surprisal", "shannon_term"):
-            assert np.all(entropy_curve(dist, estimator).values >= 0)
+        surprisal, term = entropy_curve(dist), entropy_curve(dist, "shannon_term")
+        for curve in (surprisal, term):
+            assert type(curve) is np.ndarray and curve.dtype == np.float64
+            assert np.all(curve >= 0)
+        assert surprisal.tobytes() == (-np.log(dist.counts / dist.counts.sum())).tobytes()
+        assert term.tobytes() == (-want * np.log(want)).tobytes()
+        i_n = entropy_index(surprisal)
+        assert type(i_n) is float
+        assert i_n == functools.reduce(operator.add, surprisal.tolist(), 0.0)
 
 
 def _return_like(draw):
