@@ -1,10 +1,12 @@
 """Moving-average cluster machinery.
 
 A cluster is the stretch of a series between two consecutive intersections
-with its trailing moving average. Durations are counted in sampling units,
-binned into an empirical distribution (a ClusterDistribution), turned into
-a per-bin entropy curve, a float64 array (surprisal by default), and summed
-over every bin into one float I(n) per moving-average window.
+with its trailing moving average. Durations are counted in sampling units
+and binned into a histogram, the pair (taus, counts) of int64 arrays: the
+observed durations, strictly ascending, and the cluster count of each. The
+counts give P(tau, n) = counts / counts.sum(), a per-bin entropy curve, a
+float64 array (surprisal by default), which is summed over every bin into
+one float I(n) per moving-average window.
 """
 
 from __future__ import annotations
@@ -19,22 +21,6 @@ from .errors import (DataError, EmptyInputError, EntroportError,
 
 #: clusters required before a duration distribution counts as statistically valid
 MIN_CLUSTERS = 50
-
-
-class ClusterDistribution:
-    """Histogram of cluster durations for one window length n.
-
-    taus are the observed durations (int64 samples >= 1, strictly ascending),
-    counts the cluster count per duration (positive float64) and
-    probabilities counts / counts.sum(). _pass_histogram builds it from a
-    crossing pass; a model distribution may carry fractional counts.
-    """
-
-    __slots__ = ("n", "taus", "counts", "probabilities")
-
-    def __init__(self, n: int, taus: np.ndarray, counts: np.ndarray,
-                 probabilities: np.ndarray):
-        self.n, self.taus, self.counts, self.probabilities = n, taus, counts, probabilities
 
 
 def _window_error(n: int, length: int) -> DataError:
@@ -70,9 +56,11 @@ class CrossingPass:
 
     def distributions(self, spans: list[tuple[int, int]],
                       min_clusters: int = MIN_CLUSTERS
-                      ) -> list[ClusterDistribution | EntroportError]:
+                      ) -> list[tuple[np.ndarray, np.ndarray] | EntroportError]:
         """The histogram of y[start:stop]'s cluster durations, for each span.
 
+        A histogram is the pair (taus, counts) that _pass_histogram makes:
+        the observed durations, strictly ascending, and their int64 counts.
         The durations are the diffs of the crossing times that a pass over
         y[start:stop] alone finds; the partial clusters at either end are not
         counted. Where there is no histogram, the entry is the exception: a
@@ -88,7 +76,7 @@ class CrossingPass:
         """
         durations = np.diff(self.times)
         size = int(durations.max()) + 1 if len(durations) else 1
-        out: list[ClusterDistribution | EntroportError] = [None] * len(spans)
+        out: list[tuple[np.ndarray, np.ndarray] | EntroportError] = [None] * len(spans)
         acc_start = None
         for i in sorted(range(len(spans)), key=spans.__getitem__):
             start, stop = spans[i]
@@ -105,20 +93,18 @@ class CrossingPass:
             if end - lo < min_clusters:
                 out[i] = _too_few_clusters(end - lo, self.n, min_clusters)
             else:
-                out[i] = _pass_histogram(self.n, acc)
+                out[i] = _pass_histogram(acc)
         return out
 
 
-def _pass_histogram(n: int, acc: np.ndarray) -> ClusterDistribution:
-    """ClusterDistribution of a nonzero bincount of pass durations.
+def _pass_histogram(acc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, counts) of a nonzero bincount of pass durations.
 
     The durations are diffs of strictly increasing crossing times, so the
-    nonzero bins are strictly ascending taus >= 1 with positive counts.
+    nonzero bins are strictly ascending taus >= 1 with positive int64 counts.
     """
     taus = np.flatnonzero(acc)
-    counts = acc[taus].astype(float)
-    return ClusterDistribution(n=n, taus=taus, counts=counts,
-                               probabilities=counts / counts.sum())
+    return taus, acc[taus]
 
 
 #: unit roundoff of float64 arithmetic (round to nearest)
@@ -228,16 +214,16 @@ def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     return CrossingPass(n, nonzero[flip + 1], nonzero[flip], f"full convolve ({why})")
 
 
-def entropy_curve(dist: ClusterDistribution,
-                  estimator: str = "surprisal") -> np.ndarray:
-    """Entropy S(tau, n) >= 0 in nats per observed bin, aligned with dist.taus.
+def entropy_curve(counts: np.ndarray, estimator: str = "surprisal") -> np.ndarray:
+    """Entropy S(tau, n) >= 0 in nats per observed bin, aligned with the histogram's taus.
 
-    estimator='surprisal' (default): S = -ln P(tau, n), which grows
-    logarithmically in the power-law regime and linearly past the cutoff.
-    estimator='shannon_term': the per-bin summand -P ln P, kept switchable
-    for sensitivity studies.
+    P(tau, n) = counts / counts.sum(); counts are positive, and a model
+    distribution may give fractional ones. estimator='surprisal' (default):
+    S = -ln P, which grows logarithmically in the power-law regime and
+    linearly past the cutoff. estimator='shannon_term': the per-bin summand
+    -P ln P, kept switchable for sensitivity studies.
     """
-    p = dist.probabilities
+    p = counts / counts.sum()
     if estimator == "surprisal":
         return -np.log(p)
     if estimator == "shannon_term":

@@ -24,13 +24,12 @@ import numpy as np
 
 from . import __version__
 from .config import AssetInput, PipelineConfig
-from .dma_cluster import (ClusterDistribution, PrefixTables, aggregate_index,
-                          crossing_pass, entropy_curve, entropy_index)
+from .dma_cluster import (PrefixTables, aggregate_index, crossing_pass, entropy_curve,
+                          entropy_index)
 from .errors import (DataError, EntroportError, InputFileError,
                      InsufficientClustersError, NoTangencyError)
-from .portfolio import (MomentEstimates, RiskProfile, WeightVector,
-                        cluster_entropy_weights, kl_cross_entropy,
-                        max_sharpe_weights, naive_weights, weight_entropy)
+from .portfolio import (cluster_entropy_weights, kl_cross_entropy, max_sharpe_weights,
+                        naive_weights, weight_entropy)
 from .returns_vol import linear_returns, log_returns, rolling_volatility
 from .series import (iso_utc, month_start_ns, parse_ticks, resample, slice_horizon,
                      whole_samples)
@@ -126,22 +125,23 @@ def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
     cpass = crossing_pass(tables, n)
     dists = cpass.distributions(spans, cfg.min_clusters)
     for span_cells, dist in zip(cells, dists):
-        if isinstance(dist, ClusterDistribution):
-            curve = entropy_curve(dist, estimator=cfg.entropy_estimator)
+        if isinstance(dist, tuple):
+            taus, counts = dist
+            curve = entropy_curve(counts, estimator=cfg.entropy_estimator)
             index = entropy_index(curve)
         for cell in span_cells:
             label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
             if isinstance(dist, InsufficientClustersError):
                 cell.warnings.append(f"{label}: dropped ({dist})")
-            elif not isinstance(dist, ClusterDistribution):
+            elif not isinstance(dist, tuple):
                 cell.warnings.append(f"{label}: series too short")
             else:
-                cell.curves[n] = (dist.taus, curve)
+                cell.curves[n] = (taus, curve)
                 cell.indices[n] = index
     if logger.isEnabledFor(logging.DEBUG):
         per_span = len(cells[0])  # one cell per window
         dropped = per_span * sum(isinstance(d, InsufficientClustersError) for d in dists)
-        kept = per_span * sum(isinstance(d, ClusterDistribution) for d in dists)
+        kept = per_span * sum(isinstance(d, tuple) for d in dists)
         logger.debug("%s T=%s n=%d: %s; %d crossings; cells %d kept, %d dropped, "
                      "%d too short", cells[0][0].asset,
                      ",".join(f"{c.window_s}s" for c in cells[0]), n, cpass.rule,
@@ -228,14 +228,13 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
             cells[(asset.name, cell.horizon, cell.window_s)] = cell
             warnings.extend(cell.warnings)
 
-    uniform = naive_weights(names)
+    uniform = naive_weights(len(names))
     for m, rng in ranges.items():
         ret_matrix = np.vstack([r[rng.start:rng.stop - 1] for r in returns])
-        moments = MomentEstimates(mu=ret_matrix.mean(axis=1),
-                                  sigma=np.cov(ret_matrix, ddof=1))
+        mu, sigma = ret_matrix.mean(axis=1), np.cov(ret_matrix, ddof=1)
         # the moments depend on the horizon only, so every window shares one solve
         try:
-            sharpe, no_tangency = max_sharpe_weights(moments, names), None
+            sharpe, no_tangency = max_sharpe_weights(mu, sigma), None
         except NoTangencyError as exc:
             sharpe, no_tangency = None, exc
         for t_s in cfg.volatility_windows_s:
@@ -245,9 +244,10 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
             if bad:  # e.g. 0 when every cluster of an asset has one duration
                 raise DataError(f"M={m} T={t_s}s: the cluster-entropy index must be "
                                 f"finite and positive, got {', '.join(bad)}")
-            per_method: dict[str, WeightVector] = {
-                METHOD_HIGH: cluster_entropy_weights(aggs, names, RiskProfile.HIGH_RISK),
-                METHOD_LOW: cluster_entropy_weights(aggs, names, RiskProfile.LOW_RISK),
+            indices = np.array(aggs)
+            per_method = {
+                METHOD_HIGH: cluster_entropy_weights(indices),
+                METHOD_LOW: cluster_entropy_weights(1.0 / indices),
                 METHOD_NAIVE: uniform,
             }
             if sharpe is None:
@@ -255,11 +255,11 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
             else:
                 per_method[METHOD_SHARPE] = sharpe
             for method in sorted(per_method):
-                wv = per_method[method]
-                for name, w in zip(names, wv.weights):
-                    weights_rows.append((method, m, t_s, name, float(w)))
-                diag_rows.append((method, m, t_s, weight_entropy(wv),
-                                  kl_cross_entropy(wv, uniform)))
+                w = per_method[method]
+                weights_rows.extend((method, m, t_s, name, x)
+                                    for name, x in zip(names, w.tolist()))
+                diag_rows.append((method, m, t_s, weight_entropy(w),
+                                  kl_cross_entropy(w, uniform)))
 
     result = PipelineResult(cells=cells, weights=weights_rows,
                             diagnostics=diag_rows, warnings=sorted(warnings))

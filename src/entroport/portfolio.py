@@ -6,7 +6,6 @@ import functools
 import itertools
 import logging
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -19,48 +18,15 @@ _MAX_ITER = 500  # cap on the steps of one max-Sharpe ascent
 _GRID_DIVISIONS = 10  # max-Sharpe grid start: weights in steps of 1/10
 
 
-class RiskProfile(Enum):
-    HIGH_RISK = "high"
-    LOW_RISK = "low"
-
-
-class WeightVector:
-    """Long-only allocation over labeled assets; non-negative, unit sum."""
-
-    __slots__ = ("weights", "labels")
-
-    def __init__(self, weights: np.ndarray, labels: tuple[str, ...]):
-        w = np.asarray(weights, dtype=float)
-        self.weights, self.labels = w, tuple(labels)
-        if len(w) != len(self.labels):
-            raise DataError("weights and labels must have equal length")
-        if not np.all(np.isfinite(w)):
-            raise DataError(f"non-finite weight in {w}")
-        if np.any(w < -SIMPLEX_TOL):
-            raise DataError(f"negative weight in {w}")
-        if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-            raise DataError(f"weights sum to {w.sum()}, not 1")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-class MomentEstimates:
-    """Per-asset expected returns and return covariance (same period units)."""
-
-    __slots__ = ("mu", "sigma")
-
-    def __init__(self, mu: np.ndarray, sigma: np.ndarray):
-        mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
-        self.mu, self.sigma = mu, sigma
-        if not np.all(np.isfinite(mu)):
-            raise DataError(f"expected returns mu must be finite, got {mu}")
-        if not np.all(np.isfinite(sigma)):
-            raise DataError("covariance matrix sigma must be finite")
-        if sigma.shape != (len(mu), len(mu)):
-            raise DataError(f"covariance shape {sigma.shape} does not match {len(mu)} assets")
-        if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
-            raise DataError("covariance matrix must be symmetric")
+def _simplex(w: np.ndarray) -> np.ndarray:
+    """w, once checked to be a long-only allocation: finite, non-negative, unit sum."""
+    if not np.all(np.isfinite(w)):
+        raise DataError(f"non-finite weight in {w}")
+    if np.any(w < -SIMPLEX_TOL):
+        raise DataError(f"negative weight in {w}")
+    if abs(w.sum() - 1.0) > SIMPLEX_TOL:
+        raise DataError(f"weights sum to {w.sum()}, not 1")
+    return w
 
 
 # --- max-Sharpe optimizer ----------------------------------------------------
@@ -177,21 +143,27 @@ def _grid_start(mu: np.ndarray, sigma: np.ndarray, divisions: int) -> np.ndarray
     return grid[near[int(np.argmax(exact))]]
 
 
-def max_sharpe_weights(moments: MomentEstimates,
-                       labels: tuple[str, ...] | None = None) -> WeightVector:
+def max_sharpe_weights(mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Long-only weights maximizing the Sharpe ratio.
 
-    Runs projected-gradient ascent from several starts (uniform, best vertex,
-    clipped unconstrained tangency, best coarse-grid point) and returns the
-    best; singular covariances get an automatic ridge of 1e-10 * trace / N.
+    mu are per-asset expected returns and sigma their covariance, in the
+    same period units; both are checked first. Runs projected-gradient
+    ascent from several starts (uniform, best vertex, clipped unconstrained
+    tangency, best coarse-grid point) and returns the best; singular
+    covariances get an automatic ridge of 1e-10 * trace / N.
     """
-    mu = moments.mu
-    sigma = moments.sigma.copy()
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(mu)):
+        raise DataError(f"expected returns mu must be finite, got {mu}")
+    if not np.all(np.isfinite(sigma)):
+        raise DataError("covariance matrix sigma must be finite")
+    if sigma.shape != (len(mu), len(mu)):
+        raise DataError(f"covariance shape {sigma.shape} does not match {len(mu)} assets")
+    if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
+        raise DataError("covariance matrix must be symmetric")
     n = len(mu)
-    if labels is None:
-        labels = tuple(f"asset_{i}" for i in range(n))
     if n == 1:
-        return WeightVector(np.ones(1), labels)
+        return np.ones(1)
     if np.all(mu <= 0):
         raise NoTangencyError("all expected returns are non-positive")
 
@@ -221,8 +193,7 @@ def max_sharpe_weights(moments: MomentEstimates,
         best_start = None
     if logger.isEnabledFor(logging.DEBUG):
         capped = [name for name, (_, _, steps) in ascents.items() if steps == _MAX_ITER]
-        logger.debug("max_sharpe %s: ascent steps %s; best start %s; %s",
-                     ",".join(labels),
+        logger.debug("max_sharpe: ascent steps %s; best start %s; %s",
                      " ".join(f"{name}={steps}" for name, (_, _, steps) in ascents.items()),
                      best_start,
                      f"unconverged, stopped at the {_MAX_ITER}-step cap: {','.join(capped)}"
@@ -232,53 +203,47 @@ def max_sharpe_weights(moments: MomentEstimates,
     if best_start is None:
         raise NoTangencyError("no start portfolio has positive variance")
     best = ascents[best_start][0]
-    return WeightVector(best / best.sum(), labels)
+    return _simplex(best / best.sum())
 
 
 # --- entropy-based weights and diagnostics -----------------------------------
 
-def cluster_entropy_weights(indices, labels: tuple[str, ...],
-                            profile: RiskProfile = RiskProfile.HIGH_RISK) -> WeightVector:
-    """Normalize aggregate cluster-entropy indices into allocation weights.
+def cluster_entropy_weights(indices) -> np.ndarray:
+    """w_i = I_i / sum I: aggregate cluster-entropy indices as allocation weights.
 
-    High-risk: w_i proportional to I_i. Low-risk: proportional to 1/I_i
-    (monotone-reversing extension; not prescribed by the high-risk rule).
+    This is the high-risk rule, w proportional to I. Given 1/I it gives the
+    low-risk weights, proportional to 1/I_i (a monotone-reversing extension,
+    not prescribed by the high-risk rule).
     """
     ivals = np.asarray(indices, dtype=float)
     if len(ivals) < 2:
         raise DataError("need at least 2 assets")
     if not np.all(np.isfinite(ivals) & (ivals > 0)):
         raise DataError(f"all indices must be finite and positive, got {ivals}")
-    if profile is RiskProfile.HIGH_RISK:
-        w = ivals / ivals.sum()
-    else:
-        inv = 1.0 / ivals
-        w = inv / inv.sum()
-    return WeightVector(w, labels)
+    return _simplex(ivals / ivals.sum())
 
 
-def naive_weights(labels: tuple[str, ...]) -> WeightVector:
-    """Equal 1/N allocation."""
-    n = len(labels)
-    return WeightVector(np.full(n, 1.0 / n), labels)
+def naive_weights(n: int) -> np.ndarray:
+    """Equal 1/N allocation over n assets."""
+    return np.full(n, 1.0 / n)
 
 
-def weight_entropy(w: WeightVector) -> float:
+def weight_entropy(w: np.ndarray) -> float:
     """Shannon entropy of the weight distribution, with 0 ln 0 = 0."""
-    wv = w.weights[w.weights > 0]
+    wv = w[w > 0]
     return float(-(wv * np.log(wv)).sum())
 
 
-def kl_cross_entropy(w: WeightVector, u: WeightVector) -> float:
+def kl_cross_entropy(w: np.ndarray, u: np.ndarray) -> float:
     """-sum w_i ln(w_i / u_i): negative of the conventional KL divergence.
 
     Zero iff w equals u on common support, negative otherwise.
     """
     if len(w) != len(u):
         raise DataError("weight vectors must have equal length")
-    mask = w.weights > 0
-    if np.any(u.weights[mask] <= 0):
+    mask = w > 0
+    if np.any(u[mask] <= 0):
         raise DataError("reference weights must be positive wherever w is positive")
-    wv = w.weights[mask]
-    uv = u.weights[mask]
+    wv = w[mask]
+    uv = u[mask]
     return float(-(wv * np.log(wv / uv)).sum())

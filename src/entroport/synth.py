@@ -168,15 +168,6 @@ def _fft_convolve_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[len(kernel) - 1:len(x)]
 
 
-def arfima_theoretical_acf(d: float, max_lag: int) -> np.ndarray:
-    """Exact ACF of ARFIMA(0,d,0): rho_k = Gamma(1-d)Gamma(k+d) / (Gamma(d)Gamma(k+1-d))."""
-    rho = np.empty(max_lag + 1)
-    rho[0] = 1.0
-    for k in range(1, max_lag + 1):
-        rho[k] = rho[k - 1] * (k - 1 + d) / (k - d)
-    return rho
-
-
 def garch_series(omega: float, alpha: float, beta: float, length: int,
                  seed: int) -> np.ndarray:
     """GARCH(1,1) return path with unconditional variance omega / (1 - alpha - beta)."""

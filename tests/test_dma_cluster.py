@@ -5,9 +5,8 @@ import operator
 import numpy as np
 import pytest
 
-from entroport import (ClusterDistribution, DataError, EmptyInputError,
-                       InsufficientClustersError, aggregate_index, entropy_curve,
-                       entropy_index, moving_average)
+from entroport import (DataError, EmptyInputError, InsufficientClustersError,
+                       aggregate_index, entropy_curve, entropy_index, moving_average)
 from entroport import dma_cluster
 from entroport.dma_cluster import (PrefixTables, _filter, _pass_histogram, _tables,
                                    crossing_pass)
@@ -21,15 +20,13 @@ def _durations(y, n):
     return np.diff(crossing_pass(PrefixTables(y), n).times)
 
 
-def _histogram(n, durations):
-    """The distribution a crossing pass builds from these durations."""
-    return _pass_histogram(n, np.bincount(durations))
+def _histogram(durations):
+    """The (taus, counts) a crossing pass builds from these durations."""
+    return _pass_histogram(np.bincount(durations))
 
 
-def _model(n, taus, weights):
-    """A model distribution with fractional counts."""
-    return ClusterDistribution(n=n, taus=taus, counts=weights,
-                               probabilities=weights / weights.sum())
+def _probabilities(counts):
+    return counts / counts.sum()
 
 
 class TestMovingAverage:
@@ -180,11 +177,11 @@ class TestExtractClusters:
         for _ in range(50):
             y = _series(np.cumsum(rng.standard_normal(2000)))
             cpass = crossing_pass(PrefixTables(y), 20)
-            dist, = cpass.distributions([(0, len(y))], min_clusters=1)
+            (taus, counts), = cpass.distributions([(0, len(y))], min_clusters=1)
             t = cpass.times
             if len(t) >= 2:
-                assert dist.counts.sum() == len(t) - 1
-                assert dist.counts @ dist.taus == t[-1] - t[0]
+                assert counts.sum() == len(t) - 1
+                assert counts @ taus == t[-1] - t[0]
 
     def test_determinism(self):
         y = _series(np.cumsum(np.random.default_rng(9).standard_normal(500)))
@@ -193,14 +190,14 @@ class TestExtractClusters:
 
 class TestClusterDistribution:
     def test_counting(self):
-        dist = _histogram(4, [1, 1, 2])
-        assert dist.taus.tolist() == [1, 2]
-        assert dist.probabilities.tolist() == [2 / 3, 1 / 3]
+        taus, counts = _histogram([1, 1, 2])
+        assert taus.tolist() == [1, 2]
+        assert _probabilities(counts).tolist() == [2 / 3, 1 / 3]
 
     def test_single_value_single_bin(self):
-        dist = _histogram(4, [3] * 60)
-        assert dist.taus.tolist() == [3]
-        assert dist.probabilities.tolist() == [1.0]
+        taus, counts = _histogram([3] * 60)
+        assert taus.tolist() == [3]
+        assert _probabilities(counts).tolist() == [1.0]
 
     def test_empty_durations(self):
         dist, = crossing_pass(PrefixTables(_series(np.arange(100.0))), 5).distributions(
@@ -219,22 +216,23 @@ class TestClusterDistribution:
         assert str(dist) == "49 clusters at n=2, need >= 50"
 
     def test_min_clusters_is_inclusive(self):
-        assert self._alternating(50, min_clusters=50).counts.tolist() == [50.0]
+        taus, counts = self._alternating(50, min_clusters=50)
+        assert taus.tolist() == [1] and counts.tolist() == [50]
 
     def test_normalization(self):
         y = _series(np.cumsum(np.random.default_rng(1).standard_normal(5000)))
-        dist, = crossing_pass(PrefixTables(y), 8).distributions([(0, len(y))])
-        assert len(dist.taus) > 1
-        assert abs(dist.probabilities.sum() - 1.0) < 1e-12
+        (taus, counts), = crossing_pass(PrefixTables(y), 8).distributions([(0, len(y))])
+        assert len(taus) > 1
+        assert abs(_probabilities(counts).sum() - 1.0) < 1e-12
 
 
 class TestEntropyCurve:
     def test_single_bin_is_zero(self):
-        dist = _histogram(5, [4] * 60)
-        assert dist.taus.tolist() == [4] and entropy_curve(dist).tolist() == [0.0]
+        taus, counts = _histogram([4] * 60)
+        assert taus.tolist() == [4] and entropy_curve(counts).tolist() == [0.0]
 
     def test_uniform_bins_give_log_k(self):
-        curve = entropy_curve(_histogram(5, np.repeat(np.arange(1, 7), 10)))
+        curve = entropy_curve(_histogram(np.repeat(np.arange(1, 7), 10))[1])
         assert all(s == pytest.approx(np.log(6)) for s in curve)
 
     def test_model_distribution_matches_surprisal_form(self):
@@ -243,7 +241,7 @@ class TestEntropyCurve:
         taus = np.arange(1, 11)
         weights = taus ** -1.5 * np.exp(-taus / 5.0)
         c = np.log(weights.sum())
-        curve = entropy_curve(_model(5, taus, weights))
+        curve = entropy_curve(weights)  # a model distribution's fractional counts
         for t, s in zip(taus, curve):
             expected = c + 1.5 * np.log(t) + t / 5.0
             assert s == pytest.approx(expected, rel=1e-12)
@@ -253,33 +251,32 @@ class TestEntropyCurve:
         # criterion 3 fits it, is exactly 1/n
         n = 10
         taus = np.arange(1, 6 * n)
-        dist = _model(n, taus, np.exp(-taus / n))
-        curve = entropy_curve(dist)
-        tail = (dist.taus > 2 * n) & (dist.taus <= 5 * n)
-        slope = np.polyfit(dist.taus[tail].astype(float), curve[tail], 1)[0]
+        curve = entropy_curve(np.exp(-taus / n))
+        tail = (taus > 2 * n) & (taus <= 5 * n)
+        slope = np.polyfit(taus[tail].astype(float), curve[tail], 1)[0]
         assert slope == pytest.approx(1.0 / n, rel=1e-6)
 
     def test_shannon_term_estimator(self):
-        curve = entropy_curve(_histogram(5, [1, 1, 1, 2]), estimator="shannon_term")
+        curve = entropy_curve(_histogram([1, 1, 1, 2])[1], estimator="shannon_term")
         assert curve[0] == pytest.approx(-0.75 * np.log(0.75))
         assert curve[1] == pytest.approx(-0.25 * np.log(0.25))
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
-            entropy_curve(_histogram(5, [1, 1, 1]), estimator="bogus")
+            entropy_curve(_histogram([1, 1, 1])[1], estimator="bogus")
 
 
 class TestEntropyIndex:
     def test_single_zero_bin(self):
-        assert entropy_index(entropy_curve(_histogram(5, [2] * 60))) == 0.0
+        assert entropy_index(entropy_curve(_histogram([2] * 60)[1])) == 0.0
 
     def test_two_uniform_bins_split(self):
-        i_n = entropy_index(entropy_curve(_histogram(4, [2] * 5 + [6] * 5)))
+        i_n = entropy_index(entropy_curve(_histogram([2] * 5 + [6] * 5)[1]))
         assert i_n == pytest.approx(2 * np.log(2))
 
     def test_model_curve_matches_brute_force_sum(self):
         taus = np.arange(1, 11)
-        curve = entropy_curve(_model(5, taus, taus ** -1.5 * np.exp(-taus / 5.0)))
+        curve = entropy_curve(taus ** -1.5 * np.exp(-taus / 5.0))
         i_n = entropy_index(curve)
         # independent summation oracle over the curve points
         brute = sum(curve.tolist())

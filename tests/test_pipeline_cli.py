@@ -512,7 +512,8 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
                         [(0, len(y))], cfg.min_clusters)
                     if isinstance(dist, Exception):
                         raise dist
-                    i_n = entropy_index(entropy_curve(dist, cfg.entropy_estimator))
+                    _, counts = dist
+                    i_n = entropy_index(entropy_curve(counts, cfg.entropy_estimator))
                     expected[(asset.name, m, t_s, n)] = repr(i_n)
     assert got == expected
 
@@ -545,6 +546,42 @@ def test_written_indices_are_left_to_right_sums_of_written_rows(tmp_path, aggreg
     got = {tuple(cell): float(i) for *cell, i in _read_rows(out / "indices_aggregated.csv")[1]}
     assert got == {cell: _in_order(v) / (len(v) if aggregation == "mean" else 1)
                    for cell, v in cells.items()}
+
+
+def test_written_weights_and_diagnostics_follow_from_written_indices(tmp_path):
+    """cluster_entropy_high is I / sum(I) and cluster_entropy_low (1/I) / sum(1/I) of the
+    cell's written I, and each diagnostics row is weight_entropy and kl_cross_entropy
+    (against 1/N) of its group's written weights.
+
+    Assets are listed out of name order: the weights are formed in config order.
+    """
+    assets = [{"name": name, "synth": {"kind": "fbm", "hurst": 0.5,
+                                       "length": 65536, "seed": seed}}
+              for name, seed in (("SYN3", 3), ("SYN1", 1), ("SYN2", 2))]
+    cfg_path = _write_config(tmp_path, overrides={"assets": assets,
+                                                  "volatility_windows_s": [360, 720]})
+    assert main(["analyze", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    names = [a["name"] for a in assets]
+    aggregated = {(m, t_s, a): float(i)
+                  for a, m, t_s, i in _read_rows(out / "indices_aggregated.csv")[1]}
+    written: dict[tuple[str, str, str], dict[str, str]] = {}
+    for method, m, t_s, asset, w in _read_rows(out / "weights.csv")[1]:
+        written.setdefault((method, m, t_s), {})[asset] = w
+    groups = {(m, t_s) for m, t_s, _ in aggregated}
+    assert len(groups) == 2
+    for m, t_s in groups:
+        indices = np.array([aggregated[(m, t_s, a)] for a in names])
+        for method, w in (("cluster_entropy_high", indices / indices.sum()),
+                          ("cluster_entropy_low", (1.0 / indices) / (1.0 / indices).sum())):
+            assert written[(method, m, t_s)] == {a: repr(float(x)) for a, x in zip(names, w)}
+
+    diagnostics = _read_rows(out / "diagnostics.csv")[1]
+    assert {tuple(row[:3]) for row in diagnostics} == set(written)
+    for method, m, t_s, went, kl in diagnostics:
+        w = np.array([float(written[(method, m, t_s)][a]) for a in names])
+        assert [went, kl] == [repr(entroport.weight_entropy(w)),
+                              repr(entroport.kl_cross_entropy(w, entroport.naive_weights(3)))]
 
 
 # hourly grid: a month is ~740 volatility samples, so at min_clusters=250 the
@@ -761,9 +798,9 @@ def test_curve_rows_equal_per_row_format(tmp_path):
 def _count_max_sharpe_calls(monkeypatch, solve):
     calls = []
 
-    def counted(moments, labels):
-        calls.append(labels)
-        return solve(moments, labels)
+    def counted(mu, sigma):
+        calls.append(mu)
+        return solve(mu, sigma)
 
     monkeypatch.setattr(pipeline, "max_sharpe_weights", counted)
     return calls
@@ -785,7 +822,7 @@ def test_max_sharpe_solved_once_per_horizon(tmp_path, monkeypatch):
 
 
 def test_no_tangency_warns_once_per_window(tmp_path, monkeypatch):
-    def no_tangency(moments, labels):
+    def no_tangency(mu, sigma):
         raise NoTangencyError("all expected returns are non-positive")
 
     calls = _count_max_sharpe_calls(monkeypatch, no_tangency)

@@ -17,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from entroport import (TICK_DTYPE, ClusterDistribution, DataError, HorizonError,
-                       InsufficientClustersError, date_ns, month_start_ns, slice_horizon,
-                       WeightVector, entropy_curve, entropy_index, linear_returns,
-                       log_returns, parse_ticks, resample, weight_entropy)
+from entroport import (TICK_DTYPE, DataError, HorizonError, InsufficientClustersError,
+                       cluster_entropy_weights, date_ns, month_start_ns, slice_horizon,
+                       entropy_curve, entropy_index, linear_returns, log_returns,
+                       parse_ticks, resample, weight_entropy)
 from entroport.dma_cluster import PrefixTables, _filter, _pass_histogram, crossing_pass
 from entroport.errors import EntroportError
-from entroport.portfolio import (MomentEstimates, _ascend, _grid_start, _project_simplex,
-                                 _sharpe, max_sharpe_weights)
+from entroport.portfolio import (_ascend, _grid_start, _project_simplex, _sharpe,
+                                 max_sharpe_weights)
 from entroport.returns_vol import _VOL_BLOCK, _constant_windows, rolling_volatility
 from entroport.series import _parse_ticks_lines
 
@@ -35,20 +35,20 @@ durations = st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_si
 @given(durations)
 def test_cluster_distribution_conserves_clusters_and_duration(taus_in):
     d = np.array(taus_in)
-    dist = _pass_histogram(10, np.bincount(d))
-    assert dist.counts.sum() == len(d)
-    assert (dist.taus * dist.counts).sum() == d.sum()
-    assert np.all(np.diff(dist.taus) > 0)
-    taus, counts = np.unique(d, return_counts=True)  # sort-based reference
-    assert (dist.taus.tolist(), dist.counts.tolist()) == (taus.tolist(), counts.tolist())
+    taus, counts = _pass_histogram(np.bincount(d))
+    assert counts.sum() == len(d)
+    assert (taus * counts).sum() == d.sum()
+    assert np.all(np.diff(taus) > 0)
+    want_taus, want_counts = np.unique(d, return_counts=True)  # sort-based reference
+    assert (taus.tolist(), counts.tolist()) == (want_taus.tolist(), want_counts.tolist())
 
 
 @settings(deadline=None)
 @given(durations, st.sampled_from(["surprisal", "shannon_term"]))
 def test_entropy_curve_equals_per_bin_loop(taus_in, estimator):
-    dist = _pass_histogram(10, np.bincount(taus_in))
-    curve = entropy_curve(dist, estimator)
-    probs = dist.probabilities.tolist()
+    _, counts = _pass_histogram(np.bincount(taus_in))
+    curve = entropy_curve(counts, estimator)
+    probs = (counts / counts.sum()).tolist()
     per_bin = [float(-np.log(p)) if estimator == "surprisal" else float(-p * np.log(p))
                for p in probs]
     assert curve.tolist() == per_bin  # the vectorised curve changes no bit
@@ -293,9 +293,10 @@ def test_pass_histograms_equal_histogram_of_each_slice(runs, data):
             assert str(result) == f"{total} clusters at n={n}, need >= {min_clusters}"
             continue
         taus = sorted(counts)
-        assert result.taus.tolist() == taus
-        assert result.counts.tolist() == [counts[t] for t in taus]
-        assert result.probabilities.tolist() == [counts[t] / total for t in taus]
+        got_taus, got_counts = result
+        assert got_taus.tolist() == taus
+        assert got_counts.tolist() == [counts[t] for t in taus]
+        assert (got_counts / got_counts.sum()).tolist() == [counts[t] / total for t in taus]
 
 
 def _convolve_signs(values, n):
@@ -354,21 +355,20 @@ def test_pass_histograms_meet_the_distribution_invariants(make, data):
     stops = data.draw(st.lists(st.integers(n, len(values)), min_size=1, max_size=4))
     cpass = crossing_pass(PrefixTables(values), n)
     for dist in cpass.distributions([(0, stop) for stop in stops], 1):
-        if not isinstance(dist, ClusterDistribution):
+        if not isinstance(dist, tuple):
             continue
-        assert dist.n == n
-        assert dist.taus.dtype == np.int64 and dist.counts.dtype == np.float64
-        assert dist.taus.ndim == 1 and dist.taus.shape == dist.counts.shape
-        assert dist.taus[0] >= 1 and np.all(np.diff(dist.taus) > 0)
-        assert np.all(dist.counts > 0)
-        want = dist.counts / dist.counts.sum()
-        assert dist.probabilities.dtype == want.dtype
-        assert dist.probabilities.tobytes() == want.tobytes()
-        surprisal, term = entropy_curve(dist), entropy_curve(dist, "shannon_term")
+        taus, counts = dist
+        assert taus.dtype == np.int64 and counts.dtype == np.int64
+        assert taus.ndim == 1 and taus.shape == counts.shape
+        assert taus[0] >= 1 and np.all(np.diff(taus) > 0)
+        assert np.all(counts > 0)
+        # P from int64 counts has the bytes of P from the same counts as float64
+        want = counts.astype(float) / counts.astype(float).sum()
+        surprisal, term = entropy_curve(counts), entropy_curve(counts, "shannon_term")
         for curve in (surprisal, term):
             assert type(curve) is np.ndarray and curve.dtype == np.float64
             assert np.all(curve >= 0)
-        assert surprisal.tobytes() == (-np.log(dist.counts / dist.counts.sum())).tobytes()
+        assert surprisal.tobytes() == (-np.log(want)).tobytes()
         assert term.tobytes() == (-want * np.log(want)).tobytes()
         i_n = entropy_index(surprisal)
         assert type(i_n) is float
@@ -749,8 +749,20 @@ def test_ascend_equals_numpy_form_bit_for_bit(problem):
        .filter(lambda x: sum(x) > 0))
 def test_weight_entropy_lies_in_zero_to_log_n(raw):
     w = np.array(raw) / sum(raw)
-    h = weight_entropy(WeightVector(w, tuple(f"a{i}" for i in range(len(w)))))
+    h = weight_entropy(w)
     assert 0.0 <= h <= np.log(len(w)) + 1e-12
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(min_value=-3, max_value=3).map(lambda e: 10.0 ** e),
+                min_size=2, max_size=8))
+def test_low_risk_weights_are_normalized_inverse_indices(raw):
+    """The low-risk row, cluster_entropy_weights(1 / I), is (1/I) / sum(1/I) bit for bit,
+    for 2 to 8 positive indices spread over six decades."""
+    indices = np.array(raw)
+    inverse = 1.0 / indices
+    want = inverse / inverse.sum()
+    assert cluster_entropy_weights(1.0 / indices).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -774,7 +786,7 @@ def interior_tangencies(draw):
 def test_max_sharpe_reaches_an_interior_tangency(problem):
     mu, sigma, y = problem
     assert np.linalg.eigvalsh(sigma).min() >= 1e-14 * np.trace(sigma)  # no ridge
-    got = max_sharpe_weights(MomentEstimates(mu=mu, sigma=sigma)).weights
+    got = max_sharpe_weights(mu, sigma)
     best = _sharpe(y / y.sum(), mu, sigma)
     assert abs(_sharpe(got, mu, sigma) - best) <= 1e-12 * best
 

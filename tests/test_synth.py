@@ -11,9 +11,17 @@ import numpy as np
 import pytest
 
 import entroport
-from entroport import (DataError, GeneratorSpec, arfima_series,
-                       arfima_theoretical_acf, fbm_series, garch_series)
+from entroport import DataError, GeneratorSpec, arfima_series, fbm_series, garch_series
 from entroport.synth import _fft_convolve_valid, _next_fast_len, fractional_weights
+
+
+def arfima_theoretical_acf(d: float, max_lag: int) -> np.ndarray:
+    """Exact ACF of ARFIMA(0,d,0): rho_k = Gamma(1-d)Gamma(k+d) / (Gamma(d)Gamma(k+1-d))."""
+    rho = np.empty(max_lag + 1)
+    rho[0] = 1.0
+    for k in range(1, max_lag + 1):
+        rho[k] = rho[k - 1] * (k - 1 + d) / (k - d)
+    return rho
 
 
 def _acf(x, lag):
