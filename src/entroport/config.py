@@ -6,8 +6,8 @@ intervals, at least 2 (series.whole_samples); others are rejected rather
 than rounded. Integer fields take JSON integers (or floats with no
 fractional part), float fields take JSON numbers; a boolean, a string (or,
 for an integer field, a fractional number) is rejected naming the key.
-Asset names are non-empty printable strings without ',', '/' or '\\', so
-that they fit a CSV field and a file name.
+Asset names are non-empty printable strings without ',', '"', '/' or '\\',
+so that they fit an unquoted CSV field and a file name.
 """
 
 from __future__ import annotations
@@ -150,11 +150,11 @@ def _synth_spec(name: str, spec: dict) -> GeneratorSpec:
 
 
 def _check_asset_name(name) -> None:
-    """A ConfigError unless name is a non-empty printable string without ',', '/' or '\\'."""
+    """A ConfigError unless name is a non-empty printable string without ',', '"', '/' or '\\'."""
     if not (type(name) is str and name and name.isprintable()
-            and not set(name) & set(",/\\")):
+            and not set(name) & set(',"/\\')):
         raise ConfigError(f"asset {name!r}: name must be a non-empty printable "
-                          f"string without ',', '/' or '\\'")
+                          f"string without ',', '\"', '/' or '\\'")
 
 
 def _parse_asset(entry: dict, base: Path) -> AssetInput:

@@ -3,9 +3,11 @@
 Each asset's returns, each (asset, window) volatility series and each
 (asset, window, n) crossing pass are computed once over the whole series
 (the return source, the same at every window, has one pass per (asset, n));
-every horizon cuts its cell out of them by index. Results are keyed and
-sorted before writing. The manifest is written last and contains only
-fields fully determined by config + seeds, keeping reruns byte-identical.
+every horizon cuts its cell out of them by index. The sweep fills one
+PipelineResult whose tables are keyed by cell, (asset, M, T_s), and the
+writer emits each table sorted by key. The manifest is written last and
+contains only fields fully determined by config + seeds, keeping reruns
+byte-identical.
 """
 
 from __future__ import annotations
@@ -40,37 +42,27 @@ METHOD_HIGH = "cluster_entropy_high"
 METHOD_LOW = "cluster_entropy_low"
 METHOD_SHARPE = "max_sharpe"
 METHOD_NAIVE = "naive_1_over_N"
-
-
-class CellResult:
-    """Entropy output for one (asset, horizon, window) cell.
-
-    curves[n] is (taus, S) and indices[n] is I(n), for each kept n in n-grid order.
-    """
-
-    __slots__ = ("asset", "horizon", "window_s", "curves", "indices", "aggregate", "warnings")
-
-    def __init__(self, asset: str, horizon: int, window_s: int,
-                 curves: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
-                 indices: dict[int, float] | None = None, aggregate: float = 0.0,
-                 warnings: list[str] | None = None):
-        self.asset, self.horizon, self.window_s, self.aggregate = (
-            asset, horizon, window_s, aggregate)
-        self.curves = {} if curves is None else curves
-        self.indices = {} if indices is None else indices
-        self.warnings = [] if warnings is None else warnings
+_Cell = tuple[str, int, int]  # (asset, horizon M, volatility window T_s)
 
 
 class PipelineResult:
-    """What run_pipeline wrote; weights rows are (method, M, T_s, asset, w)."""
+    """The sweep's tables, keyed by cell (asset, M, T_s), and what run_pipeline wrote.
 
-    __slots__ = ("cells", "weights", "diagnostics", "warnings")
+    cells[cell] is the aggregate I; curves[cell][n] is (taus, S) and
+    indices[cell][n] is I(n), for each kept n in n-grid order. weights rows
+    are (method, M, T_s, asset, w) and diagnostics rows (method, M, T_s,
+    weight entropy, KL vs uniform); warnings is sorted once the sweep ends.
+    """
 
-    def __init__(self, cells: dict[tuple[str, int, int], CellResult],
-                 weights: list[tuple[str, int, int, str, float]],
-                 diagnostics: list[tuple[str, int, int, float, float]], warnings: list[str]):
-        self.cells, self.weights, self.diagnostics, self.warnings = (
-            cells, weights, diagnostics, warnings)
+    __slots__ = ("cells", "curves", "indices", "weights", "diagnostics", "warnings")
+
+    def __init__(self):
+        self.cells: dict[_Cell, float] = {}
+        self.curves: dict[_Cell, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+        self.indices: dict[_Cell, dict[int, float]] = {}
+        self.weights: list[tuple[str, int, int, str, float]] = []
+        self.diagnostics: list[tuple[str, int, int, float, float]] = []
+        self.warnings: list[str] = []
 
 
 @contextmanager
@@ -111,11 +103,11 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> tuple[int, np.n
         return 0, spec.prices()
 
 
-def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
-           tables: PrefixTables, n: int, cfg: PipelineConfig) -> None:
-    """Entropy curve and index at one n for each cell, or a warning why not.
+def _add_n(keys: list[list[_Cell]], spans: list[tuple[int, int]],
+           tables: PrefixTables, n: int, cfg: PipelineConfig, result: PipelineResult) -> None:
+    """Entropy curve and index at one n for each cell into result, or a warning why not.
 
-    cells[i] holds the cells at spans[i], a (start, stop) in the source,
+    keys[i] holds the cells at spans[i], a (start, stop) in the source,
     tables.series: one per window with that source (several only for the
     return source). One crossing pass over the whole source (its signs
     settled by one rule, see crossing_pass) serves every span and
@@ -124,33 +116,33 @@ def _add_n(cells: list[list[CellResult]], spans: list[tuple[int, int]],
     """
     cpass = crossing_pass(tables, n)
     dists = cpass.distributions(spans, cfg.min_clusters)
-    for span_cells, dist in zip(cells, dists):
+    for span_keys, dist in zip(keys, dists):
         if isinstance(dist, tuple):
             taus, counts = dist
             curve = entropy_curve(counts, estimator=cfg.entropy_estimator)
             index = entropy_index(curve)
-        for cell in span_cells:
-            label = f"{cell.asset} M={cell.horizon} T={cell.window_s}s n={n}"
+        for key in span_keys:
+            label = "{} M={} T={}s n={}".format(*key, n)
             if isinstance(dist, InsufficientClustersError):
-                cell.warnings.append(f"{label}: dropped ({dist})")
+                result.warnings.append(f"{label}: dropped ({dist})")
             elif not isinstance(dist, tuple):
-                cell.warnings.append(f"{label}: series too short")
+                result.warnings.append(f"{label}: series too short")
             else:
-                cell.curves[n] = (taus, curve)
-                cell.indices[n] = index
+                result.curves.setdefault(key, {})[n] = (taus, curve)
+                result.indices.setdefault(key, {})[n] = index
     if logger.isEnabledFor(logging.DEBUG):
-        per_span = len(cells[0])  # one cell per window
+        per_span = len(keys[0])  # one cell per window
         dropped = per_span * sum(isinstance(d, InsufficientClustersError) for d in dists)
         kept = per_span * sum(isinstance(d, tuple) for d in dists)
         logger.debug("%s T=%s n=%d: %s; %d crossings; cells %d kept, %d dropped, "
-                     "%d too short", cells[0][0].asset,
-                     ",".join(f"{c.window_s}s" for c in cells[0]), n, cpass.rule,
+                     "%d too short", keys[0][0][0],
+                     ",".join(f"{t_s}s" for _, _, t_s in keys[0]), n, cpass.rule,
                      len(cpass.times), kept, dropped, per_span * len(dists) - kept - dropped)
 
 
 def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice],
-                 cfg: PipelineConfig) -> list[CellResult]:
-    """One asset's cells at every window and horizon.
+                 cfg: PipelineConfig, result: PipelineResult) -> None:
+    """One asset's cells at every window and horizon, into result.
 
     Prices [lo, hi) have returns r[lo:hi-1] and volatility vol[lo:hi-w],
     exactly those of the sliced prices, so each whole-series source and its
@@ -164,7 +156,6 @@ def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice
     else:
         sweeps = [((t_s,), whole_samples(t_s, cfg.delta_ns, "volatility window"))
                   for t_s in cfg.volatility_windows_s]
-    out = []
     for windows_s, cut in sweeps:
         for rng in ranges.values():
             if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
@@ -173,18 +164,16 @@ def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice
             source = (returns if cfg.entropy_source == "return"
                       else rolling_volatility(returns, cut))
         spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
-        cells = [[CellResult(asset=asset.name, horizon=m, window_s=t_s) for t_s in windows_s]
-                 for m in ranges]
+        keys = [[(asset.name, m, t_s) for t_s in windows_s] for m in ranges]
         tables = PrefixTables(source)  # shared by the passes of every n
         for n in cfg.n_grid_samples():
-            _add_n(cells, spans, tables, n, cfg)
-        for cell in itertools.chain(*cells):
-            if not cell.indices:
+            _add_n(keys, spans, tables, n, cfg, result)
+        for key in itertools.chain(*keys):
+            if key not in result.indices:
                 raise InsufficientClustersError(f"asset {asset.name!r} has no valid n point "
-                                                f"at M={cell.horizon}, T={cell.window_s}s")
-            cell.aggregate = aggregate_index(list(cell.indices.values()), how=cfg.aggregation)
-            out.append(cell)
-    return out
+                                                f"at M={key[1]}, T={key[2]}s")
+            result.cells[key] = aggregate_index(list(result.indices[key].values()),
+                                                how=cfg.aggregation)
 
 
 def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> PipelineResult:
@@ -218,15 +207,9 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
         with _naming(asset):
             returns.append(to_returns(p[:end]))
 
-    warnings: list[str] = []
-    cells: dict[tuple[str, int, int], CellResult] = {}
-    weights_rows: list[tuple[str, int, int, str, float]] = []
-    diag_rows: list[tuple[str, int, int, float, float]] = []
-
+    result = PipelineResult()
     for asset, rets in zip(cfg.assets, returns):
-        for cell in _asset_cells(asset, rets, ranges, cfg):
-            cells[(asset.name, cell.horizon, cell.window_s)] = cell
-            warnings.extend(cell.warnings)
+        _asset_cells(asset, rets, ranges, cfg, result)
 
     uniform = naive_weights(len(names))
     for m, rng in ranges.items():
@@ -238,7 +221,7 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
         except NoTangencyError as exc:
             sharpe, no_tangency = None, exc
         for t_s in cfg.volatility_windows_s:
-            aggs = [cells[(name, m, t_s)].aggregate for name in names]
+            aggs = [result.cells[(name, m, t_s)] for name in names]
             bad = [f"asset {name!r} I={i!r}" for name, i in zip(names, aggs)
                    if not 0 < i < math.inf]
             if bad:  # e.g. 0 when every cluster of an asset has one duration
@@ -251,21 +234,20 @@ def run_pipeline(cfg: PipelineConfig, config_bytes: bytes | None = None) -> Pipe
                 METHOD_NAIVE: uniform,
             }
             if sharpe is None:
-                warnings.append(f"M={m} T={t_s}s: max_sharpe skipped ({no_tangency})")
+                result.warnings.append(f"M={m} T={t_s}s: max_sharpe skipped ({no_tangency})")
             else:
                 per_method[METHOD_SHARPE] = sharpe
             for method in sorted(per_method):
                 w = per_method[method]
-                weights_rows.extend((method, m, t_s, name, x)
-                                    for name, x in zip(names, w.tolist()))
-                diag_rows.append((method, m, t_s, weight_entropy(w),
-                                  kl_cross_entropy(w, uniform)))
+                result.weights.extend((method, m, t_s, name, x)
+                                      for name, x in zip(names, w.tolist()))
+                result.diagnostics.append((method, m, t_s, weight_entropy(w),
+                                           kl_cross_entropy(w, uniform)))
 
-    result = PipelineResult(cells=cells, weights=weights_rows,
-                            diagnostics=diag_rows, warnings=sorted(warnings))
+    result.warnings.sort()
     _write_outputs(result, cfg, config_bytes)
     logger.info("pipeline finished in %.2fs (%d cells, %d warnings)",
-                time.monotonic() - t_start, len(cells), len(warnings))
+                time.monotonic() - t_start, len(result.cells), len(result.warnings))
     return result
 
 
@@ -281,12 +263,11 @@ def _write_csv(path: Path, header: str, lines) -> None:
         fh.writelines(lines)
 
 
-def _curve_lines(cells: list[CellResult]):
+def _curve_lines(curves: dict[_Cell, dict[int, tuple[np.ndarray, np.ndarray]]]):
     """One block of "asset,horizon,T_s,n,tau,S" rows per curve; S as repr, like _fmt."""
-    for c in cells:
-        for n in sorted(c.curves):
-            prefix = f"{c.asset},{c.horizon},{c.window_s},{n},"
-            taus, s = c.curves[n]
+    for (asset, m, t_s), by_n in sorted(curves.items()):
+        for n, (taus, s) in sorted(by_n.items()):
+            prefix = f"{asset},{m},{t_s},{n},"
             yield prefix + ("\n" + prefix).join(
                 map("{},{!r}".format, taus.tolist(), s.tolist())) + "\n"
 
@@ -298,13 +279,13 @@ def _write_outputs(result: PipelineResult, cfg: PipelineConfig,
     # an old manifest beside half-rewritten CSVs would mark a mixed directory complete
     (out / "manifest.json").unlink(missing_ok=True)
 
-    cells = [result.cells[key] for key in sorted(result.cells)]
-    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", _curve_lines(cells))
+    _write_csv(out / "entropy_curves.csv", "asset,horizon,T_s,n,tau,S", _curve_lines(result.curves))
     _write_csv(out / "indices_by_n.csv", "asset,horizon,T_s,n,I_n", (
-        f"{c.asset},{c.horizon},{c.window_s},{n},{_fmt(i_n)}\n"
-        for c in cells for n, i_n in sorted(c.indices.items())))
+        f"{asset},{m},{t_s},{n},{_fmt(i_n)}\n"
+        for (asset, m, t_s), by_n in sorted(result.indices.items())
+        for n, i_n in sorted(by_n.items())))
     _write_csv(out / "indices_aggregated.csv", "asset,horizon,T_s,I", (
-        f"{c.asset},{c.horizon},{c.window_s},{_fmt(c.aggregate)}\n" for c in cells))
+        f"{asset},{m},{t_s},{_fmt(i)}\n" for (asset, m, t_s), i in sorted(result.cells.items())))
     _write_csv(out / "weights.csv", "method,horizon,T_s,asset,weight", (
         f"{method},{m},{t_s},{asset},{_fmt(w)}\n"
         for method, m, t_s, asset, w in sorted(result.weights)))

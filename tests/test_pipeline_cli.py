@@ -20,7 +20,7 @@ from entroport.cli import main
 from entroport.config import MAX_N_GRID, load_config
 from entroport.dma_cluster import PrefixTables, crossing_pass, entropy_curve, entropy_index
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
-from entroport.pipeline import CellResult, PipelineResult, load_asset_prices, run_pipeline
+from entroport.pipeline import PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
 from entroport.series import month_start_ns, slice_horizon, whole_samples
 from entroport.synth import GeneratorSpec
@@ -245,7 +245,7 @@ class TestAnalyze:
         result = run_pipeline(load_config(cfg_path), config_bytes=b"")
         assert result.warnings == [f"{name} M=1 T=360s n=50000: series too short"
                                    for name in ("SYN1", "SYN2")]
-        assert all(list(cell.curves) == [2] for cell in result.cells.values())
+        assert all(list(by_n) == [2] for by_n in result.curves.values())
 
     def test_window_longer_than_a_horizon_exits_2(self, tmp_path, caplog):
         # January holds 44,640 prices, so 44,639 returns
@@ -623,6 +623,56 @@ def test_running_histogram_across_dropped_and_short_horizons(tmp_path, caplog):
                m.endswith("cells 2 kept, 1 dropped, 1 too short") for m in passes)
 
 
+OUTPUTS = ("entropy_curves.csv", "indices_by_n.csv", "indices_aggregated.csv", "weights.csv",
+           "diagnostics.csv")
+
+
+@pytest.mark.parametrize("source", ["volatility", "return"])
+def test_config_order_of_horizons_and_windows_changes_no_byte(tmp_path, source):
+    """Results are keyed by cell and written sorted, so listing the horizons and the
+    windows in another order writes the same CSVs, warnings and cell count."""
+    runs = []
+    for order in (1, -1):
+        out = tmp_path / f"out{order}"
+        run_pipeline(load_config(_write_config(tmp_path, name=f"{order}.json", overrides=dict(
+            EDGE_CONFIG, entropy_source=source, horizons=EDGE_CONFIG["horizons"][::order],
+            volatility_windows_s=[10800, 21600][::order], output_dir=str(out)))),
+            config_bytes=b"")
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs.append(({name: (out / name).read_bytes() for name in OUTPUTS},
+                     manifest["warnings"], manifest["n_cells"]))
+    warnings = runs[0][1]
+    assert any("dropped" in w for w in warnings) and any("too short" in w for w in warnings)
+    assert runs[0] == runs[1]
+
+
+def test_returned_tables_are_the_written_ones(tmp_path):
+    """run_pipeline returns the tables it wrote: each written field is its value's repr."""
+    cfg = load_config(_write_config(tmp_path, overrides=dict(
+        EDGE_CONFIG, volatility_windows_s=[10800, 21600])))
+    result = run_pipeline(cfg, config_bytes=b"")
+    out = tmp_path / "out"
+    assert len(result.cells) == len(cfg.assets) * len(cfg.horizons) * 2 == 16
+
+    def cell(asset, m, t_s):
+        return asset, int(m), int(t_s)
+
+    assert {cell(*key): i for *key, i in _read_rows(out / "indices_aggregated.csv")[1]} == {
+        key: repr(float(i)) for key, i in result.cells.items()}
+    by_n, curves = {}, {}
+    for *key, n, i_n in _read_rows(out / "indices_by_n.csv")[1]:
+        by_n.setdefault(cell(*key), {})[int(n)] = i_n
+    assert by_n == {key: {n: repr(float(i_n)) for n, i_n in v.items()}
+                    for key, v in result.indices.items()}
+    assert all(list(v) == sorted(v) for v in result.indices.values())  # n-grid order
+    for *key, n, tau, s in _read_rows(out / "entropy_curves.csv")[1]:
+        curves.setdefault(cell(*key), {}).setdefault(int(n), []).append((int(tau), s))
+    assert curves == {key: {n: list(zip(taus.tolist(), map(repr, s.tolist())))
+                            for n, (taus, s) in v.items()} for key, v in result.curves.items()}
+    assert [[method, str(m), str(t_s), asset, repr(w)] for method, m, t_s, asset, w in
+            sorted(result.weights)] == _read_rows(out / "weights.csv")[1]
+
+
 def _rows_by_window(out):
     """Every output row and manifest warning of a run, grouped by its window T_s."""
     rows: dict[int, list[str]] = {}
@@ -772,10 +822,10 @@ def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
     values = np.random.default_rng(7).standard_normal(2 ** 14)
     values[10000:10000 + len(run)] = values[10000] + np.spacing(values[10000]) * run
     tables = PrefixTables(values)
-    cells = [CellResult(asset="A", horizon=1, window_s=360)]
-    pipeline._add_n([cells], [(0, len(values))], tables, 8,
-                    load_config(_write_config(tmp_path, overrides={"min_clusters": 1})))
-    assert 8 in cells[0].curves
+    result = PipelineResult()
+    pipeline._add_n([[("A", 1, 360)]], [(0, len(values))], tables, 8,
+                    load_config(_write_config(tmp_path, overrides={"min_clusters": 1})), result)
+    assert 8 in result.curves[("A", 1, 360)]
     assert re.match(rf"A T=360s n=8: full convolve \({reason}\); ",
                     caplog.records[-1].getMessage())
 
@@ -783,15 +833,15 @@ def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
 def test_curve_rows_equal_per_row_format(tmp_path):
     curve = (np.array([1, 2, 7, 10 ** 6]), np.array([0.0, -0.0, 0.1 + 0.2, 1e-300]))
     other = (np.array([4]), np.array([123456789.125]))
-    cells = {("B", 2, 360): CellResult("B", 2, 360, curves={5: curve, 3: other}),
-             ("A", 12, 60): CellResult("A", 12, 60, curves={3: other})}
-    result = PipelineResult(cells=cells, weights=[], diagnostics=[], warnings=[])
+    curves = {("B", 2, 360): {5: curve, 3: other}, ("A", 12, 60): {3: other}}
+    result = PipelineResult()
+    result.curves.update(curves)
     cfg = load_config(_write_config(tmp_path))
     pipeline._write_outputs(result, cfg, b"")
     per_row = "asset,horizon,T_s,n,tau,S\n" + "".join(
-        f"{c.asset},{c.horizon},{c.window_s},{n},{tau},{repr(float(s))}\n"
-        for c in (cells[k] for k in sorted(cells)) for n in sorted(c.curves)
-        for tau, s in zip(c.curves[n][0].tolist(), c.curves[n][1].tolist()))
+        f"{asset},{m},{t_s},{n},{tau},{repr(float(s))}\n"
+        for asset, m, t_s in sorted(curves) for n in sorted(curves[asset, m, t_s])
+        for tau, s in zip(*(a.tolist() for a in curves[asset, m, t_s][n])))
     assert (tmp_path / "out" / "entropy_curves.csv").read_text() == per_row
 
 
@@ -1143,7 +1193,7 @@ class TestConfigValidation:
         assert cfg.n_grid_s == (120, 240, 360, 480)
         assert all(type(v) is int for v in (cfg.min_clusters, *cfg.horizons, *cfg.n_grid_s))
 
-    @pytest.mark.parametrize("name", ["A,B", "x/y", "x\\y", "", "tab\t", 5, None])
+    @pytest.mark.parametrize("name", ["A,B", '"X', 'A"B', "x/y", "x\\y", "", "tab\t", 5, None])
     def test_bad_asset_name_exits_2(self, tmp_path, caplog, name):
         asset = dict(BASE_CONFIG["assets"][0], name=name)
         cfg_path = _write_config(tmp_path, overrides={
