@@ -98,7 +98,7 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> tuple[int, np.n
     ticks, spec = asset.ticks_path, asset.generator
     with _naming(asset):
         if spec is None:
-            return resample(parse_ticks(ticks.read_bytes()),
+            return resample(parse_ticks(ticks),
                             month_start_ns(cfg.year_start, 0), cfg.delta_ns)
         return 0, spec.prices()
 

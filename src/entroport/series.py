@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
+import lzma
 import math
+import os
 import re
 import warnings
 from datetime import date, datetime, timedelta
-from typing import BinaryIO
+from pathlib import Path
 
 import numpy as np
 
@@ -75,31 +77,38 @@ def iso_utc(t_ns: int) -> str:
     return f"{text}.{ns:09d}Z" if ns else f"{text}Z"
 
 
-def parse_ticks(source: BinaryIO | bytes) -> np.ndarray:
-    """Parse the tick CSV format (`timestamp_ns,price` header) into a TICK_DTYPE array.
+def parse_ticks(path: str | os.PathLike[str]) -> np.ndarray:
+    """Parse the tick CSV file at `path` (`timestamp_ns,price` header) into a TICK_DTYPE array.
 
     The accepted syntax and every error are those of the csv line loop
-    (`_parse_ticks_lines`); a plain file takes one vectorised `np.loadtxt`
-    pass instead, with the same result. Rows are stably sorted by timestamp,
-    so ticks sharing a timestamp keep file order (the last one wins
-    downstream in resample).
+    (`_parse_ticks_lines`) over the file's bytes. A plain file is then read
+    once more, by path, in one vectorised `np.loadtxt` pass with the same
+    result, so the file must not change while it is parsed. Rows are stably
+    sorted by timestamp, so ticks sharing a timestamp keep file order (the
+    last one wins downstream in resample).
     """
-    data = source if isinstance(source, bytes) else source.read()
-    ticks = _parse_ticks_fast(data)
+    path = Path(path)
+    data = path.read_bytes()
+    ticks = _parse_ticks_fast(path, data)
     if ticks is None:
         ticks = _parse_ticks_lines(data)
     return ticks[np.argsort(ticks["timestamp"], kind="stable")]
 
 
-def _parse_ticks_fast(data: bytes) -> np.ndarray | None:
-    """One np.loadtxt pass over a tick file, or None to leave it to the line loop.
+def _parse_ticks_fast(path: Path, data: bytes) -> np.ndarray | None:
+    """One np.loadtxt pass over the tick file `path` holding `data`, or None for the line loop.
 
-    loadtxt reads some text that int()/float() reject, so such files go to
-    the line loop: non-ASCII bytes, which encoding="ascii" refuses (its
-    integer parser takes any character as a digit), and the separators
-    \\x1c-\\x1f (its number parsers skip them as whitespace). comments=None
-    keeps a '#' tail an error, and warnings become errors because loadtxt only
-    warns on an empty body. Every other failure is a ValueError or a bad price.
+    Only a path gets numpy's chunked C reader; a file object is fed to it one
+    line at a time. loadtxt reads some text that int()/float() reject, so
+    such files go to the line loop: non-ASCII bytes, which encoding="ascii"
+    refuses (its integer parser takes any character as a digit), and the
+    separators \\x1c-\\x1f (its number parsers skip them as whitespace).
+    comments=None keeps a '#' tail an error, and warnings become errors
+    because loadtxt only warns on an empty body. numpy opens a path named
+    *.gz, *.bz2, *.xz or *.lzma as compressed, so such a plain file fails
+    with an OSError or LZMAError (a Path's text never has 'scheme://', so
+    numpy never takes it for a URL). Every other failure is a ValueError or a
+    bad price.
     """
     if not data.startswith((b"timestamp_ns,price\n", b"timestamp_ns,price\r\n")) \
             or any(sep in data for sep in _NUMPY_SPACES):
@@ -107,9 +116,9 @@ def _parse_ticks_fast(data: bytes) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ticks = np.loadtxt(io.BytesIO(data), delimiter=",", dtype=TICK_DTYPE,
+            ticks = np.loadtxt(path, delimiter=",", dtype=TICK_DTYPE,
                                comments=None, skiprows=1, ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
+    except (ValueError, Warning, OSError, lzma.LZMAError):
         return None
     prices = ticks["price"]
     if not ((prices > 0) & (prices < np.inf)).all():  # also false for nan

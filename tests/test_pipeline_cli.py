@@ -1,5 +1,6 @@
 import errno
 import functools
+import gzip
 import hashlib
 import json
 import logging
@@ -22,7 +23,7 @@ from entroport.dma_cluster import PrefixTables, crossing_pass, entropy_curve, en
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
 from entroport.pipeline import PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
-from entroport.series import month_start_ns, slice_horizon, whole_samples
+from entroport.series import _parse_ticks_fast, month_start_ns, slice_horizon, whole_samples
 from entroport.synth import GeneratorSpec
 
 BASE_CONFIG = {
@@ -340,12 +341,12 @@ class TestTickIngestion:
         _exits_2_naming(cfg_path, caplog,
                         f"asset 'BAD' ({tmp_path / 'bad.csv'}): line 3: not valid UTF-8")
 
-    def _exits_2_naming_tick_file(self, tmp_path, caplog, data, needle):
+    def _exits_2_naming_tick_file(self, tmp_path, caplog, data, needle, name="x.csv"):
         """analyze with asset X read from a tick file of `data` exits 2 naming the file."""
-        (tmp_path / "x.csv").write_bytes(data)
+        (tmp_path / name).write_bytes(data)
         cfg_path = _write_config(tmp_path, overrides={
-            "assets": [BASE_CONFIG["assets"][0], {"name": "X", "ticks": "x.csv"}]})
-        _exits_2_naming(cfg_path, caplog, f"asset 'X' ({tmp_path / 'x.csv'}): {needle}")
+            "assets": [BASE_CONFIG["assets"][0], {"name": "X", "ticks": name}]})
+        _exits_2_naming(cfg_path, caplog, f"asset 'X' ({tmp_path / name}): {needle}")
         assert not (tmp_path / "out").exists()
 
     # the bad row follows a good tick on line 2, so the record that fails starts on line 3
@@ -384,6 +385,46 @@ class TestTickIngestion:
             "non-utf8-header", "crlf"])
     def test_malformed_tick_file_names_file_and_line(self, tmp_path, caplog, data, needle):
         self._exits_2_naming_tick_file(tmp_path, caplog, data, needle)
+
+    def test_gzipped_tick_file_exits_2(self, tmp_path, caplog):
+        """numpy would decompress x.csv.gz; a run reads its bytes as they are."""
+        data = gzip.compress(b"timestamp_ns,price\n1514764800000000000,100.0\n", mtime=0)
+        self._exits_2_naming_tick_file(tmp_path, caplog, data, "line 1: not valid UTF-8",
+                                       name="x.csv.gz")
+
+    def test_synth_prices_read_as_ticks_give_the_same_bytes(self, tmp_path):
+        """Two synth specs' prices, written as tick files at year_start + k*delta with
+        repr prices, run to the same five CSVs as the specs; the manifests differ only
+        in config_sha256."""
+        t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
+        synths = [
+            {"name": "FBM", "synth": {"kind": "fbm", "hurst": 0.5, "length": 8192, "seed": 1}},
+            {"name": "GARCH", "synth": {"kind": "garch", "omega": 1e-6, "alpha": 0.05,
+                                        "beta": 0.9, "length": 8192, "seed": 4}}]
+        common = {"delta_s": 600, "n_grid_s": {"min": 1200, "max": 6000, "step": 1200},
+                  "volatility_windows_s": [3600, 7200], "horizons": [1]}
+        synth_cfg = _write_config(tmp_path, name="synth.json", overrides=dict(
+            common, assets=synths, output_dir=str(tmp_path / "synth")))
+        ticks = []
+        for asset in load_config(synth_cfg).assets:
+            path = tmp_path / f"{asset.name}.csv"
+            data = ("timestamp_ns,price\n" + "".join(
+                f"{t0 + k * 600 * 10 ** 9},{p!r}\n"
+                for k, p in enumerate(asset.generator.prices().tolist()))).encode()
+            path.write_bytes(data)
+            assert _parse_ticks_fast(path, data) is not None  # numpy's reader, not the loop
+            ticks.append({"name": asset.name, "ticks": path.name})
+        tick_cfg = _write_config(tmp_path, name="ticks.json", overrides=dict(
+            common, assets=ticks, output_dir=str(tmp_path / "ticks")))
+        runs = []
+        for cfg_path in (synth_cfg, tick_cfg):
+            assert main(["analyze", str(cfg_path)]) == 0
+            out = tmp_path / cfg_path.stem
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["config_sha256"]
+            runs.append(([(out / name).read_bytes() for name in OUTPUTS], manifest))
+        assert runs[0][1]["n_cells"] == 4
+        assert runs[0] == runs[1]
 
     # minute 1000 of asset A: a price near 0 gives a return near 1e302, whose
     # square overflows; followed by 1e10, the return itself overflows. Either

@@ -1,18 +1,16 @@
-import io
-
 import numpy as np
 import pytest
 from datetime import date
 
 from entroport import (TICK_DTYPE, EmptyInputError, DataError, HorizonError, date_ns,
-                       month_start_ns, parse_ticks, resample, slice_horizon)
+                       month_start_ns, resample, slice_horizon)
 from entroport.errors import TickParseError
-from entroport.series import NS_PER_S, _parse_ticks_fast, iso_utc
+from entroport.series import NS_PER_S, _parse_ticks_fast, _parse_ticks_lines, iso_utc
+from tick_file import parse_tick_file
 
 
 def _csv(rows):
-    body = "timestamp_ns,price\n" + "".join(f"{t},{p}\n" for t, p in rows)
-    return io.BytesIO(body.encode())
+    return ("timestamp_ns,price\n" + "".join(f"{t},{p}\n" for t, p in rows)).encode()
 
 
 def _ticks(rows):
@@ -21,75 +19,94 @@ def _ticks(rows):
 
 class TestParseTicks:
     def test_well_formed_rows(self):
-        recs = parse_ticks(_csv([(10, 1.5), (20, 1.6), (30, 1.7)]))
+        recs = parse_tick_file(_csv([(10, 1.5), (20, 1.6), (30, 1.7)]))
         assert recs.dtype == TICK_DTYPE
         assert recs["timestamp"].tolist() == [10, 20, 30]
         assert recs["price"].tolist() == [1.5, 1.6, 1.7]
 
     def test_empty_file_is_an_error(self):
         with pytest.raises(EmptyInputError):
-            parse_ticks(_csv([]))
+            parse_tick_file(_csv([]))
 
     def test_out_of_order_rows_are_sorted(self):
-        recs = parse_ticks(_csv([(30, 3.0), (10, 1.0), (20, 2.0)]))
+        recs = parse_tick_file(_csv([(30, 3.0), (10, 1.0), (20, 2.0)]))
         assert recs["timestamp"].tolist() == [10, 20, 30]
         assert recs["price"].tolist() == [1.0, 2.0, 3.0]
 
     def test_sort_is_stable_for_equal_timestamps(self):
-        recs = parse_ticks(_csv([(10, 1.0), (10, 2.0), (10, 3.0)]))
+        recs = parse_tick_file(_csv([(10, 1.0), (10, 2.0), (10, 3.0)]))
         assert recs["price"].tolist() == [1.0, 2.0, 3.0]
 
     def test_malformed_row_reports_line_number(self):
         with pytest.raises(TickParseError, match="line 3"):
-            parse_ticks(io.BytesIO(b"timestamp_ns,price\n10,1.0\nnot-a-number,2\n"))
+            parse_tick_file(b"timestamp_ns,price\n10,1.0\nnot-a-number,2\n")
 
     def test_line_number_counts_the_lines_of_a_quoted_field(self):
         # the bad record starts on line 4; it is the third record
         with pytest.raises(TickParseError, match="line 4: could not convert"):
-            parse_ticks(b'timestamp_ns,price\n"1\n",5\n2,abc\n')
+            parse_tick_file(b'timestamp_ns,price\n"1\n",5\n2,abc\n')
         with pytest.raises(TickParseError, match="line 4: field larger"):
-            parse_ticks(b'timestamp_ns,price\n"1\n",5\n' + b"1" * 200_000 + b",2.0\n")
+            parse_tick_file(b'timestamp_ns,price\n"1\n",5\n' + b"1" * 200_000 + b",2.0\n")
 
     def test_non_positive_price_is_a_data_error(self):
         with pytest.raises(DataError):
-            parse_ticks(_csv([(10, -1.0)]))
+            parse_tick_file(_csv([(10, -1.0)]))
 
     def test_bad_header(self):
         with pytest.raises(TickParseError, match="line 1"):
-            parse_ticks(io.BytesIO(b"time,price\n10,1.0\n"))
+            parse_tick_file(b"time,price\n10,1.0\n")
 
     def test_timestamp_outside_int64_reports_line_number(self):
         with pytest.raises(TickParseError, match="line 3"):
-            parse_ticks(_csv([(10, 1.0), (2 ** 63, 2.0)]))
-        assert parse_ticks(_csv([(-2 ** 63, 1.0), (2 ** 63 - 1, 2.0)]))[
+            parse_tick_file(_csv([(10, 1.0), (2 ** 63, 2.0)]))
+        assert parse_tick_file(_csv([(-2 ** 63, 1.0), (2 ** 63 - 1, 2.0)]))[
             "timestamp"].tolist() == [-2 ** 63, 2 ** 63 - 1]
 
     def test_comment_tail_is_a_parse_error(self):
         with pytest.raises(TickParseError, match="line 2"):
-            parse_ticks(b"timestamp_ns,price\n100,2.5#x\n")
+            parse_tick_file(b"timestamp_ns,price\n100,2.5#x\n")
 
     def test_header_only_file_is_empty(self):
         with pytest.raises(EmptyInputError):
-            parse_ticks(b"timestamp_ns,price\n")
+            parse_tick_file(b"timestamp_ns,price\n")
 
     def test_nan_price_is_a_data_error_naming_its_line(self):
         with pytest.raises(DataError, match="line 3"):
-            parse_ticks(b"timestamp_ns,price\n10,1.0\n20,nan\n")
+            parse_tick_file(b"timestamp_ns,price\n10,1.0\n20,nan\n")
 
     def test_non_utf8_byte_reports_line_number(self):
         with pytest.raises(TickParseError, match="line 3: not valid UTF-8"):
-            parse_ticks(b"timestamp_ns,price\n10,1.0\n20,2.\xff5\n30,1.0\n")
+            parse_tick_file(b"timestamp_ns,price\n10,1.0\n20,2.\xff5\n30,1.0\n")
 
     def test_oversized_field_reports_line_number(self):
         with pytest.raises(TickParseError, match="line 3"):
-            parse_ticks(b"timestamp_ns,price\n10,1.0\n" + b"1" * 200_000 + b",2.0\n")
+            parse_tick_file(b"timestamp_ns,price\n10,1.0\n" + b"1" * 200_000 + b",2.0\n")
 
     def test_plain_files_take_the_vectorised_path(self):
         data = b"timestamp_ns,price\r\n20, +2.5e0\r\n\r\n\t10 ,1E-3\n20,3\n"
-        ticks = _parse_ticks_fast(data)
+        ticks = parse_tick_file(data, parse=lambda path: _parse_ticks_fast(path, data))
         assert ticks is not None
         assert ticks.tolist() == [(20, 2.5), (10, 0.001), (20, 3.0)]
-        assert parse_ticks(data).tolist() == [(10, 0.001), (20, 2.5), (20, 3.0)]
+        assert parse_tick_file(data).tolist() == [(10, 0.001), (20, 2.5), (20, 3.0)]
+        # a file written the way the benchmark writes its tick files: ms arrivals
+        # with repeats, repr prices, '\n' line ends; the line loop would give the
+        # same ticks several times slower
+        rng = np.random.default_rng(7)
+        stamps = 1514764800 * NS_PER_S + np.cumsum(rng.integers(0, 3000, 500)) * 1_000_000
+        prices = 100.0 * np.exp(np.cumsum(rng.standard_normal(500)) * 1e-4)
+        data = ("timestamp_ns,price\n" + "\n".join(
+            f"{t},{p!r}" for t, p in zip(stamps.tolist(), prices.tolist())) + "\n").encode()
+        ticks = parse_tick_file(data, parse=lambda path: _parse_ticks_fast(path, data))
+        assert ticks is not None
+        assert ticks.tobytes() == _parse_ticks_lines(data).tobytes()
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".csv.gz"])
+    def test_compressed_suffix_has_no_meaning(self, suffix):
+        """numpy opens a path named *.gz, *.bz2, *.xz or *.lzma as compressed; a plain
+        tick file so named parses to the ticks of the same bytes named *.csv."""
+        data = _csv([(20, 2.5), (10, 1.5), (20, 3.5)])
+        assert (parse_tick_file(data, "ticks" + suffix).tobytes()
+                == parse_tick_file(data).tobytes())
 
 
 class TestResample:
