@@ -30,8 +30,7 @@ MAX_N_GRID = 10_000
 #: a synth spec may also give its kind's GENERATOR_PARAMS
 _SYNTH_KEYS = {"kind", "length", "seed", "price_scale"}
 #: choice key -> the names it accepts, checked in this order
-CHOICES = {"entropy_estimator": ("surprisal", "shannon_term"),
-           "entropy_source": ("volatility", "return"), "aggregation": ("sum", "mean"),
+CHOICES = {"entropy_source": ("volatility", "return"), "aggregation": ("sum", "mean"),
            "horizon_mode": ("expanding", "monthly"), "return_kind": ("simple", "log")}
 
 
@@ -52,23 +51,21 @@ class PipelineConfig:
     """A run's assets, grids and choices; __slots__ are the keys a config file may give."""
 
     __slots__ = ("assets", "delta_s", "year_start", "n_grid_s", "volatility_windows_s",
-                 "horizons", "entropy_estimator", "entropy_source", "aggregation",
-                 "min_clusters", "horizon_mode", "return_kind", "output_dir")
+                 "horizons", "entropy_source", "aggregation", "min_clusters", "horizon_mode",
+                 "return_kind", "output_dir")
 
     def __init__(self, assets: tuple[AssetInput, ...], delta_s: float, year_start: date,
                  n_grid_s: tuple[int, ...] = tuple(range(25, 201, 25)),
                  volatility_windows_s: tuple[int, ...] = (180, 360, 720),
                  horizons: tuple[int, ...] = tuple(range(1, 13)),
-                 entropy_estimator: str = "surprisal", entropy_source: str = "volatility",
-                 aggregation: str = "sum", min_clusters: int = MIN_CLUSTERS,
-                 horizon_mode: str = "expanding", return_kind: str = "simple",
-                 output_dir: Path = Path("out")):
+                 entropy_source: str = "volatility", aggregation: str = "sum",
+                 min_clusters: int = MIN_CLUSTERS, horizon_mode: str = "expanding",
+                 return_kind: str = "simple", output_dir: Path = Path("out")):
         self.assets, self.delta_s, self.year_start = assets, delta_s, year_start
         self.n_grid_s, self.volatility_windows_s = n_grid_s, volatility_windows_s
         self.horizons, self.min_clusters = horizons, min_clusters
-        self.entropy_estimator, self.entropy_source = entropy_estimator, entropy_source
-        self.aggregation, self.horizon_mode = aggregation, horizon_mode
-        self.return_kind, self.output_dir = return_kind, output_dir
+        self.entropy_source, self.aggregation = entropy_source, aggregation
+        self.horizon_mode, self.return_kind, self.output_dir = horizon_mode, return_kind, output_dir
 
     @property
     def delta_ns(self) -> int:
@@ -115,6 +112,8 @@ class PipelineConfig:
                 raise ConfigError(f"unknown {key} {value!r}")
         if self.min_clusters < 1:
             raise ConfigError("min_clusters must be >= 1")
+        if "\0" in str(self.output_dir):  # no path holds NUL; refused here, not after the sweep
+            raise ConfigError(f"output_dir {str(self.output_dir)!r}: contains a NUL byte")
 
 
 def _check_keys(entry: dict, allowed: set[str], where: str) -> None:

@@ -4,9 +4,9 @@ A cluster is the stretch of a series between two consecutive intersections
 with its trailing moving average. Durations are counted in sampling units
 and binned into a histogram, the pair (taus, counts) of int64 arrays: the
 observed durations, strictly ascending, and the cluster count of each. The
-counts give P(tau, n) = counts / counts.sum(), a per-bin entropy curve, a
-float64 array (surprisal by default), which is summed over every bin into
-one float I(n) per moving-average window.
+counts give P(tau, n) = counts / counts.sum() and a per-bin entropy curve,
+the float64 array S = -ln P, which is summed over every bin into one float
+I(n) per moving-average window.
 """
 
 from __future__ import annotations
@@ -214,21 +214,14 @@ def crossing_pass(tables: PrefixTables, n: int) -> CrossingPass:
     return CrossingPass(n, nonzero[flip + 1], nonzero[flip], f"full convolve ({why})")
 
 
-def entropy_curve(counts: np.ndarray, estimator: str = "surprisal") -> np.ndarray:
-    """Entropy S(tau, n) >= 0 in nats per observed bin, aligned with the histogram's taus.
+def entropy_curve(counts: np.ndarray) -> np.ndarray:
+    """Surprisal S(tau, n) = -ln P(tau, n) >= 0 in nats per observed bin, aligned with the taus.
 
     P(tau, n) = counts / counts.sum(); counts are positive, and a model
-    distribution may give fractional ones. estimator='surprisal' (default):
-    S = -ln P, which grows logarithmically in the power-law regime and
-    linearly past the cutoff. estimator='shannon_term': the per-bin summand
-    -P ln P, kept switchable for sensitivity studies.
+    distribution may give fractional ones. S grows logarithmically in the
+    power-law regime and linearly past the cutoff.
     """
-    p = counts / counts.sum()
-    if estimator == "surprisal":
-        return -np.log(p)
-    if estimator == "shannon_term":
-        return -p * np.log(p)
-    raise ValueError(f"unknown estimator {estimator!r}")
+    return -np.log(counts / counts.sum())
 
 
 def _sum_in_order(values) -> float:

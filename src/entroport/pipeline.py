@@ -119,7 +119,7 @@ def _add_n(keys: list[list[_Cell]], spans: list[tuple[int, int]],
     for span_keys, dist in zip(keys, dists):
         if isinstance(dist, tuple):
             taus, counts = dist
-            curve = entropy_curve(counts, estimator=cfg.entropy_estimator)
+            curve = entropy_curve(counts)
             index = entropy_index(curve)
         for key in span_keys:
             label = "{} M={} T={}s n={}".format(*key, n)

@@ -256,15 +256,6 @@ class TestEntropyCurve:
         slope = np.polyfit(taus[tail].astype(float), curve[tail], 1)[0]
         assert slope == pytest.approx(1.0 / n, rel=1e-6)
 
-    def test_shannon_term_estimator(self):
-        curve = entropy_curve(_histogram([1, 1, 1, 2])[1], estimator="shannon_term")
-        assert curve[0] == pytest.approx(-0.75 * np.log(0.75))
-        assert curve[1] == pytest.approx(-0.25 * np.log(0.25))
-
-    def test_unknown_estimator(self):
-        with pytest.raises(ValueError):
-            entropy_curve(_histogram([1, 1, 1])[1], estimator="bogus")
-
 
 class TestEntropyIndex:
     def test_single_zero_bin(self):

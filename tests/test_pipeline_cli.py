@@ -1,7 +1,9 @@
+import argparse
 import errno
 import functools
 import gzip
 import hashlib
+import inspect
 import json
 import logging
 import operator
@@ -17,14 +19,13 @@ import pytest
 
 import entroport
 from entroport import config, pipeline
-from entroport.cli import main
+from entroport.cli import build_parser, main
 from entroport.config import MAX_N_GRID, load_config
 from entroport.dma_cluster import PrefixTables, crossing_pass, entropy_curve, entropy_index
 from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
 from entroport.pipeline import PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
 from entroport.series import _parse_ticks_fast, month_start_ns, slice_horizon, whole_samples
-from entroport.synth import GeneratorSpec
 
 BASE_CONFIG = {
     "assets": [
@@ -554,7 +555,7 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
                     if isinstance(dist, Exception):
                         raise dist
                     _, counts = dist
-                    i_n = entropy_index(entropy_curve(counts, cfg.entropy_estimator))
+                    i_n = entropy_index(entropy_curve(counts))
                     expected[(asset.name, m, t_s, n)] = repr(i_n)
     assert got == expected
 
@@ -947,123 +948,23 @@ def test_readme_plotting_recipe_reads_a_finished_run(tmp_path, monkeypatch):
     assert keys == sorted(keys)
 
 
-def test_figures_is_not_a_subcommand(tmp_path):
-    # the pipeline ends at its run CSVs; README shows how to reshape them for plotting
+@pytest.mark.parametrize("command", ["figures", "synth"])
+def test_removed_command_is_not_a_subcommand(tmp_path, command):
+    # the pipeline ends at its run CSVs, and a synthetic asset enters a run as a
+    # config synth entry; README shows how to reshape the CSVs for plotting
     with pytest.raises(SystemExit) as exc:
-        main(["figures", str(tmp_path)])
+        main([command, str(tmp_path)])
     assert exc.value.code == 2
 
 
-class TestSynthCommand:
-    def test_emits_cache_csv(self, tmp_path):
-        out = tmp_path / "series.csv"
-        rc = main(["synth", "--kind", "fbm", "--hurst", "0.5", "--length",
-                   "1024", "--seed", "5", "--delta-s", "2", "--out", str(out)])
-        assert rc == 0
-        text = out.read_text().splitlines()
-        assert text[0].startswith("# kind=price delta_ns=2000000000")
-        assert text[1] == "t_ns,value"
-        assert len(text) == 2 + 1024
-
-    # sha256 of the CSV bytes, recorded before the cache writer moved into the command
-    @pytest.mark.parametrize("kind, flags, digest", [
-        ("fbm", ["--hurst", "0.6"],
-         "026d4a3262f612c3749dc9fca4c54bf8a62da23912cf0d971794d29483aa22c3"),
-        ("arfima", ["--d", "0.2"],
-         "2a987bdcd0a517495f28d4be250927b03029323e75ff6b116d49e688d9c07fd1"),
-        ("garch", ["--omega", "1e-6", "--alpha", "0.05", "--beta", "0.9"],
-         "bd259820e4aa4ec4ef89c3ce085cc9e78c8c12b7dc8b2a62fc10dded3c71c654"),
-    ])
-    def test_csv_bytes_are_pinned(self, tmp_path, kind, flags, digest):
-        out = tmp_path / "series.csv"
-        assert main(["synth", "--kind", kind, *flags, "--length", "256", "--seed", "3",
-                     "--delta-s", "0.25", "--start", "2019-07-13", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-    def test_series_cache_roundtrip(self, tmp_path):
-        out = tmp_path / "series.csv"
-        assert main(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.05",
-                     "--beta", "0.9", "--length", "3", "--seed", "5", "--delta-s", "5e-7",
-                     "--start", "1970-01-01", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[:2] == ["# kind=return delta_ns=500", "t_ns,value"]
-        rows = [line.split(",") for line in lines[2:]]
-        assert [int(t) for t, _ in rows] == [0, 500, 1000]
-        samples = GeneratorSpec("garch", 3, 5, omega=1e-6, alpha=0.05, beta=0.9).generate()
-        assert np.array_equal([float(v) for _, v in rows], samples)
-
-    def test_start_date_is_midnight_utc(self, tmp_path):
-        out = tmp_path / "series.csv"
-        assert main(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "4",
-                     "--seed", "5", "--start", "2019-07-13", "--out", str(out)]) == 0
-        stamps = [int(row.split(",")[0]) for row in out.read_text().splitlines()[2:]]
-        assert stamps == [(1_562_976_000 + k) * 10 ** 9 for k in range(4)]
-
-    def test_missing_parameter_exits_2(self, tmp_path):
-        rc = main(["synth", "--kind", "fbm", "--length", "1024", "--seed",
-                   "5", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-
-    @pytest.mark.parametrize("extra, needle", [
-        (["--delta-s", "nan"], "--delta-s nan is not a finite"),
-        (["--delta-s", "inf"], "--delta-s inf is not a finite"),
-        (["--delta-s", "1e300"], "--delta-s 1e+300 is not a finite"),
-        (["--delta-s", "1e10"], "do not fit int64 nanoseconds"),
-        (["--start", "2300-01-01"], "--start 2300-01-01 at --delta-s 1.0 do not fit"),
-        (["--start", "1600-01-01"], "--start 1600-01-01 at --delta-s 1.0 do not fit"),
-        (["--delta-s", "1e-12"], "--delta-s 1e-12 is below one nanosecond"),
-    ])
-    def test_unrepresentable_sample_times_exit_2(self, tmp_path, caplog, extra, needle):
-        _exits_naming(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "16",
-                       "--seed", "5", "--out", tmp_path / "x.csv", *extra], 2, caplog, needle)
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_bad_hurst_exits_2(self, tmp_path):
-        rc = main(["synth", "--kind", "fbm", "--hurst", "1.5", "--length",
-                   "1024", "--seed", "5", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-
-    @pytest.mark.parametrize("kind, flags, needle", [
-        ("fbm", ["--hurst", "0.5", "--d", "0.3", "--omega", "5"], "fbm takes no --d, --omega"),
-        ("arfima", ["--d", "0.3", "--beta", "0.9"], "arfima takes no --beta"),
-        ("garch", ["--omega", "1e-6", "--alpha", "0.05", "--beta", "0.9", "--hurst", "0.5"],
-         "garch takes no --hurst")])
-    def test_flag_of_another_kind_exits_2_naming_it(self, tmp_path, caplog, kind, flags,
-                                                     needle):
-        _exits_naming(["synth", "--kind", kind, *flags, "--length", "16", "--seed", "5",
-                       "--out", tmp_path / "x.csv"], 2, caplog, needle)
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, caplog):
-        _exits_naming(["synth", "--kind", "fbm", "--hurst", "0.5", "--length", "16",
-                       "--seed", "-1", "--out", tmp_path / "x.csv"], 2, caplog,
-                      "--seed: must be >= 0, got -1")
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_non_finite_garch_parameter_exits_2_naming_it(self, tmp_path, caplog):
-        _exits_naming(["synth", "--kind", "garch", "--omega", "nan", "--alpha", "0.05",
-                       "--beta", "0.9", "--length", "16", "--seed", "5",
-                       "--out", tmp_path / "x.csv"], 2, caplog, "omega must be finite, got nan")
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_overflowing_garch_exits_2_naming_the_generator(self, tmp_path, caplog):
-        _exits_naming(["synth", "--kind", "garch", "--omega", "1e307", "--alpha", "0.05",
-                       "--beta", "0.9", "--length", "100", "--seed", "3",
-                       "--out", tmp_path / "x.csv"], 2, caplog, "garch")
-        assert not (tmp_path / "x.csv").exists()
-
-    # 2**47 samples exceed a 47-bit address space, so numpy refuses them unallocated;
-    # 2**62 samples fit int64 nanoseconds from 1970 but exceed the largest size numpy
-    # can address, which it reports as a ValueError
-    @pytest.mark.parametrize("length, start, needle", [
-        (2 ** 47, "2018-01-01", "out of memory: Unable to allocate"),
-        (2 ** 62, "1970-01-01", "array is too big")], ids=["2**47", "2**62"])
-    def test_out_of_memory_exits_2(self, tmp_path, caplog, length, start, needle):
-        _exits_naming(["synth", "--kind", "garch", "--omega", "1e-6", "--alpha", "0.05",
-                       "--beta", "0.9", "--length", length, "--seed", "5",
-                       "--delta-s", "1e-9", "--start", start, "--out", tmp_path / "x.csv"],
-                      2, caplog, needle)
-        assert not (tmp_path / "x.csv").exists()
+def test_readme_states_every_choice_and_only_real_subcommands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    defaults = inspect.signature(config.PipelineConfig).parameters
+    for key, names in config.CHOICES.items():  # the default first, as README says
+        assert defaults[key].default == names[0], key
+        assert f"- `{key}`: " + " or ".join(f"`{v}`" for v in names) in readme, key
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(re.findall(r"\bentroport ([a-z]\w*)", readme)) <= set(sub.choices)
 
 
 class TestConfigValidation:
@@ -1178,7 +1079,7 @@ class TestConfigValidation:
                         f"asset 'SYN1' synth {field}: expected an integer, got {value!r}")
 
     @pytest.mark.parametrize("overrides, needle", [
-        ({"entropy_estimator": "gini"}, "unknown entropy_estimator 'gini'"),
+        ({"entropy_estimator": "surprisal"}, "top level: unknown key(s) 'entropy_estimator'"),
         ({"entropy_source": "price"}, "unknown entropy_source 'price'"),
         ({"aggregation": "max"}, "unknown aggregation 'max'"),
         ({"horizon_mode": "weekly"}, "unknown horizon_mode 'weekly'"),
@@ -1187,7 +1088,8 @@ class TestConfigValidation:
         ({"threshold_m": "n"}, "top level: unknown key(s) 'threshold_m'"),
         ({"min_clusters": 0}, "min_clusters must be >= 1"),
         ({"assets": []}, "at least 2 assets are required, got 0"),
-        ({"assets": 5}, "bad config: TypeError(\"'int' object is not iterable\")")])
+        ({"assets": 5}, "bad config: TypeError(\"'int' object is not iterable\")"),
+        ({"output_dir": "o\0ut"}, "output_dir 'o\\x00ut': contains a NUL byte")])
     def test_bad_config_values_exit_2(self, tmp_path, caplog, overrides, needle):
         _exits_2_naming(_write_config(tmp_path, overrides=overrides), caplog, needle)
         assert not (tmp_path / "out").exists()
@@ -1219,7 +1121,11 @@ class TestConfigValidation:
           "seed": 1}, "asset 'SYN1' (synth garch): alpha and beta must be non-negative"),
         ({"kind": "fbm", "length": 1024, "seed": 1}, "asset 'SYN1': synth spec missing 'hurst'"),
         ({"kind": "garch", "omega": 1e-6, "alpha": 0.05, "length": 1024, "seed": 1},
-         "asset 'SYN1': synth spec missing 'beta'")])
+         "asset 'SYN1': synth spec missing 'beta'"),
+        ({"kind": "fbm", "hurst": 0.5, "d": 0.3, "length": 1024, "seed": 1},
+         "asset 'SYN1' synth: unknown key(s) 'd'"),
+        ({"kind": "fbm", "hurst": 0.5, "length": 2 ** 28, "seed": 1},
+         "for 268435456 samples of 'SYN1' do not fit int64 nanoseconds")])
     def test_bad_synth_specs_exit_2(self, tmp_path, caplog, synth, needle):
         cfg_path = _write_config(tmp_path, overrides={
             "assets": [{"name": "SYN1", "synth": synth}, BASE_CONFIG["assets"][1]]})

@@ -45,13 +45,11 @@ def test_cluster_distribution_conserves_clusters_and_duration(taus_in):
 
 
 @settings(deadline=None)
-@given(durations, st.sampled_from(["surprisal", "shannon_term"]))
-def test_entropy_curve_equals_per_bin_loop(taus_in, estimator):
+@given(durations)
+def test_entropy_curve_equals_per_bin_loop(taus_in):
     _, counts = _pass_histogram(np.bincount(taus_in))
-    curve = entropy_curve(counts, estimator)
-    probs = (counts / counts.sum()).tolist()
-    per_bin = [float(-np.log(p)) if estimator == "surprisal" else float(-p * np.log(p))
-               for p in probs]
+    curve = entropy_curve(counts)
+    per_bin = [float(-np.log(p)) for p in (counts / counts.sum()).tolist()]
     assert curve.tolist() == per_bin  # the vectorised curve changes no bit
 
 
@@ -368,15 +366,13 @@ def test_pass_histograms_meet_the_distribution_invariants(make, data):
         assert np.all(counts > 0)
         # P from int64 counts has the bytes of P from the same counts as float64
         want = counts.astype(float) / counts.astype(float).sum()
-        surprisal, term = entropy_curve(counts), entropy_curve(counts, "shannon_term")
-        for curve in (surprisal, term):
-            assert type(curve) is np.ndarray and curve.dtype == np.float64
-            assert np.all(curve >= 0)
-        assert surprisal.tobytes() == (-np.log(want)).tobytes()
-        assert term.tobytes() == (-want * np.log(want)).tobytes()
-        i_n = entropy_index(surprisal)
+        curve = entropy_curve(counts)
+        assert type(curve) is np.ndarray and curve.dtype == np.float64
+        assert np.all(curve >= 0)
+        assert curve.tobytes() == (-np.log(want)).tobytes()
+        i_n = entropy_index(curve)
         assert type(i_n) is float
-        assert i_n == functools.reduce(operator.add, surprisal.tolist(), 0.0)
+        assert i_n == functools.reduce(operator.add, curve.tolist(), 0.0)
 
 
 def _return_like(draw):
