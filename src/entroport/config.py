@@ -30,8 +30,8 @@ MAX_N_GRID = 10_000
 #: a synth spec may also give its kind's GENERATOR_PARAMS
 _SYNTH_KEYS = {"kind", "length", "seed", "price_scale"}
 #: choice key -> the names it accepts, checked in this order
-CHOICES = {"entropy_source": ("volatility", "return"), "aggregation": ("sum", "mean"),
-           "horizon_mode": ("expanding", "monthly"), "return_kind": ("simple", "log")}
+CHOICES = {"aggregation": ("sum", "mean"), "horizon_mode": ("expanding", "monthly"),
+           "return_kind": ("simple", "log")}
 
 
 class AssetInput:
@@ -51,20 +51,19 @@ class PipelineConfig:
     """A run's assets, grids and choices; __slots__ are the keys a config file may give."""
 
     __slots__ = ("assets", "delta_s", "year_start", "n_grid_s", "volatility_windows_s",
-                 "horizons", "entropy_source", "aggregation", "min_clusters", "horizon_mode",
-                 "return_kind", "output_dir")
+                 "horizons", "aggregation", "min_clusters", "horizon_mode", "return_kind",
+                 "output_dir")
 
     def __init__(self, assets: tuple[AssetInput, ...], delta_s: float, year_start: date,
                  n_grid_s: tuple[int, ...] = tuple(range(25, 201, 25)),
                  volatility_windows_s: tuple[int, ...] = (180, 360, 720),
                  horizons: tuple[int, ...] = tuple(range(1, 13)),
-                 entropy_source: str = "volatility", aggregation: str = "sum",
-                 min_clusters: int = MIN_CLUSTERS, horizon_mode: str = "expanding",
-                 return_kind: str = "simple", output_dir: Path = Path("out")):
+                 aggregation: str = "sum", min_clusters: int = MIN_CLUSTERS,
+                 horizon_mode: str = "expanding", return_kind: str = "simple",
+                 output_dir: Path = Path("out")):
         self.assets, self.delta_s, self.year_start = assets, delta_s, year_start
         self.n_grid_s, self.volatility_windows_s = n_grid_s, volatility_windows_s
-        self.horizons, self.min_clusters = horizons, min_clusters
-        self.entropy_source, self.aggregation = entropy_source, aggregation
+        self.horizons, self.min_clusters, self.aggregation = horizons, min_clusters, aggregation
         self.horizon_mode, self.return_kind, self.output_dir = horizon_mode, return_kind, output_dir
 
     @property

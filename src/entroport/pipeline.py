@@ -1,8 +1,7 @@
 """Pipeline orchestration: (asset x horizon x window x n-grid) sweep and CSV emission.
 
 Each asset's returns, each (asset, window) volatility series and each
-(asset, window, n) crossing pass are computed once over the whole series
-(the return source, the same at every window, has one pass per (asset, n));
+(asset, window, n) crossing pass are computed once over the whole series;
 every horizon cuts its cell out of them by index. The sweep fills one
 PipelineResult whose tables are keyed by cell, (asset, M, T_s), and the
 writer emits each table sorted by key. The manifest is written last and
@@ -13,7 +12,6 @@ byte-identical.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -103,41 +101,36 @@ def load_asset_prices(asset: AssetInput, cfg: PipelineConfig) -> tuple[int, np.n
         return 0, spec.prices()
 
 
-def _add_n(keys: list[list[_Cell]], spans: list[tuple[int, int]],
+def _add_n(keys: list[_Cell], spans: list[tuple[int, int]],
            tables: PrefixTables, n: int, cfg: PipelineConfig, result: PipelineResult) -> None:
     """Entropy curve and index at one n for each cell into result, or a warning why not.
 
-    keys[i] holds the cells at spans[i], a (start, stop) in the source,
-    tables.series: one per window with that source (several only for the
-    return source). One crossing pass over the whole source (its signs
+    keys[i] is the cell at spans[i], a (start, stop) in its window's volatility
+    series, tables.series. One crossing pass over the whole series (its signs
     settled by one rule, see crossing_pass) serves every span and
     histograms each of its durations once; it dies with this call, so one
     n's pass is alive at a time (two cost peak RSS).
     """
     cpass = crossing_pass(tables, n)
     dists = cpass.distributions(spans, cfg.min_clusters)
-    for span_keys, dist in zip(keys, dists):
-        if isinstance(dist, tuple):
+    for key, dist in zip(keys, dists):
+        label = "{} M={} T={}s n={}".format(*key, n)
+        if isinstance(dist, InsufficientClustersError):
+            result.warnings.append(f"{label}: dropped ({dist})")
+        elif not isinstance(dist, tuple):
+            result.warnings.append(f"{label}: series too short")
+        else:
             taus, counts = dist
             curve = entropy_curve(counts)
-            index = entropy_index(curve)
-        for key in span_keys:
-            label = "{} M={} T={}s n={}".format(*key, n)
-            if isinstance(dist, InsufficientClustersError):
-                result.warnings.append(f"{label}: dropped ({dist})")
-            elif not isinstance(dist, tuple):
-                result.warnings.append(f"{label}: series too short")
-            else:
-                result.curves.setdefault(key, {})[n] = (taus, curve)
-                result.indices.setdefault(key, {})[n] = index
+            result.curves.setdefault(key, {})[n] = (taus, curve)
+            result.indices.setdefault(key, {})[n] = entropy_index(curve)
     if logger.isEnabledFor(logging.DEBUG):
-        per_span = len(keys[0])  # one cell per window
-        dropped = per_span * sum(isinstance(d, InsufficientClustersError) for d in dists)
-        kept = per_span * sum(isinstance(d, tuple) for d in dists)
-        logger.debug("%s T=%s n=%d: %s; %d crossings; cells %d kept, %d dropped, "
-                     "%d too short", keys[0][0][0],
-                     ",".join(f"{t_s}s" for _, _, t_s in keys[0]), n, cpass.rule,
-                     len(cpass.times), kept, dropped, per_span * len(dists) - kept - dropped)
+        dropped = sum(isinstance(d, InsufficientClustersError) for d in dists)
+        kept = sum(isinstance(d, tuple) for d in dists)
+        asset, _, t_s = keys[0]
+        logger.debug("%s T=%ss n=%d: %s; %d crossings; cells %d kept, %d dropped, "
+                     "%d too short", asset, t_s, n, cpass.rule, len(cpass.times),
+                     kept, dropped, len(dists) - kept - dropped)
 
 
 def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice],
@@ -145,30 +138,23 @@ def _asset_cells(asset: AssetInput, returns: np.ndarray, ranges: dict[int, slice
     """One asset's cells at every window and horizon, into result.
 
     Prices [lo, hi) have returns r[lo:hi-1] and volatility vol[lo:hi-w],
-    exactly those of the sliced prices, so each whole-series source and its
-    crossing pass at each n are computed once, and each horizon takes its
-    span by index. The return source is the same at every window, so one
-    sweep serves every window's cells; the volatility source has one per window.
+    exactly those of the sliced prices, so each window's volatility series
+    and its crossing pass at each n are computed once over the whole series,
+    and each horizon takes its span by index.
     """
-    # (windows, cut) per sweep: prices [lo, hi) take the span source[lo:hi-cut]
-    if cfg.entropy_source == "return":
-        sweeps = [(cfg.volatility_windows_s, 1)]
-    else:
-        sweeps = [((t_s,), whole_samples(t_s, cfg.delta_ns, "volatility window"))
-                  for t_s in cfg.volatility_windows_s]
-    for windows_s, cut in sweeps:
+    for t_s in cfg.volatility_windows_s:
+        w = whole_samples(t_s, cfg.delta_ns, "volatility window")
         for rng in ranges.values():
-            if rng.stop - rng.start <= cut:  # fewer returns than w; ranges hold >= 2 prices
-                raise DataError(f"window ({cut}) longer than series ({rng.stop - 1 - rng.start})")
-        with _naming(asset, f", volatility window {windows_s[0]}s"):
-            source = (returns if cfg.entropy_source == "return"
-                      else rolling_volatility(returns, cut))
-        spans = [(rng.start, rng.stop - cut) for rng in ranges.values()]
-        keys = [[(asset.name, m, t_s) for t_s in windows_s] for m in ranges]
-        tables = PrefixTables(source)  # shared by the passes of every n
+            if rng.stop - rng.start <= w:  # fewer returns than w; ranges hold >= 2 prices
+                raise DataError(f"window ({w}) longer than series ({rng.stop - 1 - rng.start})")
+        with _naming(asset, f", volatility window {t_s}s"):
+            vol = rolling_volatility(returns, w)
+        tables = PrefixTables(vol)  # shared by the passes of every n
+        keys = [(asset.name, m, t_s) for m in ranges]
+        spans = [(rng.start, rng.stop - w) for rng in ranges.values()]
         for n in cfg.n_grid_samples():
             _add_n(keys, spans, tables, n, cfg, result)
-        for key in itertools.chain(*keys):
+        for key in keys:
             if key not in result.indices:
                 raise InsufficientClustersError(f"asset {asset.name!r} has no valid n point "
                                                 f"at M={key[1]}, T={key[2]}s")

@@ -50,8 +50,7 @@ SYNTH_CONFIG = {
     "min_clusters": 10,
     "output_dir": "out",
     # the defaults, written out so that they are mutated too
-    "entropy_source": "volatility", "aggregation": "sum", "horizon_mode": "expanding",
-    "return_kind": "simple",
+    "aggregation": "sum", "horizon_mode": "expanding", "return_kind": "simple",
 }
 SYNTH_CONFIG["assets"][0]["synth"]["price_scale"] = 0.001
 
@@ -67,7 +66,7 @@ TICK_CONFIG = {
 }
 
 VALUES = [None, True, False, 0, 1, -1, 0.5, 2 ** 63, -2 ** 63, 1e300, -1e300,
-          math.nan, math.inf, "", "x", "n", [], [1], {}, {"x": 1}]
+          math.nan, math.inf, "", "x", "n", "o\x00ut", "\x1f", [], [1], {}, {"x": 1}]
 
 
 def _tick_bytes(seed: int) -> bytes:

@@ -22,7 +22,7 @@ from entroport import config, pipeline
 from entroport.cli import build_parser, main
 from entroport.config import MAX_N_GRID, load_config
 from entroport.dma_cluster import PrefixTables, crossing_pass, entropy_curve, entropy_index
-from entroport.errors import ConfigError, InsufficientClustersError, NoTangencyError
+from entroport.errors import ConfigError, NoTangencyError
 from entroport.pipeline import PipelineResult, load_asset_prices, run_pipeline
 from entroport.returns_vol import linear_returns, rolling_volatility
 from entroport.series import _parse_ticks_fast, month_start_ns, slice_horizon, whole_samples
@@ -129,9 +129,12 @@ class TestAnalyze:
             "volatility_windows_s": [90]})  # not a multiple of 60s
         assert main(["analyze", str(cfg_path)]) == 2
 
-    def test_insufficient_clusters_exits_4(self, tmp_path):
-        cfg_path = _write_config(tmp_path, overrides={"min_clusters": 10 ** 9})
-        assert main(["analyze", str(cfg_path)]) == 4
+    def test_insufficient_clusters_exits_4(self, tmp_path, caplog):
+        # the first asset's first window in config order is the cell named
+        cfg_path = _write_config(tmp_path, overrides={"min_clusters": 10 ** 9,
+                                                      "volatility_windows_s": [720, 360]})
+        _exits_naming(["analyze", cfg_path], 4, caplog,
+                      "asset 'SYN1' has no valid n point at M=1, T=720s")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -448,18 +451,19 @@ class TestTickIngestion:
         assert not (tmp_path / "out").exists()
 
     def test_zero_cluster_entropy_index_exits_2_naming_the_cell(self, tmp_path, caplog):
-        """A price that alternates every step has returns whose clusters all last 1: I = 0."""
+        """A price cycling 100, 101, 200, 202 has returns a, b, a, c, so its 2-sample
+        volatility runs x, x, y, y and every cluster lasts 2: I = 0."""
         t0 = 1514764800 * 10 ** 9  # 2018-01-01 UTC
         walk = 100 + np.cumsum(np.random.default_rng(5).choice([-0.01, 0.01], 44_700))
-        for name, prices in (("alt.csv", [100.0 + i % 2 for i in range(44_700)]),
+        cycle = (100.0, 101.0, 200.0, 202.0)
+        for name, prices in (("alt.csv", [cycle[i % 4] for i in range(44_700)]),
                              ("rw.csv", walk.tolist())):
             rows = "".join(f"{t0 + i * 60 * 10 ** 9},{p!r}\n" for i, p in enumerate(prices))
             (tmp_path / name).write_text("timestamp_ns,price\n" + rows)
         cfg_path = _write_config(tmp_path, overrides={
             "assets": [{"name": "ALT", "ticks": "alt.csv"}, {"name": "RW", "ticks": "rw.csv"}],
-            "entropy_source": "return", "n_grid_s": {"min": 120, "max": 600, "step": 120},
-            "volatility_windows_s": [180]})
-        _exits_2_naming(cfg_path, caplog, "M=1 T=180s: the cluster-entropy index must be "
+            "n_grid_s": {"min": 120, "max": 120, "step": 120}, "volatility_windows_s": [120]})
+        _exits_2_naming(cfg_path, caplog, "M=1 T=120s: the cluster-entropy index must be "
                                           "finite and positive, got asset 'ALT' I=0.0")
         assert not (tmp_path / "out").exists()
 
@@ -527,13 +531,11 @@ TWO_MONTHS = [{"name": f"SYN{seed}", "synth": {"kind": "fbm", "hurst": 0.5,
               for seed in (1, 2)]
 
 
-@pytest.mark.parametrize("source", ["volatility", "return"])
 @pytest.mark.parametrize("mode", ["expanding", "monthly"])
-def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
+def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode):
     """Cutting horizons out of one pass per series matches a pass over each slice."""
     cfg = load_config(_write_config(tmp_path, overrides={
-        "assets": TWO_MONTHS, "horizons": [1, 2], "horizon_mode": mode,
-        "entropy_source": source}))
+        "assets": TWO_MONTHS, "horizons": [1, 2], "horizon_mode": mode}))
     run_pipeline(cfg, config_bytes=b"")
     _, rows = _read_rows(tmp_path / "out" / "indices_by_n.csv")
     got = {(a, int(m), int(t_s), int(n)): value for a, m, t_s, n, value in rows}
@@ -548,7 +550,7 @@ def test_multi_horizon_indices_match_per_horizon_oracle(tmp_path, mode, source):
             rets = linear_returns(prices[span])
             for t_s in cfg.volatility_windows_s:
                 w = whole_samples(t_s, cfg.delta_ns, "volatility window")
-                y = rets if source == "return" else rolling_volatility(rets, w)
+                y = rolling_volatility(rets, w)
                 for n in cfg.n_grid_samples():
                     dist, = crossing_pass(PrefixTables(y), n).distributions(
                         [(0, len(y))], cfg.min_clusters)
@@ -669,15 +671,14 @@ OUTPUTS = ("entropy_curves.csv", "indices_by_n.csv", "indices_aggregated.csv", "
            "diagnostics.csv")
 
 
-@pytest.mark.parametrize("source", ["volatility", "return"])
-def test_config_order_of_horizons_and_windows_changes_no_byte(tmp_path, source):
+def test_config_order_of_horizons_and_windows_changes_no_byte(tmp_path):
     """Results are keyed by cell and written sorted, so listing the horizons and the
     windows in another order writes the same CSVs, warnings and cell count."""
     runs = []
     for order in (1, -1):
         out = tmp_path / f"out{order}"
         run_pipeline(load_config(_write_config(tmp_path, name=f"{order}.json", overrides=dict(
-            EDGE_CONFIG, entropy_source=source, horizons=EDGE_CONFIG["horizons"][::order],
+            EDGE_CONFIG, horizons=EDGE_CONFIG["horizons"][::order],
             volatility_windows_s=[10800, 21600][::order], output_dir=str(out)))),
             config_bytes=b"")
         manifest = json.loads((out / "manifest.json").read_text())
@@ -713,60 +714,6 @@ def test_returned_tables_are_the_written_ones(tmp_path):
                             for n, (taus, s) in v.items()} for key, v in result.curves.items()}
     assert [[method, str(m), str(t_s), asset, repr(w)] for method, m, t_s, asset, w in
             sorted(result.weights)] == _read_rows(out / "weights.csv")[1]
-
-
-def _rows_by_window(out):
-    """Every output row and manifest warning of a run, grouped by its window T_s."""
-    rows: dict[int, list[str]] = {}
-    for name in ("entropy_curves.csv", "indices_by_n.csv", "indices_aggregated.csv",
-                 "weights.csv", "diagnostics.csv"):
-        for line in (out / name).read_text().splitlines()[1:]:
-            rows.setdefault(int(line.split(",")[2]), []).append(f"{name}:{line}")
-    for warning in json.loads((out / "manifest.json").read_text())["warnings"]:
-        rows.setdefault(int(re.search(r" T=(\d+)s", warning)[1]), []).append(warning)
-    return rows
-
-
-def _cell_counts(caplog, head):
-    """n -> (kept, dropped, too short) from the -v pass lines that start with head."""
-    lines = [re.match(rf"{head} n=(\d+): .*; cells (\d+) kept, (\d+) dropped, (\d+) too short$",
-                      r.getMessage()) for r in caplog.records]
-    return {int(m[1]): tuple(int(g) for g in m.groups()[1:]) for m in lines if m}
-
-
-def test_return_source_windows_share_one_pass_per_n(tmp_path, monkeypatch, caplog):
-    """The return source is the same at every window: one crossing pass per (asset, n)
-    serves them all, and each window's rows are those of a run at that window alone."""
-    caplog.set_level(logging.DEBUG, logger="entroport.pipeline")
-    calls = []
-    monkeypatch.setattr(pipeline, "crossing_pass",
-                        lambda tables, n: calls.append(n) or crossing_pass(tables, n))
-    windows = [21600, 10800, 36000]
-    overrides = dict(EDGE_CONFIG, entropy_source="return")
-    cfg = load_config(_write_config(tmp_path, overrides=dict(overrides,
-                                                             volatility_windows_s=windows)))
-    run_pipeline(cfg, config_bytes=b"")
-    assert len(calls) == len(cfg.assets) * len(cfg.n_grid_samples()) == 2 * 5
-    shared = _rows_by_window(tmp_path / "out")
-    assert any("too short" in row for row in shared[10800])
-    assert any("dropped" in row for row in shared[10800])
-    # one -v line per (asset, n) names every window and counts every window's cells
-    counts = _cell_counts(caplog, "SYN1 T=21600s,10800s,36000s")
-    assert len(counts) == 5 and all(sum(c) == 3 * 4 for c in counts.values())
-    for t_s in windows:
-        (tmp_path / str(t_s)).mkdir()
-        caplog.clear()
-        run_pipeline(load_config(_write_config(tmp_path / str(t_s), overrides=dict(
-            overrides, volatility_windows_s=[t_s]))), config_bytes=b"")
-        assert _rows_by_window(tmp_path / str(t_s) / "out") == {t_s: shared[t_s]}
-        assert {n: tuple(3 * k for k in c)
-                for n, c in _cell_counts(caplog, f"SYN1 T={t_s}s").items()} == counts
-    # an asset with no valid n names the first window, as a run per window did
-    cfg = load_config(_write_config(tmp_path, overrides=dict(
-        overrides, volatility_windows_s=windows, min_clusters=10 ** 6)))
-    with pytest.raises(InsufficientClustersError,
-                       match=r"^asset 'SYN1' has no valid n point at M=1, T=21600s$"):
-        run_pipeline(cfg, config_bytes=b"")
 
 
 def _sticky_tick_file(path, seed, n_ticks=50_000):
@@ -817,23 +764,16 @@ FLOAT_SOURCE_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("source, digests", [
-    ("volatility", {
-        "indices_by_n.csv": "bf2a9b5a9b3119121cf8741ccf4c1253fd0b7cb8756c0f4aa67ed1617f297353",
-        "entropy_curves.csv": "edf0e000987747545fb822f6215b50c622df370f0282ca4c1d698b1e86565b22"}),
-    ("return", {
-        "indices_by_n.csv": "e418f39c92134ff6ac9bb8c097c02fdca092a4f99b11e16769f7d718c354432a",
-        "entropy_curves.csv": "bd2260b46e2f9942353c538fc5b3fa605a004efc0f3b4e7ca80e4b4013960547"}),
-])
-def test_float_sources_keep_their_bytes(tmp_path, source, digests):
+def test_float_sources_keep_their_bytes(tmp_path):
     """Certified signs give the crossings of the full np.convolve, so the same bytes."""
-    cfg = load_config(_write_config(tmp_path, overrides=dict(FLOAT_SOURCE_CONFIG,
-                                                             entropy_source=source)))
-    run_pipeline(cfg, config_bytes=b"")
+    run_pipeline(load_config(_write_config(tmp_path, overrides=FLOAT_SOURCE_CONFIG)),
+                 config_bytes=b"")
     # digests of the outputs while every pass called np.convolve in full;
     # indices_by_n.csv's since I(n) is one sum over every bin
     assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-            for name in digests} == digests
+            for name in ("indices_by_n.csv", "entropy_curves.csv")} == {
+        "indices_by_n.csv": "bf2a9b5a9b3119121cf8741ccf4c1253fd0b7cb8756c0f4aa67ed1617f297353",
+        "entropy_curves.csv": "edf0e000987747545fb822f6215b50c622df370f0282ca4c1d698b1e86565b22"}
 
 
 def test_debug_line_reports_how_signs_were_settled(tmp_path, caplog):
@@ -865,7 +805,7 @@ def test_debug_line_names_why_a_pass_convolved(tmp_path, caplog, run, reason):
     values[10000:10000 + len(run)] = values[10000] + np.spacing(values[10000]) * run
     tables = PrefixTables(values)
     result = PipelineResult()
-    pipeline._add_n([[("A", 1, 360)]], [(0, len(values))], tables, 8,
+    pipeline._add_n([("A", 1, 360)], [(0, len(values))], tables, 8,
                     load_config(_write_config(tmp_path, overrides={"min_clusters": 1})), result)
     assert 8 in result.curves[("A", 1, 360)]
     assert re.match(rf"A T=360s n=8: full convolve \({reason}\); ",
@@ -963,6 +903,11 @@ def test_readme_states_every_choice_and_only_real_subcommands():
     for key, names in config.CHOICES.items():  # the default first, as README says
         assert defaults[key].default == names[0], key
         assert f"- `{key}`: " + " or ".join(f"`{v}`" for v in names) in readme, key
+    # the choice list names exactly these keys, and its sentence counts them
+    intro, choices = re.search(r"\n(\w+) keys each choose one of two names;(?:.*\n)+?"
+                               r"((?:- `\w+`: .*\n(?: .*\n)*)+)", readme).groups()
+    assert re.findall(r"^- `(\w+)`: ", choices, re.M) == list(config.CHOICES)
+    assert intro == ("One", "Two", "Three", "Four", "Five")[len(config.CHOICES) - 1]
     sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(re.findall(r"\bentroport ([a-z]\w*)", readme)) <= set(sub.choices)
 
@@ -1080,7 +1025,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("overrides, needle", [
         ({"entropy_estimator": "surprisal"}, "top level: unknown key(s) 'entropy_estimator'"),
-        ({"entropy_source": "price"}, "unknown entropy_source 'price'"),
+        ({"entropy_source": "return"}, "top level: unknown key(s) 'entropy_source'"),
         ({"aggregation": "max"}, "unknown aggregation 'max'"),
         ({"horizon_mode": "weekly"}, "unknown horizon_mode 'weekly'"),
         ({"return_kind": "linear"}, "unknown return_kind 'linear'"),
